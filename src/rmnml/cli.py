@@ -2,11 +2,11 @@
 
 Subcommands: ``pc``, ``codelength``, ``sample``, ``select-dim``,
 ``validate``, ``coding-demo``.  Exit codes: 0 on success, 1 when a
-validation suite fails, 2 on usage or input errors.  Datasets are JSON
-files ``{"chart": "lorentz", "dim": D, "points": [[x0, ..., xD], ...]}``;
+validation suite fails, 2 on usage or input errors, 3 when a numerical
+stage (quadrature or estimation) fails.  Datasets are JSON files
+``{"chart": "lorentz", "dim": D, "points": [[x0, ..., xD], ...]}``;
 ``"chart": "poincare"`` with D-component points is accepted on input and
-converted.  The environment variable ``RM_NML_THREADS`` caps the number of
-threads used by the numerical backends.
+converted.
 """
 
 from __future__ import annotations
@@ -14,31 +14,18 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
+
+import numpy as np
+
+from . import coding, hyperbolic as hy, validation
+from .complexity import ParamDomain, chart_gap, pc_hgd, rm_nml_codelength
+from .gaussian import Dataset, EstimationError, RgdParams, sample, xi
+from .quadrature import QuadratureError, QuadSpec
 
 USAGE_ERROR = 2
 VALIDATION_ERROR = 1
-
-
-def _cap_threads():
-    cap = os.environ.get("RM_NML_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
-
-
-_cap_threads()
-
-import numpy as np  # noqa: E402  (after the thread cap on purpose)
-
-from . import coding, hyperbolic as hy, validation  # noqa: E402
-from .complexity import (ParamDomain, chart_gap, pc_hgd,  # noqa: E402
-                         rm_nml_codelength)
-from .gaussian import Dataset, RgdParams, sample, xi  # noqa: E402
-from .quadrature import QuadSpec  # noqa: E402
+NUMERICAL_ERROR = 3
 
 
 class InputError(Exception):
@@ -59,6 +46,15 @@ def parse_sigma_range(text: str) -> tuple[float, float]:
     return lo, hi
 
 
+def _is_number(value) -> bool:
+    """Whether numpy reads ``value`` as one float (null reads as NaN)."""
+    try:
+        float(value)
+    except (TypeError, ValueError, OverflowError):
+        return value is None
+    return True
+
+
 def load_dataset(path: str) -> Dataset:
     """Read a dataset file, converting Poincare input to Lorentz storage."""
     try:
@@ -69,6 +65,9 @@ def load_dataset(path: str) -> Dataset:
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}, "
                          f"column {exc.colno}: {exc.msg}") from exc
+    if not isinstance(raw, dict):
+        raise InputError(f"{path}: expected a JSON object with fields "
+                         f"'chart', 'dim' and 'points'")
     for field in ("chart", "dim", "points"):
         if field not in raw:
             raise InputError(f"{path}: missing field {field!r}")
@@ -81,31 +80,36 @@ def load_dataset(path: str) -> Dataset:
     if not isinstance(points, list) or not points:
         raise InputError(f"{path}: field 'points' must be a non-empty list")
     expected = dim + 1 if chart == "lorentz" else dim
-    rows = []
     for i, row in enumerate(points):
         if not isinstance(row, list) or len(row) != expected:
             raise InputError(f"{path}: point {i} must have {expected} "
                              f"components for chart {chart!r}")
-        try:
-            vec = np.asarray(row, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"{path}: point {i} has a non-numeric field") from exc
-        try:
-            if chart == "poincare":
-                vec = hy.poincare_to_lorentz(hy.PoincarePoint(vec)).coords
-            else:
-                hy.LorentzPoint(vec)
-        except hy.GeometryError as exc:
-            raise InputError(f"{path}: point {i} is invalid: {exc}") from exc
-        rows.append(vec)
-    return Dataset(np.stack(rows))
+    try:
+        coords = np.array(points, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        coords = None
+    if coords is None or coords.ndim != 2:
+        i = next(i for i, row in enumerate(points) if not all(map(_is_number, row)))
+        raise InputError(f"{path}: point {i} has a non-numeric field")
+    if chart == "poincare":
+        nrm2 = np.einsum("ij,ij->i", coords, coords)
+        outside = np.flatnonzero(nrm2 >= 1.0)
+        if outside.size:
+            raise InputError(f"{path}: point {outside[0]} is invalid: Poincare "
+                             f"coordinates must have norm < 1")
+        denom = 1.0 - nrm2
+        coords = np.column_stack([(1.0 + nrm2) / denom, 2.0 * coords / denom[:, None]])
+    try:
+        return Dataset(coords)
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def write_dataset(path: str, data: Dataset):
     payload = {
         "chart": "lorentz",
         "dim": data.dim,
-        "points": [[float(v) for v in row] for row in data.coords],
+        "points": data.coords.tolist(),
     }
     with open(path, "w") as handle:
         json.dump(payload, handle)
@@ -335,6 +339,13 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except QuadratureError as exc:
+        print(f"error: numerical integration failed: {exc} "
+              f"(best estimate {exc.best_estimate!r})", file=sys.stderr)
+        return NUMERICAL_ERROR
+    except EstimationError as exc:
+        print(f"error: maximum likelihood estimation failed: {exc}", file=sys.stderr)
+        return NUMERICAL_ERROR
 
 
 if __name__ == "__main__":

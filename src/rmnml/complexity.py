@@ -20,11 +20,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import hyperbolic as hy
-from .gaussian import Dataset, MleFit, log_lik, mle, xi, xi_derivatives
-from .quadrature import QuadSpec, RngSeed, integrate_1d, make_rng
+from .fisher import sqrt_fisher_sigma_integrand
+from .gaussian import Dataset, MleFit, log_lik, mle
+from .quadrature import QuadSpec, integrate_1d
 
 #: Default compact parameter domain (geodesic ball radius, sigma interval).
 DEFAULT_RADIUS = 3.0
@@ -123,18 +123,8 @@ def hgd_sigma_integral(dim: int, domain: ParamDomain,
     ``derivatives`` may replace the closed-form (xi', xi'') supplier, which
     lets an independent finite-difference oracle rebuild the integrand.
     """
-    if derivatives is None:
-        derivatives = xi_derivatives
-
-    def integrand(s: float) -> float:
-        value = xi(dim, s)
-        d1, d2 = derivatives(dim, s)
-        ratio = d1 / value
-        i_sigma = d2 / value - ratio * ratio + 3.0 / s * ratio
-        c_theta = (d1 / (dim * s * value)) ** dim
-        return math.sqrt(c_theta * i_sigma)
-
-    return integrate_1d(integrand, domain.sigma_min, domain.sigma_max, quad)
+    return integrate_1d(lambda s: sqrt_fisher_sigma_integrand(dim, s, derivatives),
+                        domain.sigma_min, domain.sigma_max, quad)
 
 
 def pc_hgd(dim: int, n: int, domain: ParamDomain,
@@ -177,12 +167,16 @@ def chart_gap(data: Dataset, chart: str) -> float:
 
     Equals -sum_i log sqrt(det g(x_i)) in the given chart: exactly the
     difference between the conventional NML code-length computed from
-    chart densities and the volume-element code-length.
+    chart densities and the volume-element code-length.  On the
+    hyperboloid sqrt(det g) is 1/x0 in the Lorentz graph chart and, since
+    2 / (1 - |p|^2) = 1 + x0, (1 + x0)^D in the Poincare chart.
     """
-    total = 0.0
-    for point in data:
-        total -= math.log(hy.sqrt_det_metric(chart, point))
-    return total
+    x0 = data.coords[:, 0]
+    if chart == hy.CHART_LORENTZ_GRAPH:
+        return float(np.sum(np.log(x0)))
+    if chart == hy.CHART_POINCARE:
+        return -data.dim * float(np.sum(np.log1p(x0)))
+    raise hy.GeometryError(f"unknown chart: {chart!r}")
 
 
 def regret(data: Dataset, codelength: float,
@@ -196,8 +190,16 @@ def regret(data: Dataset, codelength: float,
     return codelength - (-log_lik(data, fit.params))
 
 
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _normal_cdf(z: np.ndarray) -> np.ndarray:
+    """Standard normal CDF 0.5 erfc(-z / sqrt 2), accurate in both tails."""
+    return 0.5 * _erfc(-z / math.sqrt(2.0)).astype(float)
+
+
 def pc_mc_gauss1d(n: int, a: float, b: float, samples: int,
-                  seed: int | RngSeed) -> tuple[float, float]:
+                  seed: int) -> tuple[float, float]:
     """Monte-Carlo log parametric complexity of N(theta, 1), theta in [a, b].
 
     Importance sampling with theta uniform on [a, b] and the data drawn
@@ -217,12 +219,12 @@ def pc_mc_gauss1d(n: int, a: float, b: float, samples: int,
         raise ValueError("n must be >= 10")
     if samples < 10_000:
         raise ValueError("samples must be >= 1e4")
-    rng = make_rng(seed)
+    rng = np.random.default_rng(seed)
     theta = rng.uniform(a, b, samples)
     ybar = theta + rng.standard_normal(samples) / math.sqrt(n)
     inside = (ybar >= a) & (ybar <= b)
     sqrt_n = math.sqrt(n)
-    marginal = ndtr(sqrt_n * (b - ybar)) - ndtr(sqrt_n * (a - ybar))
+    marginal = _normal_cdf(sqrt_n * (b - ybar)) - _normal_cdf(sqrt_n * (a - ybar))
     log_w = np.where(
         inside,
         0.5 * math.log(n / (2.0 * math.pi)) + math.log(b - a)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import hyperbolic as hy
 from .gaussian import Dataset, RgdParams, sample, xi, xi_derivatives
-from .quadrature import QuadSpec, RngSeed, integrate_1d
+from .quadrature import QuadSpec, integrate_1d
 
 SIGMA_PARAM = "sigma"
 LOG_SIGMA_PARAM = "log-sigma"
@@ -53,18 +53,26 @@ class FisherBlock:
         return det, abs(det) * rel
 
 
+def _fisher_factors(dim: int, sigma: float, derivatives=None) -> tuple[float, float]:
+    """Location factor xi'/(D sigma xi) and sigma information I_sigma.
+
+    One evaluation of xi and one of its derivatives serve both factors.
+    """
+    value = xi(dim, sigma)
+    d1, d2 = (derivatives or xi_derivatives)(dim, sigma)
+    ratio = d1 / value
+    return (d1 / (dim * sigma * value),
+            d2 / value - ratio * ratio + 3.0 / sigma * ratio)
+
+
 def fisher_mu_closed(dim: int, sigma: float) -> np.ndarray:
     """Fisher information of mu in a normal orthonormal basis at mu."""
-    d1, _ = xi_derivatives(dim, sigma)
-    return d1 / (dim * sigma * xi(dim, sigma)) * np.eye(dim)
+    return _fisher_factors(dim, sigma)[0] * np.eye(dim)
 
 
 def fisher_sigma_closed(dim: int, sigma: float) -> float:
     """Fisher information of sigma."""
-    value = xi(dim, sigma)
-    d1, d2 = xi_derivatives(dim, sigma)
-    ratio = d1 / value
-    return d2 / value - ratio * ratio + 3.0 / sigma * ratio
+    return _fisher_factors(dim, sigma)[1]
 
 
 def normal_chart(mu: hy.LorentzPoint):
@@ -86,7 +94,7 @@ def normal_chart(mu: hy.LorentzPoint):
     return chart
 
 
-def fisher_numeric(params: RgdParams, n_samples: int, seed: int | RngSeed,
+def fisher_numeric(params: RgdParams, n_samples: int, seed: int,
                    chart=None, step: float = _FD_STEP,
                    data: Dataset | None = None) -> FisherBlock:
     """Monte-Carlo Fisher estimate at ``params``.
@@ -149,11 +157,16 @@ def fisher_numeric(params: RgdParams, n_samples: int, seed: int | RngSeed,
     )
 
 
-def sqrt_fisher_sigma_integrand(dim: int, sigma: float) -> float:
-    """sqrt(C_theta(sigma) * C_sigma(sigma)) for the domain integral."""
-    d1, _ = xi_derivatives(dim, sigma)
-    c_theta = (d1 / (dim * sigma * xi(dim, sigma))) ** dim
-    return math.sqrt(c_theta * fisher_sigma_closed(dim, sigma))
+def sqrt_fisher_sigma_integrand(dim: int, sigma: float, derivatives=None) -> float:
+    """sqrt(C_theta(sigma) * C_sigma(sigma)) for the domain integral.
+
+    C_theta is the location factor to the power D and C_sigma the sigma
+    Fisher information.  ``derivatives`` may replace the closed-form
+    (xi', xi'') supplier, which lets an independent finite-difference
+    oracle rebuild the integrand.
+    """
+    c_mu, i_sigma = _fisher_factors(dim, sigma, derivatives)
+    return math.sqrt(c_mu ** dim * i_sigma)
 
 
 def fisher_integral(dim: int, domain, parameterization: str = SIGMA_PARAM,

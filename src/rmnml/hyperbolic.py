@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 CHART_LORENTZ_GRAPH = "lorentz-graph"
 CHART_POINCARE = "poincare"
@@ -51,6 +50,33 @@ def minkowski_inner(x, y) -> float:
     return float(xv[1:] @ yv[1:] - xv[0] * yv[0])
 
 
+def hyperboloid_violation(coords: np.ndarray) -> tuple[int, str] | None:
+    """First row of an (n, D+1) array that is not a point of H^D, with the reason.
+
+    A row passes when every coordinate is finite, x0 > 0 and
+    |<x,x>_L + 1| <= ON_MANIFOLD_TOL * max(1, x0^2).  Returns None when
+    every row passes.
+    """
+    x0 = coords[:, 0]
+    # <x,x>_L + 1 factored as (s - x0)(s + x0) with s = sqrt(1 + |spatial|^2)
+    # to avoid the catastrophic cancellation of the direct form far from
+    # the origin; equals the self-product residual up to rounding.
+    with np.errstate(invalid="ignore", over="ignore"):
+        s = np.hypot(1.0, np.linalg.norm(coords[:, 1:], axis=1))
+        residual = (s - x0) * (s + x0)
+        finite = np.isfinite(coords).all(axis=1)
+        ok = finite & (x0 > 0) & (
+            np.abs(residual) <= ON_MANIFOLD_TOL * np.maximum(1.0, x0 * x0))
+    if ok.all():
+        return None
+    i = int(np.argmin(ok))
+    if not finite[i]:
+        return i, "coordinates must be finite"
+    if not x0[i] > 0:
+        return i, f"x0 must be positive, got {x0[i]}"
+    return i, f"point is off the hyperboloid: <x,x>_L = {-1 + float(residual[i])!r}"
+
+
 @dataclass(frozen=True, eq=False)
 class LorentzPoint:
     """Point of H^D as (x0, ..., xD) with <x,x>_L = -1 and x0 > 0."""
@@ -59,19 +85,11 @@ class LorentzPoint:
 
     def __post_init__(self):
         object.__setattr__(self, "coords", _as_vector(self.coords))
-        c = self.coords
-        if c.size < 2:
+        if self.coords.size < 2:
             raise GeometryError("a Lorentz point needs at least 2 components")
-        if not c[0] > 0:
-            raise GeometryError(f"x0 must be positive, got {c[0]}")
-        # <x,x>_L + 1 factored as (s - x0)(s + x0) with s = sqrt(1 + |spatial|^2)
-        # to avoid the catastrophic cancellation of the direct form far from
-        # the origin; equals the self-product residual up to rounding.
-        s = math.hypot(1.0, float(np.linalg.norm(c[1:])))
-        residual = (s - c[0]) * (s + c[0])
-        if abs(residual) > ON_MANIFOLD_TOL * max(1.0, c[0] * c[0]):
-            raise GeometryError(
-                f"point is off the hyperboloid: <x,x>_L = {-1 + residual!r}")
+        bad = hyperboloid_violation(self.coords[None, :])
+        if bad is not None:
+            raise GeometryError(bad[1])
 
     @property
     def dim(self) -> int:
@@ -298,21 +316,9 @@ def sqrt_det_metric(chart: str, point: LorentzPoint | PoincarePoint) -> float:
     raise GeometryError(f"unknown chart: {chart!r}")
 
 
-def density_chart_transform(f_lorentz: float, x: LorentzPoint) -> float:
-    """Re-express a Lorentz-graph-chart density value in the Poincare chart.
-
-    f_P = f_L * sqrt(1 + |x_{1:D}|^2) * (2 / (1 - |p|^2))^D at the Poincare
-    image p of x; total mass is preserved by construction.
-    """
-    if f_lorentz < 0:
-        raise GeometryError("density values must be nonnegative")
-    factor = sqrt_det_metric(CHART_POINCARE, x) / sqrt_det_metric(CHART_LORENTZ_GRAPH, x)
-    return f_lorentz * factor
-
-
 def sphere_area(dim: int) -> float:
     """Surface area of the unit sphere S^(dim-1) in R^dim."""
-    return float(2.0 * math.pi ** (dim / 2.0) * math.exp(-gammaln(dim / 2.0)))
+    return 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
 
 
 def ball_volume(dim: int, radius: float) -> float:
@@ -326,7 +332,7 @@ def ball_volume(dim: int, radius: float) -> float:
         raise GeometryError("dimension must be >= 1")
     if radius < 0:
         raise GeometryError("radius must be nonnegative")
-    pref = math.pi ** (dim / 2.0) / 2.0 ** (dim - 2) * math.exp(-gammaln(dim / 2.0))
+    pref = math.pi ** (dim / 2.0) / math.gamma(dim / 2.0) / 2.0 ** (dim - 2)
     total = 0.0
     for i in range(dim):
         p = (dim - 1) - 2 * i

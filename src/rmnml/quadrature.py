@@ -1,7 +1,6 @@
-"""Deterministic 1-D integration and seeded Monte Carlo helpers.
+"""Deterministic adaptive 1-D integration with error control.
 
-Everything here is reproducible: the adaptive integrator's panel order is
-fixed, and all Monte Carlo routines take an explicit seed.
+The integrator's panel order is fixed, so every result is reproducible.
 """
 
 from __future__ import annotations
@@ -10,15 +9,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.special
-
-ADAPTIVE_SIMPSON = "adaptive-simpson"
-FIXED_GAUSS_LEGENDRE = "fixed-gauss-legendre"
 
 #: Default tolerance for 1-D geometry oracles.
 GEOMETRY_REL_TOL = 1e-10
-#: Default tolerance for parametric-complexity integrals.
-PC_REL_TOL = 1e-8
 
 
 class QuadratureError(RuntimeError):
@@ -34,35 +27,19 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadSpec:
-    """Integration method and error control for :func:`integrate_1d`."""
+    """Error control for :func:`integrate_1d`."""
 
-    method: str = ADAPTIVE_SIMPSON
     rel_tol: float = GEOMETRY_REL_TOL
     abs_tol: float = 0.0
     max_subdivisions: int = 100_000
 
     def __post_init__(self):
-        if self.method not in (ADAPTIVE_SIMPSON, FIXED_GAUSS_LEGENDRE):
-            raise ValueError(f"unknown quadrature method: {self.method!r}")
         if not self.rel_tol > 0:
             raise ValueError("rel_tol must be positive")
         if self.abs_tol < 0:
             raise ValueError("abs_tol must be nonnegative")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
-
-
-@dataclass(frozen=True)
-class RngSeed:
-    """Seed value for reproducible sampling."""
-
-    seed: int
-
-
-def make_rng(seed: int | RngSeed) -> np.random.Generator:
-    if isinstance(seed, RngSeed):
-        seed = seed.seed
-    return np.random.default_rng(seed)
 
 
 def _simpson(f0: float, fm: float, f1: float, h: float) -> float:
@@ -80,8 +57,6 @@ def integrate_1d(f: Callable[[float], float], a: float, b: float,
     """
     if not a < b:
         raise ValueError(f"invalid interval: [{a}, {b}]")
-    if spec.method == FIXED_GAUSS_LEGENDRE:
-        return _gauss_legendre(f, a, b, spec)
     return _adaptive_simpson(f, a, b, spec)
 
 
@@ -140,54 +115,3 @@ def _refine(f, panels, tol, max_subdivisions) -> float:
         stack.append((x1, rm, x2, f1, frm, f2, right))
         stack.append((x0, lm, x1, f0, flm, f1, left))
     return total
-
-
-def _gauss_legendre(f, a, b, spec: QuadSpec) -> float:
-    # Fixed-order rule on uniform panels; the error estimate compares the
-    # full panel count against half of it.
-    nodes, weights = np.polynomial.legendre.leggauss(16)
-
-    def composite(n_panels: int) -> float:
-        edges = np.linspace(a, b, n_panels + 1)
-        acc = 0.0
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (hi - lo)
-            mid = 0.5 * (hi + lo)
-            acc += half * sum(w * f(mid + half * x) for x, w in zip(nodes, weights))
-        return acc
-
-    n = max(2, spec.max_subdivisions)
-    coarse = composite(max(1, n // 2))
-    fine = composite(n)
-    err = abs(fine - coarse)
-    if err > max(spec.abs_tol, spec.rel_tol * abs(fine)):
-        raise QuadratureError(
-            f"fixed Gauss-Legendre with {n} panels missed the tolerance "
-            f"(err estimate {err:.3e})", best_estimate=fine)
-    return fine
-
-
-def erf(x: float) -> float:
-    """Gauss error function, (2/sqrt(pi)) * integral_0^x exp(-t^2) dt."""
-    return float(scipy.special.erf(x))
-
-
-def mc_mean(f: Callable[[np.ndarray], np.ndarray],
-            sampler: Callable[[np.random.Generator, int], np.ndarray],
-            n: int, seed: int | RngSeed) -> tuple[float, float]:
-    """Monte Carlo mean of ``f`` over draws from ``sampler``.
-
-    ``sampler(rng, n)`` must return ``n`` samples (leading axis ``n``) and
-    ``f`` must map them to ``n`` scalars.  Returns ``(mean, stderr)`` with
-    ``stderr = sample std / sqrt(n)``; identical seeds give bit-identical
-    results.
-    """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    rng = make_rng(seed)
-    values = np.asarray(f(sampler(rng, n)), dtype=float)
-    if values.shape != (n,):
-        values = values.reshape(n)
-    mean = float(values.mean())
-    stderr = float(values.std(ddof=1) / np.sqrt(n))
-    return mean, stderr

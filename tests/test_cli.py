@@ -1,15 +1,19 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import rmnml
 from rmnml import hyperbolic as hy
 from rmnml.cli import (InputError, load_dataset, main, parse_sigma_range,
                        select_best, write_dataset)
 from rmnml.complexity import ParamDomain, pc_hgd, rm_nml_codelength
 from rmnml.gaussian import Dataset, RgdParams, sample
-from rmnml.quadrature import QuadSpec
+from rmnml.quadrature import QuadratureError, QuadSpec
 
 
 def run(argv):
@@ -48,6 +52,16 @@ class TestPcCommand:
     def test_bad_sigma_range(self, capsys):
         assert run(["pc", "--dim", "2", "--n", "100", "--sigma", "2:1"]) == 2
         assert "sigma" in capsys.readouterr().err.lower()
+
+    def test_numerical_failure_exit_code(self, monkeypatch, capsys):
+        def failing(*args, **kwargs):
+            raise QuadratureError("tolerance not reached", best_estimate=1.5)
+
+        monkeypatch.setattr("rmnml.cli.pc_hgd", failing)
+        assert run(["pc", "--dim", "2", "--n", "100"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical integration failed")
+        assert "1.5" in err
 
     def test_csv_mirror(self, tmp_path):
         out = tmp_path / "pc.json"
@@ -153,9 +167,17 @@ class TestCodelengthCommand:
         assert run(["codelength", "--data", str(path)]) == 2
         assert "point 1" in capsys.readouterr().err
 
+    def test_non_finite_point_reports_index(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({"chart": "lorentz", "dim": 2,
+                                    "points": [[1.0, 0.0, 0.0], [1.0, math.nan, 0.0]]}))
+        assert run(["codelength", "--data", str(path)]) == 2
+        assert "point 1 is invalid: coordinates must be finite" in capsys.readouterr().err
+
     def test_poincare_input_accepted(self, tmp_path, capsys):
         lorentz = sample(40, RgdParams(hy.origin(2), 0.6), seed=13)
-        poincare_points = [hy.lorentz_to_poincare(p).coords.tolist() for p in lorentz]
+        poincare_points = [hy.lorentz_to_poincare(hy.LorentzPoint(row)).coords.tolist()
+                           for row in lorentz.coords]
         path = tmp_path / "poincare.json"
         path.write_text(json.dumps({"chart": "poincare", "dim": 2,
                                     "points": poincare_points}))
@@ -242,6 +264,9 @@ def test_parse_sigma_range_errors():
 
 def test_dataset_file_validations(tmp_path):
     path = tmp_path / "bad.json"
+    path.write_text("5")
+    with pytest.raises(InputError, match="JSON object"):
+        load_dataset(str(path))
     path.write_text(json.dumps({"dim": 2, "points": [[1, 0, 0]]}))
     with pytest.raises(InputError, match="chart"):
         load_dataset(str(path))
@@ -255,3 +280,34 @@ def test_dataset_file_validations(tmp_path):
                                 "points": [[1, 0, "x"]]}))
     with pytest.raises(InputError, match="numeric"):
         load_dataset(str(path))
+
+
+@pytest.mark.parametrize("chart", ["lorentz", "poincare"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_coordinates_rejected(tmp_path, chart, bad):
+    row = [1.0, 0.0, 0.0] if chart == "lorentz" else [0.0, 0.0]
+    points = [list(row), list(row), list(row)]
+    points[1][1] = bad
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"chart": chart, "dim": 2, "points": points}))
+    with pytest.raises(InputError, match="point 1 is invalid"):
+        load_dataset(str(path))
+
+
+def test_poincare_load_matches_per_point_conversion(tmp_path):
+    rng = np.random.default_rng(5)
+    points = rng.uniform(-0.7, 0.7, size=(200, 3)) * rng.uniform(0.0, 1.0, size=(200, 1))
+    path = tmp_path / "poincare.json"
+    path.write_text(json.dumps({"chart": "poincare", "dim": 3, "points": points.tolist()}))
+    expected = np.stack([hy.poincare_to_lorentz(hy.PoincarePoint(p)).coords
+                         for p in points])
+    np.testing.assert_allclose(load_dataset(str(path)).coords, expected, rtol=1e-12)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = "import sys, rmnml.cli; print('scipy' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(rmnml.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.strip() == "False"

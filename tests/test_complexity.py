@@ -143,7 +143,7 @@ class TestChartGap:
         data = random_dataset(rng, 2, 25, sigma=1.0)
         diff = chart_gap(data, hy.CHART_POINCARE) - chart_gap(data, hy.CHART_LORENTZ_GRAPH)
         expected = 0.0
-        for point in data:
+        for point in (hy.LorentzPoint(row) for row in data.coords):
             s2 = float(point.coords[1:] @ point.coords[1:])
             p = hy.lorentz_to_poincare(point)
             pn2 = float(p.coords @ p.coords)
@@ -173,7 +173,7 @@ class TestRegret:
             gap = chart_gap(data, chart)
             chart_codelength = report.total + gap
             chart_max_loglik = float(log_pdf_vol_many(data.coords, fit.params).sum())
-            for point in data:
+            for point in (hy.LorentzPoint(row) for row in data.coords):
                 chart_max_loglik += math.log(hy.sqrt_det_metric(chart, point))
             chart_regret = chart_codelength - (-chart_max_loglik)
             assert chart_regret == pytest.approx(vol_regret, abs=1e-9)

@@ -6,8 +6,9 @@ import pytest
 from rmnml import hyperbolic as hy
 from rmnml.complexity import ParamDomain
 from rmnml.gaussian import (Dataset, RgdParams, RiemannianGaussianMLE,
-                            log_lik, log_pdf_vol_many, mean_dispersion, mle,
-                            pdf_vol, radial_cutoff, sample, xi, xi_derivatives)
+                            frechet_mean, log_lik, log_pdf_vol_many,
+                            mean_dispersion, mle, pdf_vol, radial_cutoff,
+                            sample, xi, xi_derivatives)
 from rmnml.quadrature import QuadSpec, integrate_1d
 from rmnml.validation import xi_quadrature_oracle
 
@@ -252,6 +253,20 @@ class TestMle:
         with pytest.raises(ValueError):
             mle(data, DOMAIN)
 
+    def test_frechet_mean_converges_at_unit_step_stability_edge(self):
+        # D = 5, n = 500 cloud whose objective has its largest Hessian
+        # eigenvalue near 2: a unit step that only needs the objective to
+        # drop oscillates there and ran out of its 10,000 iterations
+        rng = np.random.default_rng([501, 2, 107])
+        center = rng.standard_normal(5)
+        center *= rng.uniform(0.0, 1.0) / np.linalg.norm(center)
+        v = center + rng.uniform(0.3, 1.2) * rng.standard_normal((500, 5))
+        r = np.linalg.norm(v, axis=1)
+        coords = np.column_stack([np.cosh(r), (np.sinh(r) / r)[:, None] * v])
+        mu = frechet_mean(coords)
+        mean_log = sum(hy.log_map(mu, hy.LorentzPoint(x)).vec for x in coords) / len(coords)
+        assert hy.minkowski_inner(mean_log, mean_log) < 1e-16
+
     def test_mu_clamped_to_ball(self, rng):
         far = hy.from_polar(hy.PolarCoords(2.5, np.array([1.0, 0.0])))
         data = sample(100, RgdParams(far, 0.5), seed=51)
@@ -271,10 +286,16 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset.from_points([hy.origin(2), hy.origin(3)])
 
-    def test_iteration_and_len(self):
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_coordinates_with_index(self, bad):
+        rows = np.tile(hy.origin(2).coords, (3, 1))
+        rows[2, 1] = bad
+        with pytest.raises(ValueError, match="point 2 is invalid: coordinates must be finite"):
+            Dataset(rows)
+
+    def test_len(self):
         data = sample(5, RgdParams(hy.origin(2), 1.0), seed=0)
-        assert len(data) == 5
-        assert all(isinstance(p, hy.LorentzPoint) for p in data)
+        assert len(data) == data.n == 5
 
 
 class TestEstimatorApi:

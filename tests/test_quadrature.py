@@ -1,10 +1,8 @@
 import math
 
-import numpy as np
 import pytest
 
-from rmnml.quadrature import (FIXED_GAUSS_LEGENDRE, QuadSpec, QuadratureError,
-                              RngSeed, erf, integrate_1d, make_rng, mc_mean)
+from rmnml.quadrature import QuadSpec, QuadratureError, integrate_1d
 
 TIGHT = QuadSpec(rel_tol=1e-12)
 
@@ -33,12 +31,6 @@ def test_linearity():
     assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
-def test_gauss_legendre_method():
-    spec = QuadSpec(method=FIXED_GAUSS_LEGENDRE, rel_tol=1e-10, max_subdivisions=8)
-    value = integrate_1d(lambda x: math.cos(x), 0.0, 1.0, spec)
-    assert value == pytest.approx(math.sin(1.0), rel=1e-12)
-
-
 def test_subdivision_budget_error_carries_estimate():
     spec = QuadSpec(rel_tol=1e-14, max_subdivisions=3)
     with pytest.raises(QuadratureError) as excinfo:
@@ -53,53 +45,4 @@ def test_invalid_interval_and_spec():
     with pytest.raises(ValueError):
         QuadSpec(rel_tol=0.0)
     with pytest.raises(ValueError):
-        QuadSpec(method="trapezoid")
-    with pytest.raises(ValueError):
         QuadSpec(max_subdivisions=0)
-
-
-def test_erf_zero_and_oddness():
-    assert erf(0.0) == 0.0
-    for x in (0.3, 1.0, 2.5):
-        assert erf(-x) == -erf(x)
-        assert abs(erf(x)) <= 1.0
-
-
-def test_erf_against_defining_integral():
-    # oracle: (2/sqrt(pi)) \int_0^x exp(-t^2) dt by quadrature
-    for x in (0.25, 1.0 / math.sqrt(2.0), 1.0, 2.0):
-        oracle = 2.0 / math.sqrt(math.pi) * integrate_1d(
-            lambda t: math.exp(-t * t), 0.0, x, TIGHT)
-        assert erf(x) == pytest.approx(oracle, abs=1e-12)
-    assert erf(1.0 / math.sqrt(2.0)) == pytest.approx(0.682689, abs=1e-6)
-
-
-def test_mc_mean_constant():
-    mean, stderr = mc_mean(lambda s: np.full(len(s), 3.25),
-                           lambda rng, n: rng.uniform(0, 1, n), 100, seed=1)
-    assert mean == 3.25
-    assert stderr == 0.0
-
-
-def test_mc_mean_uniform():
-    mean, stderr = mc_mean(lambda s: s, lambda rng, n: rng.uniform(0, 1, n),
-                           10**6, seed=7)
-    assert abs(mean - 0.5) <= 3.0 * stderr
-
-
-def test_mc_mean_deterministic():
-    args = (lambda s: s ** 2, lambda rng, n: rng.standard_normal(n), 5000)
-    first = mc_mean(*args, seed=RngSeed(99))
-    second = mc_mean(*args, seed=99)
-    assert first == second
-
-
-def test_mc_mean_requires_two_samples():
-    with pytest.raises(ValueError):
-        mc_mean(lambda s: s, lambda rng, n: rng.uniform(0, 1, n), 1, seed=0)
-
-
-def test_make_rng_accepts_both_forms():
-    a = make_rng(5).standard_normal(3)
-    b = make_rng(RngSeed(5)).standard_normal(3)
-    assert np.array_equal(a, b)
