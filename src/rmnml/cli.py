@@ -3,7 +3,8 @@
 Subcommands: ``pc``, ``codelength``, ``sample``, ``select-dim``,
 ``validate``, ``coding-demo``.  Exit codes: 0 on success, 1 when a
 validation suite fails, 2 on usage or input errors, 3 when a numerical
-stage (quadrature or estimation) fails.  Datasets are JSON files
+stage fails (quadrature, estimation, or a value beyond the float range).
+Datasets are JSON files
 ``{"chart": "lorentz", "dim": D, "points": [[x0, ..., xD], ...]}``;
 ``"chart": "poincare"`` with D-component points is accepted on input and
 converted.
@@ -345,6 +346,9 @@ def main(argv: list[str] | None = None) -> int:
         return NUMERICAL_ERROR
     except EstimationError as exc:
         print(f"error: maximum likelihood estimation failed: {exc}", file=sys.stderr)
+        return NUMERICAL_ERROR
+    except OverflowError as exc:
+        print(f"error: numerical overflow: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
 
 

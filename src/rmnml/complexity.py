@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hyperbolic as hy
-from .fisher import sqrt_fisher_sigma_integrand
-from .gaussian import Dataset, MleFit, log_lik, mle
+from .gaussian import Dataset, MleFit, log_lik, mle, radial_moments
 from .quadrature import QuadSpec, integrate_1d
 
 #: Default compact parameter domain (geodesic ball radius, sigma interval).
@@ -114,21 +113,34 @@ def pc_symmetric(dim: int, m: int, n: int, vol_theta: float,
         term_fisher=math.log(gamma_integral))
 
 
+def _log_sigma_integrand(dim: int, u: np.ndarray) -> np.ndarray:
+    """Log of sqrt(c_mu^D I_sigma) sigma at the nodes u = log sigma.
+
+    The location factor is c_mu = E[d^2] / (D sigma^4) and
+    I_sigma = Var(d^2) / sigma^6, all nodes in one :func:`radial_moments`
+    call.
+    """
+    _, mean, var = radial_moments(dim, np.exp(u))
+    return 0.5 * (dim * (np.log(mean / dim) - 4.0 * u) + np.log(var) - 6.0 * u) + u
+
+
 def hgd_sigma_integral(dim: int, domain: ParamDomain,
-                       quad: QuadSpec = QuadSpec(rel_tol=1e-10),
-                       derivatives=None) -> float:
+                       quad: QuadSpec = QuadSpec(rel_tol=1e-10)) -> float:
     """integral over [sigma_min, sigma_max] of (xi'/(D sigma xi))^(D/2) B(sigma).
 
-    B(sigma) is the square root of the sigma Fisher information.
-    ``derivatives`` may replace the closed-form (xi', xi'') supplier, which
-    lets an independent finite-difference oracle rebuild the integrand.
+    B(sigma) is the square root of the sigma Fisher information.  The
+    integral is taken in log sigma by the doubling Gauss-Legendre rule of
+    :func:`integrate_1d`, which stops once two successive rules agree
+    within ``quad.rel_tol`` (or ``quad.abs_tol``) and otherwise raises
+    :class:`QuadratureError` with the best estimate.
     """
-    return integrate_1d(lambda s: sqrt_fisher_sigma_integrand(dim, s, derivatives),
-                        domain.sigma_min, domain.sigma_max, quad)
+    return integrate_1d(lambda u: _log_sigma_integrand(dim, u),
+                        math.log(domain.sigma_min), math.log(domain.sigma_max),
+                        quad, rule="log-gauss-legendre")
 
 
 def pc_hgd(dim: int, n: int, domain: ParamDomain,
-           quad: QuadSpec = QuadSpec(rel_tol=1e-10), derivatives=None) -> PcResult:
+           quad: QuadSpec = QuadSpec(rel_tol=1e-10)) -> PcResult:
     """Log parametric complexity of the hyperbolic Gaussian on ``domain``.
 
     (D+1)/2 log(n/2pi) + log V_{H^D}(R) + log of the sigma integral.  The
@@ -140,7 +152,7 @@ def pc_hgd(dim: int, n: int, domain: ParamDomain,
     return pc_symmetric(
         dim, 1, n,
         vol_theta=hy.ball_volume(dim, domain.radius_R),
-        gamma_integral=hgd_sigma_integral(dim, domain, quad, derivatives))
+        gamma_integral=hgd_sigma_integral(dim, domain, quad))
 
 
 def rm_nml_codelength(data: Dataset, domain: ParamDomain = ParamDomain(),

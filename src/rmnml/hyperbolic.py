@@ -332,10 +332,14 @@ def ball_volume(dim: int, radius: float) -> float:
         raise GeometryError("dimension must be >= 1")
     if radius < 0:
         raise GeometryError("radius must be nonnegative")
-    pref = math.pi ** (dim / 2.0) / math.gamma(dim / 2.0) / 2.0 ** (dim - 2)
     total = 0.0
-    for i in range(dim):
-        p = (dim - 1) - 2 * i
-        term = radius if p == 0 else math.expm1(p * radius) / p
-        total += (-1) ** i * math.comb(dim - 1, i) * term
+    try:
+        pref = math.pi ** (dim / 2.0) / math.gamma(dim / 2.0) / 2.0 ** (dim - 2)
+        for i in range(dim):
+            p = (dim - 1) - 2 * i
+            term = radius if p == 0 else math.expm1(p * radius) / p
+            total += (-1) ** i * math.comb(dim - 1, i) * term
+    except OverflowError:
+        raise OverflowError(f"the volume of a ball of radius {radius!r} in H^{dim} "
+                            f"exceeds the float range") from None
     return pref * total

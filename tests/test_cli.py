@@ -3,12 +3,13 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 import rmnml
-from rmnml import hyperbolic as hy
+from rmnml import hyperbolic as hy, quadrature
 from rmnml.cli import (InputError, load_dataset, main, parse_sigma_range,
                        select_best, write_dataset)
 from rmnml.complexity import ParamDomain, pc_hgd, rm_nml_codelength
@@ -62,6 +63,31 @@ class TestPcCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: numerical integration failed")
         assert "1.5" in err
+
+    def test_node_cap_exit_code_names_best_estimate(self, monkeypatch, capsys):
+        monkeypatch.setattr(quadrature, "_GL_NODES_MAX", quadrature._GL_NODES_MIN)
+        assert run(["pc", "--dim", "2", "--n", "100"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical integration failed")
+        assert "best estimate" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [["--dim", "2", "--n", "100", "--radius", "800"],
+                                      ["--dim", "400", "--n", "100"]])
+    def test_ball_volume_overflow_exit_code(self, argv, capsys):
+        assert run(["pc", *argv]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical overflow")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("dim", [8, 16])
+    def test_high_dimension_finite_and_fast(self, dim, capsys):
+        start = time.perf_counter()
+        assert run(["pc", "--dim", str(dim), "--n", "1000"]) == 0
+        elapsed = time.perf_counter() - start
+        payload = json.loads(capsys.readouterr().out)
+        assert all(math.isfinite(v) for v in payload.values())
+        assert elapsed < 1.0
 
     def test_csv_mirror(self, tmp_path):
         out = tmp_path / "pc.json"
@@ -147,6 +173,15 @@ class TestCodelengthCommand:
         run(["codelength", "--data", str(b)])
         total_b = json.loads(capsys.readouterr().out)["total"]
         assert total_b == pytest.approx(total_a, abs=1e-6)
+
+    def test_sampled_dimension_sixteen(self, tmp_path, capsys):
+        path = tmp_path / "d16.json"
+        assert run(["sample", "--dim", "16", "--n", "300", "--sigma", "0.5",
+                    "--seed", "4", "--out", str(path)]) == 0
+        assert run(["codelength", "--data", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["dim"] == 16
+        assert all(math.isfinite(v) for k, v in payload.items() if k != "boundary_flag")
 
     def test_single_point_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "one.json"
@@ -302,6 +337,16 @@ def test_poincare_load_matches_per_point_conversion(tmp_path):
     expected = np.stack([hy.poincare_to_lorentz(hy.PoincarePoint(p)).coords
                          for p in points])
     np.testing.assert_allclose(load_dataset(str(path)).coords, expected, rtol=1e-12)
+
+
+def test_cli_import_leaves_numpy_polynomial_unloaded():
+    # the Gauss-Legendre rules are built on first use, not at import
+    code = "import sys, rmnml.cli; print('numpy.polynomial' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(rmnml.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.strip() == "False"
 
 
 def test_cli_import_leaves_scipy_unloaded():

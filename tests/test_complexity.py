@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from rmnml import hyperbolic as hy
+from rmnml import hyperbolic as hy, quadrature
 from rmnml.complexity import (ParamDomain, chart_gap, hgd_sigma_integral,
                               pc_general, pc_hgd, pc_mc_gauss1d, pc_symmetric,
                               regret, rm_nml_codelength)
 from rmnml.gaussian import (Dataset, RgdParams, log_pdf_vol_many, mle, sample,
                             xi)
-from rmnml.quadrature import QuadSpec
+from rmnml.fisher import sqrt_fisher_sigma_integrand
+from rmnml.quadrature import QuadratureError, QuadSpec, integrate_1d
 
 from conftest import random_dataset, random_point
 
@@ -95,14 +96,41 @@ class TestPcHgd:
 
     def test_derivative_oracle_rebuild(self):
         # rebuild the sigma integrand from finite-difference xi derivatives
+        # and integrate it by adaptive Simpson, apart from the moment kernel
         domain = ParamDomain(radius_R=3.0, sigma_min=0.3, sigma_max=2.0)
         spec = QuadSpec(rel_tol=1e-8)
-        closed = pc_hgd(2, 1000, domain, spec)
-        rebuilt = pc_hgd(2, 1000, domain, spec, derivatives=xi_fd_derivatives)
-        assert rebuilt.total_log_pc == pytest.approx(closed.total_log_pc, rel=1e-5)
-        closed_int = hgd_sigma_integral(2, domain, spec)
-        rebuilt_int = hgd_sigma_integral(2, domain, spec, derivatives=xi_fd_derivatives)
-        assert rebuilt_int == pytest.approx(closed_int, rel=1e-5)
+        kernel = pc_hgd(2, 1000, domain, spec)
+        rebuilt_int = integrate_1d(
+            lambda s: sqrt_fisher_sigma_integrand(2, s, xi_fd_derivatives),
+            domain.sigma_min, domain.sigma_max, spec)
+        rebuilt = pc_symmetric(2, 1, 1000, hy.ball_volume(2, 3.0), rebuilt_int)
+        assert rebuilt.total_log_pc == pytest.approx(kernel.total_log_pc, rel=1e-5)
+        kernel_int = hgd_sigma_integral(2, domain, spec)
+        assert rebuilt_int == pytest.approx(kernel_int, rel=1e-5)
+
+
+class TestSigmaIntegral:
+    def test_kernel_matches_simpson_oracle_over_benchmark_domains(self):
+        # closed-form integrand by adaptive Simpson, on domains drawn from
+        # the benchmark's range
+        rng = np.random.default_rng(33)
+        for _ in range(10):
+            domain = ParamDomain(float(rng.uniform(2.5, 4.0)),
+                                 float(rng.uniform(0.08, 0.3)),
+                                 float(rng.uniform(2.0, 3.5)))
+            for dim in range(1, 6):
+                oracle = integrate_1d(
+                    lambda s: sqrt_fisher_sigma_integrand(dim, s),
+                    domain.sigma_min, domain.sigma_max, QuadSpec(rel_tol=1e-11))
+                assert hgd_sigma_integral(dim, domain) == pytest.approx(oracle, rel=1e-10)
+
+    def test_node_cap_raises_with_best_estimate(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_GL_NODES_MAX", quadrature._GL_NODES_MIN)
+        with pytest.raises(QuadratureError) as excinfo:
+            hgd_sigma_integral(2, DOMAIN)
+        monkeypatch.undo()
+        assert excinfo.value.best_estimate == pytest.approx(
+            hgd_sigma_integral(2, DOMAIN), rel=1e-6)
 
 
 class TestCodeLength:

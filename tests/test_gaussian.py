@@ -5,10 +5,11 @@ import pytest
 
 from rmnml import hyperbolic as hy
 from rmnml.complexity import ParamDomain
+from rmnml.fisher import fisher_sigma_closed
 from rmnml.gaussian import (Dataset, RgdParams, RiemannianGaussianMLE,
                             frechet_mean, log_lik, log_pdf_vol_many,
                             mean_dispersion, mle, pdf_vol, radial_cutoff,
-                            sample, xi, xi_derivatives)
+                            radial_moments, sample, xi, xi_derivatives)
 from rmnml.quadrature import QuadSpec, integrate_1d
 from rmnml.validation import xi_quadrature_oracle
 
@@ -72,6 +73,43 @@ class TestXi:
             xi(0, 1.0)
         with pytest.raises(ValueError):
             xi(2, 0.0)
+
+
+class TestRadialMoments:
+    def test_log_xi_against_quadrature_oracle(self):
+        # well past D = 5, where the closed form loses digits, to D = 12
+        sigmas = (0.05, 0.1, 0.5, 1.0, 2.0, 3.0)
+        for dim in range(1, 13):
+            log_xi, _, _ = radial_moments(dim, np.array(sigmas))
+            for sigma, value in zip(sigmas, log_xi):
+                oracle = xi_quadrature_oracle(dim, sigma)
+                assert math.exp(value) == pytest.approx(oracle, rel=1e-10)
+
+    def test_moments_against_closed_form(self):
+        # E[d^2] = sigma^3 xi'/xi and Var(d^2) = sigma^6 I_sigma
+        for dim in range(1, 6):
+            for sigma in (0.1, 0.3, 1.0, 2.0, 3.5):
+                log_xi, mean, var = radial_moments(dim, sigma)
+                value = xi(dim, sigma)
+                assert float(log_xi) == pytest.approx(math.log(value), abs=1e-12)
+                assert float(mean) == pytest.approx(
+                    sigma ** 3 * xi_derivatives(dim, sigma)[0] / value, rel=1e-12)
+                assert float(var) == pytest.approx(
+                    sigma ** 6 * fisher_sigma_closed(dim, sigma), rel=1e-12)
+
+    def test_shapes_follow_sigma(self):
+        log_xi, mean, var = radial_moments(3, 0.7)
+        assert log_xi.shape == mean.shape == var.shape == ()
+        grid = np.linspace(0.1, 3.0, 12).reshape(3, 4)
+        log_xi, mean, var = radial_moments(3, grid)
+        assert log_xi.shape == mean.shape == var.shape == (3, 4)
+        assert float(mean[1, 2]) == float(radial_moments(3, grid[1, 2])[1])
+
+    def test_finite_in_high_dimension(self):
+        for dim in (8, 16, 30, 100):
+            log_xi, mean, var = radial_moments(dim, np.array([0.05, 0.5, 3.0]))
+            assert np.all(np.isfinite(log_xi))
+            assert np.all(mean > 0) and np.all(var > 0)
 
 
 class TestXiDerivatives:
@@ -322,6 +360,40 @@ class TestEstimatorApi:
         assert est.score(data) == pytest.approx(log_lik(data, params) / data.n)
         drawn = est.sample(10, seed=3)
         assert drawn.n == 10
+
+
+def _bisection_sigma(dim, target, lo, hi):
+    """The sigma step as bisection on the closed-form sigma^3 xi'/xi."""
+    def closed(sigma):
+        return sigma ** 3 * xi_derivatives(dim, sigma)[0] / xi(dim, sigma)
+
+    if target <= closed(lo):
+        return lo
+    if target >= closed(hi):
+        return hi
+    while hi - lo >= 1e-14 * max(1.0, hi):
+        mid = 0.5 * (lo + hi)
+        if closed(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_mean_dispersion_and_newton_sigma_match_bisection():
+    for dim in range(1, 6):
+        for sigma in (0.1, 0.4, 1.0, 2.5):
+            d1, _ = xi_derivatives(dim, sigma)
+            assert mean_dispersion(dim, sigma) == pytest.approx(
+                sigma ** 3 * d1 / xi(dim, sigma), rel=1e-12)
+        for seed, sigma in enumerate((0.3, 0.8, 1.6)):
+            data = sample(200, RgdParams(hy.origin(dim), sigma), seed=seed)
+            fit = mle(data, DOMAIN)
+            d = hy.dist_many(fit.params.mu.coords, data.coords)
+            target = float(d @ d) / data.n
+            expected = _bisection_sigma(dim, target, DOMAIN.sigma_min, DOMAIN.sigma_max)
+            assert not fit.sigma_clamped
+            assert fit.params.sigma == pytest.approx(expected, rel=1e-12)
 
 
 def test_mean_dispersion_monotone():
