@@ -22,7 +22,7 @@ import numpy as np
 from . import coding, hyperbolic as hy, validation
 from .complexity import ParamDomain, chart_gap, pc_hgd, rm_nml_codelength
 from .gaussian import Dataset, EstimationError, RgdParams, sample, xi
-from .quadrature import QuadratureError, QuadSpec
+from .quadrature import QuadratureError
 
 USAGE_ERROR = 2
 VALIDATION_ERROR = 1
@@ -139,7 +139,7 @@ def _domain_from(args) -> ParamDomain:
 
 def cmd_pc(args) -> int:
     domain = _domain_from(args)
-    result = pc_hgd(args.dim, args.n, domain, QuadSpec(rel_tol=args.rel_tol))
+    result = pc_hgd(args.dim, args.n, domain, args.rel_tol)
     _emit({
         "k": result.k,
         "n": result.n,
@@ -157,7 +157,7 @@ def cmd_codelength(args) -> int:
         raise InputError(f"{args.data}: the code-length needs at least 2 "
                          f"points, got {data.n}")
     domain = _domain_from(args)
-    report = rm_nml_codelength(data, domain, QuadSpec(rel_tol=args.rel_tol))
+    report = rm_nml_codelength(data, domain, args.rel_tol)
     _emit({
         "n": data.n,
         "dim": data.dim,

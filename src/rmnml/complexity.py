@@ -17,35 +17,50 @@ of the asymptotic formula is dropped throughout.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import hyperbolic as hy
-from .gaussian import Dataset, MleFit, log_lik, mle, radial_moments
-from .quadrature import QuadSpec, integrate_1d
+from .gaussian import Dataset, log_lik, mle, radial_moments
+from .quadrature import integrate_1d
 
 #: Default compact parameter domain (geodesic ball radius, sigma interval).
 DEFAULT_RADIUS = 3.0
 DEFAULT_SIGMA_MIN = 0.1
 DEFAULT_SIGMA_MAX = 3.0
+#: Smallest sigma_min: below about 1.2e-77, sigma^4 (the scale of Var(d^2))
+#: is no longer a normal float.
+SIGMA_FLOOR = sys.float_info.min ** 0.25
 
 
 @dataclass(frozen=True)
 class ParamDomain:
     """Compact parameter region: geodesic ball of radius ``radius_R`` about
     the origin for the location, interval [sigma_min, sigma_max] for the
-    scale."""
+    scale.
+
+    Accepted range: a finite radius_R > 0 and finite bounds with
+    SIGMA_FLOOR (about 1.2e-77) <= sigma_min < sigma_max.  A ball volume
+    or sigma integral beyond the float range still raises OverflowError
+    when the complexity is computed.
+    """
 
     radius_R: float = DEFAULT_RADIUS
     sigma_min: float = DEFAULT_SIGMA_MIN
     sigma_max: float = DEFAULT_SIGMA_MAX
 
     def __post_init__(self):
-        if not self.radius_R > 0:
-            raise ValueError("radius_R must be positive")
+        if not 0 < self.radius_R < math.inf:
+            raise ValueError(f"radius_R must be finite and positive, got {self.radius_R}")
         if not 0 < self.sigma_min < self.sigma_max:
             raise ValueError("need 0 < sigma_min < sigma_max")
+        if not self.sigma_max < math.inf:
+            raise ValueError(f"sigma_max must be finite, got {self.sigma_max}")
+        if self.sigma_min < SIGMA_FLOOR:
+            raise ValueError(f"sigma_min must be at least {SIGMA_FLOOR:.3g}, where "
+                             f"sigma^4 underflows; got {self.sigma_min}")
 
 
 @dataclass(frozen=True)
@@ -76,41 +91,28 @@ class CodeLengthReport:
         return self.neg_max_loglik + self.log_pc
 
 
-def pc_general(k: int, n: int, fisher_integral: float) -> PcResult:
-    """Asymptotic log parametric complexity from a precomputed Fisher integral."""
+def pc_general(k: int, n: int, fisher_integral: float,
+               vol_theta: float = 1.0) -> PcResult:
+    """Asymptotic log parametric complexity from a precomputed Fisher integral.
+
+    On a symmetric space the integral of sqrt(det I) factorizes into the
+    volume ``vol_theta`` of the location domain and the one-dimensional
+    ``fisher_integral`` over the extra parameter; the default volume 1
+    leaves the plain Euclidean formula.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     if n < 2:
         raise ValueError("n must be >= 2")
+    if not vol_theta > 0:
+        raise ValueError(f"the parameter volume must be positive, got {vol_theta}")
     if not fisher_integral > 0:
         raise ValueError(f"the Fisher integral must be positive, got {fisher_integral}")
     return PcResult(
         k=k, n=n,
         term_kn=0.5 * k * math.log(n / (2.0 * math.pi)),
-        term_volume=0.0,
-        term_fisher=math.log(fisher_integral))
-
-
-def pc_symmetric(dim: int, m: int, n: int, vol_theta: float,
-                 gamma_integral: float) -> PcResult:
-    """Three-term decomposition for distance-determined families.
-
-    k = dim + m parameters; the Fisher integral splits into the volume of
-    the location domain and the one-dimensional integral over the extra
-    parameters.  Consistent with :func:`pc_general` evaluated at
-    ``vol_theta * gamma_integral``.
-    """
-    if dim < 1 or m < 1:
-        raise ValueError("dim and m must be >= 1")
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if not vol_theta > 0 or not gamma_integral > 0:
-        raise ValueError("volume and integral must be positive")
-    return PcResult(
-        k=dim + m, n=n,
-        term_kn=0.5 * (dim + m) * math.log(n / (2.0 * math.pi)),
         term_volume=math.log(vol_theta),
-        term_fisher=math.log(gamma_integral))
+        term_fisher=math.log(fisher_integral))
 
 
 def _log_sigma_integrand(dim: int, u: np.ndarray) -> np.ndarray:
@@ -125,22 +127,21 @@ def _log_sigma_integrand(dim: int, u: np.ndarray) -> np.ndarray:
 
 
 def hgd_sigma_integral(dim: int, domain: ParamDomain,
-                       quad: QuadSpec = QuadSpec(rel_tol=1e-10)) -> float:
+                       rel_tol: float = 1e-10) -> float:
     """integral over [sigma_min, sigma_max] of (xi'/(D sigma xi))^(D/2) B(sigma).
 
     B(sigma) is the square root of the sigma Fisher information.  The
     integral is taken in log sigma by the doubling Gauss-Legendre rule of
     :func:`integrate_1d`, which stops once two successive rules agree
-    within ``quad.rel_tol`` (or ``quad.abs_tol``) and otherwise raises
-    :class:`QuadratureError` with the best estimate.
+    within ``rel_tol`` and otherwise raises :class:`QuadratureError` with
+    the best estimate.
     """
     return integrate_1d(lambda u: _log_sigma_integrand(dim, u),
                         math.log(domain.sigma_min), math.log(domain.sigma_max),
-                        quad, rule="log-gauss-legendre")
+                        rel_tol, rule="log-gauss-legendre")
 
 
-def pc_hgd(dim: int, n: int, domain: ParamDomain,
-           quad: QuadSpec = QuadSpec(rel_tol=1e-10)) -> PcResult:
+def pc_hgd(dim: int, n: int, domain: ParamDomain, rel_tol: float = 1e-10) -> PcResult:
     """Log parametric complexity of the hyperbolic Gaussian on ``domain``.
 
     (D+1)/2 log(n/2pi) + log V_{H^D}(R) + log of the sigma integral.  The
@@ -149,25 +150,21 @@ def pc_hgd(dim: int, n: int, domain: ParamDomain,
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    return pc_symmetric(
-        dim, 1, n,
-        vol_theta=hy.ball_volume(dim, domain.radius_R),
-        gamma_integral=hgd_sigma_integral(dim, domain, quad))
+    return pc_general(dim + 1, n, vol_theta=hy.ball_volume(dim, domain.radius_R),
+                      fisher_integral=hgd_sigma_integral(dim, domain, rel_tol))
 
 
 def rm_nml_codelength(data: Dataset, domain: ParamDomain = ParamDomain(),
-                      quad: QuadSpec = QuadSpec(rel_tol=1e-10),
-                      fit: MleFit | None = None) -> CodeLengthReport:
+                      rel_tol: float = 1e-10) -> CodeLengthReport:
     """Volume-element NML code-length of ``data`` in nats.
 
     Maximized negative log-likelihood plus log parametric complexity; the
     boundary flag records an MLE clamped to the domain boundary, where the
     asymptotic complexity formula is not reliable.
     """
-    if fit is None:
-        fit = mle(data, domain)
+    fit = mle(data, domain)
     neg_ll = -log_lik(data, fit.params)
-    pc = pc_hgd(data.dim, data.n, domain, quad)
+    pc = pc_hgd(data.dim, data.n, domain, rel_tol)
     return CodeLengthReport(
         neg_max_loglik=neg_ll,
         log_pc=pc.total_log_pc,

@@ -16,12 +16,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import hyperbolic as hy
-from .gaussian import Dataset, RgdParams, sample, xi, xi_derivatives
-from .quadrature import QuadSpec, integrate_1d
+from .gaussian import RgdParams, sample, xi, xi_derivatives
+from .quadrature import integrate_1d
+
+if TYPE_CHECKING:
+    from .complexity import ParamDomain
 
 SIGMA_PARAM = "sigma"
 LOG_SIGMA_PARAM = "log-sigma"
@@ -94,26 +98,21 @@ def normal_chart(mu: hy.LorentzPoint):
     return chart
 
 
-def fisher_numeric(params: RgdParams, n_samples: int, seed: int,
-                   chart=None, step: float = _FD_STEP,
-                   data: Dataset | None = None) -> FisherBlock:
+def fisher_numeric(params: RgdParams, n_samples: int, seed: int) -> FisherBlock:
     """Monte-Carlo Fisher estimate at ``params``.
 
-    Draws ``n_samples`` points from the model (or uses ``data``), computes
-    the Hessian of log p_vol with respect to (normal coordinates of mu,
-    sigma) by central finite differences of size ``step``, and averages
-    the negated Hessians.  Standard errors are reported per entry.
+    Draws ``n_samples`` points from the model, computes the Hessian of
+    log p_vol with respect to (normal coordinates of mu, sigma) by central
+    finite differences of size 1e-4, and averages the negated Hessians.
+    Standard errors are reported per entry.
     """
-    if data is None:
-        if n_samples < 10_000:
-            raise ValueError("n_samples must be >= 1e4 for a usable estimate")
-        data = sample(n_samples, params, seed)
-    x = data.coords
-    n = data.n
+    if n_samples < 10_000:
+        raise ValueError("n_samples must be >= 1e4 for a usable estimate")
+    x = sample(n_samples, params, seed).coords
+    n = x.shape[0]
     dim = params.dim
     sigma = params.sigma
-    if chart is None:
-        chart = normal_chart(params.mu)
+    chart = normal_chart(params.mu)
     k = dim + 1  # eta = (t_1..t_D, sigma)
 
     def logp(offset: np.ndarray) -> np.ndarray:
@@ -123,7 +122,7 @@ def fisher_numeric(params: RgdParams, n_samples: int, seed: int,
         return -d * d / (2.0 * s * s) - math.log(xi(dim, s))
 
     f0 = logp(np.zeros(k))
-    unit = np.eye(k) * step
+    unit = np.eye(k) * _FD_STEP
 
     plus = np.empty((k, n))
     minus = np.empty((k, n))
@@ -134,14 +133,14 @@ def fisher_numeric(params: RgdParams, n_samples: int, seed: int,
     # per-sample negated Hessian entries
     neg_h = np.empty((k, k, n))
     for i in range(k):
-        neg_h[i, i] = -(plus[i] - 2.0 * f0 + minus[i]) / step ** 2
+        neg_h[i, i] = -(plus[i] - 2.0 * f0 + minus[i]) / _FD_STEP ** 2
     for i in range(k):
         for j in range(i + 1, k):
             pp = logp(unit[i] + unit[j])
             pm = logp(unit[i] - unit[j])
             mp = logp(-unit[i] + unit[j])
             mm = logp(-unit[i] - unit[j])
-            neg_h[i, j] = -(pp - pm - mp + mm) / (4.0 * step ** 2)
+            neg_h[i, j] = -(pp - pm - mp + mm) / (4.0 * _FD_STEP ** 2)
             neg_h[j, i] = neg_h[i, j]
 
     est = neg_h.mean(axis=2)
@@ -169,8 +168,8 @@ def sqrt_fisher_sigma_integrand(dim: int, sigma: float, derivatives=None) -> flo
     return math.sqrt(c_mu ** dim * i_sigma)
 
 
-def fisher_integral(dim: int, domain, parameterization: str = SIGMA_PARAM,
-                    quad: QuadSpec = QuadSpec()) -> float:
+def fisher_integral(dim: int, domain: "ParamDomain", parameterization: str = SIGMA_PARAM,
+                    rel_tol: float = 1e-10) -> float:
     """Integral of sqrt(det I) over the compact domain Theta x Gamma.
 
     Factorizes as vol(Theta) * integral_{sigma_min}^{sigma_max}
@@ -178,17 +177,15 @@ def fisher_integral(dim: int, domain, parameterization: str = SIGMA_PARAM,
     the Jacobian factor sigma in the integrand and must give the same
     value (the integral is reparameterization invariant).
     """
-    if not 0 < domain.sigma_min < domain.sigma_max:
-        raise ValueError("need 0 < sigma_min < sigma_max")
     vol_theta = hy.ball_volume(dim, domain.radius_R)
     if parameterization == SIGMA_PARAM:
         integral = integrate_1d(
             lambda s: sqrt_fisher_sigma_integrand(dim, s),
-            domain.sigma_min, domain.sigma_max, quad)
+            domain.sigma_min, domain.sigma_max, rel_tol)
     elif parameterization == LOG_SIGMA_PARAM:
         integral = integrate_1d(
             lambda u: sqrt_fisher_sigma_integrand(dim, math.exp(u)) * math.exp(u),
-            math.log(domain.sigma_min), math.log(domain.sigma_max), quad)
+            math.log(domain.sigma_min), math.log(domain.sigma_max), rel_tol)
     else:
         raise ValueError(f"unknown parameterization: {parameterization!r}")
     return vol_theta * integral

@@ -77,15 +77,6 @@ class Dataset:
         self._coords = coords.copy()
         self._coords.setflags(write=False)
 
-    @classmethod
-    def from_points(cls, points: list[hy.LorentzPoint]) -> "Dataset":
-        if not points:
-            raise ValueError("a dataset needs at least one point")
-        dims = {p.dim for p in points}
-        if len(dims) != 1:
-            raise ValueError(f"points of mixed dimension: {sorted(dims)}")
-        return cls(np.stack([p.coords for p in points]))
-
     @property
     def coords(self) -> np.ndarray:
         return self._coords
@@ -187,7 +178,7 @@ def log_radial_weight(dim: int, r: np.ndarray, sigma: float) -> np.ndarray:
     with np.errstate(divide="ignore"):
         log_sinh = np.where(
             r > 0.0,
-            r + np.log1p(-np.exp(-2.0 * np.maximum(r, 1e-300))) - math.log(2.0),
+            r + np.log(-np.expm1(-2.0 * np.maximum(r, 1e-300))) - math.log(2.0),
             -np.inf)
     return gauss + (dim - 1) * log_sinh
 
@@ -253,9 +244,9 @@ def log_lik(data: Dataset, params: RgdParams) -> float:
     return float(-data.n * log_xi - (d @ d) / (2.0 * params.sigma ** 2))
 
 
-def _radial_table(dim: int, sigma: float, nodes: int = 4096):
-    """Inverse-CDF table of the radial density on [0, cutoff]."""
-    r = np.linspace(0.0, radial_cutoff(dim, sigma, tail=12.0), nodes)
+def _radial_table(dim: int, sigma: float):
+    """4096-node inverse-CDF table of the radial density on [0, cutoff]."""
+    r = np.linspace(0.0, radial_cutoff(dim, sigma, tail=12.0), 4096)
     logw = log_radial_weight(dim, r, sigma)
     w = np.exp(logw - np.max(logw))
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * np.diff(r))])
@@ -425,54 +416,3 @@ def mle(data: Dataset, domain: "ParamDomain") -> MleFit:
     sigma, sigma_clamped = _solve_sigma(dim, target, domain.sigma_min,
                                         domain.sigma_max)
     return MleFit(RgdParams(mu, sigma), mu_clamped, sigma_clamped)
-
-
-class RiemannianGaussianMLE:
-    """Estimator-style wrapper around :func:`mle`.
-
-    Follows the fit/get_params convention so the model composes with
-    generic model-selection tooling:
-
-    >>> est = RiemannianGaussianMLE(radius_R=3.0).fit(data)
-    >>> est.mu_, est.sigma_
-    """
-
-    def __init__(self, radius_R: float = 3.0, sigma_min: float = 0.1,
-                 sigma_max: float = 3.0):
-        self.radius_R = radius_R
-        self.sigma_min = sigma_min
-        self.sigma_max = sigma_max
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {"radius_R": self.radius_R, "sigma_min": self.sigma_min,
-                "sigma_max": self.sigma_max}
-
-    def set_params(self, **params) -> "RiemannianGaussianMLE":
-        for key, value in params.items():
-            if key not in self.get_params():
-                raise ValueError(f"unknown parameter {key!r}")
-            setattr(self, key, value)
-        return self
-
-    def _domain(self):
-        from .complexity import ParamDomain
-        return ParamDomain(self.radius_R, self.sigma_min, self.sigma_max)
-
-    def fit(self, X: Dataset | np.ndarray, y=None) -> "RiemannianGaussianMLE":
-        data = X if isinstance(X, Dataset) else Dataset(X)
-        fit = mle(data, self._domain())
-        self.mu_ = fit.params.mu
-        self.sigma_ = fit.params.sigma
-        self.boundary_ = fit.boundary
-        self.n_features_in_ = data.dim + 1
-        return self
-
-    def score_samples(self, X: Dataset | np.ndarray) -> np.ndarray:
-        data = X if isinstance(X, Dataset) else Dataset(X)
-        return log_pdf_vol_many(data.coords, RgdParams(self.mu_, self.sigma_))
-
-    def score(self, X: Dataset | np.ndarray, y=None) -> float:
-        return float(self.score_samples(X).mean())
-
-    def sample(self, n: int, seed: int = 0) -> Dataset:
-        return sample(n, RgdParams(self.mu_, self.sigma_), seed)

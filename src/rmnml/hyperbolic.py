@@ -16,7 +16,6 @@ import numpy as np
 
 CHART_LORENTZ_GRAPH = "lorentz-graph"
 CHART_POINCARE = "poincare"
-CHARTS = (CHART_LORENTZ_GRAPH, CHART_POINCARE)
 
 #: Tolerance for the hyperboloid / tangency invariants of the point types.
 ON_MANIFOLD_TOL = 1e-9
@@ -167,9 +166,12 @@ def dist(x: LorentzPoint, y: LorentzPoint) -> float:
 def dist_many(x: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Distances from the single point ``x`` to the rows of ``ys``.
 
-    Evaluated through the identity arccosh(-<x,y>_L) =
-    2 arcsinh(|x - y|_L / 2), which is exact at coincident points where the
-    inner-product form loses half its digits to cancellation.
+    Evaluated as d = 2 arcsinh(sinh(d/2)).  Below -<x,y>_L = 2
+    (d < 1.317), sinh^2(d/2) is a quarter of the chord |x - y|_L^2, which
+    is exact at coincident points where the inner-product form loses half
+    its digits to cancellation.  Beyond that it is (-<x,y>_L - 1) / 2,
+    whose relative error stays near eps, while the chord cancels with an
+    error of eps * e^d.
     """
     m = x[0] * ys[:, 0] - ys[:, 1:] @ x[1:]  # -<x,y>_L
     if np.any(m < 1.0 - ACOSH_REJECT_TOL):
@@ -177,7 +179,8 @@ def dist_many(x: np.ndarray, ys: np.ndarray) -> np.ndarray:
     delta = ys - x
     # <x-y, x-y>_L = 4 sinh^2(d/2) >= 0 on the manifold
     chord2 = np.einsum("ij,ij->i", delta[:, 1:], delta[:, 1:]) - delta[:, 0] ** 2
-    return 2.0 * np.arcsinh(0.5 * np.sqrt(np.maximum(chord2, 0.0)))
+    sinh_half_sq = np.where(m >= 2.0, 0.5 * (m - 1.0), 0.25 * chord2)
+    return 2.0 * np.arcsinh(np.sqrt(np.maximum(sinh_half_sq, 0.0)))
 
 
 def lorentz_to_poincare(x: LorentzPoint) -> PoincarePoint:

@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-#: Default tolerance for 1-D geometry oracles.
-GEOMETRY_REL_TOL = 1e-10
+#: Panel splits adaptive Simpson may make before it gives up.
+_MAX_SUBDIVISIONS = 100_000
 
 
 class QuadratureError(RuntimeError):
@@ -27,27 +26,6 @@ class QuadratureError(RuntimeError):
     def __init__(self, message: str, best_estimate: float):
         super().__init__(message)
         self.best_estimate = best_estimate
-
-
-@dataclass(frozen=True)
-class QuadSpec:
-    """Error control for :func:`integrate_1d`.
-
-    The Gauss-Legendre rule reads ``rel_tol`` and ``abs_tol`` as the
-    agreement two successive rules must reach.
-    """
-
-    rel_tol: float = GEOMETRY_REL_TOL
-    abs_tol: float = 0.0
-    max_subdivisions: int = 100_000
-
-    def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be positive")
-        if self.abs_tol < 0:
-            raise ValueError("abs_tol must be nonnegative")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
 
 
 @functools.cache
@@ -74,15 +52,14 @@ _GL_NODES_MIN = 32
 _GL_NODES_MAX = 1024
 
 
-def integrate_1d(f: Callable, a: float, b: float, spec: QuadSpec = QuadSpec(),
+def integrate_1d(f: Callable, a: float, b: float, rel_tol: float = 1e-10,
                  rule: str = "simpson") -> float:
-    """Integrate ``f`` over ``[a, b]`` to the tolerance in ``spec``.
+    """Integrate ``f`` over ``[a, b]`` to the relative tolerance ``rel_tol``.
 
     ``rule="simpson"`` is adaptive Simpson on scalar calls of ``f``.  The
-    estimated error of the returned value is at most
-    ``max(spec.abs_tol, spec.rel_tol * |result|)``.  Raises
-    :class:`QuadratureError` (carrying the best estimate) if the budget of
-    ``spec.max_subdivisions`` panel splits is exhausted first.
+    estimated error of the returned value is at most ``rel_tol * |result|``.
+    Raises :class:`QuadratureError` (carrying the best estimate) if the
+    budget of ``_MAX_SUBDIVISIONS`` panel splits is exhausted first.
 
     ``rule="log-gauss-legendre"`` calls ``f`` on an array of abscissae and
     takes the result as the log of the integrand there.  Gauss-Legendre
@@ -91,22 +68,24 @@ def integrate_1d(f: Callable, a: float, b: float, spec: QuadSpec = QuadSpec(),
     :class:`QuadratureError` with the last rule as its best estimate.  A
     result beyond the float range raises OverflowError.
     """
+    if not rel_tol > 0:
+        raise ValueError("rel_tol must be positive")
     if not a < b:
         raise ValueError(f"invalid interval: [{a}, {b}]")
     if rule == "simpson":
-        return _adaptive_simpson(f, a, b, spec)
+        return _adaptive_simpson(f, a, b, rel_tol)
     if rule == "log-gauss-legendre":
-        return _doubling_gauss_legendre(f, a, b, spec)
+        return _doubling_gauss_legendre(f, a, b, rel_tol)
     raise ValueError(f"unknown rule: {rule!r}")
 
 
-def _doubling_gauss_legendre(log_f, a, b, spec: QuadSpec) -> float:
+def _doubling_gauss_legendre(log_f, a, b, rel_tol: float) -> float:
     nodes = _GL_NODES_MIN
     coarse = _log_gauss_legendre(log_f, a, b, nodes)
     while nodes < _GL_NODES_MAX:
         nodes *= 2
         fine = _log_gauss_legendre(log_f, a, b, nodes)
-        if abs(fine - coarse) <= max(spec.abs_tol, spec.rel_tol * abs(fine)):
+        if abs(fine - coarse) <= rel_tol * abs(fine):
             return fine
         coarse = fine
     raise QuadratureError(
@@ -124,7 +103,7 @@ def _log_gauss_legendre(log_f, a, b, nodes: int) -> float:
 _COARSE_PANELS = 64
 
 
-def _adaptive_simpson(f, a, b, spec: QuadSpec) -> float:
+def _adaptive_simpson(f, a, b, rel_tol: float) -> float:
     # seed panels on a uniform grid so peaked integrands cannot fool the
     # magnitude estimate that sets the error budget
     edges = np.linspace(a, b, _COARSE_PANELS + 1)
@@ -140,9 +119,9 @@ def _adaptive_simpson(f, a, b, spec: QuadSpec) -> float:
 
     total = estimate
     for _ in range(3):
-        target = max(spec.abs_tol, spec.rel_tol * abs(estimate), 1e-300)
-        total = _refine(f, panels, target / (b - a), spec.max_subdivisions)
-        if target >= 0.5 * max(spec.abs_tol, spec.rel_tol * abs(total)):
+        target = max(rel_tol * abs(estimate), 1e-300)
+        total = _refine(f, panels, target / (b - a))
+        if target >= 0.5 * rel_tol * abs(total):
             break
         # the budget was set from a poor magnitude estimate; redo with the
         # improved one (deterministic, at most twice)
@@ -150,7 +129,7 @@ def _adaptive_simpson(f, a, b, spec: QuadSpec) -> float:
     return total
 
 
-def _refine(f, panels, tol, max_subdivisions) -> float:
+def _refine(f, panels, tol) -> float:
     # LIFO stack keeps the refinement order independent of intermediate
     # results, so the evaluation sequence is deterministic.
     stack = list(reversed(panels))
@@ -168,10 +147,10 @@ def _refine(f, panels, tol, max_subdivisions) -> float:
             total += left + right + err
             continue
         splits += 1
-        if splits > max_subdivisions:
+        if splits > _MAX_SUBDIVISIONS:
             best = total + left + right + sum(p[6] for p in stack)
             raise QuadratureError(
-                f"tolerance not reached after {max_subdivisions} subdivisions",
+                f"tolerance not reached after {_MAX_SUBDIVISIONS} subdivisions",
                 best_estimate=best)
         stack.append((x1, rm, x2, f1, frm, f2, right))
         stack.append((x0, lm, x1, f0, flm, f1, left))

@@ -2,8 +2,9 @@
 
 Each suite reruns one of the library's independent oracles (quadrature,
 Monte Carlo, reparameterization, Kraft) against the closed forms and
-reports a pass/fail line.  ``xi_fn`` hooks let tests inject a broken
-normalization constant to confirm the suites actually detect errors.
+reports a pass/fail line.  The ``xi_fn`` hooks of :func:`check_xi` and
+:func:`check_kraft` let tests inject a broken normalization constant to
+confirm the suites actually detect errors.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .complexity import ParamDomain, pc_general, pc_mc_gauss1d
 from .fisher import (LOG_SIGMA_PARAM, SIGMA_PARAM, fisher_integral,
                      fisher_mu_closed, fisher_numeric, fisher_sigma_closed)
 from .gaussian import RgdParams, log_radial_weight, radial_cutoff, xi
-from .quadrature import QuadSpec, integrate_1d
+from .quadrature import integrate_1d
 
 
 @dataclass(frozen=True)
@@ -27,25 +28,23 @@ class SuiteResult:
     detail: str
 
 
-def xi_quadrature_oracle(dim: int, sigma: float,
-                         spec: QuadSpec = QuadSpec(rel_tol=1e-12)) -> float:
+def xi_quadrature_oracle(dim: int, sigma: float, rel_tol: float = 1e-12) -> float:
     """xi by direct quadrature of its defining radial integral."""
     cutoff = radial_cutoff(dim, sigma)
     integral = integrate_1d(
         lambda r: float(np.exp(log_radial_weight(dim, np.asarray(r), sigma))),
-        0.0, cutoff, spec)
+        0.0, cutoff, rel_tol)
     return hy.sphere_area(dim) * integral
 
 
-def check_xi(xi_fn=None, rel_tol: float = 1e-8) -> SuiteResult:
-    xi_fn = xi_fn or xi
+def check_xi(xi_fn=xi) -> SuiteResult:
     worst = 0.0
     for dim in range(1, 6):
         for sigma in (0.1, 0.5, 1.0, 2.0, 3.0):
             oracle = xi_quadrature_oracle(dim, sigma)
             worst = max(worst, abs(xi_fn(dim, sigma) - oracle) / oracle)
-    return SuiteResult("xi-vs-quadrature", worst <= rel_tol,
-                       f"max rel error {worst:.3e} (tol {rel_tol:.0e})")
+    return SuiteResult("xi-vs-quadrature", worst <= 1e-8,
+                       f"max rel error {worst:.3e} (tol 1e-08)")
 
 
 def check_fisher(quick: bool = False) -> SuiteResult:
@@ -70,24 +69,22 @@ def check_fisher(quick: bool = False) -> SuiteResult:
                        f"({len(configs)} configs, N={n_samples})")
 
 
-def check_reparameterization(rel_tol: float = 1e-8) -> SuiteResult:
+def check_reparameterization() -> SuiteResult:
     rng = np.random.default_rng(7)
     worst = 0.0
-    spec = QuadSpec(rel_tol=1e-11)
     for _ in range(20):
         dim = int(rng.integers(1, 4))
         lo = float(rng.uniform(0.1, 1.0))
         hi = lo + float(rng.uniform(0.5, 2.0))
         domain = ParamDomain(float(rng.uniform(0.5, 4.0)), lo, hi)
-        a = fisher_integral(dim, domain, SIGMA_PARAM, spec)
-        b = fisher_integral(dim, domain, LOG_SIGMA_PARAM, spec)
+        a = fisher_integral(dim, domain, SIGMA_PARAM, 1e-11)
+        b = fisher_integral(dim, domain, LOG_SIGMA_PARAM, 1e-11)
         worst = max(worst, abs(a - b) / a)
-    return SuiteResult("reparameterization-invariance", worst <= rel_tol,
-                       f"max rel gap {worst:.3e} (tol {rel_tol:.0e})")
+    return SuiteResult("reparameterization-invariance", worst <= 1e-8,
+                       f"max rel gap {worst:.3e} (tol 1e-08)")
 
 
-def check_kraft(xi_fn=None) -> SuiteResult:
-    xi_fn = xi_fn or xi
+def check_kraft(xi_fn=xi) -> SuiteResult:
     partition = coding.partition_ball(radius=3.0, n_r=32, n_angle=32)
     ok = True
     details = []
@@ -119,11 +116,11 @@ def check_mc_pipeline(quick: bool = False) -> SuiteResult:
                        f"(allowed {allowed:.4f})")
 
 
-def run_all(quick: bool = False, xi_fn=None) -> list[SuiteResult]:
+def run_all(quick: bool = False) -> list[SuiteResult]:
     return [
-        check_xi(xi_fn=xi_fn),
+        check_xi(),
         check_fisher(quick=quick),
         check_reparameterization(),
-        check_kraft(xi_fn=xi_fn),
+        check_kraft(),
         check_mc_pipeline(quick=quick),
     ]

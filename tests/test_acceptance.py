@@ -16,13 +16,13 @@ from rmnml.cli import main as cli_main
 from rmnml.coding import (average_codelength, cell_codelengths,
                           expected_lower_bound, kraft_sum, partition_ball)
 from rmnml.complexity import (ParamDomain, chart_gap, hgd_sigma_integral,
-                              pc_general, pc_hgd, pc_mc_gauss1d, pc_symmetric,
-                              regret, rm_nml_codelength)
+                              pc_general, pc_hgd, pc_mc_gauss1d, regret,
+                              rm_nml_codelength)
 from rmnml.fisher import (LOG_SIGMA_PARAM, SIGMA_PARAM, fisher_integral,
                           fisher_mu_closed, fisher_numeric,
                           fisher_sigma_closed, sqrt_fisher_sigma_integrand)
 from rmnml.gaussian import RgdParams, log_pdf_vol_many, mle, sample, xi
-from rmnml.quadrature import QuadSpec, integrate_1d
+from rmnml.quadrature import integrate_1d
 from rmnml.validation import xi_quadrature_oracle
 
 DOMAIN = ParamDomain(radius_R=3.0, sigma_min=0.1, sigma_max=3.0)
@@ -80,15 +80,15 @@ def test_criterion_03_fisher_oracle():
 def test_criterion_04_reparameterization_invariance():
     start = time.perf_counter()
     rng = np.random.default_rng(404)
-    spec = QuadSpec(rel_tol=1e-11)
+    rel_tol = 1e-11
     worst = 0.0
     for _ in range(20):
         dim = int(rng.integers(1, 4))
         lo = float(rng.uniform(0.1, 1.0))
         hi = lo + float(rng.uniform(0.5, 2.0))
         domain = ParamDomain(float(rng.uniform(0.5, 4.0)), lo, hi)
-        a = fisher_integral(dim, domain, SIGMA_PARAM, spec)
-        b = fisher_integral(dim, domain, LOG_SIGMA_PARAM, spec)
+        a = fisher_integral(dim, domain, SIGMA_PARAM, rel_tol)
+        b = fisher_integral(dim, domain, LOG_SIGMA_PARAM, rel_tol)
         worst = max(worst, abs(a - b) / a)
     elapsed = time.perf_counter() - start
     report(4, "Thm-5 invariance", worst <= 1e-8 and elapsed < 10.0,
@@ -183,12 +183,12 @@ def test_criterion_08_mc_pipeline():
 
 def test_criterion_09_ball_volume_oracle():
     worst = 0.0
-    spec = QuadSpec(rel_tol=1e-12)
+    rel_tol = 1e-12
     for dim in range(1, 6):
         area = hy.sphere_area(dim)
         for radius in (0.5, 1.0, 2.0, 4.0):
             oracle = area * integrate_1d(
-                lambda r: math.sinh(r) ** (dim - 1), 0.0, radius, spec)
+                lambda r: math.sinh(r) ** (dim - 1), 0.0, radius, rel_tol)
             worst = max(worst, abs(hy.ball_volume(dim, radius) - oracle) / oracle)
     report(9, "ball volume oracle", worst <= 1e-8,
            f"max rel err {worst:.2e} over D=1..5, R in 0.5..4 (tol 1e-08)")
@@ -266,18 +266,18 @@ def test_criterion_12_corollary_discrepancy_resolution():
         return d1, (4.0 * second(h2 / 2.0) - second(h2)) / 3.0
 
     worst = 0.0
-    spec = QuadSpec(rel_tol=1e-8)
+    rel_tol = 1e-8
     for dim, n, domain in [(1, 100, ParamDomain(1.5, 0.5, 2.0)),
                            (2, 1000, ParamDomain(3.0, 0.3, 2.0)),
                            (3, 500, ParamDomain(2.0, 0.4, 2.5))]:
-        kernel = pc_hgd(dim, n, domain, spec).total_log_pc
+        kernel = pc_hgd(dim, n, domain, rel_tol).total_log_pc
         int_rebuilt = integrate_1d(
             lambda s: sqrt_fisher_sigma_integrand(dim, s, fd_derivatives),
-            domain.sigma_min, domain.sigma_max, spec)
-        rebuilt = pc_symmetric(dim, 1, n, hy.ball_volume(dim, domain.radius_R),
-                               int_rebuilt).total_log_pc
+            domain.sigma_min, domain.sigma_max, rel_tol)
+        rebuilt = pc_general(dim + 1, n, int_rebuilt,
+                             vol_theta=hy.ball_volume(dim, domain.radius_R)).total_log_pc
         worst = max(worst, abs(rebuilt - kernel) / abs(kernel))
-        int_kernel = hgd_sigma_integral(dim, domain, spec)
+        int_kernel = hgd_sigma_integral(dim, domain, rel_tol)
         worst = max(worst, abs(int_rebuilt - int_kernel) / int_kernel)
     report(12, "Fisher-form resolution", worst <= 1e-5,
            f"max rel gap kernel vs derivative-oracle rebuild {worst:.2e} (tol 1e-05)")

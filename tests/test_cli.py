@@ -14,7 +14,7 @@ from rmnml.cli import (InputError, load_dataset, main, parse_sigma_range,
                        select_best, write_dataset)
 from rmnml.complexity import ParamDomain, pc_hgd, rm_nml_codelength
 from rmnml.gaussian import Dataset, RgdParams, sample
-from rmnml.quadrature import QuadratureError, QuadSpec
+from rmnml.quadrature import QuadratureError
 
 
 def run(argv):
@@ -28,7 +28,7 @@ class TestPcCommand:
                     "--sigma", "0.3:2", "--out", str(out)])
         assert code == 0
         payload = json.loads(out.read_text())
-        ref = pc_hgd(2, 1000, ParamDomain(3.0, 0.3, 2.0), QuadSpec(rel_tol=1e-10))
+        ref = pc_hgd(2, 1000, ParamDomain(3.0, 0.3, 2.0), 1e-10)
         assert payload["k"] == ref.k
         assert payload["term_kn"] == ref.term_kn
         assert payload["term_volume"] == ref.term_volume
@@ -80,6 +80,32 @@ class TestPcCommand:
         assert err.startswith("error: numerical overflow")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("rel_tol", ["0", "-1e-10", "nan"])
+    def test_non_positive_rel_tol_is_usage_error(self, rel_tol, capsys):
+        assert run(["pc", "--dim", "2", "--n", "100", f"--rel-tol={rel_tol}"]) == 2
+        assert capsys.readouterr().err == "error: rel_tol must be positive\n"
+
+    @pytest.mark.parametrize("argv, bound", [
+        (["--dim", "2", "--radius", "inf"], "radius_R"),
+        (["--dim", "3", "--radius", "inf"], "radius_R"),
+        (["--dim", "2", "--radius", "nan"], "radius_R"),
+        (["--dim", "2", "--sigma", "0.1:inf"], "sigma_max"),
+        (["--dim", "2", "--sigma", "1e-200:1"], "sigma_min"),
+        (["--dim", "3", "--sigma", "1e-78:1"], "sigma_min"),
+    ])
+    def test_domain_outside_accepted_range_is_usage_error(self, argv, bound, capsys):
+        assert run(["pc", "--n", "100", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bound} must be")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("dim, sigma", [(3, "1e-12:1"), (1, "1.3e-77:1"),
+                                            (2, "1.3e-77:1"), (3, "1.3e-77:1")])
+    def test_small_sigma_min_finite(self, dim, sigma, capsys):
+        assert run(["pc", "--dim", str(dim), "--n", "100", "--sigma", sigma]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert all(math.isfinite(v) for v in payload.values())
+
     @pytest.mark.parametrize("dim", [8, 16])
     def test_high_dimension_finite_and_fast(self, dim, capsys):
         start = time.perf_counter()
@@ -128,9 +154,9 @@ class TestSampleCommand:
         from rmnml.quadrature import integrate_1d
         cutoff = radial_cutoff(2, 1.0)
         w = lambda r, k=0: r ** k * math.exp(float(log_radial_weight(2, np.asarray(r), 1.0)))
-        z = integrate_1d(lambda r: w(r), 0.0, cutoff, QuadSpec(rel_tol=1e-12))
-        m2 = integrate_1d(lambda r: w(r, 2), 0.0, cutoff, QuadSpec(rel_tol=1e-12)) / z
-        m4 = integrate_1d(lambda r: w(r, 4), 0.0, cutoff, QuadSpec(rel_tol=1e-12)) / z
+        z = integrate_1d(lambda r: w(r), 0.0, cutoff, 1e-12)
+        m2 = integrate_1d(lambda r: w(r, 2), 0.0, cutoff, 1e-12) / z
+        m4 = integrate_1d(lambda r: w(r, 4), 0.0, cutoff, 1e-12) / z
         stderr = math.sqrt((m4 - m2 ** 2) / data.n)
         assert abs(float(d2.mean()) - m2) <= 3 * stderr
 
@@ -181,6 +207,16 @@ class TestCodelengthCommand:
         assert run(["codelength", "--data", str(path)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["dim"] == 16
+        assert all(math.isfinite(v) for k, v in payload.items() if k != "boundary_flag")
+
+    def test_widely_spread_sample_finite(self, tmp_path, capsys):
+        # points up to about 136 from the origin: the chord form of the
+        # distance cancelled there and sent the Frechet mean to overflow
+        path = tmp_path / "spread.json"
+        assert run(["sample", "--dim", "5", "--n", "500", "--sigma", "2.9",
+                    "--seed", "3", "--out", str(path)]) == 0
+        assert run(["codelength", "--data", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
         assert all(math.isfinite(v) for k, v in payload.items() if k != "boundary_flag")
 
     def test_single_point_is_usage_error(self, tmp_path, capsys):

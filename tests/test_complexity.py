@@ -5,12 +5,12 @@ import pytest
 
 from rmnml import hyperbolic as hy, quadrature
 from rmnml.complexity import (ParamDomain, chart_gap, hgd_sigma_integral,
-                              pc_general, pc_hgd, pc_mc_gauss1d, pc_symmetric,
-                              regret, rm_nml_codelength)
+                              pc_general, pc_hgd, pc_mc_gauss1d, regret,
+                              rm_nml_codelength)
 from rmnml.gaussian import (Dataset, RgdParams, log_pdf_vol_many, mle, sample,
                             xi)
 from rmnml.fisher import sqrt_fisher_sigma_integrand
-from rmnml.quadrature import QuadratureError, QuadSpec, integrate_1d
+from rmnml.quadrature import QuadratureError, integrate_1d
 
 from conftest import random_dataset, random_point
 
@@ -45,10 +45,13 @@ class TestPcGeneral:
             assert doubled - base == pytest.approx(0.5 * k * math.log(2.0), rel=1e-12)
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="Fisher integral must be positive"):
             pc_general(1, 100, 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="Fisher integral must be positive"):
             pc_general(1, 100, -2.0)
+        for vol in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="parameter volume must be positive"):
+                pc_general(2, 100, 1.0, vol_theta=vol)
         with pytest.raises(ValueError):
             pc_general(0, 100, 1.0)
         with pytest.raises(ValueError):
@@ -56,21 +59,23 @@ class TestPcGeneral:
 
 
 class TestPcSymmetric:
+    """The symmetric-space split: vol(Theta) times the sigma integral."""
+
     def test_example_value(self):
-        result = pc_symmetric(1, 1, 100, 1.0, 3.0 / math.sqrt(2.0))
+        result = pc_general(2, 100, 3.0 / math.sqrt(2.0), vol_theta=1.0)
         expected = 2 * 0.5 * math.log(100 / (2 * math.pi)) + math.log(3 / math.sqrt(2))
         assert result.total_log_pc == pytest.approx(expected, rel=1e-12)
         assert result.total_log_pc == pytest.approx(3.5195, abs=2e-4)
 
     def test_unit_factors_reduce_to_kn_term(self):
-        result = pc_symmetric(2, 1, 64, 1.0, 1.0)
+        result = pc_general(3, 64, 1.0, vol_theta=1.0)
         assert result.total_log_pc == result.term_kn
 
     def test_consistency_with_pc_general(self):
         vol, integral = 2.75, 0.4
-        a = pc_symmetric(2, 1, 50, vol, integral)
+        a = pc_general(3, 50, integral, vol_theta=vol)
         b = pc_general(3, 50, vol * integral)
-        assert a.k == b.k
+        assert a.term_volume == math.log(vol) and b.term_volume == 0.0
         assert a.total_log_pc == pytest.approx(b.total_log_pc, rel=1e-14)
 
 
@@ -79,7 +84,7 @@ class TestPcHgd:
         # D=1: the sigma integrand is exactly sqrt(2)/sigma^2
         domain = ParamDomain(radius_R=1.5, sigma_min=0.5, sigma_max=2.0)
         analytic = math.sqrt(2.0) * (1.0 / 0.5 - 1.0 / 2.0)
-        reference = pc_symmetric(1, 1, 100, hy.ball_volume(1, 1.5), analytic)
+        reference = pc_general(2, 100, analytic, vol_theta=hy.ball_volume(1, 1.5))
         result = pc_hgd(1, 100, domain)
         assert result.total_log_pc == pytest.approx(reference.total_log_pc, rel=1e-10)
         assert hy.ball_volume(1, 1.5) == 3.0  # vol = 2R on the line
@@ -98,14 +103,14 @@ class TestPcHgd:
         # rebuild the sigma integrand from finite-difference xi derivatives
         # and integrate it by adaptive Simpson, apart from the moment kernel
         domain = ParamDomain(radius_R=3.0, sigma_min=0.3, sigma_max=2.0)
-        spec = QuadSpec(rel_tol=1e-8)
-        kernel = pc_hgd(2, 1000, domain, spec)
+        rel_tol = 1e-8
+        kernel = pc_hgd(2, 1000, domain, rel_tol)
         rebuilt_int = integrate_1d(
             lambda s: sqrt_fisher_sigma_integrand(2, s, xi_fd_derivatives),
-            domain.sigma_min, domain.sigma_max, spec)
-        rebuilt = pc_symmetric(2, 1, 1000, hy.ball_volume(2, 3.0), rebuilt_int)
+            domain.sigma_min, domain.sigma_max, rel_tol)
+        rebuilt = pc_general(3, 1000, rebuilt_int, vol_theta=hy.ball_volume(2, 3.0))
         assert rebuilt.total_log_pc == pytest.approx(kernel.total_log_pc, rel=1e-5)
-        kernel_int = hgd_sigma_integral(2, domain, spec)
+        kernel_int = hgd_sigma_integral(2, domain, rel_tol)
         assert rebuilt_int == pytest.approx(kernel_int, rel=1e-5)
 
 
@@ -121,7 +126,7 @@ class TestSigmaIntegral:
             for dim in range(1, 6):
                 oracle = integrate_1d(
                     lambda s: sqrt_fisher_sigma_integrand(dim, s),
-                    domain.sigma_min, domain.sigma_max, QuadSpec(rel_tol=1e-11))
+                    domain.sigma_min, domain.sigma_max, 1e-11)
                 assert hgd_sigma_integral(dim, domain) == pytest.approx(oracle, rel=1e-10)
 
     def test_node_cap_raises_with_best_estimate(self, monkeypatch):

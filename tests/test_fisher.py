@@ -10,11 +10,11 @@ from rmnml.fisher import (LOG_SIGMA_PARAM, SIGMA_PARAM, fisher_integral,
                           fisher_sigma_closed, normal_chart)
 from rmnml.gaussian import (RgdParams, log_radial_weight, radial_cutoff, xi,
                             xi_derivatives)
-from rmnml.quadrature import QuadSpec, integrate_1d
+from rmnml.quadrature import integrate_1d
 
 from conftest import random_point
 
-TIGHT = QuadSpec(rel_tol=1e-12)
+TIGHT = 1e-12
 
 
 def sigma_score_variance(dim: int, sigma: float) -> float:
@@ -110,16 +110,16 @@ class TestFisherIntegral:
         # D=1, vol(Theta)=2R=1, sigma in [0.5, 2]:
         # integral of sqrt(2)/sigma^2 = sqrt(2) (2 - 1/2) = 3/sqrt(2)
         domain = ParamDomain(radius_R=0.5, sigma_min=0.5, sigma_max=2.0)
-        value = fisher_integral(1, domain, SIGMA_PARAM, QuadSpec(rel_tol=1e-11))
+        value = fisher_integral(1, domain, SIGMA_PARAM, 1e-11)
         assert value == pytest.approx(3.0 / math.sqrt(2.0), rel=1e-10)
 
     def test_parameterization_invariance(self):
-        spec = QuadSpec(rel_tol=1e-11)
+        rel_tol = 1e-11
         for dim, lo, hi, radius in [(1, 0.5, 2.0, 1.0), (2, 0.3, 2.0, 3.0),
                                     (3, 0.2, 1.5, 2.0)]:
             domain = ParamDomain(radius, lo, hi)
-            a = fisher_integral(dim, domain, SIGMA_PARAM, spec)
-            b = fisher_integral(dim, domain, LOG_SIGMA_PARAM, spec)
+            a = fisher_integral(dim, domain, SIGMA_PARAM, rel_tol)
+            b = fisher_integral(dim, domain, LOG_SIGMA_PARAM, rel_tol)
             assert a == pytest.approx(b, rel=1e-8)
 
     def test_volume_scaling(self):

@@ -6,16 +6,16 @@ import pytest
 from rmnml import hyperbolic as hy
 from rmnml.complexity import ParamDomain
 from rmnml.fisher import fisher_sigma_closed
-from rmnml.gaussian import (Dataset, RgdParams, RiemannianGaussianMLE,
-                            frechet_mean, log_lik, log_pdf_vol_many,
-                            mean_dispersion, mle, pdf_vol, radial_cutoff,
-                            radial_moments, sample, xi, xi_derivatives)
-from rmnml.quadrature import QuadSpec, integrate_1d
+from rmnml.gaussian import (Dataset, RgdParams, frechet_mean, log_lik,
+                            log_pdf_vol_many, mean_dispersion, mle, pdf_vol,
+                            radial_cutoff, radial_moments, sample, xi,
+                            xi_derivatives)
+from rmnml.quadrature import integrate_1d
 from rmnml.validation import xi_quadrature_oracle
 
 from conftest import random_point
 
-TIGHT = QuadSpec(rel_tol=1e-12)
+TIGHT = 1e-12
 DOMAIN = ParamDomain(radius_R=3.0, sigma_min=0.05, sigma_max=3.0)
 
 
@@ -97,6 +97,19 @@ class TestRadialMoments:
                 assert float(var) == pytest.approx(
                     sigma ** 6 * fisher_sigma_closed(dim, sigma), rel=1e-12)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
+    def test_small_sigma_limits(self, dim):
+        # sinh^(D-1) r = r^(D-1) (1 + (D-1) r^2 / 6 + ...) gives
+        # E[d^2] = D s^2 (1 + (D-1) s^2 / 3) and
+        # Var(d^2) = 2 D s^4 (1 + 2 (D-1) s^2 / 3) up to O(s^4) relative
+        for sigma in (1e-6, 1e-12, 1e-20):
+            _, mean, var = radial_moments(dim, sigma)
+            s2 = sigma * sigma
+            assert float(mean) == pytest.approx(dim * s2 * (1 + (dim - 1) * s2 / 3),
+                                                rel=1e-12)
+            assert float(var) == pytest.approx(
+                2 * dim * s2 * s2 * (1 + 2 * (dim - 1) * s2 / 3), rel=1e-12)
+
     def test_shapes_follow_sigma(self):
         log_xi, mean, var = radial_moments(3, 0.7)
         assert log_xi.shape == mean.shape == var.shape == ()
@@ -158,7 +171,7 @@ class TestPdf:
             return pdf_vol(x, params) * math.sinh(r) ** (dim - 1)
 
         mass = area * integrate_1d(integrand, 0.0, min(30.0, radial_cutoff(dim, sigma)),
-                                   QuadSpec(rel_tol=1e-9))
+                                   1e-9)
         assert mass == pytest.approx(1.0, abs=1e-6)
 
 
@@ -320,10 +333,6 @@ class TestDataset:
         with pytest.raises(ValueError, match="point 1"):
             Dataset(rows)
 
-    def test_mixed_dimensions_rejected(self):
-        with pytest.raises(ValueError):
-            Dataset.from_points([hy.origin(2), hy.origin(3)])
-
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_coordinates_with_index(self, bad):
         rows = np.tile(hy.origin(2).coords, (3, 1))
@@ -334,32 +343,6 @@ class TestDataset:
     def test_len(self):
         data = sample(5, RgdParams(hy.origin(2), 1.0), seed=0)
         assert len(data) == data.n == 5
-
-
-class TestEstimatorApi:
-    def test_fit_and_params(self, rng):
-        data = sample(300, RgdParams(hy.origin(2), 0.8), seed=61)
-        est = RiemannianGaussianMLE(radius_R=3.0, sigma_min=0.05, sigma_max=3.0)
-        assert est.get_params() == {"radius_R": 3.0, "sigma_min": 0.05,
-                                    "sigma_max": 3.0}
-        est.fit(data)
-        assert hy.dist(est.mu_, hy.origin(2)) < 0.2
-        assert est.sigma_ == pytest.approx(0.8, abs=0.1)
-        assert est.boundary_ is False
-        ref = mle(data, ParamDomain(3.0, 0.05, 3.0))
-        assert est.sigma_ == ref.params.sigma
-
-    def test_set_params_and_score(self):
-        est = RiemannianGaussianMLE().set_params(sigma_min=0.2)
-        assert est.sigma_min == 0.2
-        with pytest.raises(ValueError):
-            est.set_params(bogus=1)
-        data = sample(100, RgdParams(hy.origin(2), 1.0), seed=71)
-        est.fit(data.coords)
-        params = RgdParams(est.mu_, est.sigma_)
-        assert est.score(data) == pytest.approx(log_lik(data, params) / data.n)
-        drawn = est.sample(10, seed=3)
-        assert drawn.n == 10
 
 
 def _bisection_sigma(dim, target, lo, hi):

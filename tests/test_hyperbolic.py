@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from rmnml import hyperbolic as hy
-from rmnml.quadrature import QuadSpec, integrate_1d
+from rmnml.quadrature import integrate_1d
 
 from conftest import random_point
 
-TIGHT = QuadSpec(rel_tol=1e-12)
+TIGHT = 1e-12
 
 
 class TestMinkowskiInner:
@@ -85,6 +85,19 @@ class TestDistance:
         for _ in range(100):
             x, y, z = (random_point(rng, 2) for _ in range(3))
             assert hy.dist(x, z) <= hy.dist(x, y) + hy.dist(y, z) + 1e-9
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_far_points_at_known_radii(self, rng, dim):
+        # pairs at a known distance, carried off the origin by one isometry
+        radii = np.array([1.0, 1.3, 1.35, 5.0, 10.0, 20.0, 30.0, 40.0])
+        for _ in range(5):
+            mu = random_point(rng, dim, max_radius=1.0)
+            T = hy.isometry_to(mu)
+            directions = rng.standard_normal((radii.size, dim))
+            directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+            ys = np.column_stack([np.cosh(radii), np.sinh(radii)[:, None] * directions])
+            d = hy.dist_many(T[:, 0], ys @ T.T)
+            np.testing.assert_allclose(d, radii, rtol=1e-12, atol=0.0)
 
     def test_off_manifold_rejection(self):
         with pytest.raises(hy.GeometryError):
@@ -274,7 +287,7 @@ class TestVolumeElement:
             return p_vol_at_radius(r) * hy.sqrt_det_metric(hy.CHART_LORENTZ_GRAPH, x)
 
         mass_lorentz = 2.0 * math.pi * integrate_1d(
-            lambda s: f_lorentz(s) * s, 0.0, math.sinh(2.0), QuadSpec(rel_tol=1e-9))
+            lambda s: f_lorentz(s) * s, 0.0, math.sinh(2.0), 1e-9)
 
         def f_poincare(rho):
             # re-express the graph-chart density in the Poincare chart: the
@@ -285,7 +298,7 @@ class TestVolumeElement:
             return f_lorentz(float(x.coords[1])) * factor
 
         mass_poincare = 2.0 * math.pi * integrate_1d(
-            lambda rho: f_poincare(rho) * rho, 0.0, math.tanh(1.0), QuadSpec(rel_tol=1e-9))
+            lambda rho: f_poincare(rho) * rho, 0.0, math.tanh(1.0), 1e-9)
 
         assert mass_lorentz == pytest.approx(reference, rel=1e-6)
         assert mass_poincare == pytest.approx(reference, rel=1e-6)

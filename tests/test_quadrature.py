@@ -2,9 +2,10 @@ import math
 
 import pytest
 
-from rmnml.quadrature import QuadSpec, QuadratureError, integrate_1d
+from rmnml import quadrature
+from rmnml.quadrature import QuadratureError, integrate_1d
 
-TIGHT = QuadSpec(rel_tol=1e-12)
+TIGHT = 1e-12
 
 
 def test_constant_integral():
@@ -31,10 +32,10 @@ def test_linearity():
     assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
-def test_subdivision_budget_error_carries_estimate():
-    spec = QuadSpec(rel_tol=1e-14, max_subdivisions=3)
+def test_subdivision_budget_error_carries_estimate(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 3)
     with pytest.raises(QuadratureError) as excinfo:
-        integrate_1d(lambda x: math.sqrt(abs(x - 1.0 / 3.0)), 0.0, 1.0, spec)
+        integrate_1d(lambda x: math.sqrt(abs(x - 1.0 / 3.0)), 0.0, 1.0, 1e-14)
     exact = ((1 / 3) ** 1.5 + (2 / 3) ** 1.5) * 2 / 3
     assert excinfo.value.best_estimate == pytest.approx(exact, rel=1e-2)
 
@@ -42,10 +43,10 @@ def test_subdivision_budget_error_carries_estimate():
 def test_invalid_interval_and_spec():
     with pytest.raises(ValueError):
         integrate_1d(lambda x: x, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        QuadSpec(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadSpec(max_subdivisions=0)
+    for rel_tol in (0.0, -1e-10, math.nan):
+        for rule in ("simpson", "log-gauss-legendre"):
+            with pytest.raises(ValueError, match="rel_tol must be positive"):
+                integrate_1d(lambda x: x, 0.0, 1.0, rel_tol, rule=rule)
 
 
 def test_log_gauss_legendre_rule():
