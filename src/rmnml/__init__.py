@@ -18,8 +18,8 @@ from .gaussian import (Dataset, MleFit, RgdParams, log_lik, mle, pdf_vol,
                        sample, xi, xi_derivatives)
 from .hyperbolic import (CHART_LORENTZ_GRAPH, CHART_POINCARE, GeometryError,
                          LorentzPoint, PoincarePoint, PolarCoords,
-                         TangentVector, ball_volume, chart_convert, dist,
-                         exp_map, from_polar, isometry_to, log_map,
+                         TangentVector, chart_convert, dist, exp_map,
+                         from_polar, isometry_to, log_ball_volume, log_map,
                          minkowski_inner, origin, sqrt_det_metric, to_polar)
 from .quadrature import QuadratureError, integrate_1d
 
@@ -29,10 +29,10 @@ __all__ = [
     "CHART_LORENTZ_GRAPH", "CHART_POINCARE", "CodeLengthReport", "Dataset",
     "FisherBlock", "GeometryError", "LorentzPoint", "MleFit", "ParamDomain",
     "PcResult", "PoincarePoint", "PolarCoords", "QuadratureError", "RgdParams",
-    "TangentVector", "ball_volume", "chart_convert", "chart_gap", "dist",
-    "exp_map", "fisher_integral", "fisher_mu_closed", "fisher_numeric",
-    "fisher_sigma_closed", "from_polar", "integrate_1d", "isometry_to",
-    "log_lik", "log_map", "minkowski_inner", "mle", "origin", "pc_general",
-    "pc_hgd", "pc_mc_gauss1d", "pdf_vol", "regret", "rm_nml_codelength",
-    "sample", "sqrt_det_metric", "to_polar", "xi", "xi_derivatives",
+    "TangentVector", "chart_convert", "chart_gap", "dist", "exp_map",
+    "fisher_integral", "fisher_mu_closed", "fisher_numeric", "fisher_sigma_closed",
+    "from_polar", "integrate_1d", "isometry_to", "log_ball_volume", "log_lik",
+    "log_map", "minkowski_inner", "mle", "origin", "pc_general", "pc_hgd",
+    "pc_mc_gauss1d", "pdf_vol", "regret", "rm_nml_codelength", "sample",
+    "sqrt_det_metric", "to_polar", "xi", "xi_derivatives",
 ]

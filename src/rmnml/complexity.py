@@ -33,6 +33,8 @@ DEFAULT_SIGMA_MAX = 3.0
 #: Smallest sigma_min: below about 1.2e-77, sigma^4 (the scale of Var(d^2))
 #: is no longer a normal float.
 SIGMA_FLOOR = sys.float_info.min ** 0.25
+#: Largest radius_R; the log ball volume, about (D-1) R, stays finite for D < 1e293.
+RADIUS_MAX = 1e15
 
 
 @dataclass(frozen=True)
@@ -41,10 +43,9 @@ class ParamDomain:
     the origin for the location, interval [sigma_min, sigma_max] for the
     scale.
 
-    Accepted range: a finite radius_R > 0 and finite bounds with
-    SIGMA_FLOOR (about 1.2e-77) <= sigma_min < sigma_max.  A ball volume
-    or sigma integral beyond the float range still raises OverflowError
-    when the complexity is computed.
+    Accepted range: 0 < radius_R <= RADIUS_MAX (1e15) and finite
+    bounds with SIGMA_FLOOR (about 1.2e-77) <= sigma_min < sigma_max.
+    Every term of the log complexity is finite on such a domain.
     """
 
     radius_R: float = DEFAULT_RADIUS
@@ -52,8 +53,8 @@ class ParamDomain:
     sigma_max: float = DEFAULT_SIGMA_MAX
 
     def __post_init__(self):
-        if not 0 < self.radius_R < math.inf:
-            raise ValueError(f"radius_R must be finite and positive, got {self.radius_R}")
+        if not 0 < self.radius_R <= RADIUS_MAX:
+            raise ValueError(f"radius_R must be in (0, {RADIUS_MAX:g}]: {self.radius_R}")
         if not 0 < self.sigma_min < self.sigma_max:
             raise ValueError("need 0 < sigma_min < sigma_max")
         if not self.sigma_max < math.inf:
@@ -91,28 +92,28 @@ class CodeLengthReport:
         return self.neg_max_loglik + self.log_pc
 
 
-def pc_general(k: int, n: int, fisher_integral: float,
-               vol_theta: float = 1.0) -> PcResult:
-    """Asymptotic log parametric complexity from a precomputed Fisher integral.
+def pc_general(k: int, n: int, log_fisher_integral: float,
+               log_vol_theta: float = 0.0) -> PcResult:
+    """Asymptotic log parametric complexity from the log of a Fisher integral.
 
     On a symmetric space the integral of sqrt(det I) factorizes into the
-    volume ``vol_theta`` of the location domain and the one-dimensional
-    ``fisher_integral`` over the extra parameter; the default volume 1
-    leaves the plain Euclidean formula.
+    volume of the location domain and the one-dimensional
+    ``log_fisher_integral`` over the extra parameter; both enter as finite
+    logs, and the default ``log_vol_theta`` 0 leaves the Euclidean formula.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if n < 2:
         raise ValueError("n must be >= 2")
-    if not vol_theta > 0:
-        raise ValueError(f"the parameter volume must be positive, got {vol_theta}")
-    if not fisher_integral > 0:
-        raise ValueError(f"the Fisher integral must be positive, got {fisher_integral}")
+    for name, value in (("log parameter volume", log_vol_theta),
+                        ("log Fisher integral", log_fisher_integral)):
+        if not math.isfinite(value):
+            raise ValueError(f"the {name} must be finite, got {value}")
     return PcResult(
         k=k, n=n,
         term_kn=0.5 * k * math.log(n / (2.0 * math.pi)),
-        term_volume=math.log(vol_theta),
-        term_fisher=math.log(fisher_integral))
+        term_volume=log_vol_theta,
+        term_fisher=log_fisher_integral)
 
 
 def _log_sigma_integrand(dim: int, u: np.ndarray) -> np.ndarray:
@@ -128,13 +129,13 @@ def _log_sigma_integrand(dim: int, u: np.ndarray) -> np.ndarray:
 
 def hgd_sigma_integral(dim: int, domain: ParamDomain,
                        rel_tol: float = 1e-10) -> float:
-    """integral over [sigma_min, sigma_max] of (xi'/(D sigma xi))^(D/2) B(sigma).
+    """log integral over [sigma_min, sigma_max] of (xi'/(D sigma xi))^(D/2) B(sigma).
 
     B(sigma) is the square root of the sigma Fisher information.  The
     integral is taken in log sigma by the doubling Gauss-Legendre rule of
-    :func:`integrate_1d`, which stops once two successive rules agree
-    within ``rel_tol`` and otherwise raises :class:`QuadratureError` with
-    the best estimate.
+    :func:`integrate_1d`, which stops once two successive logs agree within
+    ``rel_tol`` and otherwise raises :class:`QuadratureError` with the best
+    estimate of the log.
     """
     return integrate_1d(lambda u: _log_sigma_integrand(dim, u),
                         math.log(domain.sigma_min), math.log(domain.sigma_max),
@@ -150,8 +151,8 @@ def pc_hgd(dim: int, n: int, domain: ParamDomain, rel_tol: float = 1e-10) -> PcR
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    return pc_general(dim + 1, n, vol_theta=hy.ball_volume(dim, domain.radius_R),
-                      fisher_integral=hgd_sigma_integral(dim, domain, rel_tol))
+    return pc_general(dim + 1, n, hgd_sigma_integral(dim, domain, rel_tol),
+                      log_vol_theta=hy.log_ball_volume(dim, domain.radius_R))
 
 
 def rm_nml_codelength(data: Dataset, domain: ParamDomain = ParamDomain(),

@@ -177,7 +177,7 @@ def fisher_integral(dim: int, domain: "ParamDomain", parameterization: str = SIG
     the Jacobian factor sigma in the integrand and must give the same
     value (the integral is reparameterization invariant).
     """
-    vol_theta = hy.ball_volume(dim, domain.radius_R)
+    vol_theta = math.exp(hy.log_ball_volume(dim, domain.radius_R))
     if parameterization == SIGMA_PARAM:
         integral = integrate_1d(
             lambda s: sqrt_fisher_sigma_integrand(dim, s),

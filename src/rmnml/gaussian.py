@@ -27,8 +27,6 @@ from .quadrature import gauss_legendre
 if TYPE_CHECKING:
     from .complexity import ParamDomain
 
-SQRT_2PI = math.sqrt(2.0 * math.pi)
-
 _MAX_FRECHET_ITERATIONS = 10_000
 _FRECHET_STEP_TOL = 1e-10
 #: Share of the first-order decrease a Frechet step must achieve.
@@ -175,12 +173,7 @@ def log_radial_weight(dim: int, r: np.ndarray, sigma: float) -> np.ndarray:
     gauss = -r * r / (2.0 * sigma * sigma)
     if dim == 1:
         return gauss
-    with np.errstate(divide="ignore"):
-        log_sinh = np.where(
-            r > 0.0,
-            r + np.log(-np.expm1(-2.0 * np.maximum(r, 1e-300))) - math.log(2.0),
-            -np.inf)
-    return gauss + (dim - 1) * log_sinh
+    return gauss + (dim - 1) * hy.log_sinh(r)
 
 
 def radial_moments(dim: int, sigma):
@@ -218,8 +211,7 @@ def radial_moments(dim: int, sigma):
     r2 = r * r
     mean = (p * r2).sum(axis=-1) / z
     var = (p * (r2 - mean[..., None]) ** 2).sum(axis=-1) / z
-    log_area = math.log(2.0) + 0.5 * dim * math.log(math.pi) - math.lgamma(0.5 * dim)
-    log_xi = log_area + top[..., 0] + np.log(z * half[..., 0])
+    log_xi = hy.log_sphere_area(dim) + top[..., 0] + np.log(z * half[..., 0])
     return log_xi, mean, var
 
 
@@ -239,9 +231,7 @@ def log_lik(data: Dataset, params: RgdParams) -> float:
     """Log-likelihood -n log xi(sigma) - sum_i d^2(x_i, mu) / (2 sigma^2)."""
     if data.dim != params.dim:
         raise ValueError(f"data dimension {data.dim} != parameter dimension {params.dim}")
-    d = hy.dist_many(params.mu.coords, data.coords)
-    log_xi = float(radial_moments(data.dim, params.sigma)[0])
-    return float(-data.n * log_xi - (d @ d) / (2.0 * params.sigma ** 2))
+    return float(np.sum(log_pdf_vol_many(data.coords, params)))
 
 
 def _radial_table(dim: int, sigma: float):
@@ -277,10 +267,16 @@ def sample(n: int, params: RgdParams, seed: int) -> Dataset:
         # a zero draw has probability 0; regularize anyway
         dirs = g / np.maximum(norms, 1e-300)
     coords = np.empty((n, dim + 1))
-    coords[:, 0] = np.cosh(radii)
-    coords[:, 1:] = np.sinh(radii)[:, None] * dirs
-    T = hy.isometry_to(params.mu)
-    return Dataset(coords @ T.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coords[:, 0] = np.cosh(radii)
+        coords[:, 1:] = np.sinh(radii)[:, None] * dirs
+        moved = coords @ hy.isometry_to(params.mu).T
+    if not np.isfinite(moved).all():
+        r_mu = math.acosh(max(float(params.mu.coords[0]), 1.0))
+        raise ValueError(f"sigma = {params.sigma!r} with mu at distance {r_mu:.6g} draws "
+                         f"points past 710 from the origin, where Lorentz coordinates "
+                         f"overflow (farthest draw {radii.max():.6g} from mu)")
+    return Dataset(moved)
 
 
 def frechet_mean(coords: np.ndarray) -> hy.LorentzPoint:

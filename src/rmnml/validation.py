@@ -108,7 +108,7 @@ def check_kraft(xi_fn=xi) -> SuiteResult:
 def check_mc_pipeline(quick: bool = False) -> SuiteResult:
     samples = 100_000 if quick else 1_000_000
     estimate, stderr = pc_mc_gauss1d(100, 0.0, 1.0, samples, seed=11)
-    reference = pc_general(1, 100, 1.0).total_log_pc
+    reference = pc_general(1, 100, 0.0).total_log_pc
     gap = abs(estimate - reference)
     allowed = max(3.0 * stderr, 0.05)
     return SuiteResult("mc-parametric-complexity", gap <= allowed,

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from rmnml.cli import (InputError, load_dataset, main, parse_sigma_range,
 from rmnml.complexity import ParamDomain, pc_hgd, rm_nml_codelength
 from rmnml.gaussian import Dataset, RgdParams, sample
 from rmnml.quadrature import QuadratureError
+
+from conftest import log_ball_volume_oracle
 
 
 def run(argv):
@@ -72,13 +75,16 @@ class TestPcCommand:
         assert "best estimate" in err
         assert len(err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("argv", [["--dim", "2", "--n", "100", "--radius", "800"],
-                                      ["--dim", "400", "--n", "100"]])
-    def test_ball_volume_overflow_exit_code(self, argv, capsys):
-        assert run(["pc", *argv]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: numerical overflow")
-        assert len(err.strip().splitlines()) == 1
+    @pytest.mark.parametrize("dim, radius", [(2, 800.0), (400, 3.0), (8, 0.001),
+                                             (20, 0.1), (60, 0.5), (5, 0.001)])
+    def test_ball_volume_matches_log_oracle(self, dim, radius, capsys):
+        # domains where an alternating binomial sum for the volume overflows
+        # or loses its digits
+        assert run(["pc", "--dim", str(dim), "--n", "100", "--radius", str(radius)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert all(math.isfinite(v) for v in payload.values())
+        assert payload["term_volume"] == pytest.approx(
+            log_ball_volume_oracle(dim, radius), rel=1e-10)
 
     @pytest.mark.parametrize("rel_tol", ["0", "-1e-10", "nan"])
     def test_non_positive_rel_tol_is_usage_error(self, rel_tol, capsys):
@@ -92,6 +98,7 @@ class TestPcCommand:
         (["--dim", "2", "--sigma", "0.1:inf"], "sigma_max"),
         (["--dim", "2", "--sigma", "1e-200:1"], "sigma_min"),
         (["--dim", "3", "--sigma", "1e-78:1"], "sigma_min"),
+        (["--dim", "2", "--radius", "2e15"], "radius_R"),
     ])
     def test_domain_outside_accepted_range_is_usage_error(self, argv, bound, capsys):
         assert run(["pc", "--n", "100", *argv]) == 2
@@ -100,11 +107,19 @@ class TestPcCommand:
         assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("dim, sigma", [(3, "1e-12:1"), (1, "1.3e-77:1"),
-                                            (2, "1.3e-77:1"), (3, "1.3e-77:1")])
+                                            (2, "1.3e-77:1"), (3, "1.3e-77:1"),
+                                            (5, "1.3e-77:1")])
     def test_small_sigma_min_finite(self, dim, sigma, capsys):
         assert run(["pc", "--dim", str(dim), "--n", "100", "--sigma", sigma]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert all(math.isfinite(v) for v in payload.values())
+        # as sigma -> 0 the model is Euclidean: E[d^2] = D sigma^2 and
+        # Var(d^2) = 2 D sigma^4, so the integrand is sqrt(2D) sigma^-(D+1);
+        # its integral from sigma_min is sqrt(2D) sigma_min^-D / D up to a
+        # relative sigma_min^D
+        sigma_min = float(sigma.split(":")[0])
+        limit = 0.5 * math.log(2 * dim) - math.log(dim) - dim * math.log(sigma_min)
+        assert payload["term_fisher"] == pytest.approx(limit, rel=1e-10)
 
     @pytest.mark.parametrize("dim", [8, 16])
     def test_high_dimension_finite_and_fast(self, dim, capsys):
@@ -159,6 +174,22 @@ class TestSampleCommand:
         m4 = integrate_1d(lambda r: w(r, 4), 0.0, cutoff, 1e-12) / z
         stderr = math.sqrt((m4 - m2 ** 2) / data.n)
         assert abs(float(d2.mean()) - m2) <= 3 * stderr
+
+    @pytest.mark.parametrize("dim, sigma, seed, code", [(5, 20.0, 0, 2), (2, 26.0, 0, 2),
+                                                        (2, 22.0, 1, 0)])
+    def test_sigma_at_float_range(self, dim, sigma, seed, code, tmp_path, capsys):
+        out = tmp_path / "far.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["sample", "--dim", str(dim), "--n", "1000", "--sigma", str(sigma),
+                        "--seed", str(seed), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith(f"error: sigma = {sigma!r} with mu at distance 0 ")
+            assert len(err.strip().splitlines()) == 1
+        else:
+            assert err == ""
+            assert load_dataset(str(out)).n == 1000
 
     def test_custom_mu(self, tmp_path):
         mu = hy.from_polar(hy.PolarCoords(0.8, np.array([1.0, 0.0])))

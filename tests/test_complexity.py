@@ -31,7 +31,7 @@ def xi_fd_derivatives(dim, sigma):
 
 class TestPcGeneral:
     def test_known_value(self):
-        result = pc_general(1, 100, 1.0)
+        result = pc_general(1, 100, 0.0)
         assert result.term_kn == pytest.approx(0.5 * math.log(100 / (2 * math.pi)))
         assert result.term_kn == pytest.approx(1.38364, abs=1e-5)
         assert result.term_volume == 0.0
@@ -40,41 +40,39 @@ class TestPcGeneral:
 
     def test_doubling_n_adds_half_k_log_two(self):
         for k in (1, 3):
-            base = pc_general(k, 500, 2.5).total_log_pc
-            doubled = pc_general(k, 1000, 2.5).total_log_pc
+            base = pc_general(k, 500, math.log(2.5)).total_log_pc
+            doubled = pc_general(k, 1000, math.log(2.5)).total_log_pc
             assert doubled - base == pytest.approx(0.5 * k * math.log(2.0), rel=1e-12)
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError, match="Fisher integral must be positive"):
-            pc_general(1, 100, 0.0)
-        with pytest.raises(ValueError, match="Fisher integral must be positive"):
-            pc_general(1, 100, -2.0)
-        for vol in (0.0, -1.0, math.nan):
-            with pytest.raises(ValueError, match="parameter volume must be positive"):
-                pc_general(2, 100, 1.0, vol_theta=vol)
+        for bad in (-math.inf, math.inf, math.nan):
+            with pytest.raises(ValueError, match="log Fisher integral must be finite"):
+                pc_general(1, 100, bad)
+            with pytest.raises(ValueError, match="log parameter volume must be finite"):
+                pc_general(2, 100, 0.0, log_vol_theta=bad)
         with pytest.raises(ValueError):
-            pc_general(0, 100, 1.0)
+            pc_general(0, 100, 0.0)
         with pytest.raises(ValueError):
-            pc_general(1, 1, 1.0)
+            pc_general(1, 1, 0.0)
 
 
 class TestPcSymmetric:
     """The symmetric-space split: vol(Theta) times the sigma integral."""
 
     def test_example_value(self):
-        result = pc_general(2, 100, 3.0 / math.sqrt(2.0), vol_theta=1.0)
+        result = pc_general(2, 100, math.log(3.0 / math.sqrt(2.0)), log_vol_theta=0.0)
         expected = 2 * 0.5 * math.log(100 / (2 * math.pi)) + math.log(3 / math.sqrt(2))
         assert result.total_log_pc == pytest.approx(expected, rel=1e-12)
         assert result.total_log_pc == pytest.approx(3.5195, abs=2e-4)
 
     def test_unit_factors_reduce_to_kn_term(self):
-        result = pc_general(3, 64, 1.0, vol_theta=1.0)
+        result = pc_general(3, 64, 0.0, log_vol_theta=0.0)
         assert result.total_log_pc == result.term_kn
 
     def test_consistency_with_pc_general(self):
         vol, integral = 2.75, 0.4
-        a = pc_general(3, 50, integral, vol_theta=vol)
-        b = pc_general(3, 50, vol * integral)
+        a = pc_general(3, 50, math.log(integral), log_vol_theta=math.log(vol))
+        b = pc_general(3, 50, math.log(vol * integral))
         assert a.term_volume == math.log(vol) and b.term_volume == 0.0
         assert a.total_log_pc == pytest.approx(b.total_log_pc, rel=1e-14)
 
@@ -84,10 +82,11 @@ class TestPcHgd:
         # D=1: the sigma integrand is exactly sqrt(2)/sigma^2
         domain = ParamDomain(radius_R=1.5, sigma_min=0.5, sigma_max=2.0)
         analytic = math.sqrt(2.0) * (1.0 / 0.5 - 1.0 / 2.0)
-        reference = pc_general(2, 100, analytic, vol_theta=hy.ball_volume(1, 1.5))
+        reference = pc_general(2, 100, math.log(analytic),
+                               log_vol_theta=hy.log_ball_volume(1, 1.5))
         result = pc_hgd(1, 100, domain)
         assert result.total_log_pc == pytest.approx(reference.total_log_pc, rel=1e-10)
-        assert hy.ball_volume(1, 1.5) == 3.0  # vol = 2R on the line
+        assert hy.log_ball_volume(1, 1.5) == math.log(3.0)  # vol = 2R on the line
 
     def test_monotone_in_radius(self):
         totals = [pc_hgd(2, 200, ParamDomain(r, 0.3, 2.0)).total_log_pc
@@ -108,9 +107,10 @@ class TestPcHgd:
         rebuilt_int = integrate_1d(
             lambda s: sqrt_fisher_sigma_integrand(2, s, xi_fd_derivatives),
             domain.sigma_min, domain.sigma_max, rel_tol)
-        rebuilt = pc_general(3, 1000, rebuilt_int, vol_theta=hy.ball_volume(2, 3.0))
+        rebuilt = pc_general(3, 1000, math.log(rebuilt_int),
+                             log_vol_theta=hy.log_ball_volume(2, 3.0))
         assert rebuilt.total_log_pc == pytest.approx(kernel.total_log_pc, rel=1e-5)
-        kernel_int = hgd_sigma_integral(2, domain, rel_tol)
+        kernel_int = math.exp(hgd_sigma_integral(2, domain, rel_tol))
         assert rebuilt_int == pytest.approx(kernel_int, rel=1e-5)
 
 
@@ -127,15 +127,17 @@ class TestSigmaIntegral:
                 oracle = integrate_1d(
                     lambda s: sqrt_fisher_sigma_integrand(dim, s),
                     domain.sigma_min, domain.sigma_max, 1e-11)
-                assert hgd_sigma_integral(dim, domain) == pytest.approx(oracle, rel=1e-10)
+                assert math.exp(hgd_sigma_integral(dim, domain)) == pytest.approx(
+                    oracle, rel=1e-10)
 
     def test_node_cap_raises_with_best_estimate(self, monkeypatch):
         monkeypatch.setattr(quadrature, "_GL_NODES_MAX", quadrature._GL_NODES_MIN)
         with pytest.raises(QuadratureError) as excinfo:
             hgd_sigma_integral(2, DOMAIN)
         monkeypatch.undo()
-        assert excinfo.value.best_estimate == pytest.approx(
-            hgd_sigma_integral(2, DOMAIN), rel=1e-6)
+        # the best estimate is the log of the integral
+        assert math.exp(excinfo.value.best_estimate) == pytest.approx(
+            math.exp(hgd_sigma_integral(2, DOMAIN)), rel=1e-6)
 
 
 class TestCodeLength:
@@ -226,7 +228,7 @@ class TestMcParametricComplexity:
 
     def test_matches_asymptotic_formula(self):
         estimate, stderr = pc_mc_gauss1d(100, 0.0, 1.0, 1_000_000, seed=3)
-        reference = pc_general(1, 100, 1.0).total_log_pc
+        reference = pc_general(1, 100, 0.0).total_log_pc
         assert abs(estimate - reference) <= max(3.0 * stderr, 0.05)
 
     def test_interval_doubling_adds_log_two(self):

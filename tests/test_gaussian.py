@@ -239,6 +239,12 @@ class TestSample:
         frechet = mle(data, DOMAIN).params.mu
         assert hy.dist(mu, frechet) < 0.02
 
+    def test_beyond_float_range_names_sigma_and_mu(self):
+        # points beyond about 710 from the origin overflow cosh
+        mu = hy.from_polar(hy.PolarCoords(705.0, np.array([1.0, 0.0])))
+        with pytest.raises(ValueError, match=r"sigma = 2\.0 with mu at distance 705 "):
+            sample(100, RgdParams(mu, 2.0), seed=0)
+
 
 class TestMle:
     def test_degenerate_cluster(self, rng):

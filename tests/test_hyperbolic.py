@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from rmnml import hyperbolic as hy
+from rmnml.complexity import RADIUS_MAX, ParamDomain
 from rmnml.quadrature import integrate_1d
 
-from conftest import random_point
+from conftest import log_ball_volume_oracle, random_point
 
 TIGHT = 1e-12
 
@@ -196,6 +197,13 @@ class TestIsometry:
             T = hy.isometry_to(mu)
             assert np.max(np.abs(T @ hy.origin(3).coords - mu.coords)) < 1e-12
 
+    def test_far_target_stays_finite(self):
+        # |spatial| = sinh 400 is past 1.3e154, where a squared norm overflows
+        mu = hy.from_polar(hy.PolarCoords(400.0, np.array([0.6, 0.8])))
+        T = hy.isometry_to(mu)
+        assert np.all(np.isfinite(T))
+        np.testing.assert_allclose(T @ hy.origin(2).coords, mu.coords, rtol=1e-12)
+
     def test_preserves_minkowski_products(self, rng):
         mu = random_point(rng, 2)
         T = hy.isometry_to(mu)
@@ -307,19 +315,21 @@ class TestVolumeElement:
 class TestBallVolume:
     def test_zero_radius(self):
         for dim in range(1, 6):
-            assert hy.ball_volume(dim, 0.0) == 0.0
+            assert hy.log_ball_volume(dim, 0.0) == -math.inf
 
     def test_dimension_two(self):
         # oracle: 2 pi \int_0^1 sinh r dr = 2 pi (cosh 1 - 1)
         oracle = 2.0 * math.pi * integrate_1d(math.sinh, 0.0, 1.0, TIGHT)
-        assert hy.ball_volume(2, 1.0) == pytest.approx(oracle, rel=1e-10)
-        assert hy.ball_volume(2, 1.0) == pytest.approx(2 * math.pi * (math.cosh(1) - 1), rel=1e-12)
+        volume = math.exp(hy.log_ball_volume(2, 1.0))
+        assert volume == pytest.approx(oracle, rel=1e-10)
+        assert volume == pytest.approx(2 * math.pi * (math.cosh(1) - 1), rel=1e-12)
 
     def test_dimension_three_exercises_limit_term(self):
-        # oracle: 4 pi \int_0^1 sinh^2 r dr; the middle term has p_i = 0
+        # oracle: 4 pi \int_0^1 sinh^2 r dr
         oracle = 4.0 * math.pi * integrate_1d(lambda r: math.sinh(r) ** 2, 0.0, 1.0, TIGHT)
-        assert hy.ball_volume(3, 1.0) == pytest.approx(oracle, rel=1e-10)
-        assert hy.ball_volume(3, 1.0) == pytest.approx(math.pi * (math.sinh(2) - 2), rel=1e-12)
+        volume = math.exp(hy.log_ball_volume(3, 1.0))
+        assert volume == pytest.approx(oracle, rel=1e-10)
+        assert volume == pytest.approx(math.pi * (math.sinh(2) - 2), rel=1e-12)
 
     def test_closed_form_against_quadrature(self):
         for dim in range(1, 6):
@@ -327,14 +337,49 @@ class TestBallVolume:
             for radius in (0.5, 1.0, 2.0, 4.0):
                 oracle = area * integrate_1d(
                     lambda r: math.sinh(r) ** (dim - 1), 0.0, radius, TIGHT)
-                assert hy.ball_volume(dim, radius) == pytest.approx(oracle, rel=1e-8)
+                assert math.exp(hy.log_ball_volume(dim, radius)) == pytest.approx(
+                    oracle, rel=1e-8)
 
     def test_monotone_in_radius(self):
         radii = np.linspace(0.1, 5.0, 25)
         for dim in (1, 2, 5):
-            values = [hy.ball_volume(dim, r) for r in radii]
+            values = [hy.log_ball_volume(dim, r) for r in radii]
             assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_invalid_dimension(self):
         with pytest.raises(hy.GeometryError):
-            hy.ball_volume(0, 1.0)
+            hy.log_ball_volume(0, 1.0)
+
+    def test_log_factors_against_direct_forms(self):
+        for r in (1e-300, 1e-8, 0.3, 1.0, 20.0, 700.0):
+            assert float(hy.log_sinh(r)) == pytest.approx(
+                math.log(math.sinh(r)), rel=1e-14)
+        assert float(hy.log_sinh(0.0)) == -math.inf
+        for dim in range(1, 30):
+            assert hy.log_sphere_area(dim) == pytest.approx(
+                math.log(hy.sphere_area(dim)), rel=1e-14, abs=1e-14)
+
+    @pytest.mark.parametrize("dim", [2, 50, 1000])
+    def test_large_radius_asymptote(self, dim):
+        # vol = |S^(D-1)| e^((D-1) R) / (2^(D-1) (D-1)) up to a factor 1 + O(e^-2R)
+        ParamDomain(radius_R=RADIUS_MAX)
+        for radius in (50.0, RADIUS_MAX):
+            asymptote = (hy.log_sphere_area(dim) + (dim - 1) * (radius - math.log(2.0))
+                         - math.log(dim - 1))
+            assert hy.log_ball_volume(dim, radius) == pytest.approx(asymptote, rel=1e-12)
+
+    def test_property_finite_increasing_and_matches_oracle(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(deadline=None, derandomize=True)
+        @hypothesis.given(st.integers(1, 400), st.floats(1e-3, 1e3),
+                          st.floats(1e-6, 1.0))
+        def check(dim, radius, step):
+            value = hy.log_ball_volume(dim, radius)
+            assert math.isfinite(value)
+            assert hy.log_ball_volume(dim, radius * (1.0 + step)) > value
+            assert value == pytest.approx(log_ball_volume_oracle(dim, radius),
+                                          rel=1e-10, abs=1e-10)
+
+        check()
