@@ -15,13 +15,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import coding, hyperbolic as hy, validation
 from .complexity import ParamDomain, chart_gap, pc_hgd, rm_nml_codelength
-from .gaussian import Dataset, EstimationError, RgdParams, sample, xi
+from .gaussian import Dataset, EstimationError, RgdParams, radial_moments, sample
 from .quadrature import QuadratureError
 
 USAGE_ERROR = 2
@@ -92,15 +93,9 @@ def load_dataset(path: str) -> Dataset:
     if coords is None or coords.ndim != 2:
         i = next(i for i, row in enumerate(points) if not all(map(_is_number, row)))
         raise InputError(f"{path}: point {i} has a non-numeric field")
-    if chart == "poincare":
-        nrm2 = np.einsum("ij,ij->i", coords, coords)
-        outside = np.flatnonzero(nrm2 >= 1.0)
-        if outside.size:
-            raise InputError(f"{path}: point {outside[0]} is invalid: Poincare "
-                             f"coordinates must have norm < 1")
-        denom = 1.0 - nrm2
-        coords = np.column_stack([(1.0 + nrm2) / denom, 2.0 * coords / denom[:, None]])
     try:
+        if chart == "poincare":
+            coords = hy.poincare_to_lorentz(coords)
         return Dataset(coords)
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
@@ -174,19 +169,19 @@ def cmd_codelength(args) -> int:
 def cmd_sample(args) -> int:
     if not args.sigma_value > 0:
         raise InputError(f"--sigma must be positive, got {args.sigma_value}")
-    if args.mu is None:
-        mu = hy.origin(args.dim)
-    else:
-        try:
-            coords = np.asarray([float(v) for v in args.mu.split(",")])
-            if coords.size != args.dim + 1:
-                raise InputError(f"--mu needs {args.dim + 1} comma-separated "
-                                 f"Lorentz components")
-            mu = hy.LorentzPoint(coords)
-        except hy.GeometryError as exc:
-            raise InputError(f"--mu is not on the manifold: {exc}") from exc
-    data = sample(args.n, RgdParams(mu, args.sigma_value), args.seed)
-    write_dataset(args.out, data)
+    if args.dim < 1:
+        raise InputError(f"--dim must be a positive integer, got {args.dim}")
+    mu = hy.origin(args.dim)
+    if args.mu is not None:
+        mu = np.asarray([float(v) for v in args.mu.split(",")])
+        if mu.size != args.dim + 1:
+            raise InputError(f"--mu needs {args.dim + 1} comma-separated "
+                             f"Lorentz components")
+    try:
+        params = RgdParams(mu, args.sigma_value)
+    except hy.GeometryError as exc:
+        raise InputError(f"--mu is not on the manifold: {exc}") from exc
+    write_dataset(args.out, sample(args.n, params, args.seed))
     return 0
 
 
@@ -250,8 +245,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_coding_demo(args) -> int:
+    if not args.sigma_value > 0:
+        raise InputError(f"--sigma must be positive, got {args.sigma_value}")
     partition = coding.partition_ball(args.radius, args.grid, args.grid)
-    norm = xi(2, args.sigma_value)
+    norm = math.exp(float(radial_moments(2, args.sigma_value)[0]))
 
     def pdf(points):
         d = np.arccosh(np.maximum(points[..., 0], 1.0))

@@ -79,7 +79,7 @@ def fisher_sigma_closed(dim: int, sigma: float) -> float:
     return _fisher_factors(dim, sigma)[1]
 
 
-def normal_chart(mu: hy.LorentzPoint):
+def normal_chart(mu: np.ndarray):
     """Normal orthonormal coordinates at mu.
 
     Returns ``chart(t)`` mapping tangent coordinates t in R^D to the point
@@ -87,13 +87,12 @@ def normal_chart(mu: hy.LorentzPoint):
     orthonormal tangent frame) to mu.  The metric at t = 0 is the identity.
     """
     T = hy.isometry_to(mu)
-    dim = mu.dim
-    base = mu.coords
+    dim = mu.size - 1
 
     def chart(t: np.ndarray) -> np.ndarray:
         v = np.zeros(dim + 1)
         v[1:] = np.asarray(t, dtype=float)
-        return hy._exp_map_coords(base, T @ v)
+        return hy.exp_map(mu, T @ v)
 
     return chart
 

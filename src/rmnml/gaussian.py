@@ -46,18 +46,31 @@ class EstimationError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class RgdParams:
-    """Location/scale parameters (mu, sigma) of the hyperbolic Gaussian."""
+    """Location/scale parameters (mu, sigma) of the hyperbolic Gaussian.
 
-    mu: hy.LorentzPoint
+    ``mu`` is stored as a read-only copy of its (D+1,) Lorentz coordinates,
+    checked to lie on H^D.
+    """
+
+    mu: np.ndarray
     sigma: float
 
     def __post_init__(self):
+        mu = np.array(self.mu, dtype=float)
+        if mu.ndim != 1 or mu.size < 2:
+            raise hy.GeometryError(f"mu needs a 1-D array of at least 2 Lorentz "
+                                   f"components, got shape {mu.shape}")
+        bad = hy.hyperboloid_violation(mu[None, :])
+        if bad is not None:
+            raise hy.GeometryError(bad[1])
+        mu.setflags(write=False)
+        object.__setattr__(self, "mu", mu)
         if not self.sigma > 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
 
     @property
     def dim(self) -> int:
-        return self.mu.dim
+        return self.mu.size - 1
 
 
 class Dataset:
@@ -121,8 +134,9 @@ def xi(dim: int, sigma: float) -> float:
     [0.05, 3] the error reaches 1e-8 at D = 9 and 4e-6 at D = 12, and at
     D >= 16 the terms overflow.
 
-    It stays as an independent oracle for :func:`radial_moments` and for
-    the D = 2 prefix-code demo; the pipeline takes log xi from
+    It stays as an independent oracle for :func:`radial_moments` and as
+    the normalizer of the Kraft suite in :mod:`rmnml.validation`; the
+    pipeline and the prefix-code demo take log xi from
     :func:`radial_moments`.
     """
     if dim < 1:
@@ -217,14 +231,9 @@ def radial_moments(dim: int, sigma):
 
 def log_pdf_vol_many(coords: np.ndarray, params: RgdParams) -> np.ndarray:
     """log p_vol for every row of an (n, D+1) Lorentz coordinate array."""
-    d = hy.dist_many(params.mu.coords, coords)
+    d = hy.dist_many(params.mu, coords)
     log_xi = float(radial_moments(params.dim, params.sigma)[0])
     return -d * d / (2.0 * params.sigma ** 2) - log_xi
-
-
-def pdf_vol(x: hy.LorentzPoint, params: RgdParams) -> float:
-    """Density of the hyperbolic Gaussian with respect to the volume element."""
-    return float(np.exp(log_pdf_vol_many(x.coords[None, :], params)[0]))
 
 
 def log_lik(data: Dataset, params: RgdParams) -> float:
@@ -272,14 +281,14 @@ def sample(n: int, params: RgdParams, seed: int) -> Dataset:
         coords[:, 1:] = np.sinh(radii)[:, None] * dirs
         moved = coords @ hy.isometry_to(params.mu).T
     if not np.isfinite(moved).all():
-        r_mu = math.acosh(max(float(params.mu.coords[0]), 1.0))
+        r_mu = math.acosh(max(float(params.mu[0]), 1.0))
         raise ValueError(f"sigma = {params.sigma!r} with mu at distance {r_mu:.6g} draws "
                          f"points past 710 from the origin, where Lorentz coordinates "
                          f"overflow (farthest draw {radii.max():.6g} from mu)")
     return Dataset(moved)
 
 
-def frechet_mean(coords: np.ndarray) -> hy.LorentzPoint:
+def frechet_mean(coords: np.ndarray) -> np.ndarray:
     """Minimizer of sum_i d^2(x_i, mu) by Riemannian gradient descent.
 
     Update mu <- exp_mu((eta/n) sum_i log_mu(x_i)) starting from eta = 1.
@@ -314,8 +323,8 @@ def frechet_mean(coords: np.ndarray) -> hy.LorentzPoint:
         grad += (grad[1:] @ mu[1:] - grad[0] * mu[0]) * mu
         grad_sq = max(float(grad[1:] @ grad[1:] - grad[0] * grad[0]), 0.0)
         if eta * math.sqrt(grad_sq) < _FRECHET_STEP_TOL:
-            return hy.LorentzPoint(mu)
-        candidate = hy._exp_map_coords(mu, eta * grad)
+            return mu
+        candidate = hy.exp_map(mu, eta * grad)
         new_value = objective(candidate)
         if new_value <= value - _FRECHET_ARMIJO * 2.0 * n * eta * grad_sq:
             mu, value = candidate, new_value
@@ -400,13 +409,15 @@ def mle(data: Dataset, domain: "ParamDomain") -> MleFit:
     mu = frechet_mean(data.coords)
 
     mu_clamped = False
-    r_mu = float(np.arccosh(max(mu.coords[0], 1.0)))
+    r_mu = float(np.arccosh(max(mu[0], 1.0)))
     if r_mu > domain.radius_R:
-        polar = hy.to_polar(mu)
-        mu = hy.from_polar(hy.PolarCoords(domain.radius_R, polar.direction))
+        # the point at radius R in the direction of mu: (cosh R, sinh R s/|s|)
+        radius, spatial = domain.radius_R, mu[1:]
+        direction = spatial / math.hypot(*spatial)
+        mu = np.concatenate([[math.cosh(radius)], math.sinh(radius) * direction])
         mu_clamped = True
 
-    d = hy.dist_many(mu.coords, data.coords)
+    d = hy.dist_many(mu, data.coords)
     target = float(d @ d) / data.n
 
     sigma, sigma_clamped = _solve_sigma(dim, target, domain.sigma_min,

@@ -8,20 +8,71 @@ from rmnml.gaussian import Dataset, RgdParams, sample
 from rmnml.quadrature import integrate_1d
 
 
-def random_point(rng: np.random.Generator, dim: int, max_radius: float = 2.0) -> hy.LorentzPoint:
+def random_point(rng: np.random.Generator, dim: int, max_radius: float = 2.0) -> np.ndarray:
     """Uniform-direction point at a random radius, built through the exp map."""
     direction = rng.standard_normal(dim)
     direction /= np.linalg.norm(direction)
     r = rng.uniform(0.0, max_radius)
     vec = np.zeros(dim + 1)
     vec[1:] = r * direction
-    return hy.exp_map(hy.origin(dim), hy.TangentVector(hy.origin(dim), vec))
+    return hy.exp_map(hy.origin(dim), vec)
 
 
 def random_dataset(rng: np.random.Generator, dim: int, n: int,
                    sigma: float = 1.0, mu_radius: float = 1.0) -> Dataset:
     mu = random_point(rng, dim, mu_radius)
     return sample(n, RgdParams(mu, sigma), seed=int(rng.integers(2**32)))
+
+
+def polar_point(r: float, direction) -> np.ndarray:
+    """(cosh r, sinh r u): the point at distance r from the origin along u."""
+    return np.concatenate([[math.cosh(r)], math.sinh(r) * np.asarray(direction)])
+
+
+def minkowski_inner(x, y) -> float:
+    """The plain bilinear form -x0 y0 + sum_i xi yi, with no manifold check."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return float(x[1:] @ y[1:] - x[0] * y[0])
+
+
+def dist(x: np.ndarray, y: np.ndarray) -> float:
+    """Geodesic distance between two points, through the library's kernel."""
+    return float(hy.dist_many(x, y[None, :])[0])
+
+
+def log_map(base: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Tangent vector at ``base`` that the exp map carries to ``x``."""
+    alpha = max(-minkowski_inner(base, x), 1.0)  # cosh of the distance
+    sinh_d = math.sqrt(alpha * alpha - 1.0)
+    if sinh_d < 1e-15:
+        return np.zeros_like(base)
+    return math.acosh(alpha) / sinh_d * (x - alpha * base)
+
+
+def lorentz_to_poincare(x: np.ndarray) -> np.ndarray:
+    """Stereographic projection p_i = x_i / (1 + x0) of one Lorentz point."""
+    return x[1:] / (1.0 + x[0])
+
+
+def poincare_dist(p: np.ndarray, q: np.ndarray) -> float:
+    """Distance from the Poincare metric directly, independent of the Lorentz form."""
+    diff2 = float((p - q) @ (p - q))
+    den = (1.0 - float(p @ p)) * (1.0 - float(q @ q))
+    return float(np.arccosh(1.0 + 2.0 * diff2 / den))
+
+
+def sqrt_det_metric(chart: str, x: np.ndarray) -> float:
+    """Volume-element factor sqrt(det g) of ``chart`` at the Lorentz point ``x``.
+
+    Poincare chart: (2 / (1 - |p|^2))^D at the stereographic image p.
+    Lorentz graph chart over the spatial coordinates (x1..xD):
+    1 / sqrt(1 + |x_{1:D}|^2).
+    """
+    if chart == hy.CHART_POINCARE:
+        p = lorentz_to_poincare(x)
+        return (2.0 / (1.0 - float(p @ p))) ** p.size
+    assert chart == hy.CHART_LORENTZ_GRAPH, chart
+    return 1.0 / math.sqrt(1.0 + float(x[1:] @ x[1:]))
 
 
 def log_ball_volume_oracle(dim: int, radius: float) -> float:

@@ -10,14 +10,14 @@ import numpy as np
 import pytest
 
 import rmnml
-from rmnml import hyperbolic as hy, quadrature
+from rmnml import coding, hyperbolic as hy, quadrature
 from rmnml.cli import (InputError, load_dataset, main, parse_sigma_range,
                        select_best, write_dataset)
 from rmnml.complexity import ParamDomain, pc_hgd, rm_nml_codelength
-from rmnml.gaussian import Dataset, RgdParams, sample
+from rmnml.gaussian import Dataset, RgdParams, sample, xi
 from rmnml.quadrature import QuadratureError
 
-from conftest import log_ball_volume_oracle
+from conftest import log_ball_volume_oracle, lorentz_to_poincare, polar_point
 
 
 def run(argv):
@@ -157,12 +157,33 @@ class TestSampleCommand:
                     "--out", str(tmp_path / "x.json")])
         assert code == 2
 
+    # "--mu=..." keeps argparse from reading "-1,0,0" as an option
+    @pytest.mark.parametrize("mu, reason", [
+        ("1.1,0,0", "--mu is not on the manifold: point is off the hyperboloid"),
+        ("-1,0,0", "--mu is not on the manifold: x0 must be positive"),
+        ("1,0", "--mu needs 3 comma-separated Lorentz components"),
+    ], ids=["off-sheet", "x0-negative", "wrong-length"])
+    def test_bad_mu_is_usage_error(self, mu, reason, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert run(["sample", "--dim", "2", "--n", "5", "--sigma", "1", f"--mu={mu}",
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {reason}")
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dim", ["0", "-1"])
+    def test_non_positive_dim_is_usage_error(self, dim, tmp_path, capsys):
+        assert run(["sample", "--dim", dim, "--n", "5", "--sigma", "1",
+                    "--out", str(tmp_path / "x.json")]) == 2
+        assert capsys.readouterr().err == f"error: --dim must be a positive integer, got {dim}\n"
+
     def test_sample_statistics(self, tmp_path):
         out = tmp_path / "big.json"
         run(["sample", "--dim", "2", "--n", "100000", "--sigma", "1.0",
              "--seed", "3", "--out", str(out)])
         data = load_dataset(str(out))
-        d2 = hy.dist_many(hy.origin(2).coords, data.coords) ** 2
+        d2 = hy.dist_many(hy.origin(2), data.coords) ** 2
         # quadrature oracle for E[d^2] and its spread (precomputed forms
         # exercised in the gaussian tests); generous 3-sigma band
         from rmnml.gaussian import log_radial_weight, radial_cutoff
@@ -192,13 +213,13 @@ class TestSampleCommand:
             assert load_dataset(str(out)).n == 1000
 
     def test_custom_mu(self, tmp_path):
-        mu = hy.from_polar(hy.PolarCoords(0.8, np.array([1.0, 0.0])))
-        mu_text = ",".join(repr(float(v)) for v in mu.coords)
+        mu = polar_point(0.8, [1.0, 0.0])
+        mu_text = ",".join(repr(float(v)) for v in mu)
         out = tmp_path / "mu.json"
         assert run(["sample", "--dim", "2", "--n", "2000", "--sigma", "0.3",
                     "--mu", mu_text, "--seed", "1", "--out", str(out)]) == 0
         data = load_dataset(str(out))
-        d = hy.dist_many(mu.coords, data.coords)
+        d = hy.dist_many(mu, data.coords)
         assert float(np.median(d)) < 1.0
 
 
@@ -221,7 +242,7 @@ class TestCodelengthCommand:
 
     def test_isometric_dataset_same_total(self, tmp_path, capsys):
         base = sample(80, RgdParams(hy.origin(2), 0.7), seed=9)
-        T = hy.isometry_to(hy.from_polar(hy.PolarCoords(0.9, np.array([0.6, 0.8]))))
+        T = hy.isometry_to(polar_point(0.9, [0.6, 0.8]))
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         write_dataset(str(a), base)
         write_dataset(str(b), base.transformed(T))
@@ -252,7 +273,7 @@ class TestCodelengthCommand:
 
     def test_single_point_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "one.json"
-        write_dataset(str(path), Dataset(hy.origin(2).coords[None, :]))
+        write_dataset(str(path), Dataset(hy.origin(2)[None, :]))
         assert run(["codelength", "--data", str(path)]) == 2
 
     def test_malformed_json_reports_line(self, tmp_path, capsys):
@@ -278,8 +299,7 @@ class TestCodelengthCommand:
 
     def test_poincare_input_accepted(self, tmp_path, capsys):
         lorentz = sample(40, RgdParams(hy.origin(2), 0.6), seed=13)
-        poincare_points = [hy.lorentz_to_poincare(hy.LorentzPoint(row)).coords.tolist()
-                           for row in lorentz.coords]
+        poincare_points = [lorentz_to_poincare(row).tolist() for row in lorentz.coords]
         path = tmp_path / "poincare.json"
         path.write_text(json.dumps({"chart": "poincare", "dim": 2,
                                     "points": poincare_points}))
@@ -356,6 +376,30 @@ class TestCodingDemo:
                 <= payload["average_length_bits"]
                 <= payload["expected_lower_bound_bits"] + 2.0)
 
+    def test_normalizer_matches_closed_form_xi(self, capsys):
+        # the demo divides by exp(log xi) from the moment kernel; the
+        # closed-form xi must give the same code
+        assert run(["coding-demo", "--radius", "2", "--grid", "16", "--sigma", "1"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        partition = coding.partition_ball(2.0, 16, 16)
+
+        def pdf(points):
+            d = np.arccosh(np.maximum(points[..., 0], 1.0))
+            return np.exp(-d * d / 2.0) / xi(2, 1.0)
+
+        lengths = coding.cell_codelengths(partition, pdf)
+        assert payload["cells"] == len(partition)
+        assert payload["kraft_sum"] == coding.kraft_sum(lengths)
+        assert payload["average_length_bits"] == pytest.approx(
+            coding.average_codelength(partition, pdf, lengths), rel=1e-12)
+        assert payload["expected_lower_bound_bits"] == pytest.approx(
+            coding.expected_lower_bound(partition, pdf), rel=1e-12)
+
+    @pytest.mark.parametrize("sigma", ["0", "-1", "nan"])
+    def test_non_positive_sigma_is_usage_error(self, sigma, capsys):
+        assert run(["coding-demo", "--sigma", sigma]) == 2
+        assert capsys.readouterr().err == f"error: --sigma must be positive, got {float(sigma)}\n"
+
 
 def test_parse_sigma_range_errors():
     assert parse_sigma_range("0.5:2") == (0.5, 2.0)
@@ -401,9 +445,9 @@ def test_poincare_load_matches_per_point_conversion(tmp_path):
     points = rng.uniform(-0.7, 0.7, size=(200, 3)) * rng.uniform(0.0, 1.0, size=(200, 1))
     path = tmp_path / "poincare.json"
     path.write_text(json.dumps({"chart": "poincare", "dim": 3, "points": points.tolist()}))
-    expected = np.stack([hy.poincare_to_lorentz(hy.PoincarePoint(p)).coords
-                         for p in points])
-    np.testing.assert_allclose(load_dataset(str(path)).coords, expected, rtol=1e-12)
+    # the test-side stereographic projection carries each loaded row back
+    back = np.stack([lorentz_to_poincare(x) for x in load_dataset(str(path)).coords])
+    np.testing.assert_allclose(back, points, rtol=1e-12)
 
 
 def test_cli_import_leaves_numpy_polynomial_unloaded():

@@ -12,7 +12,8 @@ from rmnml.gaussian import (Dataset, RgdParams, log_pdf_vol_many, mle, sample,
 from rmnml.fisher import sqrt_fisher_sigma_integrand
 from rmnml.quadrature import QuadratureError, integrate_1d
 
-from conftest import random_dataset, random_point
+from conftest import (lorentz_to_poincare, random_dataset, random_point,
+                      sqrt_det_metric)
 
 DOMAIN = ParamDomain(radius_R=3.0, sigma_min=0.1, sigma_max=3.0)
 
@@ -165,11 +166,11 @@ class TestCodeLength:
 
 class TestChartGap:
     def test_lorentz_graph_at_origin(self):
-        data = Dataset(np.tile(hy.origin(2).coords, (4, 1)))
+        data = Dataset(np.tile(hy.origin(2), (4, 1)))
         assert chart_gap(data, hy.CHART_LORENTZ_GRAPH) == 0.0
 
     def test_poincare_at_origin(self):
-        data = Dataset(np.tile(hy.origin(2).coords, (3, 1)))
+        data = Dataset(np.tile(hy.origin(2), (3, 1)))
         assert chart_gap(data, hy.CHART_POINCARE) == pytest.approx(
             -3.0 * math.log(4.0), rel=1e-12)
         assert chart_gap(data, hy.CHART_POINCARE) == pytest.approx(-4.1589, abs=2e-4)
@@ -178,10 +179,10 @@ class TestChartGap:
         data = random_dataset(rng, 2, 25, sigma=1.0)
         diff = chart_gap(data, hy.CHART_POINCARE) - chart_gap(data, hy.CHART_LORENTZ_GRAPH)
         expected = 0.0
-        for point in (hy.LorentzPoint(row) for row in data.coords):
-            s2 = float(point.coords[1:] @ point.coords[1:])
-            p = hy.lorentz_to_poincare(point)
-            pn2 = float(p.coords @ p.coords)
+        for point in data.coords:
+            s2 = float(point[1:] @ point[1:])
+            p = lorentz_to_poincare(point)
+            pn2 = float(p @ p)
             expected -= math.log(math.sqrt(1 + s2) * (2.0 / (1.0 - pn2)) ** 2)
         assert diff == pytest.approx(expected, rel=1e-12)
 
@@ -208,8 +209,8 @@ class TestRegret:
             gap = chart_gap(data, chart)
             chart_codelength = report.total + gap
             chart_max_loglik = float(log_pdf_vol_many(data.coords, fit.params).sum())
-            for point in (hy.LorentzPoint(row) for row in data.coords):
-                chart_max_loglik += math.log(hy.sqrt_det_metric(chart, point))
+            for point in data.coords:
+                chart_max_loglik += math.log(sqrt_det_metric(chart, point))
             chart_regret = chart_codelength - (-chart_max_loglik)
             assert chart_regret == pytest.approx(vol_regret, abs=1e-9)
 

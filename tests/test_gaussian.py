@@ -7,16 +7,21 @@ from rmnml import hyperbolic as hy
 from rmnml.complexity import ParamDomain
 from rmnml.fisher import fisher_sigma_closed
 from rmnml.gaussian import (Dataset, RgdParams, frechet_mean, log_lik,
-                            log_pdf_vol_many, mean_dispersion, mle, pdf_vol,
+                            log_pdf_vol_many, mean_dispersion, mle,
                             radial_cutoff, radial_moments, sample, xi,
                             xi_derivatives)
 from rmnml.quadrature import integrate_1d
 from rmnml.validation import xi_quadrature_oracle
 
-from conftest import random_point
+from conftest import dist, log_map, minkowski_inner, polar_point, random_point
 
 TIGHT = 1e-12
 DOMAIN = ParamDomain(radius_R=3.0, sigma_min=0.05, sigma_max=3.0)
+
+
+def pdf_vol(x: np.ndarray, params: RgdParams) -> float:
+    """Density at one point with respect to the volume element."""
+    return float(np.exp(log_pdf_vol_many(x[None, :], params)[0]))
 
 
 def xi_fd_derivatives(dim: int, sigma: float) -> tuple[float, float]:
@@ -156,8 +161,8 @@ class TestPdf:
         params = RgdParams(random_point(rng, 2), 1.1)
         T = hy.isometry_to(random_point(rng, 2))
         x = random_point(rng, 2)
-        moved = RgdParams(hy.LorentzPoint(T @ params.mu.coords), params.sigma)
-        assert pdf_vol(hy.LorentzPoint(T @ x.coords), moved) == pytest.approx(
+        moved = RgdParams(T @ params.mu, params.sigma)
+        assert pdf_vol(T @ x, moved) == pytest.approx(
             pdf_vol(x, params), rel=1e-9)
 
     @pytest.mark.parametrize("dim", [2, 3])
@@ -167,7 +172,7 @@ class TestPdf:
         area = hy.sphere_area(dim)
 
         def integrand(r):
-            x = hy.from_polar(hy.PolarCoords(r, np.eye(dim)[0]))
+            x = polar_point(r, np.eye(dim)[0])
             return pdf_vol(x, params) * math.sinh(r) ** (dim - 1)
 
         mass = area * integrate_1d(integrand, 0.0, min(30.0, radial_cutoff(dim, sigma)),
@@ -178,7 +183,7 @@ class TestPdf:
 class TestLogLik:
     def test_single_point_at_mean(self):
         params = RgdParams(hy.origin(2), 0.7)
-        data = Dataset(params.mu.coords[None, :])
+        data = Dataset(params.mu[None, :])
         assert log_lik(data, params) == pytest.approx(-math.log(xi(2, 0.7)), rel=1e-12)
 
     def test_additive_over_concatenation(self, rng):
@@ -219,7 +224,7 @@ class TestSample:
             var_d2 = fourth / z - expect ** 2
 
             data = sample(100_000, params, seed=11 + dim)
-            d2 = hy.dist_many(params.mu.coords, data.coords) ** 2
+            d2 = hy.dist_many(params.mu, data.coords) ** 2
             stderr = math.sqrt(var_d2 / data.n)
             assert abs(float(d2.mean()) - expect) <= 3.0 * stderr
 
@@ -229,19 +234,19 @@ class TestSample:
         nu = random_point(rng, 2)
         T = hy.isometry_to(nu)
         moved = data.transformed(T)
-        d_before = hy.dist_many(params.mu.coords, data.coords)
-        d_after = hy.dist_many(T @ params.mu.coords, moved.coords)
+        d_before = hy.dist_many(params.mu, data.coords)
+        d_after = hy.dist_many(T @ params.mu, moved.coords)
         assert np.max(np.abs(d_before - d_after)) < 1e-9
 
     def test_centered_at_mu(self, rng):
         mu = random_point(rng, 3)
         data = sample(20_000, RgdParams(mu, 0.5), seed=9)
         frechet = mle(data, DOMAIN).params.mu
-        assert hy.dist(mu, frechet) < 0.02
+        assert dist(mu, frechet) < 0.02
 
     def test_beyond_float_range_names_sigma_and_mu(self):
         # points beyond about 710 from the origin overflow cosh
-        mu = hy.from_polar(hy.PolarCoords(705.0, np.array([1.0, 0.0])))
+        mu = polar_point(705.0, [1.0, 0.0])
         with pytest.raises(ValueError, match=r"sigma = 2\.0 with mu at distance 705 "):
             sample(100, RgdParams(mu, 2.0), seed=0)
 
@@ -249,9 +254,9 @@ class TestSample:
 class TestMle:
     def test_degenerate_cluster(self, rng):
         x = random_point(rng, 2)
-        data = Dataset(np.tile(x.coords, (3, 1)))
+        data = Dataset(np.tile(x, (3, 1)))
         fit = mle(data, DOMAIN)
-        assert hy.dist(fit.params.mu, x) < 1e-9
+        assert dist(fit.params.mu, x) < 1e-9
         assert fit.params.sigma == DOMAIN.sigma_min
         assert fit.sigma_clamped and fit.boundary
 
@@ -263,7 +268,7 @@ class TestMle:
         fit = mle(Dataset(coords), DOMAIN)
         t_bar = float(t.mean())
         rms = float(np.sqrt(((t - t_bar) ** 2).mean()))
-        mu_hat = float(np.arcsinh(fit.params.mu.coords[1]))
+        mu_hat = float(np.arcsinh(fit.params.mu[1]))
         assert mu_hat == pytest.approx(t_bar, abs=1e-8)
         assert fit.params.sigma == pytest.approx(rms, rel=1e-9)
         assert not fit.boundary
@@ -277,7 +282,7 @@ class TestMle:
 
         def loglik_at(t0, t1, s):
             v = T @ np.array([0.0, t0, t1])
-            moved = hy.exp_map(mu, hy.TangentVector(mu, v))
+            moved = hy.exp_map(mu, v)
             return log_lik(data, RgdParams(moved, s))
 
         for grad in (
@@ -293,7 +298,7 @@ class TestMle:
         T = hy.isometry_to(nu)
         fit = mle(data, DOMAIN)
         fit_moved = mle(data.transformed(T), DOMAIN)
-        assert hy.dist(fit_moved.params.mu, hy.LorentzPoint(T @ fit.params.mu.coords)) < 1e-6
+        assert dist(fit_moved.params.mu, T @ fit.params.mu) < 1e-6
         assert fit_moved.params.sigma == pytest.approx(fit.params.sigma, abs=1e-6)
 
     def test_dominates_random_alternatives(self, rng):
@@ -306,7 +311,7 @@ class TestMle:
             assert best >= log_lik(data, other) - 1e-9
 
     def test_needs_two_points(self, rng):
-        data = Dataset(hy.origin(2).coords[None, :])
+        data = Dataset(hy.origin(2)[None, :])
         with pytest.raises(ValueError):
             mle(data, DOMAIN)
 
@@ -321,27 +326,31 @@ class TestMle:
         r = np.linalg.norm(v, axis=1)
         coords = np.column_stack([np.cosh(r), (np.sinh(r) / r)[:, None] * v])
         mu = frechet_mean(coords)
-        mean_log = sum(hy.log_map(mu, hy.LorentzPoint(x)).vec for x in coords) / len(coords)
-        assert hy.minkowski_inner(mean_log, mean_log) < 1e-16
+        mean_log = sum(log_map(mu, x) for x in coords) / len(coords)
+        assert minkowski_inner(mean_log, mean_log) < 1e-16
 
     def test_mu_clamped_to_ball(self, rng):
-        far = hy.from_polar(hy.PolarCoords(2.5, np.array([1.0, 0.0])))
+        far = polar_point(2.5, [1.0, 0.0])
         data = sample(100, RgdParams(far, 0.5), seed=51)
         tight = ParamDomain(radius_R=1.0, sigma_min=0.05, sigma_max=3.0)
         fit = mle(data, tight)
         assert fit.mu_clamped and fit.boundary
-        assert hy.dist(hy.origin(2), fit.params.mu) == pytest.approx(1.0, abs=1e-9)
+        assert dist(hy.origin(2), fit.params.mu) == pytest.approx(1.0, abs=1e-9)
+        # the clamp keeps the direction of the Frechet mean
+        spatial = frechet_mean(data.coords)[1:]
+        np.testing.assert_allclose(fit.params.mu[1:] / np.linalg.norm(fit.params.mu[1:]),
+                                   spatial / np.linalg.norm(spatial), rtol=1e-12)
 
 
 class TestDataset:
     def test_rejects_invalid_point_with_index(self):
-        rows = np.stack([hy.origin(2).coords, np.array([2.0, 0.0, 0.0])])
+        rows = np.stack([hy.origin(2), np.array([2.0, 0.0, 0.0])])
         with pytest.raises(ValueError, match="point 1"):
             Dataset(rows)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_coordinates_with_index(self, bad):
-        rows = np.tile(hy.origin(2).coords, (3, 1))
+        rows = np.tile(hy.origin(2), (3, 1))
         rows[2, 1] = bad
         with pytest.raises(ValueError, match="point 2 is invalid: coordinates must be finite"):
             Dataset(rows)
@@ -378,7 +387,7 @@ def test_mean_dispersion_and_newton_sigma_match_bisection():
         for seed, sigma in enumerate((0.3, 0.8, 1.6)):
             data = sample(200, RgdParams(hy.origin(dim), sigma), seed=seed)
             fit = mle(data, DOMAIN)
-            d = hy.dist_many(fit.params.mu.coords, data.coords)
+            d = hy.dist_many(fit.params.mu, data.coords)
             target = float(d @ d) / data.n
             expected = _bisection_sigma(dim, target, DOMAIN.sigma_min, DOMAIN.sigma_max)
             assert not fit.sigma_clamped
