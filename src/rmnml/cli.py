@@ -15,14 +15,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 
 import numpy as np
 
 from . import coding, hyperbolic as hy, validation
 from .complexity import ParamDomain, chart_gap, pc_hgd, rm_nml_codelength
-from .gaussian import Dataset, EstimationError, RgdParams, radial_moments, sample
+from .gaussian import Dataset, EstimationError, RgdParams, log_pdf_vol_many, sample
 from .quadrature import QuadratureError
 
 USAGE_ERROR = 2
@@ -30,7 +29,7 @@ VALIDATION_ERROR = 1
 NUMERICAL_ERROR = 3
 
 
-class InputError(Exception):
+class InputError(ValueError):
     """Bad configuration or malformed input file (exit code 2)."""
 
 
@@ -108,8 +107,7 @@ def write_dataset(path: str, data: Dataset):
         "points": data.coords.tolist(),
     }
     with open(path, "w") as handle:
-        json.dump(payload, handle)
-        handle.write("\n")
+        handle.write(json.dumps(payload) + "\n")
 
 
 def _emit(payload: dict, out: str | None, csv_out: str | None = None):
@@ -133,6 +131,8 @@ def _domain_from(args) -> ParamDomain:
 
 
 def cmd_pc(args) -> int:
+    if args.dim < 1:
+        raise InputError(f"--dim must be a positive integer, got {args.dim}")
     domain = _domain_from(args)
     result = pc_hgd(args.dim, args.n, domain, args.rel_tol)
     _emit({
@@ -218,7 +218,7 @@ def cmd_select_dim(args) -> int:
                 "log_pc": report.log_pc,
                 "boundary_flag": report.boundary_flag,
             })
-        except (InputError, ValueError) as exc:
+        except ValueError as exc:
             entry["error"] = str(exc)
         scores.append(entry)
 
@@ -248,21 +248,20 @@ def cmd_coding_demo(args) -> int:
     if not args.sigma_value > 0:
         raise InputError(f"--sigma must be positive, got {args.sigma_value}")
     partition = coding.partition_ball(args.radius, args.grid, args.grid)
-    norm = math.exp(float(radial_moments(2, args.sigma_value)[0]))
+    params = RgdParams(hy.origin(2), args.sigma_value)
 
-    def pdf(points):
-        d = np.arccosh(np.maximum(points[..., 0], 1.0))
-        return np.exp(-d * d / (2.0 * args.sigma_value ** 2)) / norm
+    def log_pdf(points):
+        return log_pdf_vol_many(points, params)
 
-    lengths = coding.cell_codelengths(partition, pdf)
+    lengths = coding.cell_codelengths(partition, log_pdf)
     payload = {
         "radius": args.radius,
         "grid": args.grid,
         "sigma": args.sigma_value,
         "cells": len(partition),
         "kraft_sum": coding.kraft_sum(lengths),
-        "average_length_bits": coding.average_codelength(partition, pdf, lengths),
-        "expected_lower_bound_bits": coding.expected_lower_bound(partition, pdf),
+        "average_length_bits": coding.average_codelength(partition, log_pdf, lengths),
+        "expected_lower_bound_bits": coding.expected_lower_bound(partition, log_pdf),
     }
     _emit(payload, args.out, None)
     return 0
@@ -331,9 +330,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

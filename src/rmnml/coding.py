@@ -2,12 +2,13 @@
 
 A polar grid partitions the ball; each cell S gets the integer code-length
 
-    l_S = ceil( sup_{x in S} (-log2 p(x)) - log2 vol(S) )
+    l_S = ceil( -(inf_{x in S} log p(x) + log vol(S)) / ln 2 )
 
-for a density p on the ball.  Such lengths always satisfy the Kraft
-inequality (so a prefix code with these lengths exists), and the expected
-code-length of any uniquely decodable code over the partition is bounded
-below by E_S[ inf_{x in S} (-log2 p(x)) - log2 vol(S) ].
+for a density p on the ball, given by its natural log against the volume
+element.  Such lengths always satisfy the Kraft inequality (so a prefix
+code with these lengths exists), and the expected code-length of any
+uniquely decodable code over the partition is bounded below by
+E_S[ -(sup_{x in S} log p(x) + log vol(S)) / ln 2 ].
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ class Partition:
     volumes: np.ndarray           # (m,)
     r_ranges: np.ndarray          # (m, 2)
     angle_ranges: np.ndarray      # (m, 2)
-    dim: int = 2
 
     def __len__(self) -> int:
         return self.volumes.size
@@ -69,8 +69,17 @@ def partition_ball(radius: float, n_r: int, n_angle: int) -> Partition:
         angle_ranges=np.stack([t_lo, t_hi], axis=1))
 
 
-def _cell_extrema(partition: Partition, pdf) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell (min, max) of the density on an inclusive sub-grid."""
+def _log_density(log_pdf, points: np.ndarray) -> np.ndarray:
+    # a value past the float range is reported by the check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.asarray(log_pdf(points), dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError("the log density must be finite on the ball")
+    return values
+
+
+def _cell_extrema(partition: Partition, log_pdf) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cell (min, max) of the log density on an inclusive sub-grid."""
     frac = np.linspace(0.0, 1.0, SUBGRID)
     lo = np.full(len(partition), np.inf)
     hi = np.full(len(partition), -np.inf)
@@ -79,42 +88,49 @@ def _cell_extrema(partition: Partition, pdf) -> tuple[np.ndarray, np.ndarray]:
         for ft in frac:
             t = partition.angle_ranges[:, 0] + ft * (
                 partition.angle_ranges[:, 1] - partition.angle_ranges[:, 0])
-            values = np.asarray(pdf(_lorentz_of_polar(r, t)), dtype=float)
+            values = _log_density(log_pdf, _lorentz_of_polar(r, t))
             lo = np.minimum(lo, values)
             hi = np.maximum(hi, values)
     return lo, hi
 
 
-def cell_codelengths(partition: Partition, pdf) -> np.ndarray:
-    """Integer code-lengths (bits) per cell for the density ``pdf``.
+def cell_codelengths(partition: Partition, log_pdf) -> np.ndarray:
+    """Integer code-lengths (bits) per cell for the log density ``log_pdf``.
 
-    ``pdf`` maps an (m, 3) array of Lorentz coordinates to m positive
-    density values (with respect to the volume element).  The supremum of
-    -log2 p over each cell is taken on a SUBGRID x SUBGRID inclusive grid.
+    ``log_pdf`` maps an (m, 3) array of Lorentz coordinates to m natural-log
+    density values (with respect to the volume element), each finite.  The
+    infimum of log p over each cell is taken on a SUBGRID x SUBGRID
+    inclusive grid.  Raises ValueError when a length does not fit an int64.
     """
-    lo, _ = _cell_extrema(partition, pdf)
-    if np.any(lo <= 0):
-        raise ValueError("the density must be positive on the ball")
-    return np.ceil(-np.log2(lo) - np.log2(partition.volumes)).astype(int)
+    lo, _ = _cell_extrema(partition, log_pdf)
+    bits = np.ceil(-(lo + np.log(partition.volumes)) / math.log(2.0))
+    if not np.all(np.abs(bits) < 2.0 ** 63):
+        raise ValueError(f"code-lengths up to {np.max(np.abs(bits)):.6g} bits "
+                         f"do not fit an int64")
+    return bits.astype(np.int64)
 
 
-def cell_probabilities(partition: Partition, pdf) -> np.ndarray:
-    """Cell masses approximated by pdf(representative) * volume, renormalized."""
-    values = np.asarray(pdf(partition.representatives), dtype=float)
-    mass = values * partition.volumes
+def cell_probabilities(partition: Partition, log_pdf) -> np.ndarray:
+    """Cell masses approximated by p(representative) * volume, renormalized.
+
+    The log masses are shifted by their maximum before exp, so densities
+    beyond the float range still give finite probabilities.
+    """
+    log_mass = _log_density(log_pdf, partition.representatives) + np.log(partition.volumes)
+    mass = np.exp(log_mass - log_mass.max())
     return mass / mass.sum()
 
 
-def expected_lower_bound(partition: Partition, pdf) -> float:
+def expected_lower_bound(partition: Partition, log_pdf) -> float:
     """Lower bound (bits) on the expected code-length over the partition."""
-    _, hi = _cell_extrema(partition, pdf)
-    prob = cell_probabilities(partition, pdf)
-    return float(prob @ (-np.log2(hi) - np.log2(partition.volumes)))
+    _, hi = _cell_extrema(partition, log_pdf)
+    prob = cell_probabilities(partition, log_pdf)
+    return float(prob @ (-(hi + np.log(partition.volumes)) / math.log(2.0)))
 
 
-def average_codelength(partition: Partition, pdf, lengths: np.ndarray) -> float:
+def average_codelength(partition: Partition, log_pdf, lengths: np.ndarray) -> float:
     """Expected code-length sum_S P(S) l_S in bits."""
-    return float(cell_probabilities(partition, pdf) @ lengths)
+    return float(cell_probabilities(partition, log_pdf) @ lengths)
 
 
 def kraft_sum(lengths: np.ndarray) -> float:

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import hyperbolic as hy
-from .gaussian import RgdParams, sample, xi, xi_derivatives
+from .gaussian import RgdParams, log_pdf_vol_many, sample, xi, xi_derivatives
 from .quadrature import integrate_1d
 
 if TYPE_CHECKING:
@@ -115,10 +115,7 @@ def fisher_numeric(params: RgdParams, n_samples: int, seed: int) -> FisherBlock:
     k = dim + 1  # eta = (t_1..t_D, sigma)
 
     def logp(offset: np.ndarray) -> np.ndarray:
-        mu_t = chart(offset[:dim])
-        s = sigma + offset[dim]
-        d = hy.dist_many(mu_t, x)
-        return -d * d / (2.0 * s * s) - math.log(xi(dim, s))
+        return log_pdf_vol_many(x, RgdParams(chart(offset[:dim]), sigma + offset[dim]))
 
     f0 = logp(np.zeros(k))
     unit = np.eye(k) * _FD_STEP

@@ -134,10 +134,9 @@ def xi(dim: int, sigma: float) -> float:
     [0.05, 3] the error reaches 1e-8 at D = 9 and 4e-6 at D = 12, and at
     D >= 16 the terms overflow.
 
-    It stays as an independent oracle for :func:`radial_moments` and as
-    the normalizer of the Kraft suite in :mod:`rmnml.validation`; the
-    pipeline and the prefix-code demo take log xi from
-    :func:`radial_moments`.
+    It stays as an independent oracle for :func:`radial_moments` and feeds
+    the Fisher closed forms of :mod:`rmnml.fisher`; every density the
+    library evaluates takes log xi from :func:`radial_moments`.
     """
     if dim < 1:
         raise ValueError("dimension must be >= 1")
@@ -304,15 +303,10 @@ def frechet_mean(coords: np.ndarray) -> np.ndarray:
     # onto the sheet is always defined
     mink = float(mean[1:] @ mean[1:] - mean[0] * mean[0])
     mu = mean / math.sqrt(-mink)
-
-    def objective(m: np.ndarray) -> float:
-        d = hy.dist_many(m, coords)
-        return float(d @ d)
-
-    value = objective(mu)
+    d = hy.dist_many(mu, coords)
+    value = float(d @ d)
     eta = 1.0
     for _ in range(_MAX_FRECHET_ITERATIONS):
-        d = hy.dist_many(mu, coords)
         alpha = np.cosh(d)
         u = coords - alpha[:, None] * mu[None, :]
         sinh_d = np.sqrt(np.maximum(alpha * alpha - 1.0, 0.0))
@@ -325,32 +319,26 @@ def frechet_mean(coords: np.ndarray) -> np.ndarray:
         if eta * math.sqrt(grad_sq) < _FRECHET_STEP_TOL:
             return mu
         candidate = hy.exp_map(mu, eta * grad)
-        new_value = objective(candidate)
+        new_d = hy.dist_many(candidate, coords)
+        new_value = float(new_d @ new_d)
         if new_value <= value - _FRECHET_ARMIJO * 2.0 * n * eta * grad_sq:
-            mu, value = candidate, new_value
+            mu, value, d = candidate, new_value, new_d
         else:
             eta *= 0.5
     raise EstimationError(
         f"Frechet mean did not converge in {_MAX_FRECHET_ITERATIONS} iterations")
 
 
-def mean_dispersion(dim: int, sigma: float) -> float:
-    """sigma^3 xi'(sigma) / xi(sigma), the model value of E[d^2(x, mu)].
-
-    Strictly increasing in sigma, which gives the sigma-step of the MLE a
-    unique root.
-    """
-    return float(radial_moments(dim, sigma)[1])
-
-
 def _solve_sigma(dim: int, target: float, lo: float, hi: float) -> tuple[float, bool]:
     """sigma in [lo, hi] with E[d^2](sigma) = target, and whether it clamped.
 
-    Newton's method on log E[d^2] against u = log sigma, whose slope
-    d log E / du = Var(d^2) / (sigma^2 E[d^2]) follows from
-    dE/dsigma = Var(d^2) / sigma^3.  The slope runs from 2 (small sigma)
-    to 4 (large), so the log-log curve is nearly straight.  A bracket on u
-    is kept, and a step that leaves it is replaced by bisection.
+    E[d^2](sigma) = sigma^3 xi'(sigma) / xi(sigma) is strictly increasing
+    in sigma, so the root is unique.  Newton's method on log E[d^2]
+    against u = log sigma, whose slope d log E / du = Var(d^2) /
+    (sigma^2 E[d^2]) follows from dE/dsigma = Var(d^2) / sigma^3.  The
+    slope runs from 2 (small sigma) to 4 (large), so the log-log curve is
+    nearly straight.  A bracket on u is kept, and a step that leaves it is
+    replaced by bisection.
     """
     _, ends, _ = radial_moments(dim, np.array([lo, hi]))
     if target <= ends[0]:

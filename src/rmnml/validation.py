@@ -2,9 +2,10 @@
 
 Each suite reruns one of the library's independent oracles (quadrature,
 Monte Carlo, reparameterization, Kraft) against the closed forms and
-reports a pass/fail line.  The ``xi_fn`` hooks of :func:`check_xi` and
-:func:`check_kraft` let tests inject a broken normalization constant to
-confirm the suites actually detect errors.
+reports a pass/fail line.  The Kraft suite codes with the density of
+:func:`rmnml.gaussian.log_pdf_vol_many`, the one the code-length uses.
+Tests confirm that the suites detect errors by patching the names
+``xi`` and ``log_pdf_vol_many`` of this module.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from . import coding, hyperbolic as hy
 from .complexity import ParamDomain, pc_general, pc_mc_gauss1d
 from .fisher import (LOG_SIGMA_PARAM, SIGMA_PARAM, fisher_integral,
                      fisher_mu_closed, fisher_numeric, fisher_sigma_closed)
-from .gaussian import RgdParams, log_radial_weight, radial_cutoff, xi
+from .gaussian import (RgdParams, log_pdf_vol_many, log_radial_weight,
+                       radial_cutoff, xi)
 from .quadrature import integrate_1d
 
 
@@ -28,21 +30,21 @@ class SuiteResult:
     detail: str
 
 
-def xi_quadrature_oracle(dim: int, sigma: float, rel_tol: float = 1e-12) -> float:
+def xi_quadrature_oracle(dim: int, sigma: float) -> float:
     """xi by direct quadrature of its defining radial integral."""
     cutoff = radial_cutoff(dim, sigma)
     integral = integrate_1d(
         lambda r: float(np.exp(log_radial_weight(dim, np.asarray(r), sigma))),
-        0.0, cutoff, rel_tol)
+        0.0, cutoff, 1e-12)
     return hy.sphere_area(dim) * integral
 
 
-def check_xi(xi_fn=xi) -> SuiteResult:
+def check_xi() -> SuiteResult:
     worst = 0.0
     for dim in range(1, 6):
         for sigma in (0.1, 0.5, 1.0, 2.0, 3.0):
             oracle = xi_quadrature_oracle(dim, sigma)
-            worst = max(worst, abs(xi_fn(dim, sigma) - oracle) / oracle)
+            worst = max(worst, abs(xi(dim, sigma) - oracle) / oracle)
     return SuiteResult("xi-vs-quadrature", worst <= 1e-8,
                        f"max rel error {worst:.3e} (tol 1e-08)")
 
@@ -84,21 +86,20 @@ def check_reparameterization() -> SuiteResult:
                        f"max rel gap {worst:.3e} (tol 1e-08)")
 
 
-def check_kraft(xi_fn=xi) -> SuiteResult:
+def check_kraft() -> SuiteResult:
     partition = coding.partition_ball(radius=3.0, n_r=32, n_angle=32)
     ok = True
     details = []
     for sigma in (0.5, 1.0):
-        norm = xi_fn(2, sigma)
+        params = RgdParams(hy.origin(2), sigma)
 
-        def pdf(points):
-            d = np.arccosh(np.maximum(points[..., 0], 1.0))
-            return np.exp(-d * d / (2.0 * sigma * sigma)) / norm
+        def log_pdf(points):
+            return log_pdf_vol_many(points, params)
 
-        lengths = coding.cell_codelengths(partition, pdf)
+        lengths = coding.cell_codelengths(partition, log_pdf)
         ksum = coding.kraft_sum(lengths)
-        avg = coding.average_codelength(partition, pdf, lengths)
-        lower = coding.expected_lower_bound(partition, pdf)
+        avg = coding.average_codelength(partition, log_pdf, lengths)
+        lower = coding.expected_lower_bound(partition, log_pdf)
         ok = ok and ksum <= 1.0 and lower <= avg <= lower + 2.0
         details.append(f"sigma={sigma}: kraft={ksum:.4f} avg={avg:.2f} "
                        f"lower={lower:.2f}")

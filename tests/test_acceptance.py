@@ -203,16 +203,16 @@ def test_criterion_10_coding_demo():
     ok = True
     details = []
     for sigma in (0.5, 1.0):
-        norm = xi(2, sigma)
+        log_norm = math.log(xi(2, sigma))
 
-        def pdf(points):
+        def log_pdf(points):
             d = np.arccosh(np.maximum(points[..., 0], 1.0))
-            return np.exp(-d * d / (2.0 * sigma * sigma)) / norm
+            return -d * d / (2.0 * sigma * sigma) - log_norm
 
-        lengths = cell_codelengths(partition, pdf)
+        lengths = cell_codelengths(partition, log_pdf)
         ksum = kraft_sum(lengths)
-        avg = average_codelength(partition, pdf, lengths)
-        lower = expected_lower_bound(partition, pdf)
+        avg = average_codelength(partition, log_pdf, lengths)
+        lower = expected_lower_bound(partition, log_pdf)
         ok = ok and (ksum <= 1.0) and (lower <= avg <= lower + 2.0)
         details.append(f"sigma={sigma}: kraft={ksum:.4f}, "
                        f"avg={avg:.2f} in [{lower:.2f}, {lower + 2:.2f}]")

@@ -57,6 +57,11 @@ class TestPcCommand:
         assert run(["pc", "--dim", "2", "--n", "100", "--sigma", "2:1"]) == 2
         assert "sigma" in capsys.readouterr().err.lower()
 
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_non_positive_dim_is_usage_error(self, dim, capsys):
+        assert run(["pc", "--dim", str(dim), "--n", "10"]) == 2
+        assert capsys.readouterr().err == f"error: --dim must be a positive integer, got {dim}\n"
+
     def test_numerical_failure_exit_code(self, monkeypatch, capsys):
         def failing(*args, **kwargs):
             raise QuadratureError("tolerance not reached", best_estimate=1.5)
@@ -377,23 +382,38 @@ class TestCodingDemo:
                 <= payload["expected_lower_bound_bits"] + 2.0)
 
     def test_normalizer_matches_closed_form_xi(self, capsys):
-        # the demo divides by exp(log xi) from the moment kernel; the
-        # closed-form xi must give the same code
+        # the demo takes log xi from the moment kernel; the closed-form xi
+        # must give the same code
         assert run(["coding-demo", "--radius", "2", "--grid", "16", "--sigma", "1"]) == 0
         payload = json.loads(capsys.readouterr().out)
         partition = coding.partition_ball(2.0, 16, 16)
 
-        def pdf(points):
+        def log_pdf(points):
             d = np.arccosh(np.maximum(points[..., 0], 1.0))
-            return np.exp(-d * d / 2.0) / xi(2, 1.0)
+            return -d * d / 2.0 - math.log(xi(2, 1.0))
 
-        lengths = coding.cell_codelengths(partition, pdf)
+        lengths = coding.cell_codelengths(partition, log_pdf)
         assert payload["cells"] == len(partition)
         assert payload["kraft_sum"] == coding.kraft_sum(lengths)
         assert payload["average_length_bits"] == pytest.approx(
-            coding.average_codelength(partition, pdf, lengths), rel=1e-12)
+            coding.average_codelength(partition, log_pdf, lengths), rel=1e-12)
         assert payload["expected_lower_bound_bits"] == pytest.approx(
-            coding.expected_lower_bound(partition, pdf), rel=1e-12)
+            coding.expected_lower_bound(partition, log_pdf), rel=1e-12)
+
+    def test_wide_sigma_stays_finite(self, capsys):
+        # xi(40) is past the float range; the log density is not
+        assert run(["coding-demo", "--sigma", "40"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert all(math.isfinite(v) for v in payload.values())
+        assert payload["kraft_sum"] <= 1.0
+
+    @pytest.mark.parametrize("sigma", ["1e12", "1e100"])
+    def test_unrepresentable_code_is_usage_error(self, sigma, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["coding-demo", "--sigma", sigma]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("sigma", ["0", "-1", "nan"])
     def test_non_positive_sigma_is_usage_error(self, sigma, capsys):

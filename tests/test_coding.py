@@ -11,22 +11,23 @@ from rmnml.gaussian import xi
 
 
 def rgd_density(sigma: float):
-    norm = xi(2, sigma)
+    """Closed-form log density of the hyperbolic Gaussian at the origin."""
+    log_norm = math.log(xi(2, sigma))
 
-    def pdf(points):
+    def log_pdf(points):
         d = np.arccosh(np.maximum(points[..., 0], 1.0))
-        return np.exp(-d * d / (2.0 * sigma * sigma)) / norm
+        return -d * d / (2.0 * sigma * sigma) - log_norm
 
-    return pdf
+    return log_pdf
 
 
 def uniform_density(radius: float):
-    volume = math.exp(hy.log_ball_volume(2, radius))
+    log_volume = hy.log_ball_volume(2, radius)
 
-    def pdf(points):
-        return np.full(points.shape[:-1], 1.0 / volume)
+    def log_pdf(points):
+        return np.full(points.shape[:-1], -log_volume)
 
-    return pdf
+    return log_pdf
 
 
 class TestPartition:
@@ -90,7 +91,7 @@ class TestCodeLengths:
     def test_positive_density_required(self):
         partition = partition_ball(1.0, 2, 2)
         with pytest.raises(ValueError):
-            cell_codelengths(partition, lambda pts: np.zeros(pts.shape[:-1]))
+            cell_codelengths(partition, lambda pts: np.full(pts.shape[:-1], -np.inf))
 
 
 class TestExpectedLength:
@@ -124,7 +125,7 @@ def test_refinement_approaches_pointwise_density():
     for n in (8, 16, 32, 64):
         partition = partition_ball(2.0, n, n)
         lengths = cell_codelengths(partition, pdf)
-        target = -np.log2(pdf(partition.representatives))
+        target = -pdf(partition.representatives) / math.log(2.0)
         gap = lengths + np.log2(partition.volumes) - target
         assert np.all(gap >= -1e-9)      # ceiling never undershoots
         if n == 64:

@@ -7,9 +7,8 @@ from rmnml import hyperbolic as hy
 from rmnml.complexity import ParamDomain
 from rmnml.fisher import fisher_sigma_closed
 from rmnml.gaussian import (Dataset, RgdParams, frechet_mean, log_lik,
-                            log_pdf_vol_many, mean_dispersion, mle,
-                            radial_cutoff, radial_moments, sample, xi,
-                            xi_derivatives)
+                            log_pdf_vol_many, mle, radial_cutoff,
+                            radial_moments, sample, xi, xi_derivatives)
 from rmnml.quadrature import integrate_1d
 from rmnml.validation import xi_quadrature_oracle
 
@@ -382,7 +381,7 @@ def test_mean_dispersion_and_newton_sigma_match_bisection():
     for dim in range(1, 6):
         for sigma in (0.1, 0.4, 1.0, 2.5):
             d1, _ = xi_derivatives(dim, sigma)
-            assert mean_dispersion(dim, sigma) == pytest.approx(
+            assert radial_moments(dim, sigma)[1] == pytest.approx(
                 sigma ** 3 * d1 / xi(dim, sigma), rel=1e-12)
         for seed, sigma in enumerate((0.3, 0.8, 1.6)):
             data = sample(200, RgdParams(hy.origin(dim), sigma), seed=seed)
@@ -396,5 +395,5 @@ def test_mean_dispersion_and_newton_sigma_match_bisection():
 
 def test_mean_dispersion_monotone():
     for dim in (1, 2, 3, 5):
-        values = [mean_dispersion(dim, s) for s in np.linspace(0.05, 4.0, 60)]
+        values = [radial_moments(dim, s)[1] for s in np.linspace(0.05, 4.0, 60)]
         assert all(b > a for a, b in zip(values, values[1:]))

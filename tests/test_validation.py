@@ -1,4 +1,6 @@
-from rmnml.gaussian import xi
+import math
+
+from rmnml import validation
 from rmnml.validation import (check_kraft, check_mc_pipeline,
                               check_reparameterization, check_xi)
 
@@ -7,17 +9,20 @@ def test_xi_suite_passes():
     assert check_xi().passed
 
 
-def test_xi_suite_detects_injected_error():
-    broken = lambda dim, sigma: 1.02 * xi(dim, sigma)
-    result = check_xi(xi_fn=broken)
+def test_xi_suite_detects_injected_error(monkeypatch):
+    xi = validation.xi
+    monkeypatch.setattr(validation, "xi", lambda dim, sigma: 1.02 * xi(dim, sigma))
+    result = check_xi()
     assert not result.passed
 
 
-def test_kraft_suite_detects_injected_error():
-    # an undersized normalization inflates the density: Kraft must fail
-    broken = lambda dim, sigma: 0.25 * xi(dim, sigma)
+def test_kraft_suite_detects_injected_error(monkeypatch):
+    # a density four times too large breaks the Kraft inequality
     assert check_kraft().passed
-    assert not check_kraft(xi_fn=broken).passed
+    log_pdf = validation.log_pdf_vol_many
+    monkeypatch.setattr(validation, "log_pdf_vol_many",
+                        lambda coords, params: log_pdf(coords, params) + math.log(4.0))
+    assert not check_kraft().passed
 
 
 def test_reparameterization_suite_passes():
