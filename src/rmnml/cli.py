@@ -81,15 +81,16 @@ def load_dataset(path: str) -> Dataset:
     if not isinstance(points, list) or not points:
         raise InputError(f"{path}: field 'points' must be a non-empty list")
     expected = dim + 1 if chart == "lorentz" else dim
-    for i, row in enumerate(points):
-        if not isinstance(row, list) or len(row) != expected:
-            raise InputError(f"{path}: point {i} must have {expected} "
-                             f"components for chart {chart!r}")
     try:
         coords = np.array(points, dtype=float)
     except (TypeError, ValueError, OverflowError):
         coords = None
-    if coords is None or coords.ndim != 2:
+    if coords is None or coords.ndim != 2 or coords.shape[1] != expected:
+        # name the first bad row: a wrong length before a non-numeric field
+        for i, row in enumerate(points):
+            if not isinstance(row, list) or len(row) != expected:
+                raise InputError(f"{path}: point {i} must have {expected} "
+                                 f"components for chart {chart!r}")
         i = next(i for i, row in enumerate(points) if not all(map(_is_number, row)))
         raise InputError(f"{path}: point {i} has a non-numeric field")
     try:
@@ -240,7 +241,7 @@ def cmd_validate(args) -> int:
     width = max(len(r.name) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        print(f"{r.name:<{width}}  {status}  {r.detail}")
+        print(f"{r.name:<{width}}  {status}  {r.detail}  [{r.seconds:.2f} s]")
     return 0 if all(r.passed for r in results) else VALIDATION_ERROR
 
 

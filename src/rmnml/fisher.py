@@ -57,9 +57,10 @@ class FisherBlock:
         return det, abs(det) * rel
 
 
-def _fisher_factors(dim: int, sigma: float, derivatives=None) -> tuple[float, float]:
+def _fisher_factors(dim: int, sigma, derivatives=None):
     """Location factor xi'/(D sigma xi) and sigma information I_sigma.
 
+    ``sigma`` may be a scalar or an array; both factors have its shape.
     One evaluation of xi and one of its derivatives serve both factors.
     """
     value = xi(dim, sigma)
@@ -152,16 +153,17 @@ def fisher_numeric(params: RgdParams, n_samples: int, seed: int) -> FisherBlock:
     )
 
 
-def sqrt_fisher_sigma_integrand(dim: int, sigma: float, derivatives=None) -> float:
+def sqrt_fisher_sigma_integrand(dim: int, sigma, derivatives=None):
     """sqrt(C_theta(sigma) * C_sigma(sigma)) for the domain integral.
 
     C_theta is the location factor to the power D and C_sigma the sigma
-    Fisher information.  ``derivatives`` may replace the closed-form
-    (xi', xi'') supplier, which lets an independent finite-difference
-    oracle rebuild the integrand.
+    Fisher information.  ``sigma`` may be a scalar or an array; the result
+    has its shape.  ``derivatives`` may replace the closed-form (xi', xi'')
+    supplier, which lets an independent finite-difference oracle rebuild
+    the integrand; it is called with the same ``sigma``.
     """
     c_mu, i_sigma = _fisher_factors(dim, sigma, derivatives)
-    return math.sqrt(c_mu ** dim * i_sigma)
+    return np.sqrt(np.float_power(c_mu, dim) * i_sigma)
 
 
 def fisher_integral(dim: int, domain: "ParamDomain", parameterization: str = SIGMA_PARAM,
@@ -180,7 +182,7 @@ def fisher_integral(dim: int, domain: "ParamDomain", parameterization: str = SIG
             domain.sigma_min, domain.sigma_max, rel_tol)
     elif parameterization == LOG_SIGMA_PARAM:
         integral = integrate_1d(
-            lambda u: sqrt_fisher_sigma_integrand(dim, math.exp(u)) * math.exp(u),
+            lambda u: sqrt_fisher_sigma_integrand(dim, np.exp(u)) * np.exp(u),
             math.log(domain.sigma_min), math.log(domain.sigma_max), rel_tol)
     else:
         raise ValueError(f"unknown parameterization: {parameterization!r}")

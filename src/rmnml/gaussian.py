@@ -108,26 +108,47 @@ class Dataset:
         return Dataset(self._coords @ T.T)
 
 
-def _xi_terms(dim: int, sigma: float):
+_erf = np.frompyfunc(math.erf, 1, 1)
+
+
+def _fsum_rows(a: np.ndarray) -> np.ndarray:
+    """math.fsum over the last axis: each sum is exactly rounded."""
+    sums = map(math.fsum, a.reshape(-1, a.shape[-1]).tolist())
+    return np.fromiter(sums, float).reshape(a.shape[:-1])
+
+
+def _xi_terms(dim: int, sigma: np.ndarray):
     """Prefactor K and per-term arrays of the xi expansion.
 
     xi(sigma) = K * sigma * sum_i a_i with
     a_i = (-1)^i C(D-1, i) exp(sigma^2 p_i^2 / 2) (1 + erf(p_i sigma / sqrt 2)),
-    p_i = (D - 1) - 2i.
+    p_i = (D - 1) - 2i.  ``a`` has the shape of ``sigma`` plus a last axis
+    of the D terms.
     """
     K = (math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
          * math.sqrt(math.pi / 2.0) / 2.0 ** (dim - 2))
     i = np.arange(dim)
     p = (dim - 1) - 2.0 * i
     b = (-1.0) ** i * np.array([math.comb(dim - 1, k) for k in range(dim)], dtype=float)
-    erf = np.array([math.erf(pk * sigma / math.sqrt(2.0)) for pk in p])
-    a = b * np.exp(0.5 * sigma * sigma * p * p) * (1.0 + erf)
+    s = sigma[..., None]
+    erf = _erf(p * s / math.sqrt(2.0)).astype(float)
+    a = b * np.exp(0.5 * s * s * p * p) * (1.0 + erf)
     return K, a, b, p
 
 
-def xi(dim: int, sigma: float) -> float:
+def _checked_sigma(dim: int, sigma) -> np.ndarray:
+    if dim < 1:
+        raise ValueError("dimension must be >= 1")
+    s = np.asarray(sigma, dtype=float)
+    if not np.all(s > 0):
+        raise ValueError("sigma must be positive")
+    return s
+
+
+def xi(dim: int, sigma):
     """Normalization constant of the hyperbolic Gaussian, in closed form.
 
+    ``sigma`` may be a scalar or an array; the result has its shape.
     Accurate to about 1e-12 relative for D <= 5 (4e-12 at D = 5,
     sigma = 0.05; 1e-13 for sigma >= 0.1).  Beyond that the alternating
     binomial sum amplifies the rounding of each term: on sigma in
@@ -138,36 +159,33 @@ def xi(dim: int, sigma: float) -> float:
     the Fisher closed forms of :mod:`rmnml.fisher`; every density the
     library evaluates takes log xi from :func:`radial_moments`.
     """
-    if dim < 1:
-        raise ValueError("dimension must be >= 1")
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
-    K, a, _, _ = _xi_terms(dim, sigma)
-    return K * sigma * math.fsum(a)
+    s = _checked_sigma(dim, sigma)
+    K, a, _, _ = _xi_terms(dim, s)
+    return (K * s * _fsum_rows(a))[()]
 
 
-def xi_derivatives(dim: int, sigma: float) -> tuple[float, float]:
+def xi_derivatives(dim: int, sigma):
     """First and second derivatives of :func:`xi` with respect to sigma.
 
+    ``sigma`` may be a scalar or an array; both results have its shape.
     Obtained by differentiating the closed form; the b_i p_i sums vanish
     for most dimensions but are required at D = 2 (and contribute to the
     second derivative at even D >= 4).
     """
-    if dim < 1:
-        raise ValueError("dimension must be >= 1")
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
-    K, a, b, p = _xi_terms(dim, sigma)
-    s = sigma
-    sum_a = math.fsum(a)
-    sum_ap2 = math.fsum(a * p * p)
-    sum_ap4 = math.fsum(a * p ** 4)
+    s = _checked_sigma(dim, sigma)
+    K, a, b, p = _xi_terms(dim, s)
+    sum_a = _fsum_rows(a)
+    sum_ap2 = _fsum_rows(a * p * p)
+    sum_ap4 = _fsum_rows(a * p ** 4)
     sum_bp = math.fsum(b * p)
     sum_bp3 = math.fsum(b * p ** 3)
     c = math.sqrt(2.0 / math.pi)
     d1 = K * (sum_a + s * s * sum_ap2 + s * c * sum_bp)
-    d2 = K * (3.0 * s * sum_ap2 + s ** 3 * sum_ap4 + c * (2.0 * sum_bp + s * s * sum_bp3))
-    return d1, d2
+    # float_power rounds as a Python float's ** does; numpy's ** on arrays
+    # can differ in the last bit
+    d2 = K * (3.0 * s * sum_ap2 + np.float_power(s, 3) * sum_ap4
+              + c * (2.0 * sum_bp + s * s * sum_bp3))
+    return d1[()], d2[()]
 
 
 def radial_cutoff(dim: int, sigma: float, tail: float = 40.0) -> float:
@@ -385,14 +403,21 @@ class MleFit:
 def mle(data: Dataset, domain: "ParamDomain") -> MleFit:
     """Maximum likelihood fit of (mu, sigma), clamped to ``domain``.
 
-    mu is the Frechet mean, pulled back to the geodesic ball of radius
-    ``domain.radius_R`` about the origin if it falls outside; sigma solves
+    Every point must lie within ``hyperbolic.DATA_RADIUS`` (350) of the
+    origin, or ``ValueError`` names the farthest one.  mu is the Frechet
+    mean, pulled back to the geodesic ball of radius ``domain.radius_R``
+    about the origin if it falls outside; sigma solves
     E[d^2](sigma) = sigma^3 xi'/xi = mean d^2(x_i, mu) by safeguarded
     Newton on [sigma_min, sigma_max], with boundary values used (and
     flagged) when the equation has no interior root.
     """
     if data.n < 2:
         raise ValueError("the MLE needs at least 2 points (sigma is degenerate at n=1)")
+    far = int(np.argmax(data.coords[:, 0]))
+    if data.coords[far, 0] > math.cosh(hy.DATA_RADIUS):
+        raise ValueError(f"point {far} lies {math.acosh(data.coords[far, 0]):.6g} from "
+                         f"the origin, past the data bound of {hy.DATA_RADIUS:g}: "
+                         f"the estimators need x0 <= cosh {hy.DATA_RADIUS:g}")
     dim = data.dim
     mu = frechet_mean(data.coords)
 

@@ -22,6 +22,10 @@ CHART_POINCARE = "poincare"
 ON_MANIFOLD_TOL = 1e-9
 #: Rejection band for arccosh arguments below 1 (off-manifold inputs).
 ACOSH_REJECT_TOL = 1e-7
+#: Largest distance from the origin of a point the estimators accept.  Up
+#: to x0 = cosh 350 (about 5e151), x0^2, the Minkowski products and the
+#: chords of two such points stay finite floats.
+DATA_RADIUS = 350.0
 
 
 class GeometryError(ValueError):

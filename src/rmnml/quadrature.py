@@ -1,7 +1,8 @@
 """Deterministic 1-D integration with error control.
 
-Adaptive Simpson with a fixed panel order, and doubling Gauss-Legendre
-log-sums over a vectorized log-integrand; every result is reproducible.
+Adaptive Simpson refined level by level, and doubling Gauss-Legendre
+log-sums over a log-integrand.  Both rules call the integrand on arrays of
+abscissae, and every result is reproducible.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ def gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _simpson(f0: float, fm: float, f1: float, h: float) -> float:
+def _simpson(f0, fm, f1, h):
     return h / 6.0 * (f0 + 4.0 * fm + f1)
 
 
@@ -55,15 +56,21 @@ def integrate_1d(f: Callable, a: float, b: float, rel_tol: float = 1e-10,
                  rule: str = "simpson") -> float:
     """Integrate ``f`` over ``[a, b]`` to the relative tolerance ``rel_tol``.
 
-    ``rule="simpson"`` is adaptive Simpson on scalar calls of ``f``.  The
-    estimated error of the returned value is at most ``rel_tol * |result|``.
-    Raises :class:`QuadratureError` (carrying the best estimate) if the
-    budget of ``_MAX_SUBDIVISIONS`` panel splits is exhausted first.
+    Both rules call ``f`` on a 1-D float array of abscissae, and ``f``
+    returns an array of the same shape.
 
-    ``rule="log-gauss-legendre"`` calls ``f`` on an array of abscissae for
-    the log of the integrand and returns the log of the integral.  Rules of
-    32, 64, ... nodes are summed in the log domain until two successive logs
-    differ by at most ``rel_tol``; past 1024 nodes it raises
+    ``rule="simpson"`` is adaptive Simpson, refined level by level: each
+    pass evaluates the two midpoints of every open panel in one call of
+    ``f``, and a panel is accepted once its local error estimate is at most
+    its width's share of the error budget.  The estimated error of the
+    returned value is at most ``rel_tol * |result|``.  Raises
+    :class:`QuadratureError` (carrying the best estimate) if the budget of
+    ``_MAX_SUBDIVISIONS`` panel splits is exhausted first.
+
+    ``rule="log-gauss-legendre"`` takes ``f`` as the log of the integrand
+    and returns the log of the integral.  Rules of 32, 64, ... nodes are
+    summed in the log domain until two successive logs differ by at most
+    ``rel_tol``; past 1024 nodes it raises
     :class:`QuadratureError` with the last log as its best estimate.
     """
     if not rel_tol > 0:
@@ -102,15 +109,12 @@ def _adaptive_simpson(f, a, b, rel_tol: float) -> float:
     # seed panels on a uniform grid so peaked integrands cannot fool the
     # magnitude estimate that sets the error budget
     edges = np.linspace(a, b, _COARSE_PANELS + 1)
-    values = [f(x) for x in edges]
     mids = 0.5 * (edges[:-1] + edges[1:])
-    mid_values = [f(x) for x in mids]
-    panels = [
-        (edges[i], mids[i], edges[i + 1], values[i], mid_values[i], values[i + 1],
-         _simpson(values[i], mid_values[i], values[i + 1], edges[i + 1] - edges[i]))
-        for i in range(_COARSE_PANELS)
-    ]
-    estimate = sum(p[6] for p in panels)
+    values = f(np.concatenate([edges, mids]))
+    ends, mid_values = values[:_COARSE_PANELS + 1], values[_COARSE_PANELS + 1:]
+    sums = _simpson(ends[:-1], mid_values, ends[1:], edges[1:] - edges[:-1])
+    panels = (edges[:-1], mids, edges[1:], ends[:-1], mid_values, ends[1:], sums)
+    estimate = math.fsum(sums)
 
     total = estimate
     for _ in range(3):
@@ -125,28 +129,34 @@ def _adaptive_simpson(f, a, b, rel_tol: float) -> float:
 
 
 def _refine(f, panels, tol) -> float:
-    # LIFO stack keeps the refinement order independent of intermediate
-    # results, so the evaluation sequence is deterministic.
-    stack = list(reversed(panels))
-    total = 0.0
+    # Level by level: one call of f evaluates both midpoints of every open
+    # panel.  Each panel passes or fails its own local test, so the accepted
+    # set does not depend on the order of refinement, and math.fsum rounds
+    # their sum once, whatever the order.
+    x0, x1, x2, f0, f1, f2, s = panels
+    accepted = []
     splits = 0
-    while stack:
-        x0, x1, x2, f0, f1, f2, s = stack.pop()
+    while x0.size:
         lm, rm = 0.5 * (x0 + x1), 0.5 * (x1 + x2)
-        flm, frm = f(lm), f(rm)
+        mid_values = f(np.concatenate([lm, rm]))
+        flm, frm = mid_values[:x0.size], mid_values[x0.size:]
         left = _simpson(f0, flm, f1, x1 - x0)
         right = _simpson(f1, frm, f2, x2 - x1)
         err = (left + right - s) / 15.0
         # a panel too narrow to subdivide in floating point is accepted as is
-        if abs(err) <= tol * (x2 - x0) or not (x0 < lm < x1 < rm < x2):
-            total += left + right + err
-            continue
-        splits += 1
+        done = (np.abs(err) <= tol * (x2 - x0)) | ~(
+            (x0 < lm) & (lm < x1) & (x1 < rm) & (rm < x2))
+        accepted.append((left + right + err)[done])
+        split = ~done
+        splits += int(np.count_nonzero(split))
         if splits > _MAX_SUBDIVISIONS:
-            best = total + left + right + sum(p[6] for p in stack)
+            best = math.fsum(np.concatenate([*accepted, left[split], right[split]]))
             raise QuadratureError(
                 f"tolerance not reached after {_MAX_SUBDIVISIONS} subdivisions",
                 best_estimate=best)
-        stack.append((x1, rm, x2, f1, frm, f2, right))
-        stack.append((x0, lm, x1, f0, flm, f1, left))
-    return total
+        # the two halves of each split panel, in position order
+        x0, x1, x2, f0, f1, f2, s = (
+            np.column_stack([lo[split], hi[split]]).ravel()
+            for lo, hi in ((x0, x1), (lm, rm), (x1, x2), (f0, f1), (flm, frm),
+                           (f1, f2), (left, right)))
+    return math.fsum(np.concatenate(accepted))

@@ -10,7 +10,8 @@ Tests confirm that the suites detect errors by patching the names
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,13 +29,15 @@ class SuiteResult:
     name: str
     passed: bool
     detail: str
+    #: Wall time of the suite, set by :func:`run_all`.
+    seconds: float = 0.0
 
 
 def xi_quadrature_oracle(dim: int, sigma: float) -> float:
     """xi by direct quadrature of its defining radial integral."""
     cutoff = radial_cutoff(dim, sigma)
     integral = integrate_1d(
-        lambda r: float(np.exp(log_radial_weight(dim, np.asarray(r), sigma))),
+        lambda r: np.exp(log_radial_weight(dim, r, sigma)),
         0.0, cutoff, 1e-12)
     return hy.sphere_area(dim) * integral
 
@@ -44,7 +47,7 @@ def check_xi() -> SuiteResult:
     for dim in range(1, 6):
         for sigma in (0.1, 0.5, 1.0, 2.0, 3.0):
             oracle = xi_quadrature_oracle(dim, sigma)
-            worst = max(worst, abs(xi(dim, sigma) - oracle) / oracle)
+            worst = max(worst, float(abs(xi(dim, sigma) - oracle) / oracle))
     return SuiteResult("xi-vs-quadrature", worst <= 1e-8,
                        f"max rel error {worst:.3e} (tol 1e-08)")
 
@@ -118,10 +121,17 @@ def check_mc_pipeline(quick: bool = False) -> SuiteResult:
 
 
 def run_all(quick: bool = False) -> list[SuiteResult]:
-    return [
-        check_xi(),
-        check_fisher(quick=quick),
-        check_reparameterization(),
-        check_kraft(),
-        check_mc_pipeline(quick=quick),
+    """Run every suite in order, each result carrying its wall time."""
+    suites = [
+        check_xi,
+        lambda: check_fisher(quick=quick),
+        check_reparameterization,
+        check_kraft,
+        lambda: check_mc_pipeline(quick=quick),
     ]
+    results = []
+    for suite in suites:
+        start = time.perf_counter()
+        result = suite()
+        results.append(replace(result, seconds=time.perf_counter() - start))
+    return results

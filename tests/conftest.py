@@ -50,8 +50,8 @@ def log_map(base: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def lorentz_to_poincare(x: np.ndarray) -> np.ndarray:
-    """Stereographic projection p_i = x_i / (1 + x0) of one Lorentz point."""
-    return x[1:] / (1.0 + x[0])
+    """Stereographic projection p_i = x_i / (1 + x0) of a Lorentz point or of each row."""
+    return x[..., 1:] / (1.0 + x[..., :1])
 
 
 def poincare_dist(p: np.ndarray, q: np.ndarray) -> float:
@@ -61,18 +61,19 @@ def poincare_dist(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.arccosh(1.0 + 2.0 * diff2 / den))
 
 
-def sqrt_det_metric(chart: str, x: np.ndarray) -> float:
+def sqrt_det_metric(chart: str, x: np.ndarray):
     """Volume-element factor sqrt(det g) of ``chart`` at the Lorentz point ``x``.
 
+    ``x`` may also be an (m, D+1) array, giving one factor per row.
     Poincare chart: (2 / (1 - |p|^2))^D at the stereographic image p.
     Lorentz graph chart over the spatial coordinates (x1..xD):
     1 / sqrt(1 + |x_{1:D}|^2).
     """
     if chart == hy.CHART_POINCARE:
         p = lorentz_to_poincare(x)
-        return (2.0 / (1.0 - float(p @ p))) ** p.size
+        return (2.0 / (1.0 - (p * p).sum(axis=-1))) ** p.shape[-1]
     assert chart == hy.CHART_LORENTZ_GRAPH, chart
-    return 1.0 / math.sqrt(1.0 + float(x[1:] @ x[1:]))
+    return 1.0 / np.sqrt(1.0 + (x[..., 1:] ** 2).sum(axis=-1))
 
 
 def log_ball_volume_oracle(dim: int, radius: float) -> float:
@@ -85,11 +86,10 @@ def log_ball_volume_oracle(dim: int, radius: float) -> float:
     """
     def scaled(r):
         if dim == 1:
-            return 1.0
-        if r == 0.0:
-            return 0.0
-        return math.exp((dim - 1) * (r - radius + math.log(
-            math.expm1(-2.0 * r) / math.expm1(-2.0 * radius))))
+            return np.ones_like(r)
+        with np.errstate(divide="ignore"):  # log 0 = -inf at r = 0
+            return np.exp((dim - 1) * (r - radius + np.log(
+                np.expm1(-2.0 * r) / math.expm1(-2.0 * radius))))
 
     return (hy.log_sphere_area(dim) + (dim - 1) * float(hy.log_sinh(radius))
             + math.log(integrate_1d(scaled, 0.0, radius, 1e-11)))

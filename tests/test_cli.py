@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -194,7 +195,7 @@ class TestSampleCommand:
         from rmnml.gaussian import log_radial_weight, radial_cutoff
         from rmnml.quadrature import integrate_1d
         cutoff = radial_cutoff(2, 1.0)
-        w = lambda r, k=0: r ** k * math.exp(float(log_radial_weight(2, np.asarray(r), 1.0)))
+        w = lambda r, k=0: r ** k * np.exp(log_radial_weight(2, r, 1.0))
         z = integrate_1d(lambda r: w(r), 0.0, cutoff, 1e-12)
         m2 = integrate_1d(lambda r: w(r, 2), 0.0, cutoff, 1e-12) / z
         m4 = integrate_1d(lambda r: w(r, 4), 0.0, cutoff, 1e-12) / z
@@ -275,6 +276,24 @@ class TestCodelengthCommand:
         assert run(["codelength", "--data", str(path)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert all(math.isfinite(v) for k, v in payload.items() if k != "boundary_flag")
+
+    def test_points_past_data_bound_are_usage_error(self, tmp_path, capsys):
+        # mu about 400 from the origin: sample draws within the float range
+        # and exits 0, but squares of these coordinates overflow, so the
+        # code-length stops at the data bound before the Frechet mean runs
+        path = tmp_path / "far.json"
+        mu = "2.610734844882072e+173,2.610734844882072e+173,0"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["sample", "--dim", "2", "--n", "200", "--sigma", "0.5",
+                        "--seed", "1", "--mu", mu, "--out", str(path)]) == 0
+            start = time.perf_counter()
+            assert run(["codelength", "--data", str(path), "--radius", "500"]) == 2
+            assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error: point ")
+        assert "past the data bound of 350: the estimators need x0 <= cosh 350" in err
 
     def test_single_point_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "one.json"
@@ -366,7 +385,16 @@ class TestValidateCommand:
         assert code == 0
         assert out.count("PASS") == 5
         assert "FAIL" not in out
-        assert elapsed < 60.0
+        assert elapsed < 10.0
+
+    def test_each_suite_line_ends_with_its_wall_time(self, capsys):
+        assert run(["validate", "--quick"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 5
+        for line in lines:
+            # the "name  STATUS  detail" prefix that bench/workloads.py parses
+            assert line.split()[1] == "PASS"
+            assert re.search(r"  \[\d+\.\d\d s\]$", line), line
 
 
 class TestCodingDemo:

@@ -5,9 +5,10 @@ import pytest
 
 from rmnml import hyperbolic as hy
 from rmnml.complexity import ParamDomain
-from rmnml.fisher import (LOG_SIGMA_PARAM, SIGMA_PARAM, fisher_integral,
-                          fisher_mu_closed, fisher_numeric,
-                          fisher_sigma_closed, normal_chart)
+from rmnml.fisher import (LOG_SIGMA_PARAM, SIGMA_PARAM, _fisher_factors,
+                          fisher_integral, fisher_mu_closed, fisher_numeric,
+                          fisher_sigma_closed, normal_chart,
+                          sqrt_fisher_sigma_integrand)
 from rmnml.gaussian import (RgdParams, log_radial_weight, radial_cutoff, xi,
                             xi_derivatives)
 from rmnml.quadrature import integrate_1d
@@ -29,8 +30,8 @@ def sigma_score_variance(dim: int, sigma: float) -> float:
     cutoff = radial_cutoff(dim, sigma)
 
     def weight(r, k=0):
-        return (r * r / sigma ** 3 - ratio) ** k * math.exp(
-            float(log_radial_weight(dim, np.asarray(r), sigma)))
+        return (r * r / sigma ** 3 - ratio) ** k * np.exp(
+            log_radial_weight(dim, r, sigma))
 
     z = integrate_1d(lambda r: weight(r), 0.0, cutoff, TIGHT)
     return integrate_1d(lambda r: weight(r, 2), 0.0, cutoff, TIGHT) / z
@@ -49,6 +50,20 @@ class TestClosedForms:
         for dim in (2, 3, 5):
             block = fisher_mu_closed(dim, 0.8)
             assert np.allclose(block, block[0, 0] * np.eye(dim))
+
+    def test_array_sigma_matches_scalar_calls(self):
+        # the closed forms on an array of sigmas, element for element, are the
+        # floats of one scalar call each
+        sigma = np.linspace(0.05, 3.5, 24).reshape(4, 6)
+        for dim in range(1, 6):
+            arrays = [xi(dim, sigma), *xi_derivatives(dim, sigma),
+                      *_fisher_factors(dim, sigma), sqrt_fisher_sigma_integrand(dim, sigma)]
+            for index in np.ndindex(sigma.shape):
+                s = float(sigma[index])
+                scalars = [xi(dim, s), *xi_derivatives(dim, s), *_fisher_factors(dim, s),
+                           sqrt_fisher_sigma_integrand(dim, s)]
+                assert [a.shape for a in arrays] == [sigma.shape] * 6
+                assert [a[index] for a in arrays] == scalars
 
     def test_positivity(self):
         for dim in range(1, 6):
@@ -148,7 +163,7 @@ def test_pointwise_reparameterization_identity():
         cutoff = radial_cutoff(dim, sigma)
 
         def weight(r, k=0):
-            return r ** k * math.exp(float(log_radial_weight(dim, np.asarray(r), sigma)))
+            return r ** k * np.exp(log_radial_weight(dim, r, sigma))
 
         z = integrate_1d(lambda r: weight(r), 0.0, cutoff, TIGHT)
         mean_d2 = integrate_1d(lambda r: weight(r, 2), 0.0, cutoff, TIGHT) / z

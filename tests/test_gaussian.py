@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rmnml import hyperbolic as hy
-from rmnml.complexity import ParamDomain
+from rmnml.complexity import ParamDomain, _log_sigma_integrand, hgd_sigma_integral
 from rmnml.fisher import fisher_sigma_closed
 from rmnml.gaussian import (Dataset, RgdParams, frechet_mean, log_lik,
                             log_pdf_vol_many, mle, radial_cutoff,
@@ -41,6 +41,19 @@ def xi_fd_derivatives(dim: int, sigma: float) -> tuple[float, float]:
     return d1, d2
 
 
+def radial_mode(dim: int, sigma: float) -> float:
+    """Root of r tanh r = (D-1) sigma^2, the mode of the radial weight, by bisection."""
+    target = (dim - 1) * sigma * sigma
+    lo, hi = 0.0, target + 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid * math.tanh(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 class TestXi:
     def test_dimension_one_is_gaussian(self):
         for sigma in (0.1, 0.7, 1.0, 2.5):
@@ -49,14 +62,14 @@ class TestXi:
     def test_dimension_two_value(self):
         # oracle: 2 pi \int_0^inf exp(-r^2/2) sinh r dr
         oracle = 2 * math.pi * integrate_1d(
-            lambda r: math.exp(-r * r / 2.0) * math.sinh(r), 0.0, 42.0, TIGHT)
+            lambda r: np.exp(-r * r / 2.0) * np.sinh(r), 0.0, 42.0, TIGHT)
         assert xi(2, 1.0) == pytest.approx(oracle, rel=1e-10)
         assert oracle == pytest.approx(8.8636, abs=5e-4)
 
     def test_dimension_three_small_sigma(self):
         sigma = 0.5
         oracle = 4 * math.pi * integrate_1d(
-            lambda r: math.exp(-r * r / (2 * sigma ** 2)) * math.sinh(r) ** 2,
+            lambda r: np.exp(-r * r / (2 * sigma ** 2)) * np.sinh(r) ** 2,
             0.0, radial_cutoff(3, sigma), TIGHT)
         assert xi(3, sigma) == pytest.approx(oracle, rel=1e-8)
 
@@ -128,6 +141,48 @@ class TestRadialMoments:
             assert np.all(np.isfinite(log_xi))
             assert np.all(mean > 0) and np.all(var > 0)
 
+    @pytest.mark.parametrize("dim", [10, 100, 1000])
+    def test_moments_against_simpson_in_high_dimension(self, dim):
+        # direct adaptive-Simpson integrals of w(r) = exp(-r^2/2s^2) sinh^(D-1) r,
+        # r^2 w and (r^2 - E)^2 w over the mode m +- 40 sigma.  log w is taken
+        # relative to log w(m) in a form that does not subtract two numbers of
+        # size 1e6-1e7; the direct difference exhausts Simpson's budget.
+        for sigma in (0.05, 0.3, 1.0, 3.0):
+            m = radial_mode(dim, sigma)
+
+            def w(r):
+                with np.errstate(divide="ignore"):  # log 0 = -inf at r = 0
+                    return np.exp(-(r - m) * (r + m) / (2 * sigma * sigma) + (dim - 1) * (
+                        (r - m) + np.log(np.expm1(-2.0 * r) / math.expm1(-2.0 * m))))
+
+            a, b = max(m - 40 * sigma, 0.0), m + 40 * sigma
+            z = integrate_1d(w, a, b, TIGHT)
+            mean = integrate_1d(lambda r: r * r * w(r), a, b, TIGHT) / z
+            var = integrate_1d(lambda r: (r * r - mean) ** 2 * w(r), a, b, TIGHT) / z
+            log_w_mode = -m * m / (2 * sigma * sigma) + (dim - 1) * (
+                m + math.log(-math.expm1(-2.0 * m)) - math.log(2.0))
+            log_area = math.log(2.0) + 0.5 * dim * math.log(math.pi) - math.lgamma(0.5 * dim)
+
+            log_xi, kernel_mean, kernel_var = radial_moments(dim, sigma)
+            assert float(log_xi) == pytest.approx(log_area + log_w_mode + math.log(z),
+                                                  rel=1e-12)
+            assert float(kernel_mean) == pytest.approx(mean, rel=1e-11)
+            assert float(kernel_var) == pytest.approx(var, rel=1e-9)
+
+    @pytest.mark.parametrize("dim", [10, 100, 1000])
+    def test_sigma_integral_against_simpson_in_high_dimension(self, dim):
+        # the Gauss-Legendre rule in log sigma against adaptive Simpson over
+        # the same log-integrand, shifted by its maximum before exp; abs 1e-10
+        # on the log is the rule's own default stopping tolerance.  Simpson
+        # runs at 1e-11: at D = 1000 the integrand's rounding, near 1e-12,
+        # exhausts its budget at 1e-12.
+        domain = ParamDomain()
+        a, b = math.log(domain.sigma_min), math.log(domain.sigma_max)
+        top = float(_log_sigma_integrand(dim, np.linspace(a, b, 257)).max())
+        oracle = top + math.log(integrate_1d(
+            lambda u: np.exp(_log_sigma_integrand(dim, u) - top), a, b, 1e-11))
+        assert hgd_sigma_integral(dim, domain) == pytest.approx(oracle, abs=1e-10)
+
 
 class TestXiDerivatives:
     def test_dimension_one_exact(self):
@@ -171,8 +226,10 @@ class TestPdf:
         area = hy.sphere_area(dim)
 
         def integrand(r):
-            x = polar_point(r, np.eye(dim)[0])
-            return pdf_vol(x, params) * math.sinh(r) ** (dim - 1)
+            # the points at distance r from the origin along the first axis
+            x = np.zeros((r.size, dim + 1))
+            x[:, 0], x[:, 1] = np.cosh(r), np.sinh(r)
+            return np.exp(log_pdf_vol_many(x, params)) * np.sinh(r) ** (dim - 1)
 
         mass = area * integrate_1d(integrand, 0.0, min(30.0, radial_cutoff(dim, sigma)),
                                    1e-9)
@@ -213,8 +270,8 @@ class TestSample:
             cutoff = radial_cutoff(dim, sigma)
 
             def w(r, k=0):
-                return r ** k * math.exp(-r * r / (2 * sigma ** 2)) * (
-                    math.sinh(r) ** (dim - 1))
+                return r ** k * np.exp(-r * r / (2 * sigma ** 2)) * (
+                    np.sinh(r) ** (dim - 1))
 
             z = integrate_1d(lambda r: w(r), 0.0, cutoff, TIGHT)
             second = integrate_1d(lambda r: w(r, 2), 0.0, cutoff, TIGHT)

@@ -284,14 +284,14 @@ class TestVolumeElement:
         sigma = 0.8
 
         def p_vol_at_radius(r):
-            return math.exp(-r * r / (2.0 * sigma * sigma))
+            return np.exp(-r * r / (2.0 * sigma * sigma))
 
         reference = 2.0 * math.pi * integrate_1d(
-            lambda r: p_vol_at_radius(r) * math.sinh(r), 0.0, 2.0, TIGHT)
+            lambda r: p_vol_at_radius(r) * np.sinh(r), 0.0, 2.0, TIGHT)
 
         def f_lorentz(s):  # graph-chart density at spatial radius s
-            x = np.array([math.hypot(1.0, s), s, 0.0])
-            r = dist(hy.origin(2), x)
+            x = np.column_stack([np.hypot(1.0, s), s, np.zeros_like(s)])
+            r = hy.dist_many(hy.origin(2), x)
             return p_vol_at_radius(r) * sqrt_det_metric(hy.CHART_LORENTZ_GRAPH, x)
 
         mass_lorentz = 2.0 * math.pi * integrate_1d(
@@ -300,10 +300,10 @@ class TestVolumeElement:
         def f_poincare(rho):
             # re-express the graph-chart density in the Poincare chart: the
             # factor is the ratio of the two volume-element factors
-            x = hy.poincare_to_lorentz(np.array([[rho, 0.0]]))[0]
+            x = hy.poincare_to_lorentz(np.column_stack([rho, np.zeros_like(rho)]))
             factor = (sqrt_det_metric(hy.CHART_POINCARE, x)
                       / sqrt_det_metric(hy.CHART_LORENTZ_GRAPH, x))
-            return f_lorentz(float(x[1])) * factor
+            return f_lorentz(x[:, 1]) * factor
 
         mass_poincare = 2.0 * math.pi * integrate_1d(
             lambda rho: f_poincare(rho) * rho, 0.0, math.tanh(1.0), 1e-9)
@@ -319,14 +319,14 @@ class TestBallVolume:
 
     def test_dimension_two(self):
         # oracle: 2 pi \int_0^1 sinh r dr = 2 pi (cosh 1 - 1)
-        oracle = 2.0 * math.pi * integrate_1d(math.sinh, 0.0, 1.0, TIGHT)
+        oracle = 2.0 * math.pi * integrate_1d(np.sinh, 0.0, 1.0, TIGHT)
         volume = math.exp(hy.log_ball_volume(2, 1.0))
         assert volume == pytest.approx(oracle, rel=1e-10)
         assert volume == pytest.approx(2 * math.pi * (math.cosh(1) - 1), rel=1e-12)
 
     def test_dimension_three_exercises_limit_term(self):
         # oracle: 4 pi \int_0^1 sinh^2 r dr
-        oracle = 4.0 * math.pi * integrate_1d(lambda r: math.sinh(r) ** 2, 0.0, 1.0, TIGHT)
+        oracle = 4.0 * math.pi * integrate_1d(lambda r: np.sinh(r) ** 2, 0.0, 1.0, TIGHT)
         volume = math.exp(hy.log_ball_volume(3, 1.0))
         assert volume == pytest.approx(oracle, rel=1e-10)
         assert volume == pytest.approx(math.pi * (math.sinh(2) - 2), rel=1e-12)
@@ -336,7 +336,7 @@ class TestBallVolume:
             area = hy.sphere_area(dim)
             for radius in (0.5, 1.0, 2.0, 4.0):
                 oracle = area * integrate_1d(
-                    lambda r: math.sinh(r) ** (dim - 1), 0.0, radius, TIGHT)
+                    lambda r: np.sinh(r) ** (dim - 1), 0.0, radius, TIGHT)
                 assert math.exp(hy.log_ball_volume(dim, radius)) == pytest.approx(
                     oracle, rel=1e-8)
 
