@@ -250,19 +250,15 @@ def cmd_coding_demo(args) -> int:
         raise InputError(f"--sigma must be positive, got {args.sigma_value}")
     partition = coding.partition_ball(args.radius, args.grid, args.grid)
     params = RgdParams(hy.origin(2), args.sigma_value)
-
-    def log_pdf(points):
-        return log_pdf_vol_many(points, params)
-
-    lengths = coding.cell_codelengths(partition, log_pdf)
+    code = coding.prefix_code(partition, lambda points: log_pdf_vol_many(points, params))
     payload = {
         "radius": args.radius,
         "grid": args.grid,
         "sigma": args.sigma_value,
         "cells": len(partition),
-        "kraft_sum": coding.kraft_sum(lengths),
-        "average_length_bits": coding.average_codelength(partition, log_pdf, lengths),
-        "expected_lower_bound_bits": coding.expected_lower_bound(partition, log_pdf),
+        "kraft_sum": code.kraft_sum,
+        "average_length_bits": code.average_bits,
+        "expected_lower_bound_bits": code.lower_bound_bits,
     }
     _emit(payload, args.out, None)
     return 0

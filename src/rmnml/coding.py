@@ -20,6 +20,9 @@ import numpy as np
 
 #: Cell extrema are approximated on this many points per axis.
 SUBGRID = 5
+#: Largest ball radius, about 708.638: up to it the ball volume 2 pi (cosh r - 1),
+#: and so every cell volume and every x0 = cosh r, is a finite float.
+MAX_RADIUS = math.acosh(np.finfo(float).max / (2.0 * math.pi))
 
 
 @dataclass(frozen=True)
@@ -51,16 +54,16 @@ def partition_ball(radius: float, n_r: int, n_angle: int) -> Partition:
     """
     if n_r < 1 or n_angle < 1:
         raise ValueError("n_r and n_angle must be >= 1")
-    if not radius > 0:
-        raise ValueError("radius must be positive")
+    if not 0 < radius <= MAX_RADIUS:
+        raise ValueError(f"radius must be positive and at most {MAX_RADIUS:.6g}, "
+                         f"past which the ball volume overflows; got {radius!r}")
     r_edges = np.linspace(0.0, radius, n_r + 1)
     t_edges = np.linspace(0.0, 2.0 * math.pi, n_angle + 1)
     r_lo = np.repeat(r_edges[:-1], n_angle)
     r_hi = np.repeat(r_edges[1:], n_angle)
     t_lo = np.tile(t_edges[:-1], n_r)
     t_hi = np.tile(t_edges[1:], n_r)
-    dtheta = t_hi - t_lo
-    volumes = dtheta * (np.cosh(r_hi) - np.cosh(r_lo))
+    volumes = (t_hi - t_lo) * (np.cosh(r_hi) - np.cosh(r_lo))
     reps = _lorentz_of_polar(0.5 * (r_lo + r_hi), 0.5 * (t_lo + t_hi))
     return Partition(
         representatives=reps,
@@ -78,61 +81,56 @@ def _log_density(log_pdf, points: np.ndarray) -> np.ndarray:
     return values
 
 
-def _cell_extrema(partition: Partition, log_pdf) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell (min, max) of the log density on an inclusive sub-grid."""
-    frac = np.linspace(0.0, 1.0, SUBGRID)
-    lo = np.full(len(partition), np.inf)
-    hi = np.full(len(partition), -np.inf)
-    for fr in frac:
-        r = partition.r_ranges[:, 0] + fr * (partition.r_ranges[:, 1] - partition.r_ranges[:, 0])
-        for ft in frac:
-            t = partition.angle_ranges[:, 0] + ft * (
-                partition.angle_ranges[:, 1] - partition.angle_ranges[:, 0])
-            values = _log_density(log_pdf, _lorentz_of_polar(r, t))
-            lo = np.minimum(lo, values)
-            hi = np.maximum(hi, values)
-    return lo, hi
-
-
-def cell_codelengths(partition: Partition, log_pdf) -> np.ndarray:
-    """Integer code-lengths (bits) per cell for the log density ``log_pdf``.
-
-    ``log_pdf`` maps an (m, 3) array of Lorentz coordinates to m natural-log
-    density values (with respect to the volume element), each finite.  The
-    infimum of log p over each cell is taken on a SUBGRID x SUBGRID
-    inclusive grid.  Raises ValueError when a length does not fit an int64.
-    """
-    lo, _ = _cell_extrema(partition, log_pdf)
-    bits = np.ceil(-(lo + np.log(partition.volumes)) / math.log(2.0))
-    if not np.all(np.abs(bits) < 2.0 ** 63):
-        raise ValueError(f"code-lengths up to {np.max(np.abs(bits)):.6g} bits "
-                         f"do not fit an int64")
-    return bits.astype(np.int64)
-
-
-def cell_probabilities(partition: Partition, log_pdf) -> np.ndarray:
-    """Cell masses approximated by p(representative) * volume, renormalized.
-
-    The log masses are shifted by their maximum before exp, so densities
-    beyond the float range still give finite probabilities.
-    """
-    log_mass = _log_density(log_pdf, partition.representatives) + np.log(partition.volumes)
+def _probabilities(partition: Partition, log_p: np.ndarray) -> np.ndarray:
+    # shifted by the largest log mass: densities past the float range still code
+    log_mass = log_p + np.log(partition.volumes)
     mass = np.exp(log_mass - log_mass.max())
     return mass / mass.sum()
 
 
-def expected_lower_bound(partition: Partition, log_pdf) -> float:
-    """Lower bound (bits) on the expected code-length over the partition."""
-    _, hi = _cell_extrema(partition, log_pdf)
-    prob = cell_probabilities(partition, log_pdf)
-    return float(prob @ (-(hi + np.log(partition.volumes)) / math.log(2.0)))
+def cell_probabilities(partition: Partition, log_pdf) -> np.ndarray:
+    """Cell masses approximated by p(representative) * volume, renormalized."""
+    return _probabilities(partition, _log_density(log_pdf, partition.representatives))
 
 
-def average_codelength(partition: Partition, log_pdf, lengths: np.ndarray) -> float:
-    """Expected code-length sum_S P(S) l_S in bits."""
-    return float(cell_probabilities(partition, log_pdf) @ lengths)
+@dataclass(frozen=True)
+class PrefixCode:
+    """Integer code-lengths of the cells and what they cost, in bits."""
+
+    lengths: np.ndarray        # (m,) int64
+    kraft_sum: float           # sum_S 2^(-l_S); at most 1
+    average_bits: float        # sum_S P(S) l_S
+    lower_bound_bits: float    # sum_S P(S) (-(sup_S log p + log vol S) / ln 2)
 
 
-def kraft_sum(lengths: np.ndarray) -> float:
-    """sum_S 2^(-l_S); at most 1 for any prefix-codeable length assignment."""
-    return float(np.sum(np.exp2(-np.asarray(lengths, dtype=float))))
+def prefix_code(partition: Partition, log_pdf) -> PrefixCode:
+    """The prefix code of ``partition`` for the log density ``log_pdf``.
+
+    ``log_pdf`` maps an (m, 3) array of Lorentz coordinates to m finite
+    natural-log densities against the volume element.  It is called once, on
+    the SUBGRID x SUBGRID inclusive sub-grid of every cell (whose min and max
+    stand in for the cell's inf and sup) followed by the representatives
+    (which give :func:`cell_probabilities`).  Raises ValueError when the log
+    density is not finite or a length does not fit an int64.
+    """
+    m = len(partition)
+    frac = np.linspace(0.0, 1.0, SUBGRID)[:, None]
+    (r_lo, r_hi), (t_lo, t_hi) = partition.r_ranges.T, partition.angle_ranges.T
+    r, t = np.broadcast_arrays((r_lo + frac * (r_hi - r_lo))[:, None],
+                               t_lo + frac * (t_hi - t_lo))
+    points = np.concatenate([_lorentz_of_polar(r, t).reshape(-1, 3),
+                             partition.representatives])
+    values = _log_density(log_pdf, points)
+    grid = values[:-m].reshape(-1, m)
+    log_vol = np.log(partition.volumes)
+    bits = np.ceil(-(grid.min(axis=0) + log_vol) / math.log(2.0))
+    if not np.all(np.abs(bits) < 2.0 ** 63):
+        raise ValueError(f"code-lengths up to {np.max(np.abs(bits)):.6g} bits "
+                         f"do not fit an int64")
+    lengths = bits.astype(np.int64)
+    prob = _probabilities(partition, values[-m:])
+    return PrefixCode(
+        lengths=lengths,
+        kraft_sum=float(np.sum(np.exp2(-lengths.astype(float)))),
+        average_bits=float(prob @ lengths),
+        lower_bound_bits=float(prob @ (-(grid.max(axis=0) + log_vol) / math.log(2.0))))

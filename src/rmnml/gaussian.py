@@ -278,6 +278,12 @@ def sample(n: int, params: RgdParams, seed: int) -> Dataset:
     with linear interpolation; the direction is uniform on S^(D-1).  The
     polar point at the origin is then carried to ``mu`` by the isometry
     :func:`rmnml.hyperbolic.isometry_to`.  Deterministic for a fixed seed.
+
+    The nodes lie (sigma^2 (D-1) + 12 sigma) / 4095 apart, and interpolation
+    adds about spacing^2 / 3 to Var(r).  Against :func:`radial_moments`, the
+    drawn law's E[d^2] is within a relative 1e-5, but Var(d^2) runs high by
+    2.9% at (D, sigma) = (3000, 0.4) (spacing 0.30 sigma) and by 8.0% at
+    (10000, 0.2) (spacing 0.49 sigma).
     """
     if n < 1:
         raise ValueError("n must be >= 1")

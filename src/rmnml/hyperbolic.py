@@ -36,19 +36,20 @@ def hyperboloid_violation(coords: np.ndarray) -> tuple[int, str] | None:
     """First row of an (n, D+1) array that is not a point of H^D, with the reason.
 
     A row passes when every coordinate is finite, x0 > 0 and
-    |<x,x>_L + 1| <= ON_MANIFOLD_TOL * max(1, x0^2).  Returns None when
+    |<x,x>_L + 1| <= ON_MANIFOLD_TOL * max(1, x0)^2.  Returns None when
     every row passes.
     """
     x0 = coords[:, 0]
     # <x,x>_L + 1 factored as (s - x0)(s + x0) with s = sqrt(1 + |spatial|^2)
     # to avoid the catastrophic cancellation of the direct form far from
-    # the origin; equals the self-product residual up to rounding.
+    # the origin; equals the self-product residual up to rounding.  Each
+    # row is divided by max(1, x0) first, so no square overflows.
     with np.errstate(invalid="ignore", over="ignore"):
-        s = np.hypot(1.0, np.linalg.norm(coords[:, 1:], axis=1))
-        residual = (s - x0) * (s + x0)
+        scale = np.maximum(1.0, x0)
+        s = np.hypot(1.0 / scale, np.linalg.norm(coords[:, 1:] / scale[:, None], axis=1))
+        scaled = (s - x0 / scale) * (s + x0 / scale)
         finite = np.isfinite(coords).all(axis=1)
-        ok = finite & (x0 > 0) & (
-            np.abs(residual) <= ON_MANIFOLD_TOL * np.maximum(1.0, x0 * x0))
+        ok = finite & (x0 > 0) & (np.abs(scaled) <= ON_MANIFOLD_TOL)
     if ok.all():
         return None
     i = int(np.argmin(ok))
@@ -56,7 +57,10 @@ def hyperboloid_violation(coords: np.ndarray) -> tuple[int, str] | None:
         return i, "coordinates must be finite"
     if not x0[i] > 0:
         return i, f"x0 must be positive, got {x0[i]}"
-    return i, f"point is off the hyperboloid: <x,x>_L = {-1 + float(residual[i])!r}"
+    product = float(scaled[i]) * float(scale[i]) * float(scale[i]) - 1.0
+    if math.isfinite(product):
+        return i, f"point is off the hyperboloid: <x,x>_L = {product!r}"
+    return i, f"point is off the hyperboloid: (<x,x>_L + 1) / x0^2 = {float(scaled[i])!r}"
 
 
 def origin(dim: int) -> np.ndarray:

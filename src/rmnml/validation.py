@@ -95,16 +95,10 @@ def check_kraft() -> SuiteResult:
     details = []
     for sigma in (0.5, 1.0):
         params = RgdParams(hy.origin(2), sigma)
-
-        def log_pdf(points):
-            return log_pdf_vol_many(points, params)
-
-        lengths = coding.cell_codelengths(partition, log_pdf)
-        ksum = coding.kraft_sum(lengths)
-        avg = coding.average_codelength(partition, log_pdf, lengths)
-        lower = coding.expected_lower_bound(partition, log_pdf)
-        ok = ok and ksum <= 1.0 and lower <= avg <= lower + 2.0
-        details.append(f"sigma={sigma}: kraft={ksum:.4f} avg={avg:.2f} "
+        code = coding.prefix_code(partition, lambda points: log_pdf_vol_many(points, params))
+        avg, lower = code.average_bits, code.lower_bound_bits
+        ok = ok and code.kraft_sum <= 1.0 and lower <= avg <= lower + 2.0
+        details.append(f"sigma={sigma}: kraft={code.kraft_sum:.4f} avg={avg:.2f} "
                        f"lower={lower:.2f}")
     return SuiteResult("kraft-and-expected-length", ok, "; ".join(details))
 

@@ -13,8 +13,7 @@ import numpy as np
 
 from rmnml import hyperbolic as hy
 from rmnml.cli import main as cli_main
-from rmnml.coding import (average_codelength, cell_codelengths,
-                          expected_lower_bound, kraft_sum, partition_ball)
+from rmnml.coding import partition_ball, prefix_code
 from rmnml.complexity import (ParamDomain, chart_gap, hgd_sigma_integral,
                               pc_general, pc_hgd, pc_mc_gauss1d, regret,
                               rm_nml_codelength)
@@ -209,10 +208,8 @@ def test_criterion_10_coding_demo():
             d = np.arccosh(np.maximum(points[..., 0], 1.0))
             return -d * d / (2.0 * sigma * sigma) - log_norm
 
-        lengths = cell_codelengths(partition, log_pdf)
-        ksum = kraft_sum(lengths)
-        avg = average_codelength(partition, log_pdf, lengths)
-        lower = expected_lower_bound(partition, log_pdf)
+        code = prefix_code(partition, log_pdf)
+        ksum, avg, lower = code.kraft_sum, code.average_bits, code.lower_bound_bits
         ok = ok and (ksum <= 1.0) and (lower <= avg <= lower + 2.0)
         details.append(f"sigma={sigma}: kraft={ksum:.4f}, "
                        f"avg={avg:.2f} in [{lower:.2f}, {lower + 2:.2f}]")

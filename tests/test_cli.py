@@ -314,6 +314,16 @@ class TestCodelengthCommand:
         assert run(["codelength", "--data", str(path)]) == 2
         assert "point 1" in capsys.readouterr().err
 
+    def test_far_point_off_the_hyperboloid_is_named(self, tmp_path, capsys):
+        # the point is off the manifold; the data bound must not be blamed
+        path = tmp_path / "far-off.json"
+        path.write_text(json.dumps({"chart": "lorentz", "dim": 2,
+                                    "points": [[1e160, 5e159, 0.0], [1.0, 0.0, 0.0]]}))
+        assert run(["codelength", "--data", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "point 0 is invalid: point is off the hyperboloid" in err
+
     def test_non_finite_point_reports_index(self, tmp_path, capsys):
         path = tmp_path / "nan.json"
         path.write_text(json.dumps({"chart": "lorentz", "dim": 2,
@@ -420,13 +430,12 @@ class TestCodingDemo:
             d = np.arccosh(np.maximum(points[..., 0], 1.0))
             return -d * d / 2.0 - math.log(xi(2, 1.0))
 
-        lengths = coding.cell_codelengths(partition, log_pdf)
+        code = coding.prefix_code(partition, log_pdf)
         assert payload["cells"] == len(partition)
-        assert payload["kraft_sum"] == coding.kraft_sum(lengths)
-        assert payload["average_length_bits"] == pytest.approx(
-            coding.average_codelength(partition, log_pdf, lengths), rel=1e-12)
+        assert payload["kraft_sum"] == code.kraft_sum
+        assert payload["average_length_bits"] == pytest.approx(code.average_bits, rel=1e-12)
         assert payload["expected_lower_bound_bits"] == pytest.approx(
-            coding.expected_lower_bound(partition, log_pdf), rel=1e-12)
+            code.lower_bound_bits, rel=1e-12)
 
     def test_wide_sigma_stays_finite(self, capsys):
         # xi(40) is past the float range; the log density is not
@@ -442,6 +451,22 @@ class TestCodingDemo:
             assert run(["coding-demo", "--sigma", sigma]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("radius", ["711", "inf"])
+    def test_radius_past_float_range_is_usage_error(self, radius, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["coding-demo", "--radius", radius]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: radius must be positive and at most 708.638")
+        assert err.count("\n") == 1
+
+    def test_far_radius_inside_float_range_codes(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["coding-demo", "--radius", "705"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert all(math.isfinite(v) for v in payload.values())
 
     @pytest.mark.parametrize("sigma", ["0", "-1", "nan"])
     def test_non_positive_sigma_is_usage_error(self, sigma, capsys):

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from rmnml import hyperbolic as hy
-from rmnml.coding import (average_codelength, cell_codelengths,
-                          cell_probabilities, expected_lower_bound, kraft_sum,
-                          partition_ball)
+from rmnml import coding, hyperbolic as hy
+from rmnml.coding import (SUBGRID, PrefixCode, cell_probabilities,
+                          partition_ball, prefix_code)
 from rmnml.gaussian import xi
 
 
@@ -66,21 +65,20 @@ class TestPartition:
 class TestCodeLengths:
     def test_uniform_single_cell_is_zero_bits(self):
         partition = partition_ball(1.0, 1, 1)
-        lengths = cell_codelengths(partition, uniform_density(1.0))
+        lengths = prefix_code(partition, uniform_density(1.0)).lengths
         assert lengths.tolist() == [0]
 
     def test_kraft_inequality_on_grid(self):
         partition = partition_ball(3.0, 32, 32)
         for sigma in (0.5, 1.0):
-            lengths = cell_codelengths(partition, rgd_density(sigma))
-            assert kraft_sum(lengths) <= 1.0
+            assert prefix_code(partition, rgd_density(sigma)).kraft_sum <= 1.0
 
     def test_halving_volumes_adds_one_bit(self):
         coarse = partition_ball(2.0, 8, 8)
         fine = partition_ball(2.0, 8, 16)
         pdf = rgd_density(1.0)
-        l_coarse = cell_codelengths(coarse, pdf)
-        l_fine = cell_codelengths(fine, pdf)
+        l_coarse = prefix_code(coarse, pdf).lengths
+        l_fine = prefix_code(fine, pdf).lengths
         # each coarse cell splits into two of half the volume; the density
         # extrema barely move, so lengths grow by one bit up to ceiling slack
         pair_min = np.minimum(l_fine[0::2], l_fine[1::2]).reshape(-1)
@@ -91,25 +89,21 @@ class TestCodeLengths:
     def test_positive_density_required(self):
         partition = partition_ball(1.0, 2, 2)
         with pytest.raises(ValueError):
-            cell_codelengths(partition, lambda pts: np.full(pts.shape[:-1], -np.inf))
+            prefix_code(partition, lambda pts: np.full(pts.shape[:-1], -np.inf))
 
 
 class TestExpectedLength:
     def test_average_length_bounded_below(self):
         partition = partition_ball(3.0, 32, 32)
         for sigma in (0.5, 1.0):
-            pdf = rgd_density(sigma)
-            lengths = cell_codelengths(partition, pdf)
-            lower = expected_lower_bound(partition, pdf)
-            avg = average_codelength(partition, pdf, lengths)
+            code = prefix_code(partition, rgd_density(sigma))
+            lower, avg = code.lower_bound_bits, code.average_bits
             assert lower <= avg <= lower + 2.0
 
     def test_uniform_density_bound_tight(self):
         partition = partition_ball(1.5, 6, 6)
-        pdf = uniform_density(1.5)
-        lengths = cell_codelengths(partition, pdf)
-        lower = expected_lower_bound(partition, pdf)
-        avg = average_codelength(partition, pdf, lengths)
+        code = prefix_code(partition, uniform_density(1.5))
+        lower, avg = code.lower_bound_bits, code.average_bits
         assert lower <= avg <= lower + 1.0  # only ceiling slack for uniform
 
     def test_probabilities_normalized(self):
@@ -124,9 +118,86 @@ def test_refinement_approaches_pointwise_density():
     pdf = rgd_density(1.0)
     for n in (8, 16, 32, 64):
         partition = partition_ball(2.0, n, n)
-        lengths = cell_codelengths(partition, pdf)
+        lengths = prefix_code(partition, pdf).lengths
         target = -pdf(partition.representatives) / math.log(2.0)
         gap = lengths + np.log2(partition.volumes) - target
         assert np.all(gap >= -1e-9)      # ceiling never undershoots
         if n == 64:
             assert np.max(gap) <= 1.0 + 0.35  # ceiling plus sup-vs-center slack
+
+
+def loop_reference(partition, log_pdf):
+    """The code built with one ``log_pdf`` call per sub-grid point.
+
+    Cell extrema come from SUBGRID * SUBGRID separate calls on the cells,
+    and the probabilities from one more call at the representatives.
+    """
+    frac = np.linspace(0.0, 1.0, SUBGRID)
+    lo = np.full(len(partition), np.inf)
+    hi = np.full(len(partition), -np.inf)
+    for fr in frac:
+        r = partition.r_ranges[:, 0] + fr * (partition.r_ranges[:, 1] - partition.r_ranges[:, 0])
+        for ft in frac:
+            t = partition.angle_ranges[:, 0] + ft * (
+                partition.angle_ranges[:, 1] - partition.angle_ranges[:, 0])
+            values = log_pdf(coding._lorentz_of_polar(r, t))
+            lo = np.minimum(lo, values)
+            hi = np.maximum(hi, values)
+    log_vol = np.log(partition.volumes)
+    lengths = np.ceil(-(lo + log_vol) / math.log(2.0)).astype(np.int64)
+    log_mass = log_pdf(partition.representatives) + log_vol
+    mass = np.exp(log_mass - log_mass.max())
+    prob = mass / mass.sum()
+    return PrefixCode(
+        lengths=lengths,
+        kraft_sum=float(np.sum(np.exp2(-np.asarray(lengths, dtype=float)))),
+        average_bits=float(prob @ lengths),
+        lower_bound_bits=float(prob @ (-(hi + log_vol) / math.log(2.0))))
+
+
+class TestPrefixCode:
+    def test_log_pdf_called_once_on_one_array(self):
+        partition = partition_ball(2.0, 8, 16)
+        calls = []
+        pdf = rgd_density(1.0)
+
+        def log_pdf(points):
+            calls.append(points.shape)
+            return pdf(points)
+
+        prefix_code(partition, log_pdf)
+        assert calls == [((SUBGRID * SUBGRID + 1) * len(partition), 3)]
+
+    @pytest.mark.parametrize("grid", [(32, 32), (8, 16)])
+    @pytest.mark.parametrize("density", ["rgd-0.5", "rgd-1.0", "uniform"])
+    def test_matches_loop_reference_bit_for_bit(self, grid, density):
+        radius = 3.0
+        pdf = {"rgd-0.5": rgd_density(0.5), "rgd-1.0": rgd_density(1.0),
+               "uniform": uniform_density(radius)}[density]
+        partition = partition_ball(radius, *grid)
+        code = prefix_code(partition, pdf)
+        reference = loop_reference(partition, pdf)
+        assert code.lengths.dtype == np.int64
+        assert np.array_equal(code.lengths, reference.lengths)
+        assert code.kraft_sum == reference.kraft_sum
+        assert code.average_bits == reference.average_bits
+        assert code.lower_bound_bits == reference.lower_bound_bits
+
+    def test_record_is_frozen(self):
+        code = prefix_code(partition_ball(1.0, 2, 2), rgd_density(1.0))
+        with pytest.raises(AttributeError):
+            code.kraft_sum = 0.5
+
+
+class TestRadiusBound:
+    @pytest.mark.parametrize("radius", [709.0, 711.0, 1e3, math.inf, math.nan, 0.0, -1.0])
+    def test_radius_outside_range_is_value_error(self, radius):
+        with pytest.raises(ValueError, match=r"at most 708\.638.*got"):
+            partition_ball(radius, 4, 4)
+
+    @pytest.mark.parametrize("grid", [(1, 1), (4, 4)])
+    def test_largest_radius_gives_finite_cells(self, grid):
+        partition = partition_ball(coding.MAX_RADIUS, *grid)
+        assert np.isfinite(partition.representatives).all()
+        assert np.isfinite(partition.volumes).all()
+        assert np.all(partition.volumes > 0)

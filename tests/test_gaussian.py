@@ -411,6 +411,16 @@ class TestDataset:
         with pytest.raises(ValueError, match="point 2 is invalid: coordinates must be finite"):
             Dataset(rows)
 
+    def test_rejects_far_point_off_the_hyperboloid(self):
+        # |spatial|^2 and x0^2 overflow here; the check must still see that
+        # <x,x>_L is about -0.75 x0^2, not -1
+        with pytest.raises(ValueError, match="point 0 is invalid: point is off the hyperboloid"):
+            Dataset(np.array([[1e160, 5e159, 0.0], [1.0, 0.0, 0.0]]))
+
+    def test_accepts_points_near_the_float_range(self):
+        r = 705.0
+        Dataset(np.array([[math.cosh(r), 0.6 * math.sinh(r), 0.8 * math.sinh(r)]]))
+
     def test_len(self):
         data = sample(5, RgdParams(hy.origin(2), 1.0), seed=0)
         assert len(data) == data.n == 5
