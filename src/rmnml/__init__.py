@@ -5,8 +5,9 @@ maximum likelihood code-lengths and asymptotic parametric complexity, with
 a complete implementation for the Riemannian Gaussian distribution on
 hyperbolic space H^D: geometry on Lorentz coordinate arrays (a point is a
 (D+1,) array, a dataset an (n, D+1) array; Poincare-ball input is
-converted on load), the normalization constant and its derivatives,
-Fisher information (closed form and Monte Carlo), sampling, maximum
+converted on load), one log-domain kernel for the normalization
+constant and the moments of d^2, Fisher information (from that kernel and
+by Monte Carlo), sampling, maximum
 likelihood estimation, a prefix-code demonstration, and a CLI.
 """
 
@@ -15,8 +16,7 @@ from .complexity import (CodeLengthReport, ParamDomain, PcResult, chart_gap,
                          rm_nml_codelength)
 from .fisher import (FisherBlock, fisher_integral, fisher_mu_closed,
                      fisher_numeric, fisher_sigma_closed)
-from .gaussian import (Dataset, MleFit, RgdParams, log_lik, mle, sample, xi,
-                       xi_derivatives)
+from .gaussian import Dataset, MleFit, RgdParams, log_lik, mle, sample
 from .hyperbolic import (CHART_LORENTZ_GRAPH, CHART_POINCARE, GeometryError,
                          exp_map, isometry_to, log_ball_volume, origin)
 from .quadrature import QuadratureError, integrate_1d
@@ -29,6 +29,5 @@ __all__ = [
     "QuadratureError", "RgdParams", "chart_gap", "exp_map", "fisher_integral",
     "fisher_mu_closed", "fisher_numeric", "fisher_sigma_closed", "integrate_1d",
     "isometry_to", "log_ball_volume", "log_lik", "mle", "origin", "pc_general",
-    "pc_hgd", "pc_mc_gauss1d", "regret", "rm_nml_codelength", "sample", "xi",
-    "xi_derivatives",
+    "pc_hgd", "pc_mc_gauss1d", "regret", "rm_nml_codelength", "sample",
 ]

@@ -20,6 +20,8 @@ import numpy as np
 
 #: Cell extrema are approximated on this many points per axis.
 SUBGRID = 5
+#: Cells per call of the log density in :func:`prefix_code`, which bounds its memory.
+BLOCK_CELLS = 4096
 #: Largest ball radius, about 708.638: up to it the ball volume 2 pi (cosh r - 1),
 #: and so every cell volume and every x0 = cosh r, is a finite float.
 MAX_RADIUS = math.acosh(np.finfo(float).max / (2.0 * math.pi))
@@ -107,30 +109,37 @@ def prefix_code(partition: Partition, log_pdf) -> PrefixCode:
     """The prefix code of ``partition`` for the log density ``log_pdf``.
 
     ``log_pdf`` maps an (m, 3) array of Lorentz coordinates to m finite
-    natural-log densities against the volume element.  It is called once, on
-    the SUBGRID x SUBGRID inclusive sub-grid of every cell (whose min and max
-    stand in for the cell's inf and sup) followed by the representatives
-    (which give :func:`cell_probabilities`).  Raises ValueError when the log
-    density is not finite or a length does not fit an int64.
+    natural-log densities against the volume element.  It is called once per
+    block of up to BLOCK_CELLS cells, on the SUBGRID x SUBGRID inclusive
+    sub-grid of every cell of the block (whose min and max stand in for the
+    cell's inf and sup) followed by their representatives (which give
+    :func:`cell_probabilities`).  Raises ValueError when the log density is
+    not finite or a length does not fit an int64.
     """
     m = len(partition)
     frac = np.linspace(0.0, 1.0, SUBGRID)[:, None]
-    (r_lo, r_hi), (t_lo, t_hi) = partition.r_ranges.T, partition.angle_ranges.T
-    r, t = np.broadcast_arrays((r_lo + frac * (r_hi - r_lo))[:, None],
-                               t_lo + frac * (t_hi - t_lo))
-    points = np.concatenate([_lorentz_of_polar(r, t).reshape(-1, 3),
-                             partition.representatives])
-    values = _log_density(log_pdf, points)
-    grid = values[:-m].reshape(-1, m)
+    log_inf, log_sup, log_rep = np.empty(m), np.empty(m), np.empty(m)
+    for start in range(0, m, BLOCK_CELLS):
+        block = slice(start, start + BLOCK_CELLS)
+        (r_lo, r_hi) = partition.r_ranges[block].T
+        (t_lo, t_hi) = partition.angle_ranges[block].T
+        r, t = np.broadcast_arrays((r_lo + frac * (r_hi - r_lo))[:, None],
+                                   t_lo + frac * (t_hi - t_lo))
+        reps = partition.representatives[block]
+        values = _log_density(log_pdf, np.concatenate(
+            [_lorentz_of_polar(r, t).reshape(-1, 3), reps]))
+        grid = values[:-len(reps)].reshape(-1, len(reps))
+        log_inf[block], log_sup[block] = grid.min(axis=0), grid.max(axis=0)
+        log_rep[block] = values[-len(reps):]
     log_vol = np.log(partition.volumes)
-    bits = np.ceil(-(grid.min(axis=0) + log_vol) / math.log(2.0))
+    bits = np.ceil(-(log_inf + log_vol) / math.log(2.0))
     if not np.all(np.abs(bits) < 2.0 ** 63):
         raise ValueError(f"code-lengths up to {np.max(np.abs(bits)):.6g} bits "
                          f"do not fit an int64")
     lengths = bits.astype(np.int64)
-    prob = _probabilities(partition, values[-m:])
+    prob = _probabilities(partition, log_rep)
     return PrefixCode(
         lengths=lengths,
         kraft_sum=float(np.sum(np.exp2(-lengths.astype(float)))),
         average_bits=float(prob @ lengths),
-        lower_bound_bits=float(prob @ (-(grid.max(axis=0) + log_vol) / math.log(2.0))))
+        lower_bound_bits=float(prob @ (-(log_sup + log_vol) / math.log(2.0))))

@@ -1,13 +1,15 @@
 """Fisher information of the hyperbolic Gaussian.
 
-Closed forms (in a normal orthonormal basis at mu):
+In a normal orthonormal basis at mu, read from the moment kernel
+:func:`rmnml.gaussian.radial_moments` (the paper writes them with xi and
+its derivatives, kept as oracles in :mod:`rmnml.validation`):
 
-    I_mu    = xi'(sigma) / (D sigma xi(sigma)) * Identity_D
-    I_sigma = xi''/xi - (xi'/xi)^2 + (3/sigma) xi'/xi
+    I_mu    = xi'/(D sigma xi) * Identity_D = E[d^2] / (D sigma^4) * Identity_D
+    I_sigma = Var(d^2) / sigma^6
 
 plus an independent Monte-Carlo estimator of the same quantities built
 from finite-difference Hessians of the log-density, used as the oracle for
-the closed forms and for the block-diagonality / base-point-independence
+the kernel and for the block-diagonality / base-point-independence
 property checks.  The determinant integral over a compact parameter domain
 factorizes as vol(Theta) * integral over sigma (symmetric-space reduction).
 """
@@ -21,14 +23,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import hyperbolic as hy
-from .gaussian import RgdParams, log_pdf_vol_many, sample, xi, xi_derivatives
+from .gaussian import RgdParams, log_pdf_vol_many, radial_moments, sample
 from .quadrature import integrate_1d
 
 if TYPE_CHECKING:
     from .complexity import ParamDomain
-
-SIGMA_PARAM = "sigma"
-LOG_SIGMA_PARAM = "log-sigma"
 
 _FD_STEP = 1e-4
 
@@ -57,17 +56,21 @@ class FisherBlock:
         return det, abs(det) * rel
 
 
-def _fisher_factors(dim: int, sigma, derivatives=None):
-    """Location factor xi'/(D sigma xi) and sigma information I_sigma.
+def _fisher_factors(dim: int, sigma):
+    """Location factor E[d^2]/(D sigma^4) and sigma information Var(d^2)/sigma^6.
 
     ``sigma`` may be a scalar or an array; both factors have its shape.
-    One evaluation of xi and one of its derivatives serve both factors.
+    One :func:`radial_moments` call serves both.  Raises ValueError unless
+    D >= 1 and every sigma is positive.
     """
-    value = xi(dim, sigma)
-    d1, d2 = (derivatives or xi_derivatives)(dim, sigma)
-    ratio = d1 / value
-    return (d1 / (dim * sigma * value),
-            d2 / value - ratio * ratio + 3.0 / sigma * ratio)
+    if dim < 1:
+        raise ValueError(f"dimension must be >= 1, got {dim}")
+    s = np.asarray(sigma, dtype=float)
+    if not np.all(s > 0):
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    _, mean, var = radial_moments(dim, s)
+    s2 = s * s  # divided in steps: sigma^6 underflows below about 1e-51
+    return mean / s2 / (dim * s2), var / (s2 * s2) / s2
 
 
 def fisher_mu_closed(dim: int, sigma: float) -> np.ndarray:
@@ -153,37 +156,26 @@ def fisher_numeric(params: RgdParams, n_samples: int, seed: int) -> FisherBlock:
     )
 
 
-def sqrt_fisher_sigma_integrand(dim: int, sigma, derivatives=None):
+def sqrt_fisher_sigma_integrand(dim: int, sigma):
     """sqrt(C_theta(sigma) * C_sigma(sigma)) for the domain integral.
 
     C_theta is the location factor to the power D and C_sigma the sigma
     Fisher information.  ``sigma`` may be a scalar or an array; the result
-    has its shape.  ``derivatives`` may replace the closed-form (xi', xi'')
-    supplier, which lets an independent finite-difference oracle rebuild
-    the integrand; it is called with the same ``sigma``.
+    has its shape.
     """
-    c_mu, i_sigma = _fisher_factors(dim, sigma, derivatives)
+    c_mu, i_sigma = _fisher_factors(dim, sigma)
     return np.sqrt(np.float_power(c_mu, dim) * i_sigma)
 
 
-def fisher_integral(dim: int, domain: "ParamDomain", parameterization: str = SIGMA_PARAM,
-                    rel_tol: float = 1e-10) -> float:
+def fisher_integral(dim: int, domain: "ParamDomain", rel_tol: float = 1e-10) -> float:
     """Integral of sqrt(det I) over the compact domain Theta x Gamma.
 
     Factorizes as vol(Theta) * integral_{sigma_min}^{sigma_max}
-    sqrt(C_theta C_sigma) d sigma.  The log-sigma parameterization carries
-    the Jacobian factor sigma in the integrand and must give the same
-    value (the integral is reparameterization invariant).
+    sqrt(C_theta C_sigma) d sigma, taken in sigma by adaptive Simpson.  The
+    complexity takes the same integral in log sigma
+    (:func:`rmnml.complexity.pc_hgd`); the two agree because the integral
+    is invariant under reparameterization.
     """
     vol_theta = math.exp(hy.log_ball_volume(dim, domain.radius_R))
-    if parameterization == SIGMA_PARAM:
-        integral = integrate_1d(
-            lambda s: sqrt_fisher_sigma_integrand(dim, s),
-            domain.sigma_min, domain.sigma_max, rel_tol)
-    elif parameterization == LOG_SIGMA_PARAM:
-        integral = integrate_1d(
-            lambda u: sqrt_fisher_sigma_integrand(dim, np.exp(u)) * np.exp(u),
-            math.log(domain.sigma_min), math.log(domain.sigma_max), rel_tol)
-    else:
-        raise ValueError(f"unknown parameterization: {parameterization!r}")
-    return vol_theta * integral
+    return vol_theta * integrate_1d(lambda s: sqrt_fisher_sigma_integrand(dim, s),
+                                    domain.sigma_min, domain.sigma_max, rel_tol)

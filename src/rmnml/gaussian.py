@@ -4,13 +4,13 @@ Density with respect to the volume element:
 
     p_vol(x | mu, sigma) = exp(-d^2(x, mu) / (2 sigma^2)) / xi(sigma)
 
-with the normalization constant xi.  The production path reads log xi and
-the first two moments of d^2 from one log-domain radial quadrature,
-:func:`radial_moments`.  The paper's closed form of xi (erf and a binomial
-sum over the expansion of sinh^(D-1)) and its exact first and second
-derivatives stay as independent oracles.  Also log-likelihoods, seeded
-sampling and maximum likelihood estimation (Frechet mean + safeguarded
-Newton for sigma).
+with the normalization constant xi.  log xi and the first two moments of
+d^2 come from one log-domain radial quadrature, :func:`radial_moments`,
+which is also the kernel of the Fisher information in
+:mod:`rmnml.fisher`.  The paper's closed form of xi is kept as an oracle
+in :mod:`rmnml.validation`.  Also log-likelihoods, seeded sampling and
+maximum likelihood estimation (Frechet mean + safeguarded Newton for
+sigma).
 """
 
 from __future__ import annotations
@@ -108,86 +108,6 @@ class Dataset:
         return Dataset(self._coords @ T.T)
 
 
-_erf = np.frompyfunc(math.erf, 1, 1)
-
-
-def _fsum_rows(a: np.ndarray) -> np.ndarray:
-    """math.fsum over the last axis: each sum is exactly rounded."""
-    sums = map(math.fsum, a.reshape(-1, a.shape[-1]).tolist())
-    return np.fromiter(sums, float).reshape(a.shape[:-1])
-
-
-def _xi_terms(dim: int, sigma: np.ndarray):
-    """Prefactor K and per-term arrays of the xi expansion.
-
-    xi(sigma) = K * sigma * sum_i a_i with
-    a_i = (-1)^i C(D-1, i) exp(sigma^2 p_i^2 / 2) (1 + erf(p_i sigma / sqrt 2)),
-    p_i = (D - 1) - 2i.  ``a`` has the shape of ``sigma`` plus a last axis
-    of the D terms.
-    """
-    K = (math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
-         * math.sqrt(math.pi / 2.0) / 2.0 ** (dim - 2))
-    i = np.arange(dim)
-    p = (dim - 1) - 2.0 * i
-    b = (-1.0) ** i * np.array([math.comb(dim - 1, k) for k in range(dim)], dtype=float)
-    s = sigma[..., None]
-    erf = _erf(p * s / math.sqrt(2.0)).astype(float)
-    a = b * np.exp(0.5 * s * s * p * p) * (1.0 + erf)
-    return K, a, b, p
-
-
-def _checked_sigma(dim: int, sigma) -> np.ndarray:
-    if dim < 1:
-        raise ValueError("dimension must be >= 1")
-    s = np.asarray(sigma, dtype=float)
-    if not np.all(s > 0):
-        raise ValueError("sigma must be positive")
-    return s
-
-
-def xi(dim: int, sigma):
-    """Normalization constant of the hyperbolic Gaussian, in closed form.
-
-    ``sigma`` may be a scalar or an array; the result has its shape.
-    Accurate to about 1e-12 relative for D <= 5 (4e-12 at D = 5,
-    sigma = 0.05; 1e-13 for sigma >= 0.1).  Beyond that the alternating
-    binomial sum amplifies the rounding of each term: on sigma in
-    [0.05, 3] the error reaches 1e-8 at D = 9 and 4e-6 at D = 12, and at
-    D >= 16 the terms overflow.
-
-    It stays as an independent oracle for :func:`radial_moments` and feeds
-    the Fisher closed forms of :mod:`rmnml.fisher`; every density the
-    library evaluates takes log xi from :func:`radial_moments`.
-    """
-    s = _checked_sigma(dim, sigma)
-    K, a, _, _ = _xi_terms(dim, s)
-    return (K * s * _fsum_rows(a))[()]
-
-
-def xi_derivatives(dim: int, sigma):
-    """First and second derivatives of :func:`xi` with respect to sigma.
-
-    ``sigma`` may be a scalar or an array; both results have its shape.
-    Obtained by differentiating the closed form; the b_i p_i sums vanish
-    for most dimensions but are required at D = 2 (and contribute to the
-    second derivative at even D >= 4).
-    """
-    s = _checked_sigma(dim, sigma)
-    K, a, b, p = _xi_terms(dim, s)
-    sum_a = _fsum_rows(a)
-    sum_ap2 = _fsum_rows(a * p * p)
-    sum_ap4 = _fsum_rows(a * p ** 4)
-    sum_bp = math.fsum(b * p)
-    sum_bp3 = math.fsum(b * p ** 3)
-    c = math.sqrt(2.0 / math.pi)
-    d1 = K * (sum_a + s * s * sum_ap2 + s * c * sum_bp)
-    # float_power rounds as a Python float's ** does; numpy's ** on arrays
-    # can differ in the last bit
-    d2 = K * (3.0 * s * sum_ap2 + np.float_power(s, 3) * sum_ap4
-              + c * (2.0 * sum_bp + s * s * sum_bp3))
-    return d1[()], d2[()]
-
-
 def radial_cutoff(dim: int, sigma: float, tail: float = 40.0) -> float:
     """Truncation radius for integrals of exp(-r^2/2s^2) sinh^(D-1) r.
 
@@ -217,33 +137,51 @@ def radial_moments(dim: int, sigma):
     xi'/(D sigma xi) = E[d^2] / (D sigma^4) and I_sigma = Var(d^2) / sigma^6.
 
     One fixed Gauss-Legendre rule in r covers a window of +-10 sigma about
-    the mode of log w, clipped at 0.  log w is concave with curvature at
+    the mode m of log w, clipped at 0.  log w is concave with curvature at
     least 1/sigma^2, so the window leaves out less than exp(-50) of the
     mass.  The mode solves r tanh r = a with a = (D-1) sigma^2; it starts
-    at sqrt(a^2 + a) and takes one Newton step.  Everything stays in the
-    log domain: each row's maximum is subtracted before exp, and the
-    variance is summed about the mean.
+    at sqrt(a^2 + a) and takes one Newton step, and m is then a / tanh m.
+
+    Everything is relative to the mode, whose log w(m), about
+    (D-1)^2 sigma^2 / 2, would swamp the spread across the window with its
+    rounding at large sigma.  With t = r - m, k = m / sigma^2 and
+    c = -m^2 / (2 sigma^2) + (D-1) (m - log 2),
+    log w(r) - c = t ((D-1) - k) - t^2 / (2 sigma^2) + (D-1) log(1 - exp(-2r)),
+    and the moments are those of q = r^2 - m^2 = t (2m + t).
+    k = (D-1) / tanh m is D-1 exactly once tanh m rounds to 1, so the
+    window stays on the mode where m itself is too large to place it
+    within sigma.  Each row's largest log weight is subtracted before exp,
+    and the variance is summed about the mean.
     """
     s = np.asarray(sigma, dtype=float)[..., None]
-    mode = np.zeros_like(s)
+    two_s2 = 2.0 * s * s
     if dim > 1:
         a = (dim - 1) * s * s
         mode = np.sqrt(a * (a + 1.0))
-        t = np.tanh(mode)
-        mode = mode - (mode * t - a) / (t + mode * (1.0 - t * t))
-    lo = np.maximum(mode - _RADIAL_WINDOW * s, 0.0)
-    half = 0.5 * (mode + _RADIAL_WINDOW * s - lo)
+        tanh = np.tanh(mode)
+        mode = mode - (mode * tanh - a) / (tanh + mode * (1.0 - tanh * tanh))
+        slope = (dim - 1) / np.tanh(mode)  # k
+        mode = slope * s * s
+    else:
+        slope = mode = np.zeros_like(s)
+    t_lo = -np.minimum(mode, _RADIAL_WINDOW * s)
+    half = 0.5 * (_RADIAL_WINDOW * s - t_lo)
     x, w = gauss_legendre(_RADIAL_NODES)
-    r = lo + half * (x + 1.0)
-    log_w = log_radial_weight(dim, r, s) + np.log(w)
+    t = t_lo + half * (x + 1.0)
+    log_w = t * ((dim - 1) - slope - t / two_s2) + np.log(w)
+    offset = -0.5 * slope * mode  # c
+    if dim > 1:
+        log_w += (dim - 1) * np.log(-np.expm1(-2.0 * (mode + t)))
+        offset += (dim - 1) * (mode - math.log(2.0))
     top = log_w.max(axis=-1, keepdims=True)
     p = np.exp(log_w - top)
     z = p.sum(axis=-1)
-    r2 = r * r
-    mean = (p * r2).sum(axis=-1) / z
-    var = (p * (r2 - mean[..., None]) ** 2).sum(axis=-1) / z
-    log_xi = hy.log_sphere_area(dim) + top[..., 0] + np.log(z * half[..., 0])
-    return log_xi, mean, var
+    q = t * (2.0 * mode + t)
+    mean_q = (p * q).sum(axis=-1) / z
+    var = (p * (q - mean_q[..., None]) ** 2).sum(axis=-1) / z
+    log_xi = (hy.log_sphere_area(dim) + (offset + top)[..., 0]
+              + np.log(z * half[..., 0]))
+    return log_xi, mode[..., 0] ** 2 + mean_q, var
 
 
 def log_pdf_vol_many(coords: np.ndarray, params: RgdParams) -> np.ndarray:

@@ -6,6 +6,7 @@ import pytest
 from rmnml import hyperbolic as hy
 from rmnml.gaussian import Dataset, RgdParams, sample
 from rmnml.quadrature import integrate_1d
+from rmnml.validation import xi, xi_derivatives
 
 
 def random_point(rng: np.random.Generator, dim: int, max_radius: float = 2.0) -> np.ndarray:
@@ -93,6 +94,43 @@ def log_ball_volume_oracle(dim: int, radius: float) -> float:
 
     return (hy.log_sphere_area(dim) + (dim - 1) * float(hy.log_sinh(radius))
             + math.log(integrate_1d(scaled, 0.0, radius, 1e-11)))
+
+
+def xi_fd_derivatives(dim: int, sigma):
+    """Finite-difference oracle for the derivatives of the closed-form xi.
+
+    First derivative: central difference with h = 1e-5 sigma.  Second
+    derivative: Richardson-extrapolated central second difference with
+    h = 3e-4 sigma, which balances truncation against roundoff.
+    """
+    h1 = 1e-5 * sigma
+    d1 = (xi(dim, sigma + h1) - xi(dim, sigma - h1)) / (2.0 * h1)
+
+    def second(h):
+        return (xi(dim, sigma + h) - 2.0 * xi(dim, sigma) + xi(dim, sigma - h)) / h ** 2
+
+    h2 = 3e-4 * sigma
+    d2 = (4.0 * second(h2 / 2.0) - second(h2)) / 3.0
+    return d1, d2
+
+
+def closed_fisher_factors(dim: int, sigma, derivatives=xi_derivatives):
+    """The paper's Fisher factors from the closed form of xi, apart from the kernel.
+
+    c_mu = xi'/(D sigma xi) and I_sigma = xi''/xi - (xi'/xi)^2 + (3/sigma) xi'/xi,
+    with (xi', xi'') from ``derivatives``: exact by default, or
+    :func:`xi_fd_derivatives`.
+    """
+    value = xi(dim, sigma)
+    d1, d2 = derivatives(dim, sigma)
+    ratio = d1 / value
+    return d1 / (dim * sigma * value), d2 / value - ratio * ratio + 3.0 / sigma * ratio
+
+
+def closed_sigma_integrand(dim: int, sigma, derivatives=xi_derivatives):
+    """sqrt(c_mu^D I_sigma) from :func:`closed_fisher_factors`."""
+    c_mu, i_sigma = closed_fisher_factors(dim, sigma, derivatives)
+    return np.sqrt(np.float_power(c_mu, dim) * i_sigma)
 
 
 @pytest.fixture

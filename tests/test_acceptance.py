@@ -17,14 +17,13 @@ from rmnml.coding import partition_ball, prefix_code
 from rmnml.complexity import (ParamDomain, chart_gap, hgd_sigma_integral,
                               pc_general, pc_hgd, pc_mc_gauss1d, regret,
                               rm_nml_codelength)
-from rmnml.fisher import (LOG_SIGMA_PARAM, SIGMA_PARAM, fisher_integral,
-                          fisher_mu_closed, fisher_numeric,
-                          fisher_sigma_closed, sqrt_fisher_sigma_integrand)
-from rmnml.gaussian import RgdParams, log_pdf_vol_many, mle, sample, xi
+from rmnml.fisher import (fisher_integral, fisher_mu_closed, fisher_numeric,
+                          fisher_sigma_closed)
+from rmnml.gaussian import RgdParams, log_pdf_vol_many, mle, sample
 from rmnml.quadrature import integrate_1d
-from rmnml.validation import xi_quadrature_oracle
+from rmnml.validation import xi, xi_quadrature_oracle
 
-from conftest import sqrt_det_metric
+from conftest import closed_sigma_integrand, sqrt_det_metric, xi_fd_derivatives
 
 DOMAIN = ParamDomain(radius_R=3.0, sigma_min=0.1, sigma_max=3.0)
 
@@ -88,8 +87,10 @@ def test_criterion_04_reparameterization_invariance():
         lo = float(rng.uniform(0.1, 1.0))
         hi = lo + float(rng.uniform(0.5, 2.0))
         domain = ParamDomain(float(rng.uniform(0.5, 4.0)), lo, hi)
-        a = fisher_integral(dim, domain, SIGMA_PARAM, rel_tol)
-        b = fisher_integral(dim, domain, LOG_SIGMA_PARAM, rel_tol)
+        # Simpson in sigma against the complexity's rule in log sigma
+        a = fisher_integral(dim, domain, rel_tol)
+        pc = pc_hgd(dim, 2, domain)
+        b = math.exp(pc.term_volume + pc.term_fisher)
         worst = max(worst, abs(a - b) / a)
     elapsed = time.perf_counter() - start
     report(4, "Thm-5 invariance", worst <= 1e-8 and elapsed < 10.0,
@@ -254,17 +255,8 @@ def test_criterion_11_dimension_selection(tmp_path, capsys):
 def test_criterion_12_corollary_discrepancy_resolution():
     # the adopted location-Fisher form xi'/(D sigma xi) must reproduce the
     # parametric complexity when the sigma integrand is rebuilt from
-    # finite-difference derivatives of xi instead of the closed forms
-    def fd_derivatives(dim, sigma):
-        h1 = 1e-5 * sigma
-        d1 = (xi(dim, sigma + h1) - xi(dim, sigma - h1)) / (2.0 * h1)
-
-        def second(h):
-            return (xi(dim, sigma + h) - 2 * xi(dim, sigma) + xi(dim, sigma - h)) / h ** 2
-
-        h2 = 3e-4 * sigma
-        return d1, (4.0 * second(h2 / 2.0) - second(h2)) / 3.0
-
+    # finite-difference derivatives of the closed-form xi, apart from the
+    # moment kernel
     worst = 0.0
     rel_tol = 1e-8
     for dim, n, domain in [(1, 100, ParamDomain(1.5, 0.5, 2.0)),
@@ -272,7 +264,7 @@ def test_criterion_12_corollary_discrepancy_resolution():
                            (3, 500, ParamDomain(2.0, 0.4, 2.5))]:
         kernel = pc_hgd(dim, n, domain, rel_tol).total_log_pc
         int_rebuilt = integrate_1d(
-            lambda s: sqrt_fisher_sigma_integrand(dim, s, fd_derivatives),
+            lambda s: closed_sigma_integrand(dim, s, xi_fd_derivatives),
             domain.sigma_min, domain.sigma_max, rel_tol)
         rebuilt = pc_general(
             dim + 1, n, math.log(int_rebuilt),

@@ -15,8 +15,9 @@ from rmnml import coding, hyperbolic as hy, quadrature
 from rmnml.cli import (InputError, load_dataset, main, parse_sigma_range,
                        select_best, write_dataset)
 from rmnml.complexity import ParamDomain, pc_hgd, rm_nml_codelength
-from rmnml.gaussian import Dataset, RgdParams, sample, xi
+from rmnml.gaussian import Dataset, RgdParams, sample
 from rmnml.quadrature import QuadratureError
+from rmnml.validation import xi
 
 from conftest import log_ball_volume_oracle, lorentz_to_poincare, polar_point
 
@@ -126,6 +127,15 @@ class TestPcCommand:
         sigma_min = float(sigma.split(":")[0])
         limit = 0.5 * math.log(2 * dim) - math.log(dim) - dim * math.log(sigma_min)
         assert payload["term_fisher"] == pytest.approx(limit, rel=1e-10)
+
+    def test_large_sigma_max_finite(self, capsys):
+        # at large sigma, E[d^2] = (D-1)^2 sigma^4 and Var(d^2) = 4 (D-1)^2 sigma^6,
+        # so the sigma integrand tends to 2 (D-1)^(D+1) / D^(D/2), which is 1 at
+        # D = 2; below sigma = 1 it adds O(1 / sigma_min^2) = O(100)
+        assert run(["pc", "--dim", "2", "--n", "100", "--sigma", "0.1:1e10"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert all(math.isfinite(v) for v in payload.values())
+        assert payload["term_fisher"] == pytest.approx(math.log(1e10), abs=1e-6)
 
     @pytest.mark.parametrize("dim", [8, 16])
     def test_high_dimension_finite_and_fast(self, dim, capsys):

@@ -6,7 +6,7 @@ import pytest
 from rmnml import coding, hyperbolic as hy
 from rmnml.coding import (SUBGRID, PrefixCode, cell_probabilities,
                           partition_ball, prefix_code)
-from rmnml.gaussian import xi
+from rmnml.validation import xi
 
 
 def rgd_density(sigma: float):
@@ -167,6 +167,27 @@ class TestPrefixCode:
 
         prefix_code(partition, log_pdf)
         assert calls == [((SUBGRID * SUBGRID + 1) * len(partition), 3)]
+
+    @pytest.mark.parametrize("grid", [(8, 16), (5, 9)])
+    def test_blocks_match_one_call_bit_for_bit(self, grid, monkeypatch):
+        partition = partition_ball(2.5, *grid)
+        pdf = rgd_density(0.7)
+        whole = prefix_code(partition, pdf)
+        calls = []
+
+        def log_pdf(points):
+            calls.append(points.shape[0])
+            return pdf(points)
+
+        monkeypatch.setattr(coding, "BLOCK_CELLS", 7)
+        blocked = prefix_code(partition, log_pdf)
+        m = len(partition)
+        assert len(calls) == math.ceil(m / 7)
+        assert sum(calls) == (SUBGRID * SUBGRID + 1) * m
+        assert np.array_equal(blocked.lengths, whole.lengths)
+        assert blocked.kraft_sum == whole.kraft_sum
+        assert blocked.average_bits == whole.average_bits
+        assert blocked.lower_bound_bits == whole.lower_bound_bits
 
     @pytest.mark.parametrize("grid", [(32, 32), (8, 16)])
     @pytest.mark.parametrize("density", ["rgd-0.5", "rgd-1.0", "uniform"])

@@ -7,27 +7,13 @@ from rmnml import hyperbolic as hy, quadrature
 from rmnml.complexity import (ParamDomain, chart_gap, hgd_sigma_integral,
                               pc_general, pc_hgd, pc_mc_gauss1d, regret,
                               rm_nml_codelength)
-from rmnml.gaussian import (Dataset, RgdParams, log_pdf_vol_many, mle, sample,
-                            xi)
-from rmnml.fisher import sqrt_fisher_sigma_integrand
+from rmnml.gaussian import Dataset, RgdParams, log_pdf_vol_many, mle, sample
 from rmnml.quadrature import QuadratureError, integrate_1d
 
-from conftest import (lorentz_to_poincare, random_dataset, random_point,
-                      sqrt_det_metric)
+from conftest import (closed_sigma_integrand, lorentz_to_poincare, random_dataset,
+                      random_point, sqrt_det_metric, xi_fd_derivatives)
 
 DOMAIN = ParamDomain(radius_R=3.0, sigma_min=0.1, sigma_max=3.0)
-
-
-def xi_fd_derivatives(dim, sigma):
-    h1 = 1e-5 * sigma
-    d1 = (xi(dim, sigma + h1) - xi(dim, sigma - h1)) / (2.0 * h1)
-
-    def second(h):
-        return (xi(dim, sigma + h) - 2.0 * xi(dim, sigma) + xi(dim, sigma - h)) / h ** 2
-
-    h2 = 3e-4 * sigma
-    d2 = (4.0 * second(h2 / 2.0) - second(h2)) / 3.0
-    return d1, d2
 
 
 class TestPcGeneral:
@@ -106,7 +92,7 @@ class TestPcHgd:
         rel_tol = 1e-8
         kernel = pc_hgd(2, 1000, domain, rel_tol)
         rebuilt_int = integrate_1d(
-            lambda s: sqrt_fisher_sigma_integrand(2, s, xi_fd_derivatives),
+            lambda s: closed_sigma_integrand(2, s, xi_fd_derivatives),
             domain.sigma_min, domain.sigma_max, rel_tol)
         rebuilt = pc_general(3, 1000, math.log(rebuilt_int),
                              log_vol_theta=hy.log_ball_volume(2, 3.0))
@@ -126,7 +112,7 @@ class TestSigmaIntegral:
                                  float(rng.uniform(2.0, 3.5)))
             for dim in range(1, 6):
                 oracle = integrate_1d(
-                    lambda s: sqrt_fisher_sigma_integrand(dim, s),
+                    lambda s: closed_sigma_integrand(dim, s),
                     domain.sigma_min, domain.sigma_max, 1e-11)
                 assert math.exp(hgd_sigma_integral(dim, domain)) == pytest.approx(
                     oracle, rel=1e-10)

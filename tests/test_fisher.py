@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from rmnml import hyperbolic as hy
-from rmnml.complexity import ParamDomain
-from rmnml.fisher import (LOG_SIGMA_PARAM, SIGMA_PARAM, _fisher_factors,
-                          fisher_integral, fisher_mu_closed, fisher_numeric,
-                          fisher_sigma_closed, normal_chart,
+from rmnml.complexity import ParamDomain, pc_hgd
+from rmnml.fisher import (_fisher_factors, fisher_integral, fisher_mu_closed,
+                          fisher_numeric, fisher_sigma_closed, normal_chart,
                           sqrt_fisher_sigma_integrand)
-from rmnml.gaussian import (RgdParams, log_radial_weight, radial_cutoff, xi,
-                            xi_derivatives)
+from rmnml.gaussian import RgdParams, log_radial_weight, radial_cutoff
 from rmnml.quadrature import integrate_1d
+from rmnml.validation import xi, xi_derivatives
 
 from conftest import dist, random_point
 
@@ -64,6 +63,27 @@ class TestClosedForms:
                            sqrt_fisher_sigma_integrand(dim, s)]
                 assert [a.shape for a in arrays] == [sigma.shape] * 6
                 assert [a[index] for a in arrays] == scalars
+
+    @pytest.mark.parametrize("dim, sigma", [(2, 0.0), (2, -1.0), (2, math.nan), (0, 1.0)])
+    def test_invalid_arguments_are_value_errors(self, dim, sigma):
+        for closed in (fisher_mu_closed, fisher_sigma_closed, sqrt_fisher_sigma_integrand):
+            with pytest.raises(ValueError):
+                closed(dim, sigma)
+
+    def test_finite_where_the_closed_form_overflows(self):
+        # the closed form's binomial sum overflows at D = 50; the kernel does not
+        assert np.all(np.isfinite(fisher_mu_closed(50, 1.0)))
+        assert fisher_mu_closed(50, 1.0)[0, 0] > 0
+        assert 0 < fisher_sigma_closed(50, 1.0) < math.inf
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_small_sigma_is_euclidean(self, dim):
+        # as sigma -> 0, I_mu = 1 / sigma^2 and I_sigma = 2 D / sigma^2; sigma^6
+        # is below the float range here
+        sigma = 1e-60
+        assert fisher_mu_closed(dim, sigma)[0, 0] * sigma ** 2 == pytest.approx(1.0, rel=1e-12)
+        assert fisher_sigma_closed(dim, sigma) * sigma ** 2 == pytest.approx(2.0 * dim,
+                                                                              rel=1e-12)
 
     def test_positivity(self):
         for dim in range(1, 6):
@@ -125,17 +145,19 @@ class TestFisherIntegral:
         # D=1, vol(Theta)=2R=1, sigma in [0.5, 2]:
         # integral of sqrt(2)/sigma^2 = sqrt(2) (2 - 1/2) = 3/sqrt(2)
         domain = ParamDomain(radius_R=0.5, sigma_min=0.5, sigma_max=2.0)
-        value = fisher_integral(1, domain, SIGMA_PARAM, 1e-11)
+        value = fisher_integral(1, domain, 1e-11)
         assert value == pytest.approx(3.0 / math.sqrt(2.0), rel=1e-10)
 
     def test_parameterization_invariance(self):
+        # Simpson in sigma against the complexity's Gauss-Legendre rule in
+        # log sigma
         rel_tol = 1e-11
         for dim, lo, hi, radius in [(1, 0.5, 2.0, 1.0), (2, 0.3, 2.0, 3.0),
                                     (3, 0.2, 1.5, 2.0)]:
             domain = ParamDomain(radius, lo, hi)
-            a = fisher_integral(dim, domain, SIGMA_PARAM, rel_tol)
-            b = fisher_integral(dim, domain, LOG_SIGMA_PARAM, rel_tol)
-            assert a == pytest.approx(b, rel=1e-8)
+            a = fisher_integral(dim, domain, rel_tol)
+            pc = pc_hgd(dim, 2, domain)
+            assert a == pytest.approx(math.exp(pc.term_volume + pc.term_fisher), rel=1e-8)
 
     def test_volume_scaling(self):
         domain_small = ParamDomain(1.0, 0.5, 1.5)
@@ -144,10 +166,6 @@ class TestFisherIntegral:
         a = fisher_integral(2, domain_small)
         b = fisher_integral(2, domain_large)
         assert b == pytest.approx(ratio * a, rel=1e-10)
-
-    def test_unknown_parameterization(self):
-        with pytest.raises(ValueError):
-            fisher_integral(2, ParamDomain(), "sqrt-sigma")
 
 
 def test_pointwise_reparameterization_identity():

@@ -5,14 +5,14 @@ import pytest
 
 from rmnml import hyperbolic as hy
 from rmnml.complexity import ParamDomain, _log_sigma_integrand, hgd_sigma_integral
-from rmnml.fisher import fisher_sigma_closed
 from rmnml.gaussian import (Dataset, RgdParams, frechet_mean, log_lik,
                             log_pdf_vol_many, mle, radial_cutoff,
-                            radial_moments, sample, xi, xi_derivatives)
+                            radial_moments, sample)
 from rmnml.quadrature import integrate_1d
-from rmnml.validation import xi_quadrature_oracle
+from rmnml.validation import xi, xi_derivatives, xi_quadrature_oracle
 
-from conftest import dist, log_map, minkowski_inner, polar_point, random_point
+from conftest import (closed_fisher_factors, dist, log_map, minkowski_inner,
+                      polar_point, random_point, xi_fd_derivatives)
 
 TIGHT = 1e-12
 DOMAIN = ParamDomain(radius_R=3.0, sigma_min=0.05, sigma_max=3.0)
@@ -21,24 +21,6 @@ DOMAIN = ParamDomain(radius_R=3.0, sigma_min=0.05, sigma_max=3.0)
 def pdf_vol(x: np.ndarray, params: RgdParams) -> float:
     """Density at one point with respect to the volume element."""
     return float(np.exp(log_pdf_vol_many(x[None, :], params)[0]))
-
-
-def xi_fd_derivatives(dim: int, sigma: float) -> tuple[float, float]:
-    """Finite-difference oracle for the xi derivatives.
-
-    First derivative: central difference with h = 1e-5 sigma.  Second
-    derivative: Richardson-extrapolated central second difference with
-    h = 3e-4 sigma, which balances truncation against roundoff.
-    """
-    h1 = 1e-5 * sigma
-    d1 = (xi(dim, sigma + h1) - xi(dim, sigma - h1)) / (2.0 * h1)
-
-    def second(h):
-        return (xi(dim, sigma + h) - 2.0 * xi(dim, sigma) + xi(dim, sigma - h)) / h ** 2
-
-    h2 = 3e-4 * sigma
-    d2 = (4.0 * second(h2 / 2.0) - second(h2)) / 3.0
-    return d1, d2
 
 
 def radial_mode(dim: int, sigma: float) -> float:
@@ -103,7 +85,8 @@ class TestRadialMoments:
                 assert math.exp(value) == pytest.approx(oracle, rel=1e-10)
 
     def test_moments_against_closed_form(self):
-        # E[d^2] = sigma^3 xi'/xi and Var(d^2) = sigma^6 I_sigma
+        # E[d^2] = sigma^3 xi'/xi and Var(d^2) = sigma^6 I_sigma, with xi and
+        # I_sigma in the paper's closed form
         for dim in range(1, 6):
             for sigma in (0.1, 0.3, 1.0, 2.0, 3.5):
                 log_xi, mean, var = radial_moments(dim, sigma)
@@ -112,7 +95,19 @@ class TestRadialMoments:
                 assert float(mean) == pytest.approx(
                     sigma ** 3 * xi_derivatives(dim, sigma)[0] / value, rel=1e-12)
                 assert float(var) == pytest.approx(
-                    sigma ** 6 * fisher_sigma_closed(dim, sigma), rel=1e-12)
+                    sigma ** 6 * closed_fisher_factors(dim, sigma)[1], rel=1e-12)
+
+    @pytest.mark.parametrize("dim", [2, 50])
+    @pytest.mark.parametrize("sigma", [1e3, 8e7, 1e10, 1e17, 1e40])
+    def test_large_sigma_limits(self, dim, sigma):
+        # far from the origin sinh r = e^r / 2 to double precision, so r is
+        # normal with mean (D-1) sigma^2 and variance sigma^2: E[d^2] and
+        # Var(d^2) are exact there
+        _, mean, var = radial_moments(dim, sigma)
+        a = (dim - 1) * sigma * sigma
+        assert float(mean) == pytest.approx(a * a + sigma ** 2, rel=1e-12)
+        assert float(var) == pytest.approx(4 * a * a * sigma ** 2 + 2 * sigma ** 4,
+                                           rel=1e-12)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
     def test_small_sigma_limits(self, dim):

@@ -16,6 +16,19 @@ def test_xi_suite_detects_injected_error(monkeypatch):
     assert not result.passed
 
 
+def test_xi_suite_checks_the_moment_kernel(monkeypatch):
+    # the kernel that every density and the complexity read, not only the
+    # closed form
+    radial_moments = validation.radial_moments
+
+    def off_by_two_percent(dim, sigma):
+        log_xi, mean, var = radial_moments(dim, sigma)
+        return log_xi + math.log(1.02), mean, var
+
+    monkeypatch.setattr(validation, "radial_moments", off_by_two_percent)
+    assert not check_xi().passed
+
+
 def test_kraft_suite_detects_injected_error(monkeypatch):
     # a density four times too large breaks the Kraft inequality
     assert check_kraft().passed
