@@ -9,8 +9,10 @@ d^2 come from one log-domain radial quadrature, :func:`radial_moments`,
 which is also the kernel of the Fisher information in
 :mod:`rmnml.fisher`.  The paper's closed form of xi is kept as an oracle
 in :mod:`rmnml.validation`.  Also log-likelihoods, seeded sampling and
-maximum likelihood estimation (Frechet mean + safeguarded Newton for
-sigma).
+maximum likelihood estimation by safeguarded Newton: for mu, the Frechet
+mean, with the Hessian sum_i [u u^T + d coth d (I - u u^T)] >= n I, step
+halving on too little decrease, and a stop below 1e-10 or at the rounding
+floor of its frame; for sigma, on log E[d^2].
 """
 
 from __future__ import annotations
@@ -27,10 +29,12 @@ from .quadrature import gauss_legendre
 if TYPE_CHECKING:
     from .complexity import ParamDomain
 
-_MAX_FRECHET_ITERATIONS = 10_000
+_MAX_FRECHET_ITERATIONS = 100
 _FRECHET_STEP_TOL = 1e-10
 #: Share of the first-order decrease a Frechet step must achieve.
 _FRECHET_ARMIJO = 0.25
+#: Rounding of a log map in :func:`frechet_mean`, per unit of mu0 x0_i d_i / sinh d_i.
+_FRECHET_ROUNDING = 1e-15
 _MAX_SIGMA_ITERATIONS = 60
 #: Newton steps in log sigma below this size end the sigma solve.
 _SIGMA_STEP_TOL = 1e-14
@@ -250,43 +254,49 @@ def sample(n: int, params: RgdParams, seed: int) -> Dataset:
 
 
 def frechet_mean(coords: np.ndarray) -> np.ndarray:
-    """Minimizer of sum_i d^2(x_i, mu) by Riemannian gradient descent.
+    """Minimizer of f(mu) = sum_i d^2(x_i, mu) by safeguarded Riemannian Newton.
 
-    Update mu <- exp_mu((eta/n) sum_i log_mu(x_i)) starting from eta = 1.
-    A step is taken only on sufficient decrease, by at least a quarter of
-    the first-order decrease 2 n eta |grad|^2; otherwise eta is halved.
-    Plain decrease is not enough: near a Hessian eigenvalue of 2 the unit
-    step oscillates, contracting by a factor of about 0.9994 per
-    iteration.  Stops when the step norm drops below 1e-10.
+    One (n, D) pass per iteration, in the frame E = columns 1..D of
+    T = :func:`rmnml.hyperbolic.isometry_to` (mu): a_i = <E, x_i>_L gives
+    sinh d_i = |a_i| and log_mu x_i = (d_i / sinh d_i) a_i.  The Hessian of f/2,
+    sum_i [u_i u_i^T + d_i coth d_i (I - u_i u_i^T)] with u_i = a_i / |a_i|, is
+    >= n I, so the Newton step s exists; mu moves to T (cosh|s|, sinh|s| s/|s|).
+    A step is kept when f drops by a quarter of its first-order prediction,
+    less the rounding of f, and is halved otherwise.  The frame rounds each
+    log map by about 1e-15 mu0 x0_i d_i / sinh d_i, which sets that rounding
+    and the accuracy of s.  Stops, taking the last step, when s is below
+    1e-10 or stalls below that accuracy, as it does far from the origin.
     """
-    n = coords.shape[0]
     mean = coords.mean(axis=0)
     # the Euclidean mean of hyperboloid points is timelike, so this projection
     # onto the sheet is always defined
     mink = float(mean[1:] @ mean[1:] - mean[0] * mean[0])
     mu = mean / math.sqrt(-mink)
-    d = hy.dist_many(mu, coords)
-    value = float(d @ d)
-    eta = 1.0
+    frame, eta, done = None, 1.0, False  # frame: the last kept point's isometry
     for _ in range(_MAX_FRECHET_ITERATIONS):
-        alpha = np.cosh(d)
-        u = coords - alpha[:, None] * mu[None, :]
-        sinh_d = np.sqrt(np.maximum(alpha * alpha - 1.0, 0.0))
-        coef = np.where(sinh_d > 1e-15, d / np.maximum(sinh_d, 1e-300), 1.0)
-        grad = (coef[:, None] * u).sum(axis=0) / n
-        # re-project: rounding in alpha leaves a non-tangent component that
-        # would otherwise feed back through the exponential map
-        grad += (grad[1:] @ mu[1:] - grad[0] * mu[0]) * mu
-        grad_sq = max(float(grad[1:] @ grad[1:] - grad[0] * grad[0]), 0.0)
-        if eta * math.sqrt(grad_sq) < _FRECHET_STEP_TOL:
-            return mu
-        candidate = hy.exp_map(mu, eta * grad)
-        new_d = hy.dist_many(candidate, coords)
-        new_value = float(new_d @ new_d)
-        if new_value <= value - _FRECHET_ARMIJO * 2.0 * n * eta * grad_sq:
-            mu, value, d = candidate, new_value, new_d
-        else:
+        T = hy.isometry_to(mu)
+        a = coords[:, 1:] @ T[1:, 1:] - np.outer(coords[:, 0], T[0, 1:])
+        sinh_d = np.sqrt(np.einsum("ij,ij->i", a, a))
+        d = np.arcsinh(sinh_d)
+        value = float(d @ d)
+        coef = np.divide(d, sinh_d, out=np.ones_like(d), where=sinh_d > 0.0)
+        error = _FRECHET_ROUNDING * mu[0] * coords[:, 0] * coef  # of each log map
+        if frame is not None and value > kept_value - eta * decrease + 2.0 * float(d @ error):
             eta *= 0.5
+        else:
+            grad = coef @ a  # sum_i log_mu x_i in the frame
+            u = np.divide(a, sinh_d[:, None], out=np.zeros_like(a), where=sinh_d[:, None] > 0.0)
+            d_coth = coef * np.hypot(1.0, sinh_d)
+            hess = d_coth.sum() * np.eye(a.shape[1]) + (u.T * (1.0 - d_coth)) @ u
+            step = np.linalg.solve(hess, grad)
+            norm = math.sqrt(float(step @ step))
+            done = norm < max(_FRECHET_STEP_TOL, float(error.mean()))
+            frame, kept_value, decrease, eta = T, value, _FRECHET_ARMIJO * 2.0 * (grad @ step), 1.0
+        scale = math.sinh(eta * norm) / norm if norm > 0.0 else 0.0
+        mu = frame @ np.concatenate([[math.cosh(eta * norm)], scale * step])
+        mu[0] = math.hypot(1.0, float(np.linalg.norm(mu[1:])))  # back onto the sheet
+        if done:
+            return mu
     raise EstimationError(
         f"Frechet mean did not converge in {_MAX_FRECHET_ITERATIONS} iterations")
 

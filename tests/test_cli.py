@@ -137,7 +137,9 @@ class TestPcCommand:
         assert all(math.isfinite(v) for v in payload.values())
         assert payload["term_fisher"] == pytest.approx(math.log(1e10), abs=1e-6)
 
-    @pytest.mark.parametrize("dim", [8, 16])
+    # at D = 1e4 and 3e4 the sigma integrand falls about as sigma^-(D+1),
+    # and the doubling rule in log sigma must still agree by 1,024 nodes
+    @pytest.mark.parametrize("dim", [8, 16, 10_000, 30_000])
     def test_high_dimension_finite_and_fast(self, dim, capsys):
         start = time.perf_counter()
         assert run(["pc", "--dim", str(dim), "--n", "1000"]) == 0
@@ -286,6 +288,34 @@ class TestCodelengthCommand:
         assert run(["codelength", "--data", str(path)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert all(math.isfinite(v) for k, v in payload.items() if k != "boundary_flag")
+
+    @pytest.mark.parametrize("r", [8, 12, 14, 16])
+    def test_far_cluster_terminates(self, r, tmp_path, capsys):
+        # the same 200 draws moved along an axis to distance r: the frame of
+        # the Frechet mean rounds by about eps cosh^2 r, so the Newton step
+        # stalls near 3e-9, 8e-6 and 4e-4 at r = 8, 12 and 14, and the
+        # distances carry the same floor; at r = 16 the distance kernel
+        # rejects the data as off-manifold
+        near, far = tmp_path / "near.json", tmp_path / "far.json"
+        mu = f"{math.cosh(r)!r},{math.sinh(r)!r},0"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for path, args in ((near, []), (far, ["--mu", mu])):
+                assert run(["sample", "--dim", "2", "--n", "200", "--sigma", "0.5",
+                            "--seed", "1", *args, "--out", str(path)]) == 0
+            assert run(["codelength", "--data", str(near), "--radius", "30"]) == 0
+            reference = json.loads(capsys.readouterr().out)["neg_max_loglik"]
+            code = run(["codelength", "--data", str(far), "--radius", "30"])
+        out, err = capsys.readouterr()
+        if r == 16:
+            assert code == 2 and "off-manifold" in err
+            return
+        assert code == 0
+        payload = json.loads(out)
+        assert all(math.isfinite(v) for k, v in payload.items() if k != "boundary_flag")
+        if r < 14:  # at r = 14, neg_max_loglik moves by 1e-2 as mu moves by 1e-12
+            floor = 200 * sys.float_info.epsilon * math.cosh(r) ** 2 / 0.5 ** 2
+            assert abs(payload["neg_max_loglik"] - reference) < floor
 
     def test_points_past_data_bound_are_usage_error(self, tmp_path, capsys):
         # mu about 400 from the origin: sample draws within the float range

@@ -368,8 +368,9 @@ class TestMle:
 
     def test_frechet_mean_converges_at_unit_step_stability_edge(self):
         # D = 5, n = 500 cloud whose objective has its largest Hessian
-        # eigenvalue near 2: a unit step that only needs the objective to
-        # drop oscillates there and ran out of its 10,000 iterations
+        # eigenvalue near 2, the stability edge of a unit gradient step,
+        # which oscillated there and ran out of its 10,000 iterations; the
+        # Newton step divides by the Hessian, so it has no such edge
         rng = np.random.default_rng([501, 2, 107])
         center = rng.standard_normal(5)
         center *= rng.uniform(0.0, 1.0) / np.linalg.norm(center)
@@ -379,6 +380,25 @@ class TestMle:
         mu = frechet_mean(coords)
         mean_log = sum(log_map(mu, x) for x in coords) / len(coords)
         assert minkowski_inner(mean_log, mean_log) < 1e-16
+
+    @pytest.mark.parametrize("k", range(8))
+    def test_frechet_mean_stationary_at_large_n(self, k):
+        # at n = 1e4 a decrease test on sum d^2 (about 1e4) falls below its
+        # rounding once |grad| is about 3e-8; halving the step from there
+        # stopped up to 5e-8 short of the mean
+        rng = np.random.default_rng([11, k])
+        spatial = rng.standard_normal(2)
+        spatial *= math.sinh(rng.uniform(0.0, 1.5)) / np.linalg.norm(spatial)
+        center = np.concatenate([[math.hypot(1.0, np.linalg.norm(spatial))], spatial])
+        coords = sample(10_000, RgdParams(center, 0.5 + 0.9 * k / 7), seed=k).coords
+        mu = frechet_mean(coords)
+        alpha = np.maximum(coords[:, 0] * mu[0] - coords[:, 1:] @ mu[1:], 1.0)
+        sinh_d = np.sqrt(alpha * alpha - 1.0)
+        coef = np.divide(np.arccosh(alpha), sinh_d, out=np.ones_like(alpha),
+                         where=sinh_d > 0.0)
+        mean_log = (coef[:, None] * (coords - alpha[:, None] * mu)).mean(axis=0)
+        # the Euclidean norm bounds the Minkowski norm of a tangent vector
+        assert np.linalg.norm(mean_log) <= 1e-10
 
     def test_mu_clamped_to_ball(self, rng):
         far = polar_point(2.5, [1.0, 0.0])
