@@ -383,9 +383,9 @@ class TestMle:
 
     @pytest.mark.parametrize("k", range(8))
     def test_frechet_mean_stationary_at_large_n(self, k):
-        # at n = 1e4 a decrease test on sum d^2 (about 1e4) falls below its
-        # rounding once |grad| is about 3e-8; halving the step from there
-        # stopped up to 5e-8 short of the mean
+        # at n = 1e4, sum d^2 (about 1e4) rounds by more than a step of
+        # 3e-8 decreases it, so a plain decrease test halves such steps away
+        # and stops short of the mean
         rng = np.random.default_rng([11, k])
         spatial = rng.standard_normal(2)
         spatial *= math.sinh(rng.uniform(0.0, 1.5)) / np.linalg.norm(spatial)
