@@ -3,7 +3,9 @@
 Subcommands: ``pc``, ``codelength``, ``sample``, ``select-dim``,
 ``validate``, ``coding-demo``.  Exit codes: 0 on success, 1 when a
 validation suite fails, 2 on usage or input errors, 3 when a numerical
-stage fails (quadrature, estimation, or a value beyond the float range).
+stage fails (quadrature, estimation, or a value beyond the float range)
+or an array does not fit in memory (``sample`` builds a dense
+(D+1) x (D+1) isometry: 80 GB at D = 1e5).
 Datasets are JSON files
 ``{"chart": "lorentz", "dim": D, "points": [[x0, ..., xD], ...]}``;
 ``"chart": "poincare"`` with D-component points is accepted on input and
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -168,8 +171,8 @@ def cmd_codelength(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    if not args.sigma_value > 0:
-        raise InputError(f"--sigma must be positive, got {args.sigma_value}")
+    if not 0 < args.sigma_value < math.inf:
+        raise InputError(f"--sigma must be positive and finite, got {args.sigma_value}")
     if args.dim < 1:
         raise InputError(f"--dim must be a positive integer, got {args.dim}")
     mu = hy.origin(args.dim)
@@ -339,6 +342,9 @@ def main(argv: list[str] | None = None) -> int:
         return NUMERICAL_ERROR
     except OverflowError as exc:
         print(f"error: numerical overflow: {exc}", file=sys.stderr)
+        return NUMERICAL_ERROR
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
 
 

@@ -69,8 +69,8 @@ class RgdParams:
             raise hy.GeometryError(bad[1])
         mu.setflags(write=False)
         object.__setattr__(self, "mu", mu)
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
 
     @property
     def dim(self) -> int:
@@ -231,8 +231,10 @@ def sample(n: int, params: RgdParams, seed: int) -> Dataset:
         raise ValueError("n must be >= 1")
     dim = params.dim
     rng = np.random.default_rng(seed)
-    grid, cdf = _radial_table(dim, params.sigma)
-    radii = np.interp(rng.uniform(0.0, 1.0, n), cdf, grid)
+    # a sigma too wide for the float range leaves non-finite points, named below
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid, cdf = _radial_table(dim, params.sigma)
+        radii = np.interp(rng.uniform(0.0, 1.0, n), cdf, grid)
     if dim == 1:
         dirs = (rng.integers(0, 2, size=(n, 1)) * 2 - 1).astype(float)
     else:
@@ -266,12 +268,15 @@ def frechet_mean(coords: np.ndarray) -> np.ndarray:
     log map by about 1e-15 mu0 x0_i d_i / sinh d_i, which sets that rounding
     and the accuracy of s.  Stops, taking the last step, when s is below
     1e-10 or stalls below that accuracy, as it does far from the origin.
+    Starts from the Euclidean mean m scaled onto the sheet, or from the first
+    point where rounding leaves -<m, m>_L below 1, as far clusters do.
     """
     mean = coords.mean(axis=0)
-    # the Euclidean mean of hyperboloid points is timelike, so this projection
-    # onto the sheet is always defined
+    # the Euclidean mean of points on the sheet has -<m, m>_L >= 1 (reverse
+    # Cauchy-Schwarz), so a smaller value is rounding that destroyed the
+    # projection: start from a data point instead
     mink = float(mean[1:] @ mean[1:] - mean[0] * mean[0])
-    mu = mean / math.sqrt(-mink)
+    mu = mean / math.sqrt(-mink) if mink <= -1.0 else coords[0].copy()
     frame, eta, done = None, 1.0, False  # frame: the last kept point's isometry
     for _ in range(_MAX_FRECHET_ITERATIONS):
         T = hy.isometry_to(mu)

@@ -2,7 +2,9 @@
 
 Adaptive Simpson refined level by level, and doubling Gauss-Legendre
 log-sums over a log-integrand.  Both rules call the integrand on arrays of
-abscissae, and every result is reproducible.
+abscissae, and every result is reproducible.  A Gauss-Legendre rule is
+built with numpy alone, by Newton's method on the Legendre P_n, the
+first time its node count is asked for, and cached.
 """
 
 from __future__ import annotations
@@ -30,13 +32,34 @@ class QuadratureError(RuntimeError):
 
 @functools.cache
 def gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only nodes and weights of the Gauss-Legendre rule on [-1, 1].
+    """Read-only nodes (ascending) and weights of the Gauss-Legendre rule on [-1, 1].
 
-    numpy.polynomial is imported on first use, so that importing the
-    package does not load it.
+    Three Newton steps in theta, x = cos theta, from the Tricomi guess
+    theta_j = pi (4j - 1) / (4n + 2), on the cosine series
+    P_n(cos theta) = sum_k c_k c_(n-k) cos((n - 2k) theta), c_k = C(2k, k) / 4^k,
+    whose terms k and n - k are folded into one.  Each step evaluates P_n and
+    dP_n/dtheta at the nodes with x >= 0 as two matrix-vector products; the
+    weights are 2 / (dP_n/dtheta)^2 at the final nodes, scaled to sum to 2.
     """
-    from numpy.polynomial.legendre import leggauss
-    x, w = leggauss(nodes)
+    n = nodes
+    i = np.arange(1, n + 1)
+    c = np.concatenate([[1.0], np.cumprod((2 * i - 1) / (2 * i))])
+    k = np.arange(n // 2 + 1)
+    m = n - 2 * k
+    a = c[k] * c[n - k] * np.where(m > 0, 2.0, 1.0)
+    am = a * m
+    theta = math.pi * (4 * np.arange(1, (n + 1) // 2 + 1) - 1) / (4 * n + 2)
+    for _ in range(3):  # theta - P_n / (dP_n/dtheta), dP_n/dtheta = -sum a m sin(m theta)
+        arg = np.outer(theta, m)
+        theta = theta + (np.cos(arg) @ a) / (np.sin(arg) @ am)
+    x = np.cos(theta)
+    if n % 2:  # the middle node
+        theta[-1], x[-1] = 0.5 * math.pi, 0.0
+    w = 2.0 / (np.sin(np.outer(theta, m)) @ am) ** 2
+    # mirror the x >= 0 half; an odd rule's middle node 0 appears once
+    x = np.concatenate([-x[:n // 2], x[::-1]])
+    w = np.concatenate([w[:n // 2], w[::-1]])
+    w *= 2.0 / w.sum()
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w

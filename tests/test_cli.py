@@ -230,6 +230,35 @@ class TestSampleCommand:
             assert err == ""
             assert load_dataset(str(out)).n == 1000
 
+    @pytest.mark.parametrize("sigma", ["inf", "1e200", "1.7e308"])
+    def test_unrepresentable_sigma_is_usage_error(self, sigma, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["sample", "--dim", "2", "--n", "10", "--sigma", sigma,
+                        "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        if sigma == "inf":
+            assert err == "error: --sigma must be positive and finite, got inf\n"
+        else:
+            assert err.startswith(f"error: sigma = {float(sigma)!r} with mu at distance 0 ")
+            assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_out_of_memory_exit_code(self, monkeypatch, tmp_path, capsys):
+        # sample builds a dense (D+1) x (D+1) isometry, 80 GB at D = 1e5
+        def exhausted(mu):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array with "
+                              "shape (100001, 100001) and data type float64")
+        monkeypatch.setattr(hy, "isometry_to", exhausted)
+        out = tmp_path / "x.json"
+        assert run(["sample", "--dim", "2", "--n", "3", "--sigma", "1",
+                    "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error: out of memory: Unable to allocate 74.5 GiB for an array with "
+            "shape (100001, 100001) and data type float64\n")
+        assert not out.exists()
+
     def test_custom_mu(self, tmp_path):
         mu = polar_point(0.8, [1.0, 0.0])
         mu_text = ",".join(repr(float(v)) for v in mu)
@@ -289,13 +318,15 @@ class TestCodelengthCommand:
         payload = json.loads(capsys.readouterr().out)
         assert all(math.isfinite(v) for k, v in payload.items() if k != "boundary_flag")
 
-    @pytest.mark.parametrize("r", [8, 12, 14, 16])
+    @pytest.mark.parametrize("r", [8, 12, 14, 16, 20])
     def test_far_cluster_terminates(self, r, tmp_path, capsys):
         # the same 200 draws moved along an axis to distance r: the frame of
         # the Frechet mean rounds by about eps cosh^2 r, so the Newton step
         # stalls near 3e-9, 8e-6 and 4e-4 at r = 8, 12 and 14, and the
-        # distances carry the same floor; at r = 16 the distance kernel
-        # rejects the data as off-manifold
+        # distances carry the same floor; at r = 16 and 20 the distance
+        # kernel rejects the data as off-manifold.  At r = 20 the Minkowski
+        # norm of the Euclidean mean rounds to 0, so the Frechet mean starts
+        # from a data point
         near, far = tmp_path / "near.json", tmp_path / "far.json"
         mu = f"{math.cosh(r)!r},{math.sinh(r)!r},0"
         with warnings.catch_warnings():
@@ -307,7 +338,7 @@ class TestCodelengthCommand:
             reference = json.loads(capsys.readouterr().out)["neg_max_loglik"]
             code = run(["codelength", "--data", str(far), "--radius", "30"])
         out, err = capsys.readouterr()
-        if r == 16:
+        if r >= 16:
             assert code == 2 and "off-manifold" in err
             return
         assert code == 0
@@ -571,6 +602,28 @@ def test_cli_import_leaves_numpy_polynomial_unloaded():
                           text=True, timeout=60, check=True,
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("command", ["pc", "codelength"])
+def test_cli_run_leaves_numpy_polynomial_unloaded(command, tmp_path):
+    # the Gauss-Legendre rules are built with numpy alone
+    code = "\n".join([
+        "import sys",
+        "from rmnml.cli import main",
+        "command, path = sys.argv[1:]",
+        "if command == 'pc':",
+        "    assert main(['pc', '--dim', '2', '--n', '100']) == 0",
+        "else:",
+        "    assert main(['sample', '--dim', '2', '--n', '500', '--sigma', '1',",
+        "                 '--seed', '1', '--out', path]) == 0",
+        "    assert main(['codelength', '--data', path]) == 0",
+        "print('numpy.polynomial' in sys.modules)",
+    ])
+    src = os.path.dirname(os.path.dirname(rmnml.__file__))
+    proc = subprocess.run([sys.executable, "-c", code, command, str(tmp_path / "data.json")],
+                          capture_output=True, text=True, timeout=60, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -301,6 +301,11 @@ class TestSample:
         with pytest.raises(ValueError, match=r"sigma = 2\.0 with mu at distance 705 "):
             sample(100, RgdParams(mu, 2.0), seed=0)
 
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+    def test_sigma_must_be_positive_and_finite(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            RgdParams(hy.origin(2), sigma)
+
 
 class TestMle:
     def test_degenerate_cluster(self, rng):

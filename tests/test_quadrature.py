@@ -153,6 +153,22 @@ def test_invalid_interval_and_spec():
                 integrate_1d(lambda x: x, 0.0, 1.0, rel_tol, rule=rule)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 32, 64, 96, 128, 256, 1024])
+def test_gauss_legendre_rule(n):
+    from numpy.polynomial.legendre import leggauss  # the oracle for the nodes
+    x, w = quadrature.gauss_legendre(n)
+    assert x.shape == w.shape == (n,)
+    assert not x.flags.writeable and not w.flags.writeable
+    np.testing.assert_array_equal(x, -x[::-1])
+    np.testing.assert_array_equal(w, w[::-1])
+    assert abs(math.fsum(w) - 2.0) <= 1e-15
+    # exact for every even power up to degree 2n - 1
+    powers = 2 * np.arange(n)
+    moments = (x ** powers[:, None]) @ w
+    np.testing.assert_allclose(moments, 2.0 / (powers + 1.0), rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(x, leggauss(n)[0], rtol=0.0, atol=1e-15)
+
+
 def test_log_gauss_legendre_rule():
     # log of exp(-x^2/2) over [-10, 10]; the rule sums in the log domain
     # and returns the log of the integral
