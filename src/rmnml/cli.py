@@ -9,13 +9,16 @@ or an array does not fit in memory (``sample`` builds a dense
 Datasets are JSON files
 ``{"chart": "lorentz", "dim": D, "points": [[x0, ..., xD], ...]}``;
 ``"chart": "poincare"`` with D-component points is accepted on input and
-converted.
+converted.  :func:`main` builds one parser per process and binds each
+subcommand's ``cmd_*`` handler then, so replacing a handler after the
+first call has no effect.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -79,7 +82,7 @@ def load_dataset(path: str) -> Dataset:
     if chart not in ("lorentz", "poincare"):
         raise InputError(f"{path}: field 'chart' must be 'lorentz' or "
                          f"'poincare', got {chart!r}")
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:  # JSON true is an int subclass
         raise InputError(f"{path}: field 'dim' must be a positive integer")
     if not isinstance(points, list) or not points:
         raise InputError(f"{path}: field 'points' must be a non-empty list")
@@ -267,7 +270,10 @@ def cmd_coding_demo(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``rmnml`` argument parser, built on the first call and reused;
+    ``build_parser.__wrapped__()`` builds a fresh one."""
     parser = argparse.ArgumentParser(
         prog="rmnml",
         description="Coordinate-invariant NML code-lengths on hyperbolic space.")

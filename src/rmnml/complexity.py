@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hyperbolic as hy
-from .gaussian import Dataset, log_lik, mle, radial_moments
+from .gaussian import Dataset, mle, radial_moments
 from .quadrature import integrate_1d
 
 #: Default compact parameter domain (geodesic ball radius, sigma interval).
@@ -164,10 +164,9 @@ def rm_nml_codelength(data: Dataset, domain: ParamDomain = ParamDomain(),
     asymptotic complexity formula is not reliable.
     """
     fit = mle(data, domain)
-    neg_ll = -log_lik(data, fit.params)
     pc = pc_hgd(data.dim, data.n, domain, rel_tol)
     return CodeLengthReport(
-        neg_max_loglik=neg_ll,
+        neg_max_loglik=-fit.max_log_lik,
         log_pc=pc.total_log_pc,
         boundary_flag=fit.boundary)
 
@@ -196,8 +195,7 @@ def regret(data: Dataset, codelength: float,
     For the volume-element NML code-length this equals the log parametric
     complexity for every dataset (the constant-regret property).
     """
-    fit = mle(data, domain)
-    return codelength - (-log_lik(data, fit.params))
+    return codelength + mle(data, domain).max_log_lik
 
 
 _erfc = np.frompyfunc(math.erfc, 1, 1)

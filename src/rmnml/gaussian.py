@@ -190,7 +190,11 @@ def radial_moments(dim: int, sigma):
 
 def log_pdf_vol_many(coords: np.ndarray, params: RgdParams) -> np.ndarray:
     """log p_vol for every row of an (n, D+1) Lorentz coordinate array."""
-    d = hy.dist_many(params.mu, coords)
+    return _log_pdf_vol(hy.dist_many(params.mu, coords), params)
+
+
+def _log_pdf_vol(d: np.ndarray, params: RgdParams) -> np.ndarray:
+    """log p_vol at the distances ``d`` from ``params.mu``."""
     log_xi = float(radial_moments(params.dim, params.sigma)[0])
     return -d * d / (2.0 * params.sigma ** 2) - log_xi
 
@@ -348,11 +352,13 @@ def _solve_sigma(dim: int, target: float, lo: float, hi: float) -> tuple[float, 
 
 @dataclass(frozen=True)
 class MleFit:
-    """MLE result with flags recording clamping to the parameter domain."""
+    """MLE result with flags recording clamping to the parameter domain, and
+    ``max_log_lik``: ``log_lik(data, params)`` bit for bit, from the fit's distances."""
 
     params: RgdParams
     mu_clamped: bool
     sigma_clamped: bool
+    max_log_lik: float
 
     @property
     def boundary(self) -> bool:
@@ -394,4 +400,5 @@ def mle(data: Dataset, domain: "ParamDomain") -> MleFit:
 
     sigma, sigma_clamped = _solve_sigma(dim, target, domain.sigma_min,
                                         domain.sigma_max)
-    return MleFit(RgdParams(mu, sigma), mu_clamped, sigma_clamped)
+    params = RgdParams(mu, sigma)
+    return MleFit(params, mu_clamped, sigma_clamped, float(np.sum(_log_pdf_vol(d, params))))

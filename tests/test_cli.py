@@ -6,13 +6,14 @@ import subprocess
 import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rmnml
-from rmnml import coding, hyperbolic as hy, quadrature
-from rmnml.cli import (InputError, load_dataset, main, parse_sigma_range,
+from rmnml import cli, coding, hyperbolic as hy, quadrature
+from rmnml.cli import (InputError, build_parser, load_dataset, main, parse_sigma_range,
                        select_best, write_dataset)
 from rmnml.complexity import ParamDomain, pc_hgd, rm_nml_codelength
 from rmnml.gaussian import Dataset, RgdParams, sample
@@ -570,6 +571,73 @@ def test_dataset_file_validations(tmp_path):
                                 "points": [[1, 0, "x"]]}))
     with pytest.raises(InputError, match="numeric"):
         load_dataset(str(path))
+
+
+@pytest.mark.parametrize("dim", [True, False, 2.0])
+def test_non_integer_dim_is_usage_error(dim, tmp_path, capsys):
+    # JSON true and false are Python bools, a subclass of int
+    path = tmp_path / "data.json"
+    points = [[1.0, 0.0], [math.cosh(0.5), math.sinh(0.5)]]
+    path.write_text(json.dumps({"chart": "lorentz", "dim": dim, "points": points}))
+    assert run(["codelength", "--data", str(path)]) == 2
+    assert capsys.readouterr().err == (f"error: {path}: field 'dim' must be a "
+                                       f"positive integer\n")
+
+
+def _session(capsys):
+    """One in-process sequence of main calls in the current directory:
+    (exit code, stdout, stderr) per call, then the bytes of every file made."""
+    argvs = [
+        ["pc", "--dim", "2", "--n", "100", "--sigma", "0.2:2"],
+        ["sample", "--dim", "2", "--n", "60", "--sigma", "0.8", "--seed", "3",
+         "--out", "d2.json"],
+        ["sample", "--dim", "3", "--n", "60", "--sigma", "0.8", "--out", "d3.json"],
+        ["sample", "--dim", "1", "--n", "60", "--sigma", "1.5", "--seed", "4",
+         "--mu", "1.5430806348152437,1.1752011936438014", "--out", "d1.json"],
+        ["codelength", "--data", "d2.json", "--radius", "2", "--out", "cl.json",
+         "--csv", "cl.csv"],
+        ["codelength", "--radius", "2"],
+        ["select-dim", "--candidate", "3=d3.json", "--candidate", "2=d2.json",
+         "--candidate", "1=d1.json", "--sigma", "0.2:2"],
+        ["select-dim", "--candidate", "2=d2.json", "--candidate", "3=d3.json"],
+        ["coding-demo", "--grid", "6", "--sigma", "0.7"],
+        ["codelength", "--data", "d2.json"],
+    ]
+    calls = []
+    for argv in argvs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        calls.append((code, *capsys.readouterr()))
+    files = {p.name: p.read_bytes() for p in sorted(Path.cwd().iterdir())}
+    return calls, files
+
+
+def test_reused_parser_matches_fresh_parser(tmp_path, monkeypatch, capsys):
+    assert build_parser() is build_parser()
+    sessions = []
+    for fresh in (False, True):
+        workdir = tmp_path / str(fresh)
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        if fresh:
+            monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+        sessions.append(_session(capsys))
+    (calls, files), fresh_run = sessions
+    assert (calls, files) == fresh_run
+    assert [c[0] for c in calls] == [0, 0, 0, 0, 0, 2, 0, 0, 0, 0]
+    assert sorted(files) == ["cl.csv", "cl.json", "d1.json", "d2.json", "d3.json"]
+    # no value carries over: the second select-dim scores 2 files on the
+    # default domain, and the last codelength prints on the default domain
+    default_pc = pc_hgd(2, 60, ParamDomain(), 1e-10).total_log_pc
+    first, second = (json.loads(c[1]) for c in calls[6:8])
+    assert [e["dim"] for e in first["scores"]] == [1, 2, 3]
+    assert [e["dim"] for e in second["scores"]] == [2, 3]
+    assert second["scores"][0]["log_pc"] == default_pc
+    assert calls[4][1] == "" and "--data" in calls[5][2]
+    assert json.loads(calls[9][1])["log_pc"] == default_pc
+    assert json.loads(files["cl.json"])["log_pc"] != default_pc
 
 
 @pytest.mark.parametrize("chart", ["lorentz", "poincare"])

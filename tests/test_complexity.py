@@ -10,8 +10,8 @@ from rmnml.complexity import (ParamDomain, chart_gap, hgd_sigma_integral,
 from rmnml.gaussian import Dataset, RgdParams, log_pdf_vol_many, mle, sample
 from rmnml.quadrature import QuadratureError, integrate_1d
 
-from conftest import (closed_sigma_integrand, lorentz_to_poincare, random_dataset,
-                      random_point, sqrt_det_metric, xi_fd_derivatives)
+from conftest import (closed_sigma_integrand, lorentz_to_poincare, polar_point,
+                      random_dataset, random_point, sqrt_det_metric, xi_fd_derivatives)
 
 DOMAIN = ParamDomain(radius_R=3.0, sigma_min=0.1, sigma_max=3.0)
 
@@ -142,6 +142,23 @@ class TestCodeLength:
         a = rm_nml_codelength(data, DOMAIN)
         b = rm_nml_codelength(data.transformed(T), DOMAIN)
         assert b.total == pytest.approx(a.total, abs=1e-6)
+
+    @pytest.mark.parametrize("r, sigma", [(0.5, 0.8), (4.0, 0.8), (0.5, 0.01)])
+    def test_one_distance_pass_and_constant_regret(self, r, sigma, monkeypatch):
+        # interior, mu-clamped and sigma-clamped fits at D = 3
+        data = sample(100, RgdParams(polar_point(r, [0.6, 0.0, 0.8]), sigma), seed=7)
+        rows = []
+
+        def counted(x, ys, dist_many=hy.dist_many):
+            rows.append(len(ys))
+            return dist_many(x, ys)
+
+        monkeypatch.setattr(hy, "dist_many", counted)
+        report = rm_nml_codelength(data, DOMAIN)
+        assert rows == [data.n]
+        assert report.boundary_flag == (r > DOMAIN.radius_R or sigma < DOMAIN.sigma_min)
+        assert regret(data, report.total, DOMAIN) == pytest.approx(
+            pc_hgd(3, data.n, DOMAIN).total_log_pc, abs=1e-9)
 
     def test_tight_cluster_sets_boundary_flag(self, rng):
         x = random_point(rng, 2, 0.5)

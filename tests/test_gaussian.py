@@ -366,6 +366,18 @@ class TestMle:
                               float(rng.uniform(DOMAIN.sigma_min, DOMAIN.sigma_max)))
             assert best >= log_lik(data, other) - 1e-9
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    @pytest.mark.parametrize("r, sigma, clamped", [(0.5, 0.8, (False, False)),
+                                                    (4.0, 0.8, (True, False)),
+                                                    (0.5, 0.01, (False, True))])
+    def test_max_log_lik_is_log_lik_bit_for_bit(self, dim, r, sigma, clamped, rng):
+        direction = rng.standard_normal(dim)
+        mu = polar_point(r, direction / np.linalg.norm(direction))
+        data = sample(200, RgdParams(mu, sigma), seed=dim)
+        fit = mle(data, DOMAIN)
+        assert (fit.mu_clamped, fit.sigma_clamped) == clamped
+        assert fit.max_log_lik == log_lik(data, fit.params)
+
     def test_needs_two_points(self, rng):
         data = Dataset(hy.origin(2)[None, :])
         with pytest.raises(ValueError):
