@@ -593,7 +593,7 @@ def _session(capsys):
          "--out", "d2.json"],
         ["sample", "--dim", "3", "--n", "60", "--sigma", "0.8", "--out", "d3.json"],
         ["sample", "--dim", "1", "--n", "60", "--sigma", "1.5", "--seed", "4",
-         "--mu", "1.5430806348152437,1.1752011936438014", "--out", "d1.json"],
+         "--mu", f"{math.cosh(1.0)!r},{math.sinh(1.0)!r}", "--out", "d1.json"],
         ["codelength", "--data", "d2.json", "--radius", "2", "--out", "cl.json",
          "--csv", "cl.csv"],
         ["codelength", "--radius", "2"],
