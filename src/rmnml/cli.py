@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import math
 import sys
@@ -53,13 +54,22 @@ def parse_sigma_range(text: str) -> tuple[float, float]:
     return lo, hi
 
 
+#: Types of the JSON values a coordinate may hold: numbers, and null (read as NaN).
+_COORDINATE_TYPES = frozenset({int, float, type(None)})
+
+
 def _is_number(value) -> bool:
-    """Whether numpy reads ``value`` as one float (null reads as NaN)."""
-    try:
-        float(value)
-    except (TypeError, ValueError, OverflowError):
-        return value is None
-    return True
+    """Whether ``value`` is a JSON number numpy reads as one float, or null.
+
+    JSON true and false, and numeric strings, are not: numpy would read
+    them as 1.0, 0.0 and the number.
+    """
+    if type(value) is int:
+        try:
+            float(value)
+        except OverflowError:  # past the float range
+            return False
+    return type(value) in _COORDINATE_TYPES
 
 
 def load_dataset(path: str) -> Dataset:
@@ -91,7 +101,10 @@ def load_dataset(path: str) -> Dataset:
         coords = np.array(points, dtype=float)
     except (TypeError, ValueError, OverflowError):
         coords = None
-    if coords is None or coords.ndim != 2 or coords.shape[1] != expected:
+    # one C-level pass over the values' types: numpy reads true and "1" as 1.0
+    if (coords is None or coords.ndim != 2 or coords.shape[1] != expected
+            or not _COORDINATE_TYPES.issuperset(
+                map(type, itertools.chain.from_iterable(points)))):
         # name the first bad row: a wrong length before a non-numeric field
         for i, row in enumerate(points):
             if not isinstance(row, list) or len(row) != expected:

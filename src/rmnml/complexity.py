@@ -12,6 +12,10 @@ negative log-likelihood (with respect to the volume element) plus the log
 parametric complexity; its regret is constant and equal to the log
 parametric complexity.  All code-lengths here are in nats; the o(1) term
 of the asymptotic formula is dropped throughout.
+
+For the hyperbolic Gaussian the sigma integral is taken in u = log sigma
+over the log integrand (D log c_mu + log I_sigma) / 2 + u, with the Fisher
+factors from :func:`rmnml.gaussian.log_fisher_factors`.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hyperbolic as hy
-from .gaussian import Dataset, mle, radial_moments
+from .gaussian import Dataset, log_fisher_factors, mle
 from .quadrature import integrate_1d
 
 #: Default compact parameter domain (geodesic ball radius, sigma interval).
@@ -45,7 +49,12 @@ class ParamDomain:
 
     Accepted range: 0 < radius_R <= RADIUS_MAX (1e15) and finite
     bounds with SIGMA_FLOOR (about 1.2e-77) <= sigma_min < sigma_max.
-    Every term of the log complexity is finite on such a domain.
+    Every term of the log complexity is finite on such a domain: the
+    Fisher factors are logs of moments that are themselves kept as logs,
+    so sigma_max may reach the float range (while (D-1) sigma_max is a
+    float).  The maximized likelihood of ``mle`` needs log xi(sigma),
+    about (D-1)^2 sigma^2 / 2, which passes the float range near
+    sigma = 1e154 / (D-1).
     """
 
     radius_R: float = DEFAULT_RADIUS
@@ -119,12 +128,11 @@ def pc_general(k: int, n: int, log_fisher_integral: float,
 def _log_sigma_integrand(dim: int, u: np.ndarray) -> np.ndarray:
     """Log of sqrt(c_mu^D I_sigma) sigma at the nodes u = log sigma.
 
-    The location factor is c_mu = E[d^2] / (D sigma^4) and
-    I_sigma = Var(d^2) / sigma^6, all nodes in one :func:`radial_moments`
-    call.
+    (D log c_mu + log I_sigma) / 2 + u, from one :func:`log_fisher_factors`
+    call for all nodes.
     """
-    _, mean, var = radial_moments(dim, np.exp(u))
-    return 0.5 * (dim * (np.log(mean / dim) - 4.0 * u) + np.log(var) - 6.0 * u) + u
+    log_c_mu, log_i_sigma = log_fisher_factors(dim, np.exp(u))
+    return 0.5 * (dim * log_c_mu + log_i_sigma) + u
 
 
 def hgd_sigma_integral(dim: int, domain: ParamDomain,
@@ -196,50 +204,3 @@ def regret(data: Dataset, codelength: float,
     complexity for every dataset (the constant-regret property).
     """
     return codelength + mle(data, domain).max_log_lik
-
-
-_erfc = np.frompyfunc(math.erfc, 1, 1)
-
-
-def _normal_cdf(z: np.ndarray) -> np.ndarray:
-    """Standard normal CDF 0.5 erfc(-z / sqrt 2), accurate in both tails."""
-    return 0.5 * _erfc(-z / math.sqrt(2.0)).astype(float)
-
-
-def pc_mc_gauss1d(n: int, a: float, b: float, samples: int,
-                  seed: int) -> tuple[float, float]:
-    """Monte-Carlo log parametric complexity of N(theta, 1), theta in [a, b].
-
-    Importance sampling with theta uniform on [a, b] and the data drawn
-    from N(theta, 1): the estimate targets
-    integral p(y^n | thetahat(y^n)) 1{thetahat in [a, b]} dy^n, which this
-    family admits exactly as (b - a) sqrt(n / 2 pi).  Weights use the
-    mixture (marginal) proposal density, which keeps them bounded; the
-    per-theta conditional weight exp(n (thetahat - theta)^2 / 2) has such a
-    heavy tail that feasible sample sizes systematically miss part of the
-    mass.  Everything depends on y^n only through its mean, so the mean is
-    drawn directly from its exact law N(theta, 1/n).  Returns the log
-    estimate (via log-sum-exp) and its delta-method standard error.
-    """
-    if not b > a:
-        raise ValueError(f"degenerate interval: [{a}, {b}]")
-    if n < 10:
-        raise ValueError("n must be >= 10")
-    if samples < 10_000:
-        raise ValueError("samples must be >= 1e4")
-    rng = np.random.default_rng(seed)
-    theta = rng.uniform(a, b, samples)
-    ybar = theta + rng.standard_normal(samples) / math.sqrt(n)
-    inside = (ybar >= a) & (ybar <= b)
-    sqrt_n = math.sqrt(n)
-    marginal = _normal_cdf(sqrt_n * (b - ybar)) - _normal_cdf(sqrt_n * (a - ybar))
-    log_w = np.where(
-        inside,
-        0.5 * math.log(n / (2.0 * math.pi)) + math.log(b - a)
-        - np.log(np.maximum(marginal, 1e-300)),
-        -np.inf)
-    shift = float(np.max(log_w))
-    w = np.exp(log_w - shift)
-    mean_w = float(w.mean())
-    se_w = float(w.std(ddof=1) / math.sqrt(samples))
-    return shift + math.log(mean_w), se_w / mean_w

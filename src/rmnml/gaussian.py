@@ -4,11 +4,12 @@ Density with respect to the volume element:
 
     p_vol(x | mu, sigma) = exp(-d^2(x, mu) / (2 sigma^2)) / xi(sigma)
 
-with the normalization constant xi.  log xi and the first two moments of
-d^2 come from one log-domain radial quadrature, :func:`radial_moments`,
-which is also the kernel of the Fisher information in
-:mod:`rmnml.fisher`.  The paper's closed form of xi is kept as an oracle
-in :mod:`rmnml.validation`.  Also log-likelihoods, seeded sampling and
+with the normalization constant xi.  log xi and the logs of the first two
+moments of d^2 come from one log-domain radial quadrature,
+:func:`radial_moments`, and the Fisher information is one log formula
+over those moments, :func:`log_fisher_factors`.  The paper's closed form
+of xi, and the Monte-Carlo and Simpson oracles of the Fisher information,
+are kept in :mod:`rmnml.validation`.  Also log-likelihoods, seeded sampling and
 maximum likelihood estimation by safeguarded Newton: for mu, the Frechet
 mean, with the Hessian sum_i [u u^T + d coth d (I - u u^T)] >= n I, step
 halving on too little decrease, and a stop below 1e-10 or at the rounding
@@ -107,10 +108,6 @@ class Dataset:
     def __len__(self) -> int:
         return self.n
 
-    def transformed(self, T: np.ndarray) -> "Dataset":
-        """Dataset with every point mapped through the isometry matrix T."""
-        return Dataset(self._coords @ T.T)
-
 
 def radial_cutoff(dim: int, sigma: float, tail: float = 40.0) -> float:
     """Truncation radius for integrals of exp(-r^2/2s^2) sinh^(D-1) r.
@@ -132,60 +129,93 @@ def log_radial_weight(dim: int, r: np.ndarray, sigma: float) -> np.ndarray:
 
 
 def radial_moments(dim: int, sigma):
-    """log xi(sigma), E[d^2] and Var(d^2) under the hyperbolic Gaussian.
+    """log xi(sigma), log E[d^2] and log Var(d^2) under the hyperbolic Gaussian.
 
     ``sigma`` may be a scalar or an array; each result has its shape.  The
     moments are those of r^2 under the radial density proportional to
     w(r) = exp(-r^2 / 2 sigma^2) sinh^(D-1) r, and xi is the sphere area
-    times the integral of w.  They give the Fisher factors:
-    xi'/(D sigma xi) = E[d^2] / (D sigma^4) and I_sigma = Var(d^2) / sigma^6.
+    times the integral of w.  :func:`log_fisher_factors` reads the Fisher
+    information from the two moments.
 
     One fixed Gauss-Legendre rule in r covers a window of +-10 sigma about
     the mode m of log w, clipped at 0.  log w is concave with curvature at
     least 1/sigma^2, so the window leaves out less than exp(-50) of the
     mass.  The mode solves r tanh r = a with a = (D-1) sigma^2; it starts
     at sqrt(a^2 + a) and takes one Newton step, and m is then a / tanh m.
+    Past a = 400, tanh m rounds to 1, so a is capped there.
 
     Everything is relative to the mode, whose log w(m), about
     (D-1)^2 sigma^2 / 2, would swamp the spread across the window with its
-    rounding at large sigma.  With t = r - m, k = m / sigma^2 and
-    c = -m^2 / (2 sigma^2) + (D-1) (m - log 2),
-    log w(r) - c = t ((D-1) - k) - t^2 / (2 sigma^2) + (D-1) log(1 - exp(-2r)),
-    and the moments are those of q = r^2 - m^2 = t (2m + t).
+    rounding at large sigma.  With r = m + sigma tau, k = m / sigma^2 and
+    c = m ((D-1) - k / 2) - (D-1) log 2,
+    log w(r) - c = tau sigma ((D-1) - k) - tau^2 / 2 + (D-1) log(1 - exp(-2r)),
+    and the moments are those of q = r^2 - m^2 = sigma^2 tau (2 k sigma + tau).
     k = (D-1) / tanh m is D-1 exactly once tanh m rounds to 1, so the
     window stays on the mode where m itself is too large to place it
-    within sigma.  Each row's largest log weight is subtracted before exp,
-    and the variance is summed about the mean.
+    within sigma.  q is divided by its scale on the window,
+    S = sigma^2 (2 k sigma + 10), before any square, so log E and log Var
+    are finite while (D-1) sigma is a float.  log xi, about
+    (D-1)^2 sigma^2 / 2, is +inf past sigma = 1e154 / (D-1).  Each row's
+    largest log weight is subtracted before exp, and the variance is summed
+    about the mean.
     """
     s = np.asarray(sigma, dtype=float)[..., None]
-    two_s2 = 2.0 * s * s
     if dim > 1:
-        a = (dim - 1) * s * s
+        capped = np.minimum(s, 20.0 / math.sqrt(dim - 1))
+        a = (dim - 1) * capped * capped
         mode = np.sqrt(a * (a + 1.0))
         tanh = np.tanh(mode)
         mode = mode - (mode * tanh - a) / (tanh + mode * (1.0 - tanh * tanh))
         slope = (dim - 1) / np.tanh(mode)  # k
-        mode = slope * s * s
     else:
-        slope = mode = np.zeros_like(s)
-    t_lo = -np.minimum(mode, _RADIAL_WINDOW * s)
-    half = 0.5 * (_RADIAL_WINDOW * s - t_lo)
+        slope = np.zeros_like(s)
+    k_sigma = slope * s  # m / sigma
+    tau_lo = -np.minimum(k_sigma, _RADIAL_WINDOW)
+    half = 0.5 * (_RADIAL_WINDOW - tau_lo)
     x, w = gauss_legendre(_RADIAL_NODES)
-    t = t_lo + half * (x + 1.0)
-    log_w = t * ((dim - 1) - slope - t / two_s2) + np.log(w)
-    offset = -0.5 * slope * mode  # c
-    if dim > 1:
-        log_w += (dim - 1) * np.log(-np.expm1(-2.0 * (mode + t)))
-        offset += (dim - 1) * (mode - math.log(2.0))
+    tau = tau_lo + half * (x + 1.0)
+    log_w = tau * (s * ((dim - 1) - slope) - 0.5 * tau) + np.log(w)
+    # past sigma ~ 1e154 / (D-1), m and r overflow to inf: log(1 - exp(-2r))
+    # is then 0, as it is, and log xi is +inf
+    with np.errstate(over="ignore"):
+        offset = k_sigma * s * ((dim - 1) - 0.5 * slope)  # c
+        if dim > 1:
+            log_w += (dim - 1) * np.log(-np.expm1(-2.0 * s * (k_sigma + tau)))
+            offset -= (dim - 1) * math.log(2.0)
     top = log_w.max(axis=-1, keepdims=True)
     p = np.exp(log_w - top)
     z = p.sum(axis=-1)
-    q = t * (2.0 * mode + t)
+    width = 2.0 * k_sigma + _RADIAL_WINDOW  # S / sigma^2
+    q = tau * (2.0 * k_sigma + tau) / width  # (r^2 - m^2) / S
     mean_q = (p * q).sum(axis=-1) / z
-    var = (p * (q - mean_q[..., None]) ** 2).sum(axis=-1) / z
+    var_q = (p * (q - mean_q[..., None]) ** 2).sum(axis=-1) / z
+    log_s = np.log(s[..., 0])
+    log_scale = 2.0 * log_s + np.log(width[..., 0])  # log S
+    mode_sq = (k_sigma * (k_sigma / width))[..., 0]  # m^2 / S
     log_xi = (hy.log_sphere_area(dim) + (offset + top)[..., 0]
-              + np.log(z * half[..., 0]))
-    return log_xi, mode[..., 0] ** 2 + mean_q, var
+              + np.log(z * half[..., 0]) + log_s)
+    return log_xi, log_scale + np.log(mode_sq + mean_q), 2.0 * log_scale + np.log(var_q)
+
+
+def log_fisher_factors(dim: int, sigma):
+    """log c_mu and log I_sigma, the Fisher information of the hyperbolic Gaussian.
+
+    In a normal orthonormal basis at mu, I_mu = c_mu Identity_D with the
+    paper's c_mu = xi'/(D sigma xi) = E[d^2] / (D sigma^4), and
+    I_sigma = Var(d^2) / sigma^6, with no mu-sigma cross term.  Both come from one
+    :func:`radial_moments` call as log E - log D - 4 log sigma and
+    log Var - 6 log sigma.  ``sigma`` may be a scalar or an array; both
+    results have its shape.  Raises ValueError unless D >= 1 and every
+    sigma is positive.
+    """
+    if dim < 1:
+        raise ValueError(f"dimension must be >= 1, got {dim}")
+    s = np.asarray(sigma, dtype=float)
+    if not np.all(s > 0):
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    _, log_mean, log_var = radial_moments(dim, s)
+    log_s = np.log(s)
+    return log_mean - math.log(dim) - 4.0 * log_s, log_var - 6.0 * log_s
 
 
 def log_pdf_vol_many(coords: np.ndarray, params: RgdParams) -> np.ndarray:
@@ -318,29 +348,27 @@ def _solve_sigma(dim: int, target: float, lo: float, hi: float) -> tuple[float, 
     against u = log sigma, whose slope d log E / du = Var(d^2) /
     (sigma^2 E[d^2]) follows from dE/dsigma = Var(d^2) / sigma^3.  The
     slope runs from 2 (small sigma) to 4 (large), so the log-log curve is
-    nearly straight.  A bracket on u is kept, and a step that leaves it is
-    replaced by bisection.
+    nearly straight.  The kernel gives log E and log Var, so the slope is
+    exp(log Var - log E - 2u).  A bracket on u is kept, and a step that
+    leaves it is replaced by bisection.
     """
-    _, ends, _ = radial_moments(dim, np.array([lo, hi]))
-    if target <= ends[0]:
+    log_lo, log_hi = radial_moments(dim, np.array([lo, hi]))[1]
+    log_target = math.log(target) if target > 0.0 else -math.inf
+    if log_target <= log_lo:
         return lo, True
-    if target >= ends[1]:
+    if log_target >= log_hi:
         return hi, True
-    log_target = math.log(target)
     u_lo, u_hi = math.log(lo), math.log(hi)
-    log_lo, log_hi = math.log(ends[0]), math.log(ends[1])
     # secant through the bracket ends as the first iterate
     u = u_lo + (log_target - log_lo) * (u_hi - u_lo) / (log_hi - log_lo)
     for _ in range(_MAX_SIGMA_ITERATIONS):
-        sigma = math.exp(u)
-        _, mean, var = radial_moments(dim, sigma)
-        gap = math.log(mean) - log_target
+        _, log_mean, log_var = radial_moments(dim, math.exp(u))
+        gap = float(log_mean) - log_target
         if gap < 0.0:
             u_lo = u
         else:
             u_hi = u
-        step = gap * sigma * sigma * float(mean) / float(var)
-        new = u - step
+        new = u - gap * math.exp(2.0 * u + log_mean - log_var)
         if not u_lo <= new <= u_hi:
             new = 0.5 * (u_lo + u_hi)
         if abs(new - u) <= _SIGMA_STEP_TOL or u_hi - u_lo <= _SIGMA_STEP_TOL:

@@ -141,13 +141,9 @@ def isometry_to(mu: np.ndarray) -> np.ndarray:
     return T
 
 
-def sphere_area(dim: int) -> float:
-    """Surface area of the unit sphere S^(dim-1) in R^dim."""
-    return 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
-
-
 def log_sphere_area(dim: int) -> float:
-    """log of :func:`sphere_area`, finite at every dimension."""
+    """log of the surface area 2 pi^(D/2) / Gamma(D/2) of the unit sphere S^(D-1)
+    in R^D, finite at every dimension."""
     return math.log(2.0) + 0.5 * dim * math.log(math.pi) - math.lgamma(0.5 * dim)
 
 

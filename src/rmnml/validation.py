@@ -1,13 +1,24 @@
-"""Self-check suites surfaced by the ``validate`` CLI subcommand.
+"""Oracles of the library's kernels, and the self-check suites of ``validate``.
 
-Each suite reruns one of the library's independent oracles (quadrature,
-Monte Carlo, reparameterization, Kraft) against the production kernels
-and reports a pass/fail line.  The paper's closed-form :func:`xi` and its
-derivatives live here as oracles only; the library reads log xi and the
-Fisher information from :func:`rmnml.gaussian.radial_moments`.  The Kraft
-suite codes with :func:`rmnml.gaussian.log_pdf_vol_many`, the density of
-the code-length.  Tests confirm that the suites detect errors by patching
-the names ``xi``, ``radial_moments`` and ``log_pdf_vol_many`` here.
+Each suite reruns one of the independent oracles (quadrature, Monte
+Carlo, reparameterization, Kraft) against the production kernels and
+reports a pass/fail line.  The oracles live here only:
+
+- the paper's closed-form :func:`xi` and its derivatives, and
+  :func:`xi_quadrature_oracle`; the library reads log xi from
+  :func:`rmnml.gaussian.radial_moments`;
+- :func:`fisher_numeric`, a Monte-Carlo Fisher estimate from
+  finite-difference Hessians of the log-density in :func:`normal_chart`
+  coordinates, against :func:`rmnml.gaussian.log_fisher_factors`;
+- :func:`fisher_integral`, the domain integral of sqrt(det I) by adaptive
+  Simpson in sigma, against the complexity's rule in log sigma;
+- :func:`pc_mc_gauss1d`, a Monte-Carlo parametric complexity of N(theta, 1)
+  that checks the asymptotic formula.
+
+The Kraft suite codes with :func:`rmnml.gaussian.log_pdf_vol_many`, the
+density of the code-length.  Tests confirm that the suites detect errors
+by patching the names ``xi``, ``radial_moments`` and ``log_pdf_vol_many``
+here.
 """
 
 from __future__ import annotations
@@ -19,12 +30,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import coding, hyperbolic as hy
-from .complexity import ParamDomain, pc_general, pc_hgd, pc_mc_gauss1d
-from .fisher import (fisher_integral, fisher_mu_closed, fisher_numeric,
-                     fisher_sigma_closed)
-from .gaussian import (RgdParams, log_pdf_vol_many, log_radial_weight,
-                       radial_cutoff, radial_moments)
+from .complexity import ParamDomain, pc_general, pc_hgd
+from .gaussian import (RgdParams, log_fisher_factors, log_pdf_vol_many,
+                       log_radial_weight, radial_cutoff, radial_moments, sample)
 from .quadrature import integrate_1d
+
+#: Step of the central differences in :func:`fisher_numeric`.
+_FD_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -36,7 +48,7 @@ class SuiteResult:
     seconds: float = 0.0
 
 
-_erf = np.frompyfunc(math.erf, 1, 1)
+_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 def _fsum_rows(a: np.ndarray) -> np.ndarray:
@@ -49,7 +61,7 @@ def _xi_terms(dim: int, sigma: np.ndarray):
     """Prefactor K and per-term arrays of the xi expansion.
 
     xi(sigma) = K * sigma * sum_i a_i with
-    a_i = (-1)^i C(D-1, i) exp(sigma^2 p_i^2 / 2) (1 + erf(p_i sigma / sqrt 2)),
+    a_i = (-1)^i C(D-1, i) exp(sigma^2 p_i^2 / 2) erfc(-p_i sigma / sqrt 2),
     p_i = (D - 1) - 2i.  ``a`` has the shape of ``sigma`` plus a last axis
     of the D terms.
     """
@@ -59,8 +71,8 @@ def _xi_terms(dim: int, sigma: np.ndarray):
     p = (dim - 1) - 2.0 * i
     b = (-1.0) ** i * np.array([math.comb(dim - 1, k) for k in range(dim)], dtype=float)
     s = sigma[..., None]
-    erf = _erf(p * s / math.sqrt(2.0)).astype(float)
-    a = b * np.exp(0.5 * s * s * p * p) * (1.0 + erf)
+    erfc = _erfc(-p * s / math.sqrt(2.0)).astype(float)
+    a = b * np.exp(0.5 * s * s * p * p) * erfc
     return K, a, b, p
 
 
@@ -119,7 +131,166 @@ def xi_quadrature_oracle(dim: int, sigma: float) -> float:
     integral = integrate_1d(
         lambda r: np.exp(log_radial_weight(dim, r, sigma)),
         0.0, cutoff, 1e-12)
-    return hy.sphere_area(dim) * integral
+    return math.exp(hy.log_sphere_area(dim)) * integral
+
+
+@dataclass(frozen=True)
+class FisherBlock:
+    """Monte-Carlo Fisher estimate split into mu/sigma/cross blocks.
+
+    Each entry comes with its standard error; the cross block collects the
+    mixed mu-sigma second derivatives, which vanish in expectation.
+    """
+
+    mu_block: np.ndarray
+    sigma_entry: float
+    cross_block: np.ndarray
+    mu_block_se: np.ndarray
+    sigma_entry_se: float
+    cross_block_se: np.ndarray
+    n_samples: int
+
+    def mu_det(self) -> tuple[float, float]:
+        """Determinant of the mu block with a delta-method standard error."""
+        det = float(np.linalg.det(self.mu_block))
+        diag = np.diag(self.mu_block)
+        rel = np.sqrt(float(np.sum((np.diag(self.mu_block_se) / diag) ** 2)))
+        return det, abs(det) * rel
+
+
+def normal_chart(mu: np.ndarray):
+    """Normal orthonormal coordinates at mu.
+
+    Returns ``chart(t)`` mapping tangent coordinates t in R^D to the point
+    exp_mu(T e(t)) where T is the isometry carrying the origin (and its
+    orthonormal tangent frame) to mu.  The metric at t = 0 is the identity.
+    """
+    T = hy.isometry_to(mu)
+    dim = mu.size - 1
+
+    def chart(t: np.ndarray) -> np.ndarray:
+        v = np.zeros(dim + 1)
+        v[1:] = np.asarray(t, dtype=float)
+        return hy.exp_map(mu, T @ v)
+
+    return chart
+
+
+def fisher_numeric(params: RgdParams, n_samples: int, seed: int) -> FisherBlock:
+    """Monte-Carlo Fisher estimate at ``params``.
+
+    Draws ``n_samples`` points from the model, computes the Hessian of
+    log p_vol with respect to (normal coordinates of mu, sigma) by central
+    finite differences of size 1e-4, and averages the negated Hessians.
+    Standard errors are reported per entry.
+    """
+    if n_samples < 10_000:
+        raise ValueError("n_samples must be >= 1e4 for a usable estimate")
+    x = sample(n_samples, params, seed).coords
+    n = x.shape[0]
+    dim = params.dim
+    sigma = params.sigma
+    chart = normal_chart(params.mu)
+    k = dim + 1  # eta = (t_1..t_D, sigma)
+
+    def logp(offset: np.ndarray) -> np.ndarray:
+        return log_pdf_vol_many(x, RgdParams(chart(offset[:dim]), sigma + offset[dim]))
+
+    f0 = logp(np.zeros(k))
+    unit = np.eye(k) * _FD_STEP
+
+    plus = np.empty((k, n))
+    minus = np.empty((k, n))
+    for i in range(k):
+        plus[i] = logp(unit[i])
+        minus[i] = logp(-unit[i])
+
+    # per-sample negated Hessian entries
+    neg_h = np.empty((k, k, n))
+    for i in range(k):
+        neg_h[i, i] = -(plus[i] - 2.0 * f0 + minus[i]) / _FD_STEP ** 2
+    for i in range(k):
+        for j in range(i + 1, k):
+            pp = logp(unit[i] + unit[j])
+            pm = logp(unit[i] - unit[j])
+            mp = logp(-unit[i] + unit[j])
+            mm = logp(-unit[i] - unit[j])
+            neg_h[i, j] = -(pp - pm - mp + mm) / (4.0 * _FD_STEP ** 2)
+            neg_h[j, i] = neg_h[i, j]
+
+    est = neg_h.mean(axis=2)
+    se = neg_h.std(axis=2, ddof=1) / math.sqrt(n)
+    return FisherBlock(
+        mu_block=est[:dim, :dim],
+        sigma_entry=float(est[dim, dim]),
+        cross_block=est[:dim, dim].copy(),
+        mu_block_se=se[:dim, :dim],
+        sigma_entry_se=float(se[dim, dim]),
+        cross_block_se=se[:dim, dim].copy(),
+        n_samples=n,
+    )
+
+
+def fisher_integral(dim: int, domain: ParamDomain, rel_tol: float = 1e-10) -> float:
+    """Integral of sqrt(det I) over the compact domain Theta x Gamma.
+
+    Factorizes as vol(Theta) * integral_{sigma_min}^{sigma_max}
+    sqrt(c_mu^D I_sigma) d sigma, taken in sigma by adaptive Simpson on the
+    exponential of the log formula :func:`rmnml.gaussian.log_fisher_factors`.
+    The complexity takes the same integral in log sigma
+    (:func:`rmnml.complexity.pc_hgd`); the two agree because the integral
+    is invariant under reparameterization.
+    """
+    def integrand(sigma):
+        log_c_mu, log_i_sigma = log_fisher_factors(dim, sigma)
+        return np.exp(0.5 * (dim * log_c_mu + log_i_sigma))
+
+    vol_theta = math.exp(hy.log_ball_volume(dim, domain.radius_R))
+    return vol_theta * integrate_1d(integrand, domain.sigma_min, domain.sigma_max, rel_tol)
+
+
+def _normal_cdf(z: np.ndarray) -> np.ndarray:
+    """Standard normal CDF 0.5 erfc(-z / sqrt 2), accurate in both tails."""
+    return 0.5 * _erfc(-z / math.sqrt(2.0)).astype(float)
+
+
+def pc_mc_gauss1d(n: int, a: float, b: float, samples: int,
+                  seed: int) -> tuple[float, float]:
+    """Monte-Carlo log parametric complexity of N(theta, 1), theta in [a, b].
+
+    Importance sampling with theta uniform on [a, b] and the data drawn
+    from N(theta, 1): the estimate targets
+    integral p(y^n | thetahat(y^n)) 1{thetahat in [a, b]} dy^n, which this
+    family admits exactly as (b - a) sqrt(n / 2 pi).  Weights use the
+    mixture (marginal) proposal density, which keeps them bounded; the
+    per-theta conditional weight exp(n (thetahat - theta)^2 / 2) has such a
+    heavy tail that feasible sample sizes systematically miss part of the
+    mass.  Everything depends on y^n only through its mean, so the mean is
+    drawn directly from its exact law N(theta, 1/n).  Returns the log
+    estimate (via log-sum-exp) and its delta-method standard error.
+    """
+    if not b > a:
+        raise ValueError(f"degenerate interval: [{a}, {b}]")
+    if n < 10:
+        raise ValueError("n must be >= 10")
+    if samples < 10_000:
+        raise ValueError("samples must be >= 1e4")
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(a, b, samples)
+    ybar = theta + rng.standard_normal(samples) / math.sqrt(n)
+    inside = (ybar >= a) & (ybar <= b)
+    sqrt_n = math.sqrt(n)
+    marginal = _normal_cdf(sqrt_n * (b - ybar)) - _normal_cdf(sqrt_n * (a - ybar))
+    log_w = np.where(
+        inside,
+        0.5 * math.log(n / (2.0 * math.pi)) + math.log(b - a)
+        - np.log(np.maximum(marginal, 1e-300)),
+        -np.inf)
+    shift = float(np.max(log_w))
+    w = np.exp(log_w - shift)
+    mean_w = float(w.mean())
+    se_w = float(w.std(ddof=1) / math.sqrt(samples))
+    return shift + math.log(mean_w), se_w / mean_w
 
 
 def check_xi() -> SuiteResult:
@@ -143,8 +314,7 @@ def check_fisher(quick: bool = False) -> SuiteResult:
     for dim, sigma in configs:
         params = RgdParams(hy.origin(dim), sigma)
         block = fisher_numeric(params, n_samples, seed=2024 + dim)
-        mu_ref = fisher_mu_closed(dim, sigma)[0, 0]
-        sig_ref = fisher_sigma_closed(dim, sigma)
+        mu_ref, sig_ref = map(math.exp, log_fisher_factors(dim, sigma))
         for i in range(dim):
             gap = abs(block.mu_block[i, i] - mu_ref)
             allowed = max(0.05 * mu_ref, 3.0 * block.mu_block_se[i, i])

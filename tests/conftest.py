@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rmnml import hyperbolic as hy
-from rmnml.gaussian import Dataset, RgdParams, sample
+from rmnml.gaussian import Dataset, RgdParams, log_fisher_factors, sample
 from rmnml.quadrature import integrate_1d
 from rmnml.validation import xi, xi_derivatives
 
@@ -77,6 +77,11 @@ def sqrt_det_metric(chart: str, x: np.ndarray):
     return 1.0 / np.sqrt(1.0 + (x[..., 1:] ** 2).sum(axis=-1))
 
 
+def sphere_area(dim: int) -> float:
+    """Surface area of the unit sphere S^(dim-1) in R^dim, 2 pi^(D/2) / Gamma(D/2)."""
+    return 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
+
+
 def log_ball_volume_oracle(dim: int, radius: float) -> float:
     """log vol of a geodesic ball in H^dim by adaptive Simpson in r.
 
@@ -131,6 +136,12 @@ def closed_sigma_integrand(dim: int, sigma, derivatives=xi_derivatives):
     """sqrt(c_mu^D I_sigma) from :func:`closed_fisher_factors`."""
     c_mu, i_sigma = closed_fisher_factors(dim, sigma, derivatives)
     return np.sqrt(np.float_power(c_mu, dim) * i_sigma)
+
+
+def fisher_factors(dim: int, sigma):
+    """c_mu and I_sigma, the exponentials of the library's log formula."""
+    log_c_mu, log_i_sigma = log_fisher_factors(dim, sigma)
+    return np.exp(log_c_mu), np.exp(log_i_sigma)
 
 
 @pytest.fixture

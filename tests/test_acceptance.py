@@ -15,15 +15,14 @@ from rmnml import hyperbolic as hy
 from rmnml.cli import main as cli_main
 from rmnml.coding import partition_ball, prefix_code
 from rmnml.complexity import (ParamDomain, chart_gap, hgd_sigma_integral,
-                              pc_general, pc_hgd, pc_mc_gauss1d, regret,
-                              rm_nml_codelength)
-from rmnml.fisher import (fisher_integral, fisher_mu_closed, fisher_numeric,
-                          fisher_sigma_closed)
+                              pc_general, pc_hgd, regret, rm_nml_codelength)
 from rmnml.gaussian import RgdParams, log_pdf_vol_many, mle, sample
 from rmnml.quadrature import integrate_1d
-from rmnml.validation import xi, xi_quadrature_oracle
+from rmnml.validation import (fisher_integral, fisher_numeric, pc_mc_gauss1d, xi,
+                              xi_quadrature_oracle)
 
-from conftest import closed_sigma_integrand, sqrt_det_metric, xi_fd_derivatives
+from conftest import (closed_sigma_integrand, fisher_factors, sphere_area,
+                      sqrt_det_metric, xi_fd_derivatives)
 
 DOMAIN = ParamDomain(radius_R=3.0, sigma_min=0.1, sigma_max=3.0)
 
@@ -49,8 +48,9 @@ def test_criterion_02_euclidean_reductions():
     worst = 0.0
     for sigma in (0.1, 0.35, 1.0, 1.7, 3.0):
         worst = max(worst, abs(xi(1, sigma) / (sigma * math.sqrt(2 * math.pi)) - 1))
-        worst = max(worst, abs(fisher_mu_closed(1, sigma)[0, 0] * sigma ** 2 - 1))
-        worst = max(worst, abs(fisher_sigma_closed(1, sigma) * sigma ** 2 / 2 - 1))
+        c_mu, i_sigma = fisher_factors(1, sigma)
+        worst = max(worst, abs(c_mu * sigma ** 2 - 1))
+        worst = max(worst, abs(i_sigma * sigma ** 2 / 2 - 1))
     report(2, "Euclidean reductions", worst <= 1e-10,
            f"max rel err {worst:.2e} (tol 1e-10)")
 
@@ -62,8 +62,7 @@ def test_criterion_03_fisher_oracle():
         for sigma in (0.5, 1.0, 2.0):
             params = RgdParams(hy.origin(dim), sigma)
             block = fisher_numeric(params, 100_000, seed=300 + 10 * dim + int(2 * sigma))
-            mu_ref = fisher_mu_closed(dim, sigma)[0, 0]
-            sigma_ref = fisher_sigma_closed(dim, sigma)
+            mu_ref, sigma_ref = fisher_factors(dim, sigma)
             for i in range(dim):
                 gap = abs(block.mu_block[i, i] - mu_ref)
                 allowed = max(0.05 * mu_ref, 3.0 * block.mu_block_se[i, i])
@@ -187,7 +186,7 @@ def test_criterion_09_ball_volume_oracle():
     worst = 0.0
     rel_tol = 1e-12
     for dim in range(1, 6):
-        area = hy.sphere_area(dim)
+        area = sphere_area(dim)
         for radius in (0.5, 1.0, 2.0, 4.0):
             oracle = area * integrate_1d(
                 lambda r: np.sinh(r) ** (dim - 1), 0.0, radius, rel_tol)

@@ -138,6 +138,21 @@ class TestPcCommand:
         assert all(math.isfinite(v) for v in payload.values())
         assert payload["term_fisher"] == pytest.approx(math.log(1e10), abs=1e-6)
 
+    @pytest.mark.parametrize("dim", [2, 50, 1000])
+    def test_sigma_max_at_the_float_range(self, dim, capsys):
+        # past the window's r = 19 the moments are the normal limit, so
+        # c_mu = (D-1)^2 / D and I_sigma = 4 (D-1)^2, and the integral of
+        # sqrt(c_mu^D I_sigma) up to sigma_max = 1e300 is that constant times
+        # sigma_max, up to a relative 1e-298
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["pc", "--dim", str(dim), "--n", "100", "--sigma", "0.1:1e300"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert all(math.isfinite(v) for v in payload.values())
+        limit = 0.5 * (dim * math.log((dim - 1) ** 2 / dim)
+                       + math.log(4 * (dim - 1) ** 2)) + math.log(1e300)
+        assert payload["term_fisher"] == pytest.approx(limit, rel=1e-12)
+
     # at D = 1e4 and 3e4 the sigma integrand falls about as sigma^-(D+1),
     # and the doubling rule in log sigma must still agree by 1,024 nodes
     @pytest.mark.parametrize("dim", [8, 16, 10_000, 30_000])
@@ -293,7 +308,7 @@ class TestCodelengthCommand:
         T = hy.isometry_to(polar_point(0.9, [0.6, 0.8]))
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         write_dataset(str(a), base)
-        write_dataset(str(b), base.transformed(T))
+        write_dataset(str(b), Dataset(base.coords @ T.T))
         run(["codelength", "--data", str(a)])
         total_a = json.loads(capsys.readouterr().out)["total"]
         run(["codelength", "--data", str(b)])
@@ -571,6 +586,16 @@ def test_dataset_file_validations(tmp_path):
                                 "points": [[1, 0, "x"]]}))
     with pytest.raises(InputError, match="numeric"):
         load_dataset(str(path))
+    # null reads as NaN and fails the manifold check; an integer past the
+    # float range is not a number numpy can read
+    path.write_text(json.dumps({"chart": "lorentz", "dim": 1,
+                                "points": [[1.0, 0.0], [None, 0.0]]}))
+    with pytest.raises(InputError, match="point 1 is invalid"):
+        load_dataset(str(path))
+    path.write_text(json.dumps({"chart": "lorentz", "dim": 1,
+                                "points": [[1.0, 0.0], [1.0, 10 ** 400]]}))
+    with pytest.raises(InputError, match="point 1 has a non-numeric"):
+        load_dataset(str(path))
 
 
 @pytest.mark.parametrize("dim", [True, False, 2.0])
@@ -582,6 +607,19 @@ def test_non_integer_dim_is_usage_error(dim, tmp_path, capsys):
     assert run(["codelength", "--data", str(path)]) == 2
     assert capsys.readouterr().err == (f"error: {path}: field 'dim' must be a "
                                        f"positive integer\n")
+
+
+@pytest.mark.parametrize("points, bad", [
+    ([[True, False], [1.0, 0.0]], 0),
+    ([[1.0, 0.0], ["1", "0"]], 1),
+    # numpy reads this row as float64, [1.0, 0.0], with no error
+    ([[1.0, 0.0], [math.cosh(0.5), math.sinh(0.5)], [True, 0.0]], 2),
+])
+def test_boolean_and_string_coordinates_are_usage_errors(points, bad, tmp_path, capsys):
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps({"chart": "lorentz", "dim": 1, "points": points}))
+    assert run(["codelength", "--data", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: point {bad} has a non-numeric field\n"
 
 
 def _session(capsys):

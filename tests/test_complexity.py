@@ -5,10 +5,10 @@ import pytest
 
 from rmnml import hyperbolic as hy, quadrature
 from rmnml.complexity import (ParamDomain, chart_gap, hgd_sigma_integral,
-                              pc_general, pc_hgd, pc_mc_gauss1d, regret,
-                              rm_nml_codelength)
+                              pc_general, pc_hgd, regret, rm_nml_codelength)
 from rmnml.gaussian import Dataset, RgdParams, log_pdf_vol_many, mle, sample
 from rmnml.quadrature import QuadratureError, integrate_1d
+from rmnml.validation import pc_mc_gauss1d
 
 from conftest import (closed_sigma_integrand, lorentz_to_poincare, polar_point,
                       random_dataset, random_point, sqrt_det_metric, xi_fd_derivatives)
@@ -140,7 +140,7 @@ class TestCodeLength:
         data = random_dataset(rng, 2, 60, sigma=0.7, mu_radius=0.5)
         T = hy.isometry_to(random_point(rng, 2, 1.0))
         a = rm_nml_codelength(data, DOMAIN)
-        b = rm_nml_codelength(data.transformed(T), DOMAIN)
+        b = rm_nml_codelength(Dataset(data.coords @ T.T), DOMAIN)
         assert b.total == pytest.approx(a.total, abs=1e-6)
 
     @pytest.mark.parametrize("r, sigma", [(0.5, 0.8), (4.0, 0.8), (0.5, 0.01)])

@@ -22,20 +22,46 @@ def test_public_names_resolve_once():
     assert [name for name in names if not hasattr(rmnml, name)] == []
 
 
-def test_closed_form_xi_stays_in_validation():
-    # one kernel: the library reads xi and its derivatives from the moment
-    # kernel, and the paper's closed form is an oracle of the validation suites
-    closed_form = {"xi", "xi_derivatives"}
+def _nodes(path: Path):
+    return ast.walk(ast.parse(path.read_text(), str(path)))
+
+
+def _called_name(node: ast.Call) -> str | None:
+    func = node.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_oracles_stay_in_validation():
+    # one kernel per quantity: the library reads xi, the moments and the
+    # Fisher information from the moment kernel, and the paper's closed form
+    # and the Monte-Carlo and Simpson oracles belong to the validation suites
+    oracles = {"xi", "xi_derivatives", "xi_quadrature_oracle", "FisherBlock",
+               "fisher_numeric", "normal_chart", "fisher_integral", "pc_mc_gauss1d"}
     offenders = []
     for path in sorted(SOURCES.glob("*.py")):
         if path.stem == "validation":
             continue
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        for node in _nodes(path):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 names = {node.name}
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 names = {alias.name.rsplit(".", 1)[-1] for alias in node.names}
             else:
                 continue
-            offenders += [f"{path.name}:{node.lineno} {name}" for name in names & closed_form]
+            offenders += [f"{path.name}:{node.lineno} {name}" for name in names & oracles]
     assert offenders == []
+
+
+def test_fisher_factors_read_only_through_the_log_formula():
+    # gaussian.log_fisher_factors is the one function that turns the moments
+    # into Fisher factors; the rest of the library calls it, not the kernel
+    offenders = [f"{path.name}:{node.lineno}"
+                 for path in sorted(SOURCES.glob("*.py"))
+                 if path.stem not in ("gaussian", "validation")
+                 for node in _nodes(path)
+                 if isinstance(node, ast.Call) and _called_name(node) == "radial_moments"]
+    assert offenders == []
+
+
+def test_no_fisher_module():
+    assert not (SOURCES / "fisher.py").exists()

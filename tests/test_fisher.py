@@ -1,3 +1,5 @@
+"""The Fisher information: the log formula against its oracles."""
+
 import math
 
 import numpy as np
@@ -5,14 +7,13 @@ import pytest
 
 from rmnml import hyperbolic as hy
 from rmnml.complexity import ParamDomain, pc_hgd
-from rmnml.fisher import (_fisher_factors, fisher_integral, fisher_mu_closed,
-                          fisher_numeric, fisher_sigma_closed, normal_chart,
-                          sqrt_fisher_sigma_integrand)
-from rmnml.gaussian import RgdParams, log_radial_weight, radial_cutoff
+from rmnml.gaussian import (RgdParams, log_fisher_factors, log_radial_weight,
+                            radial_cutoff)
 from rmnml.quadrature import integrate_1d
-from rmnml.validation import xi, xi_derivatives
+from rmnml.validation import (fisher_integral, fisher_numeric, normal_chart, xi,
+                              xi_derivatives)
 
-from conftest import dist, random_point
+from conftest import dist, fisher_factors, random_point
 
 TIGHT = 1e-12
 
@@ -39,63 +40,66 @@ def sigma_score_variance(dim: int, sigma: float) -> float:
 class TestClosedForms:
     def test_dimension_one_is_euclidean_gaussian(self):
         for sigma in (0.4, 1.0, 2.0):
-            mu_info = fisher_mu_closed(1, sigma)
-            assert mu_info.shape == (1, 1)
-            assert mu_info[0, 0] == pytest.approx(1.0 / sigma ** 2, rel=1e-12)
-            assert fisher_sigma_closed(1, sigma) == pytest.approx(
-                2.0 / sigma ** 2, rel=1e-12)
+            c_mu, i_sigma = fisher_factors(1, sigma)
+            assert c_mu == pytest.approx(1.0 / sigma ** 2, rel=1e-12)
+            assert i_sigma == pytest.approx(2.0 / sigma ** 2, rel=1e-12)
 
     def test_mu_block_is_scalar_matrix(self):
-        for dim in (2, 3, 5):
-            block = fisher_mu_closed(dim, 0.8)
-            assert np.allclose(block, block[0, 0] * np.eye(dim))
+        # I_mu = c_mu times the identity in a normal orthonormal basis at mu:
+        # the Monte-Carlo block has equal diagonal entries and no off-diagonal
+        # ones, within its standard errors
+        block = fisher_numeric(RgdParams(hy.origin(3), 0.8), 20_000, seed=107)
+        c_mu = fisher_factors(3, 0.8)[0]
+        diag, se = np.diag(block.mu_block), np.diag(block.mu_block_se)
+        assert np.all(np.abs(diag - c_mu) <= np.maximum(0.05 * c_mu, 3.0 * se))
+        off = ~np.eye(3, dtype=bool)
+        assert np.all(np.abs(block.mu_block[off]) <= 3.0 * block.mu_block_se[off])
 
     def test_array_sigma_matches_scalar_calls(self):
-        # the closed forms on an array of sigmas, element for element, are the
-        # floats of one scalar call each
+        # the closed forms and the log formula on an array of sigmas, element
+        # for element, are the floats of one scalar call each
         sigma = np.linspace(0.05, 3.5, 24).reshape(4, 6)
         for dim in range(1, 6):
             arrays = [xi(dim, sigma), *xi_derivatives(dim, sigma),
-                      *_fisher_factors(dim, sigma), sqrt_fisher_sigma_integrand(dim, sigma)]
+                      *log_fisher_factors(dim, sigma)]
             for index in np.ndindex(sigma.shape):
                 s = float(sigma[index])
-                scalars = [xi(dim, s), *xi_derivatives(dim, s), *_fisher_factors(dim, s),
-                           sqrt_fisher_sigma_integrand(dim, s)]
-                assert [a.shape for a in arrays] == [sigma.shape] * 6
+                scalars = [xi(dim, s), *xi_derivatives(dim, s), *log_fisher_factors(dim, s)]
+                assert [a.shape for a in arrays] == [sigma.shape] * 5
                 assert [a[index] for a in arrays] == scalars
 
     @pytest.mark.parametrize("dim, sigma", [(2, 0.0), (2, -1.0), (2, math.nan), (0, 1.0)])
     def test_invalid_arguments_are_value_errors(self, dim, sigma):
-        for closed in (fisher_mu_closed, fisher_sigma_closed, sqrt_fisher_sigma_integrand):
-            with pytest.raises(ValueError):
-                closed(dim, sigma)
+        with pytest.raises(ValueError):
+            log_fisher_factors(dim, sigma)
 
     def test_finite_where_the_closed_form_overflows(self):
         # the closed form's binomial sum overflows at D = 50; the kernel does not
-        assert np.all(np.isfinite(fisher_mu_closed(50, 1.0)))
-        assert fisher_mu_closed(50, 1.0)[0, 0] > 0
-        assert 0 < fisher_sigma_closed(50, 1.0) < math.inf
+        c_mu, i_sigma = fisher_factors(50, 1.0)
+        assert 0 < c_mu < math.inf
+        assert 0 < i_sigma < math.inf
 
     @pytest.mark.parametrize("dim", [1, 2, 5])
     def test_small_sigma_is_euclidean(self, dim):
         # as sigma -> 0, I_mu = 1 / sigma^2 and I_sigma = 2 D / sigma^2; sigma^6
         # is below the float range here
         sigma = 1e-60
-        assert fisher_mu_closed(dim, sigma)[0, 0] * sigma ** 2 == pytest.approx(1.0, rel=1e-12)
-        assert fisher_sigma_closed(dim, sigma) * sigma ** 2 == pytest.approx(2.0 * dim,
-                                                                              rel=1e-12)
+        log_c_mu, log_i_sigma = log_fisher_factors(dim, sigma)
+        assert math.exp(log_c_mu + 2 * math.log(sigma)) == pytest.approx(1.0, rel=1e-12)
+        assert math.exp(log_i_sigma + 2 * math.log(sigma)) == pytest.approx(2.0 * dim,
+                                                                             rel=1e-12)
 
     def test_positivity(self):
+        # both factors are positive: their logs are finite
         for dim in range(1, 6):
-            for sigma in np.linspace(0.1, 3.0, 12):
-                assert fisher_mu_closed(dim, float(sigma))[0, 0] > 0
-                assert fisher_sigma_closed(dim, float(sigma)) > 0
+            logs = log_fisher_factors(dim, np.linspace(0.1, 3.0, 12))
+            assert np.all(np.isfinite(logs))
 
     def test_sigma_fisher_against_score_variance(self):
         # information identity: E[-d^2 log p] = Var[d log p]
         for dim in (1, 2, 3):
             for sigma in (0.5, 1.0, 2.0):
-                assert fisher_sigma_closed(dim, sigma) == pytest.approx(
+                assert fisher_factors(dim, sigma)[1] == pytest.approx(
                     sigma_score_variance(dim, sigma), rel=1e-8)
 
 
@@ -103,8 +107,7 @@ class TestNumericOracle:
     def test_matches_closed_forms(self):
         params = RgdParams(hy.origin(2), 1.0)
         block = fisher_numeric(params, 20_000, seed=101)
-        mu_ref = fisher_mu_closed(2, 1.0)[0, 0]
-        sigma_ref = fisher_sigma_closed(2, 1.0)
+        mu_ref, sigma_ref = fisher_factors(2, 1.0)
         for i in range(2):
             assert abs(block.mu_block[i, i] - mu_ref) <= max(
                 0.05 * mu_ref, 3.0 * block.mu_block_se[i, i])
@@ -198,4 +201,4 @@ def test_pointwise_reparameterization_identity():
         h = 3e-4
         info_log_sigma = (4.0 * second(h / 2) - second(h)) / 3.0
         assert info_log_sigma == pytest.approx(
-            sigma ** 2 * fisher_sigma_closed(dim, sigma), rel=1e-7)
+            sigma ** 2 * fisher_factors(dim, sigma)[1], rel=1e-7)

@@ -12,7 +12,7 @@ from rmnml.quadrature import integrate_1d
 from rmnml.validation import xi, xi_derivatives, xi_quadrature_oracle
 
 from conftest import (closed_fisher_factors, dist, log_map, minkowski_inner,
-                      polar_point, random_point, xi_fd_derivatives)
+                      polar_point, random_point, sphere_area, xi_fd_derivatives)
 
 TIGHT = 1e-12
 DOMAIN = ParamDomain(radius_R=3.0, sigma_min=0.05, sigma_max=3.0)
@@ -89,12 +89,12 @@ class TestRadialMoments:
         # I_sigma in the paper's closed form
         for dim in range(1, 6):
             for sigma in (0.1, 0.3, 1.0, 2.0, 3.5):
-                log_xi, mean, var = radial_moments(dim, sigma)
+                log_xi, log_mean, log_var = radial_moments(dim, sigma)
                 value = xi(dim, sigma)
                 assert float(log_xi) == pytest.approx(math.log(value), abs=1e-12)
-                assert float(mean) == pytest.approx(
+                assert math.exp(log_mean) == pytest.approx(
                     sigma ** 3 * xi_derivatives(dim, sigma)[0] / value, rel=1e-12)
-                assert float(var) == pytest.approx(
+                assert math.exp(log_var) == pytest.approx(
                     sigma ** 6 * closed_fisher_factors(dim, sigma)[1], rel=1e-12)
 
     @pytest.mark.parametrize("dim", [2, 50])
@@ -103,11 +103,30 @@ class TestRadialMoments:
         # far from the origin sinh r = e^r / 2 to double precision, so r is
         # normal with mean (D-1) sigma^2 and variance sigma^2: E[d^2] and
         # Var(d^2) are exact there
-        _, mean, var = radial_moments(dim, sigma)
+        _, log_mean, log_var = radial_moments(dim, sigma)
         a = (dim - 1) * sigma * sigma
-        assert float(mean) == pytest.approx(a * a + sigma ** 2, rel=1e-12)
-        assert float(var) == pytest.approx(4 * a * a * sigma ** 2 + 2 * sigma ** 4,
-                                           rel=1e-12)
+        assert math.exp(log_mean) == pytest.approx(a * a + sigma ** 2, rel=1e-12)
+        assert math.exp(log_var) == pytest.approx(4 * a * a * sigma ** 2 + 2 * sigma ** 4,
+                                                  rel=1e-12)
+
+    @pytest.mark.parametrize("dim", [2, 50, 1000, 10_000])
+    def test_normal_limit_up_to_the_float_range(self, dim):
+        # once the window lies past r = 19, that is (D-1) sigma^2 - 10 sigma > 19,
+        # sinh r = e^r / 2 to double precision and r is normal with mean
+        # (D-1) sigma^2 and variance sigma^2: E[d^2] = (D-1)^2 sigma^4 + sigma^2
+        # and Var(d^2) = 4 (D-1)^2 sigma^6 + 2 sigma^4.  A relative 1e-12 in a
+        # moment is an absolute 1e-12 in its log.
+        sigmas = [s for s in np.geomspace(0.1, 1e300, 61).tolist()
+                  if (dim - 1) * s * s - 10 * s > 19]
+        assert sigmas[-1] == 1e300
+        _, log_mean, log_var = radial_moments(dim, np.array(sigmas))
+        log_a, inv = math.log(dim - 1), [1.0 / ((dim - 1) * s) for s in sigmas]
+        assert log_mean.tolist() == pytest.approx(
+            [2 * log_a + 4 * math.log(s) + math.log1p(v * v) for s, v in zip(sigmas, inv)],
+            abs=1e-12)
+        assert log_var.tolist() == pytest.approx(
+            [math.log(4.0) + 2 * log_a + 6 * math.log(s) + math.log1p(0.5 * v * v)
+             for s, v in zip(sigmas, inv)], abs=1e-12)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
     def test_small_sigma_limits(self, dim):
@@ -115,26 +134,25 @@ class TestRadialMoments:
         # E[d^2] = D s^2 (1 + (D-1) s^2 / 3) and
         # Var(d^2) = 2 D s^4 (1 + 2 (D-1) s^2 / 3) up to O(s^4) relative
         for sigma in (1e-6, 1e-12, 1e-20):
-            _, mean, var = radial_moments(dim, sigma)
+            _, log_mean, log_var = radial_moments(dim, sigma)
             s2 = sigma * sigma
-            assert float(mean) == pytest.approx(dim * s2 * (1 + (dim - 1) * s2 / 3),
-                                                rel=1e-12)
-            assert float(var) == pytest.approx(
+            assert math.exp(log_mean) == pytest.approx(
+                dim * s2 * (1 + (dim - 1) * s2 / 3), rel=1e-12)
+            assert math.exp(log_var) == pytest.approx(
                 2 * dim * s2 * s2 * (1 + 2 * (dim - 1) * s2 / 3), rel=1e-12)
 
     def test_shapes_follow_sigma(self):
-        log_xi, mean, var = radial_moments(3, 0.7)
-        assert log_xi.shape == mean.shape == var.shape == ()
+        log_xi, log_mean, log_var = radial_moments(3, 0.7)
+        assert log_xi.shape == log_mean.shape == log_var.shape == ()
         grid = np.linspace(0.1, 3.0, 12).reshape(3, 4)
-        log_xi, mean, var = radial_moments(3, grid)
-        assert log_xi.shape == mean.shape == var.shape == (3, 4)
-        assert float(mean[1, 2]) == float(radial_moments(3, grid[1, 2])[1])
+        log_xi, log_mean, log_var = radial_moments(3, grid)
+        assert log_xi.shape == log_mean.shape == log_var.shape == (3, 4)
+        assert float(log_mean[1, 2]) == float(radial_moments(3, grid[1, 2])[1])
 
     def test_finite_in_high_dimension(self):
         for dim in (8, 16, 30, 100):
-            log_xi, mean, var = radial_moments(dim, np.array([0.05, 0.5, 3.0]))
-            assert np.all(np.isfinite(log_xi))
-            assert np.all(mean > 0) and np.all(var > 0)
+            moments = radial_moments(dim, np.array([0.05, 0.5, 3.0]))
+            assert np.all(np.isfinite(moments))
 
     @pytest.mark.parametrize("dim", [10, 100, 1000])
     def test_moments_against_simpson_in_high_dimension(self, dim):
@@ -158,11 +176,11 @@ class TestRadialMoments:
                 m + math.log(-math.expm1(-2.0 * m)) - math.log(2.0))
             log_area = math.log(2.0) + 0.5 * dim * math.log(math.pi) - math.lgamma(0.5 * dim)
 
-            log_xi, kernel_mean, kernel_var = radial_moments(dim, sigma)
+            log_xi, log_mean, log_var = radial_moments(dim, sigma)
             assert float(log_xi) == pytest.approx(log_area + log_w_mode + math.log(z),
                                                   rel=1e-12)
-            assert float(kernel_mean) == pytest.approx(mean, rel=1e-11)
-            assert float(kernel_var) == pytest.approx(var, rel=1e-9)
+            assert math.exp(log_mean) == pytest.approx(mean, rel=1e-11)
+            assert math.exp(log_var) == pytest.approx(var, rel=1e-9)
 
     @pytest.mark.parametrize("dim", [10, 100, 1000])
     def test_sigma_integral_against_simpson_in_high_dimension(self, dim):
@@ -218,7 +236,7 @@ class TestPdf:
     @pytest.mark.parametrize("sigma", [0.3, 1.0, 2.0])
     def test_normalization(self, dim, sigma):
         params = RgdParams(hy.origin(dim), sigma)
-        area = hy.sphere_area(dim)
+        area = sphere_area(dim)
 
         def integrand(r):
             # the points at distance r from the origin along the first axis
@@ -284,7 +302,7 @@ class TestSample:
         data = sample(200, params, seed=5)
         nu = random_point(rng, 2)
         T = hy.isometry_to(nu)
-        moved = data.transformed(T)
+        moved = Dataset(data.coords @ T.T)
         d_before = hy.dist_many(params.mu, data.coords)
         d_after = hy.dist_many(T @ params.mu, moved.coords)
         assert np.max(np.abs(d_before - d_after)) < 1e-9
@@ -353,7 +371,7 @@ class TestMle:
         nu = random_point(rng, 2, 1.0)
         T = hy.isometry_to(nu)
         fit = mle(data, DOMAIN)
-        fit_moved = mle(data.transformed(T), DOMAIN)
+        fit_moved = mle(Dataset(data.coords @ T.T), DOMAIN)
         assert dist(fit_moved.params.mu, T @ fit.params.mu) < 1e-6
         assert fit_moved.params.sigma == pytest.approx(fit.params.sigma, abs=1e-6)
 
@@ -480,7 +498,7 @@ def test_mean_dispersion_and_newton_sigma_match_bisection():
     for dim in range(1, 6):
         for sigma in (0.1, 0.4, 1.0, 2.5):
             d1, _ = xi_derivatives(dim, sigma)
-            assert radial_moments(dim, sigma)[1] == pytest.approx(
+            assert math.exp(radial_moments(dim, sigma)[1]) == pytest.approx(
                 sigma ** 3 * d1 / xi(dim, sigma), rel=1e-12)
         for seed, sigma in enumerate((0.3, 0.8, 1.6)):
             data = sample(200, RgdParams(hy.origin(dim), sigma), seed=seed)

@@ -10,7 +10,7 @@ from rmnml.quadrature import integrate_1d
 
 from conftest import (dist, log_ball_volume_oracle, log_map, lorentz_to_poincare,
                       minkowski_inner, poincare_dist, polar_point, random_point,
-                      sqrt_det_metric)
+                      sphere_area, sqrt_det_metric)
 
 TIGHT = 1e-12
 
@@ -333,7 +333,7 @@ class TestBallVolume:
 
     def test_closed_form_against_quadrature(self):
         for dim in range(1, 6):
-            area = hy.sphere_area(dim)
+            area = sphere_area(dim)
             for radius in (0.5, 1.0, 2.0, 4.0):
                 oracle = area * integrate_1d(
                     lambda r: np.sinh(r) ** (dim - 1), 0.0, radius, TIGHT)
@@ -357,7 +357,7 @@ class TestBallVolume:
         assert float(hy.log_sinh(0.0)) == -math.inf
         for dim in range(1, 30):
             assert hy.log_sphere_area(dim) == pytest.approx(
-                math.log(hy.sphere_area(dim)), rel=1e-14, abs=1e-14)
+                math.log(sphere_area(dim)), rel=1e-14, abs=1e-14)
 
     @pytest.mark.parametrize("dim", [2, 50, 1000])
     def test_large_radius_asymptote(self, dim):
