@@ -58,18 +58,20 @@ def parse_sigma_range(text: str) -> tuple[float, float]:
 _COORDINATE_TYPES = frozenset({int, float, type(None)})
 
 
-def _is_number(value) -> bool:
-    """Whether ``value`` is a JSON number numpy reads as one float, or null.
-
-    JSON true and false, and numeric strings, are not: numpy would read
-    them as 1.0, 0.0 and the number.
-    """
-    if type(value) is int:
-        try:
-            float(value)
-        except OverflowError:  # past the float range
-            return False
-    return type(value) in _COORDINATE_TYPES
+def _coordinate_array(points: list, width: int) -> np.ndarray | None:
+    """The (n, width) float array of ``points``, or None unless every row has
+    ``width`` values and each is a JSON number or null.  C-level passes only:
+    the row lengths, the value types (numpy alone reads true and "1" as 1.0),
+    then one conversion of the flattened values."""
+    try:
+        if set(map(len, points)) != {width}:
+            return None
+        flat = [*itertools.chain.from_iterable(points)]
+        if not _COORDINATE_TYPES.issuperset(map(type, flat)):
+            return None
+        return np.array(flat, dtype=float).reshape(-1, width)
+    except (TypeError, OverflowError):  # a row with no length, an int past the float range
+        return None
 
 
 def load_dataset(path: str) -> Dataset:
@@ -97,20 +99,14 @@ def load_dataset(path: str) -> Dataset:
     if not isinstance(points, list) or not points:
         raise InputError(f"{path}: field 'points' must be a non-empty list")
     expected = dim + 1 if chart == "lorentz" else dim
-    try:
-        coords = np.array(points, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        coords = None
-    # one C-level pass over the values' types: numpy reads true and "1" as 1.0
-    if (coords is None or coords.ndim != 2 or coords.shape[1] != expected
-            or not _COORDINATE_TYPES.issuperset(
-                map(type, itertools.chain.from_iterable(points)))):
+    coords = _coordinate_array(points, expected)
+    if coords is None:
         # name the first bad row: a wrong length before a non-numeric field
         for i, row in enumerate(points):
             if not isinstance(row, list) or len(row) != expected:
                 raise InputError(f"{path}: point {i} must have {expected} "
                                  f"components for chart {chart!r}")
-        i = next(i for i, row in enumerate(points) if not all(map(_is_number, row)))
+        i = next(i for i, row in enumerate(points) if _coordinate_array([row], expected) is None)
         raise InputError(f"{path}: point {i} has a non-numeric field")
     try:
         if chart == "poincare":

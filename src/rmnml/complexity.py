@@ -12,10 +12,6 @@ negative log-likelihood (with respect to the volume element) plus the log
 parametric complexity; its regret is constant and equal to the log
 parametric complexity.  All code-lengths here are in nats; the o(1) term
 of the asymptotic formula is dropped throughout.
-
-For the hyperbolic Gaussian the sigma integral is taken in u = log sigma
-over the log integrand (D log c_mu + log I_sigma) / 2 + u, with the Fisher
-factors from :func:`rmnml.gaussian.log_fisher_factors`.
 """
 
 from __future__ import annotations
@@ -49,12 +45,9 @@ class ParamDomain:
 
     Accepted range: 0 < radius_R <= RADIUS_MAX (1e15) and finite
     bounds with SIGMA_FLOOR (about 1.2e-77) <= sigma_min < sigma_max.
-    Every term of the log complexity is finite on such a domain: the
-    Fisher factors are logs of moments that are themselves kept as logs,
-    so sigma_max may reach the float range (while (D-1) sigma_max is a
-    float).  The maximized likelihood of ``mle`` needs log xi(sigma),
-    about (D-1)^2 sigma^2 / 2, which passes the float range near
-    sigma = 1e154 / (D-1).
+    Every term of the log complexity is finite on such a domain, as the
+    Fisher factors are read as logs.  The likelihood of ``mle`` needs
+    log xi, which is +inf past sigma = 1e154 / (D-1).
     """
 
     radius_R: float = DEFAULT_RADIUS

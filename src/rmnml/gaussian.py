@@ -18,6 +18,7 @@ floor of its frame; for sigma, on log E[d^2].
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -37,8 +38,11 @@ _FRECHET_ARMIJO = 0.25
 #: Rounding of a log map in :func:`frechet_mean`, per unit of mu0 x0_i d_i / sinh d_i.
 _FRECHET_ROUNDING = 1e-15
 _MAX_SIGMA_ITERATIONS = 60
-#: Newton steps in log sigma below this size end the sigma solve.
-_SIGMA_STEP_TOL = 1e-14
+#: A Newton step in log sigma below this size ends the sigma solve: the
+#: error squares at each step, so about 1e-16 is left.
+_SIGMA_STEP_TOL = 1e-8
+#: A bracket on log sigma narrower than this ends the sigma solve.
+_SIGMA_BRACKET_TOL = 1e-14
 #: Gauss-Legendre nodes of the radial rule in :func:`radial_moments`.
 _RADIAL_NODES = 96
 #: Half-width, in units of sigma, of the radial window about the mode.
@@ -128,6 +132,13 @@ def log_radial_weight(dim: int, r: np.ndarray, sigma: float) -> np.ndarray:
     return gauss + (dim - 1) * hy.log_sinh(r)
 
 
+@functools.cache
+def _radial_rule() -> tuple[np.ndarray, np.ndarray]:
+    """x + 1 and log w of the radial Gauss-Legendre rule, built once."""
+    x, w = gauss_legendre(_RADIAL_NODES)
+    return x + 1.0, np.log(w)
+
+
 def radial_moments(dim: int, sigma):
     """log xi(sigma), log E[d^2] and log Var(d^2) under the hyperbolic Gaussian.
 
@@ -147,17 +158,17 @@ def radial_moments(dim: int, sigma):
     Everything is relative to the mode, whose log w(m), about
     (D-1)^2 sigma^2 / 2, would swamp the spread across the window with its
     rounding at large sigma.  With r = m + sigma tau, k = m / sigma^2 and
-    c = m ((D-1) - k / 2) - (D-1) log 2,
-    log w(r) - c = tau sigma ((D-1) - k) - tau^2 / 2 + (D-1) log(1 - exp(-2r)),
-    and the moments are those of q = r^2 - m^2 = sigma^2 tau (2 k sigma + tau).
-    k = (D-1) / tanh m is D-1 exactly once tanh m rounds to 1, so the
-    window stays on the mode where m itself is too large to place it
-    within sigma.  q is divided by its scale on the window,
-    S = sigma^2 (2 k sigma + 10), before any square, so log E and log Var
-    are finite while (D-1) sigma is a float.  log xi, about
-    (D-1)^2 sigma^2 / 2, is +inf past sigma = 1e154 / (D-1).  Each row's
-    largest log weight is subtracted before exp, and the variance is summed
-    about the mean.
+    c = log w(m) = -k m / 2 + (D-1) log sinh m,
+    log w(r) - c = tau sigma ((D-1) - k) - tau^2 / 2
+                   + (D-1) log(expm1(-2r) / expm1(-2m)),
+    about 0 at the mode, so exp needs no shift; the ratio keeps its digits
+    where log sinh r is large and negative (small sigma, large D).  k is
+    D-1 exactly once tanh m rounds to 1, so the window stays on the mode
+    where m is too large to place it within sigma.  The moments are those
+    of q = r^2 - m^2 = sigma^2 tau (2 k sigma + tau), divided by its scale
+    S = sigma^2 (2 k sigma + 10) before any square and summed about the
+    mean, so log E and log Var are finite while (D-1) sigma is a float.
+    log xi, about (D-1)^2 sigma^2 / 2, is +inf past sigma = 1e154 / (D-1).
     """
     s = np.asarray(sigma, dtype=float)[..., None]
     if dim > 1:
@@ -170,31 +181,39 @@ def radial_moments(dim: int, sigma):
     else:
         slope = np.zeros_like(s)
     k_sigma = slope * s  # m / sigma
-    tau_lo = -np.minimum(k_sigma, _RADIAL_WINDOW)
-    half = 0.5 * (_RADIAL_WINDOW - tau_lo)
-    x, w = gauss_legendre(_RADIAL_NODES)
-    tau = tau_lo + half * (x + 1.0)
-    log_w = tau * (s * ((dim - 1) - slope) - 0.5 * tau) + np.log(w)
-    # past sigma ~ 1e154 / (D-1), m and r overflow to inf: log(1 - exp(-2r))
-    # is then 0, as it is, and log xi is +inf
+    below = np.minimum(k_sigma, _RADIAL_WINDOW)  # the window is tau in [-below, 10]
+    half = 0.5 * (_RADIAL_WINDOW + below)
+    x1, log_gl = _radial_rule()
+    tau = half * x1 - below
+    log_w = tau * (s * ((dim - 1) - slope) - 0.5 * tau) + log_gl
+    # past sigma ~ 1e154 / (D-1), m and r overflow to inf: the expm1 ratio
+    # is then 1, as it is, and log xi is +inf
     with np.errstate(over="ignore"):
-        offset = k_sigma * s * ((dim - 1) - 0.5 * slope)  # c
+        mode = k_sigma * s
+        offset = mode * ((dim - 1) - 0.5 * slope)  # c + (D-1) log 2
         if dim > 1:
-            log_w += (dim - 1) * np.log(-np.expm1(-2.0 * s * (k_sigma + tau)))
-            offset -= (dim - 1) * math.log(2.0)
-    top = log_w.max(axis=-1, keepdims=True)
-    p = np.exp(log_w - top)
+            tail = np.expm1(-2.0 * mode)
+            log_w += (dim - 1) * np.log(np.expm1(-2.0 * s * (k_sigma + tau)) / tail)
+            offset += (dim - 1) * np.log(-tail)
+    p = np.exp(log_w)
     z = p.sum(axis=-1)
-    width = 2.0 * k_sigma + _RADIAL_WINDOW  # S / sigma^2
-    q = tau * (2.0 * k_sigma + tau) / width  # (r^2 - m^2) / S
-    mean_q = (p * q).sum(axis=-1) / z
-    var_q = (p * (q - mean_q[..., None]) ** 2).sum(axis=-1) / z
+    two_k_sigma = 2.0 * k_sigma
+    width = two_k_sigma + _RADIAL_WINDOW  # S / sigma^2
+    q = tau * (two_k_sigma + tau) / width  # (r^2 - m^2) / S
+    mean_q = _row_dot(p, q) / z
+    dev = q - mean_q[..., None]
+    var_q = _row_dot(p, dev * dev) / z
     log_s = np.log(s[..., 0])
     log_scale = 2.0 * log_s + np.log(width[..., 0])  # log S
     mode_sq = (k_sigma * (k_sigma / width))[..., 0]  # m^2 / S
-    log_xi = (hy.log_sphere_area(dim) + (offset + top)[..., 0]
+    log_xi = (hy.log_sphere_area(dim) - (dim - 1) * math.log(2.0) + offset[..., 0]
               + np.log(z * half[..., 0]) + log_s)
     return log_xi, log_scale + np.log(mode_sq + mean_q), 2.0 * log_scale + np.log(var_q)
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum(a * b) over the last axis, as one batched matrix product."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def log_fisher_factors(dim: int, sigma):
@@ -202,16 +221,15 @@ def log_fisher_factors(dim: int, sigma):
 
     In a normal orthonormal basis at mu, I_mu = c_mu Identity_D with the
     paper's c_mu = xi'/(D sigma xi) = E[d^2] / (D sigma^4), and
-    I_sigma = Var(d^2) / sigma^6, with no mu-sigma cross term.  Both come from one
-    :func:`radial_moments` call as log E - log D - 4 log sigma and
-    log Var - 6 log sigma.  ``sigma`` may be a scalar or an array; both
-    results have its shape.  Raises ValueError unless D >= 1 and every
+    I_sigma = Var(d^2) / sigma^6: log E - log D - 4 log sigma and
+    log Var - 6 log sigma from one :func:`radial_moments` call.  ``sigma``
+    may be a scalar or an array.  Raises ValueError unless D >= 1 and every
     sigma is positive.
     """
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
     s = np.asarray(sigma, dtype=float)
-    if not np.all(s > 0):
+    if not (s > 0).all():
         raise ValueError(f"sigma must be positive, got {sigma}")
     _, log_mean, log_var = radial_moments(dim, s)
     log_s = np.log(s)
@@ -349,21 +367,29 @@ def _solve_sigma(dim: int, target: float, lo: float, hi: float) -> tuple[float, 
     (sigma^2 E[d^2]) follows from dE/dsigma = Var(d^2) / sigma^3.  The
     slope runs from 2 (small sigma) to 4 (large), so the log-log curve is
     nearly straight.  The kernel gives log E and log Var, so the slope is
-    exp(log Var - log E - 2u).  A bracket on u is kept, and a step that
-    leaves it is replaced by bisection.
+    exp(log Var - log E - 2u).  The first iterate is the cubic (Hermite)
+    interpolant of u against log E through the bracket ends, with those
+    slopes.  A bracket on u is kept, and a step that leaves it is replaced
+    by bisection.  The error squares at each Newton step, so a step below
+    1e-8 ends the solve, as does a bracket narrower than 1e-14.
     """
-    log_lo, log_hi = radial_moments(dim, np.array([lo, hi]))[1]
+    _, (log_lo, log_hi), (var_lo, var_hi) = radial_moments(dim, np.array([lo, hi]))
     log_target = math.log(target) if target > 0.0 else -math.inf
     if log_target <= log_lo:
         return lo, True
     if log_target >= log_hi:
         return hi, True
     u_lo, u_hi = math.log(lo), math.log(hi)
-    # secant through the bracket ends as the first iterate
-    u = u_lo + (log_target - log_lo) * (u_hi - u_lo) / (log_hi - log_lo)
+    width = log_hi - log_lo  # t runs from 0 to 1 across the bracket
+    t = (log_target - log_lo) / width
+    d_lo = width * math.exp(2.0 * u_lo + log_lo - var_lo)
+    d_hi = width * math.exp(2.0 * u_hi + log_hi - var_hi)
+    u = (u_lo + t * t * (3.0 - 2.0 * t) * (u_hi - u_lo)
+         + t * (1.0 - t) * ((1.0 - t) * d_lo - t * d_hi))
+    u = min(max(u, u_lo), u_hi)
     for _ in range(_MAX_SIGMA_ITERATIONS):
-        _, log_mean, log_var = radial_moments(dim, math.exp(u))
-        gap = float(log_mean) - log_target
+        _, log_mean, log_var = map(float, radial_moments(dim, math.exp(u)))
+        gap = log_mean - log_target
         if gap < 0.0:
             u_lo = u
         else:
@@ -371,7 +397,9 @@ def _solve_sigma(dim: int, target: float, lo: float, hi: float) -> tuple[float, 
         new = u - gap * math.exp(2.0 * u + log_mean - log_var)
         if not u_lo <= new <= u_hi:
             new = 0.5 * (u_lo + u_hi)
-        if abs(new - u) <= _SIGMA_STEP_TOL or u_hi - u_lo <= _SIGMA_STEP_TOL:
+        elif abs(new - u) <= _SIGMA_STEP_TOL:
+            return math.exp(new), False
+        if u_hi - u_lo <= _SIGMA_BRACKET_TOL:
             return math.exp(new), False
         u = new
     raise EstimationError(

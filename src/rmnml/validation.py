@@ -2,23 +2,16 @@
 
 Each suite reruns one of the independent oracles (quadrature, Monte
 Carlo, reparameterization, Kraft) against the production kernels and
-reports a pass/fail line.  The oracles live here only:
-
-- the paper's closed-form :func:`xi` and its derivatives, and
-  :func:`xi_quadrature_oracle`; the library reads log xi from
-  :func:`rmnml.gaussian.radial_moments`;
-- :func:`fisher_numeric`, a Monte-Carlo Fisher estimate from
-  finite-difference Hessians of the log-density in :func:`normal_chart`
-  coordinates, against :func:`rmnml.gaussian.log_fisher_factors`;
-- :func:`fisher_integral`, the domain integral of sqrt(det I) by adaptive
-  Simpson in sigma, against the complexity's rule in log sigma;
-- :func:`pc_mc_gauss1d`, a Monte-Carlo parametric complexity of N(theta, 1)
-  that checks the asymptotic formula.
-
-The Kraft suite codes with :func:`rmnml.gaussian.log_pdf_vol_many`, the
-density of the code-length.  Tests confirm that the suites detect errors
-by patching the names ``xi``, ``radial_moments`` and ``log_pdf_vol_many``
-here.
+reports a pass/fail line.  The oracles live here only: the paper's
+closed-form :func:`xi` and its derivatives and :func:`xi_quadrature_oracle`
+for :func:`rmnml.gaussian.radial_moments`; the Monte-Carlo Fisher estimate
+:func:`fisher_numeric` for :func:`rmnml.gaussian.log_fisher_factors`; the
+Simpson integral :func:`fisher_integral` for the complexity's rule in
+log sigma; and :func:`pc_mc_gauss1d`, a Monte-Carlo parametric complexity
+of N(theta, 1), for the asymptotic formula.  The Kraft suite codes with
+:func:`rmnml.gaussian.log_pdf_vol_many`, the density of the code-length.
+Tests confirm that the suites detect errors by patching the names ``xi``,
+``radial_moments`` and ``log_pdf_vol_many`` here.
 """
 
 from __future__ import annotations
