@@ -47,7 +47,8 @@ class ParamDomain:
     bounds with SIGMA_FLOOR (about 1.2e-77) <= sigma_min < sigma_max.
     Every term of the log complexity is finite on such a domain, as the
     Fisher factors are read as logs.  The likelihood of ``mle`` needs
-    log xi, which is +inf past sigma = 1e154 / (D-1).
+    n log xi, which overflows past about sigma = 1.3e154 sqrt(2/n) / (D-1);
+    ``mle`` raises EstimationError there.
     """
 
     radius_R: float = DEFAULT_RADIUS

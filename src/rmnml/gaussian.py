@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -47,6 +48,8 @@ _SIGMA_BRACKET_TOL = 1e-14
 _RADIAL_NODES = 96
 #: Half-width, in units of sigma, of the radial window about the mode.
 _RADIAL_WINDOW = 10.0
+#: sigma past which sigma^2 overflows.
+_SIGMA_SQUARE_MAX = math.sqrt(sys.float_info.max)
 
 
 class EstimationError(RuntimeError):
@@ -134,9 +137,12 @@ def log_radial_weight(dim: int, r: np.ndarray, sigma: float) -> np.ndarray:
 
 @functools.cache
 def _radial_rule() -> tuple[np.ndarray, np.ndarray]:
-    """x + 1 and log w of the radial Gauss-Legendre rule, built once."""
+    """x + 1 and log w of the radial Gauss-Legendre rule, built once, read-only."""
     x, w = gauss_legendre(_RADIAL_NODES)
-    return x + 1.0, np.log(w)
+    x1, log_w = x + 1.0, np.log(w)
+    x1.setflags(write=False)
+    log_w.setflags(write=False)
+    return x1, log_w
 
 
 def radial_moments(dim: int, sigma):
@@ -152,8 +158,9 @@ def radial_moments(dim: int, sigma):
     the mode m of log w, clipped at 0.  log w is concave with curvature at
     least 1/sigma^2, so the window leaves out less than exp(-50) of the
     mass.  The mode solves r tanh r = a with a = (D-1) sigma^2; it starts
-    at sqrt(a^2 + a) and takes one Newton step, and m is then a / tanh m.
-    Past a = 400, tanh m rounds to 1, so a is capped there.
+    at sqrt(a^2 + a) and takes two Newton steps, and m is then a / tanh m.
+    One step leaves the window off the mode at D >= 1e6, where the start is
+    furthest off.  Past a = 400, tanh m rounds to 1, so a is capped there.
 
     Everything is relative to the mode, whose log w(m), about
     (D-1)^2 sigma^2 / 2, would swamp the spread across the window with its
@@ -169,14 +176,20 @@ def radial_moments(dim: int, sigma):
     S = sigma^2 (2 k sigma + 10) before any square and summed about the
     mean, so log E and log Var are finite while (D-1) sigma is a float.
     log xi, about (D-1)^2 sigma^2 / 2, is +inf past sigma = 1e154 / (D-1).
+
+    Each pass over the (rows, 96) nodes writes into one of four arrays,
+    tau, log w, the expm1 ratio and q, in the order of operations of the
+    plain expressions, so every output is the same float.  The rule's
+    cached x + 1 and log w are read-only, so no pass can write into them.
     """
     s = np.asarray(sigma, dtype=float)[..., None]
     if dim > 1:
         capped = np.minimum(s, 20.0 / math.sqrt(dim - 1))
         a = (dim - 1) * capped * capped
         mode = np.sqrt(a * (a + 1.0))
-        tanh = np.tanh(mode)
-        mode = mode - (mode * tanh - a) / (tanh + mode * (1.0 - tanh * tanh))
+        for _ in range(2):
+            tanh = np.tanh(mode)
+            mode = mode - (mode * tanh - a) / (tanh + mode * (1.0 - tanh * tanh))
         slope = (dim - 1) / np.tanh(mode)  # k
     else:
         slope = np.zeros_like(s)
@@ -184,8 +197,12 @@ def radial_moments(dim: int, sigma):
     below = np.minimum(k_sigma, _RADIAL_WINDOW)  # the window is tau in [-below, 10]
     half = 0.5 * (_RADIAL_WINDOW + below)
     x1, log_gl = _radial_rule()
-    tau = half * x1 - below
-    log_w = tau * (s * ((dim - 1) - slope) - 0.5 * tau) + log_gl
+    tau = np.multiply(half, x1)
+    tau -= below
+    log_w = np.multiply(tau, 0.5)
+    np.subtract(s * ((dim - 1) - slope), log_w, out=log_w)
+    log_w *= tau
+    log_w += log_gl
     # past sigma ~ 1e154 / (D-1), m and r overflow to inf: the expm1 ratio
     # is then 1, as it is, and log xi is +inf
     with np.errstate(over="ignore"):
@@ -193,16 +210,25 @@ def radial_moments(dim: int, sigma):
         offset = mode * ((dim - 1) - 0.5 * slope)  # c + (D-1) log 2
         if dim > 1:
             tail = np.expm1(-2.0 * mode)
-            log_w += (dim - 1) * np.log(np.expm1(-2.0 * s * (k_sigma + tau)) / tail)
+            ratio = np.add(k_sigma, tau)
+            ratio *= -2.0 * s
+            np.expm1(ratio, out=ratio)
+            ratio /= tail
+            np.log(ratio, out=ratio)
+            ratio *= dim - 1
+            log_w += ratio
             offset += (dim - 1) * np.log(-tail)
-    p = np.exp(log_w)
+    p = np.exp(log_w, out=log_w)
     z = p.sum(axis=-1)
     two_k_sigma = 2.0 * k_sigma
     width = two_k_sigma + _RADIAL_WINDOW  # S / sigma^2
-    q = tau * (two_k_sigma + tau) / width  # (r^2 - m^2) / S
+    q = two_k_sigma + tau
+    q *= tau
+    q /= width  # (r^2 - m^2) / S
     mean_q = _row_dot(p, q) / z
-    dev = q - mean_q[..., None]
-    var_q = _row_dot(p, dev * dev) / z
+    q -= mean_q[..., None]
+    q *= q
+    var_q = _row_dot(p, q) / z
     log_s = np.log(s[..., 0])
     log_scale = 2.0 * log_s + np.log(width[..., 0])  # log S
     mode_sq = (k_sigma * (k_sigma / width))[..., 0]  # m^2 / S
@@ -430,7 +456,9 @@ def mle(data: Dataset, domain: "ParamDomain") -> MleFit:
     about the origin if it falls outside; sigma solves
     E[d^2](sigma) = sigma^3 xi'/xi = mean d^2(x_i, mu) by safeguarded
     Newton on [sigma_min, sigma_max], with boundary values used (and
-    flagged) when the equation has no interior root.
+    flagged) when the equation has no interior root.  EstimationError names
+    sigma_hat where the log-likelihood overflows: past about
+    sigma = 1.3e154 sqrt(2/n) / (D-1), and 1.3e154 at D = 1.
     """
     if data.n < 2:
         raise ValueError("the MLE needs at least 2 points (sigma is degenerate at n=1)")
@@ -457,4 +485,14 @@ def mle(data: Dataset, domain: "ParamDomain") -> MleFit:
     sigma, sigma_clamped = _solve_sigma(dim, target, domain.sigma_min,
                                         domain.sigma_max)
     params = RgdParams(mu, sigma)
-    return MleFit(params, mu_clamped, sigma_clamped, float(np.sum(_log_pdf_vol(d, params))))
+    # past the float range, named below: sigma^2, or the n log xi terms, each
+    # about (D-1)^2 sigma^2 / 2
+    with np.errstate(over="ignore"):
+        max_log_lik = -math.inf if sigma * sigma == math.inf else float(
+            np.sum(_log_pdf_vol(d, params)))
+    if max_log_lik == -math.inf:
+        bound = _SIGMA_SQUARE_MAX * (1.0 if dim == 1 else math.sqrt(2.0 / data.n) / (dim - 1))
+        raise EstimationError(
+            f"the log-likelihood at sigma_hat = {sigma:.6g} overflows: at D = {dim} and "
+            f"n = {data.n} it is finite only below about sigma = {bound:.3g}")
+    return MleFit(params, mu_clamped, sigma_clamped, max_log_lik)

@@ -136,7 +136,7 @@ def _adaptive_simpson(f, a, b, rel_tol: float) -> float:
     values = f(np.concatenate([edges, mids]))
     ends, mid_values = values[:_COARSE_PANELS + 1], values[_COARSE_PANELS + 1:]
     sums = _simpson(ends[:-1], mid_values, ends[1:], edges[1:] - edges[:-1])
-    panels = (edges[:-1], mids, edges[1:], ends[:-1], mid_values, ends[1:], sums)
+    panels = np.stack((edges[:-1], mids, edges[1:], ends[:-1], mid_values, ends[1:], sums))
     estimate = math.fsum(sums)
 
     total = estimate
@@ -151,15 +151,18 @@ def _adaptive_simpson(f, a, b, rel_tol: float) -> float:
     return total
 
 
-def _refine(f, panels, tol) -> float:
+def _refine(f, panels: np.ndarray, tol) -> float:
     # Level by level: one call of f evaluates both midpoints of every open
-    # panel.  Each panel passes or fails its own local test, so the accepted
-    # set does not depend on the order of refinement, and math.fsum rounds
-    # their sum once, whatever the order.
-    x0, x1, x2, f0, f1, f2, s = panels
+    # panel.  The open panels are one (7, m) array of rows x0, x1, x2, f0,
+    # f1, f2 and the Simpson value s; the halves of the split ones, in
+    # position order, come from one stack, one index and one reshape.  Each
+    # panel passes or fails its own local test, so the accepted set does not
+    # depend on the order of refinement, and math.fsum rounds their sum
+    # once, whatever the order.
     accepted = []
     splits = 0
-    while x0.size:
+    while True:
+        x0, x1, x2, f0, f1, f2, s = panels
         lm, rm = 0.5 * (x0 + x1), 0.5 * (x1 + x2)
         mid_values = f(np.concatenate([lm, rm]))
         flm, frm = mid_values[:x0.size], mid_values[x0.size:]
@@ -171,15 +174,15 @@ def _refine(f, panels, tol) -> float:
             (x0 < lm) & (lm < x1) & (x1 < rm) & (rm < x2))
         accepted.append((left + right + err)[done])
         split = ~done
-        splits += int(np.count_nonzero(split))
+        count = int(np.count_nonzero(split))
+        if not count:
+            return math.fsum(np.concatenate(accepted).tolist())
+        splits += count
         if splits > _MAX_SUBDIVISIONS:
-            best = math.fsum(np.concatenate([*accepted, left[split], right[split]]))
+            best = math.fsum(np.concatenate([*accepted, left[split], right[split]]).tolist())
             raise QuadratureError(
                 f"tolerance not reached after {_MAX_SUBDIVISIONS} subdivisions",
                 best_estimate=best)
-        # the two halves of each split panel, in position order
-        x0, x1, x2, f0, f1, f2, s = (
-            np.column_stack([lo[split], hi[split]]).ravel()
-            for lo, hi in ((x0, x1), (lm, rm), (x1, x2), (f0, f1), (flm, frm),
-                           (f1, f2), (left, right)))
-    return math.fsum(np.concatenate(accepted))
+        # one row per split panel: its left half's seven values, then its right half's
+        halves = np.stack((x0, lm, x1, f0, flm, f1, left, x1, rm, x2, f1, frm, f2, right)).T[split]
+        panels = halves.reshape(-1, 7).T
