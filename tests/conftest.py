@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from rmnml import hyperbolic as hy
-from rmnml.gaussian import Dataset, RgdParams, log_fisher_factors, sample
+from rmnml import gaussian, quadrature, validation
+from rmnml.gaussian import Dataset, RgdParams, log_fisher_factors, log_pdf_vol_many, sample
 from rmnml.quadrature import integrate_1d
-from rmnml.validation import xi, xi_derivatives
+from rmnml.validation import FisherBlock, normal_chart, xi, xi_derivatives
 
 
 def random_point(rng: np.random.Generator, dim: int, max_radius: float = 2.0) -> np.ndarray:
@@ -142,6 +143,114 @@ def fisher_factors(dim: int, sigma):
     """c_mu and I_sigma, the exponentials of the library's log formula."""
     log_c_mu, log_i_sigma = log_fisher_factors(dim, sigma)
     return np.exp(log_c_mu), np.exp(log_i_sigma)
+
+
+def fisher_numeric_per_offset(params: RgdParams, n_samples: int, seed: int) -> FisherBlock:
+    """The Monte-Carlo Fisher estimate with one log_pdf_vol_many call per offset.
+
+    The reference for the distance passes that :func:`rmnml.validation.fisher_numeric`
+    shares between offsets: the same draws, chart and central differences,
+    with each offset's density evaluated from scratch.
+    """
+    x = sample(n_samples, params, seed).coords
+    dim, sigma, step = params.dim, params.sigma, validation._FD_STEP
+    chart = normal_chart(params.mu)
+    k = dim + 1
+
+    def logp(offset):
+        return log_pdf_vol_many(x, RgdParams(chart(offset[:dim]), sigma + offset[dim]))
+
+    f0 = logp(np.zeros(k))
+    unit = np.eye(k) * step
+    neg_h = np.empty((k, k, x.shape[0]))
+    for i in range(k):
+        neg_h[i, i] = -(logp(unit[i]) - 2.0 * f0 + logp(-unit[i])) / step ** 2
+        for j in range(i):
+            neg_h[i, j] = neg_h[j, i] = -(
+                logp(unit[j] + unit[i]) - logp(unit[j] - unit[i])
+                - logp(-unit[j] + unit[i]) + logp(-unit[j] - unit[i])) / (4.0 * step ** 2)
+    est = neg_h.mean(axis=2)
+    se = neg_h.std(axis=2, ddof=1) / math.sqrt(x.shape[0])
+    return FisherBlock(est[:dim, :dim], float(est[dim, dim]), est[:dim, dim].copy(),
+                       se[:dim, :dim], float(se[dim, dim]), se[:dim, dim].copy(), x.shape[0])
+
+
+def radial_moments_plain(dim: int, sigma):
+    """:func:`rmnml.gaussian.radial_moments` written as plain expressions.
+
+    The reference for the kernel's in-place passes: each pass allocates its
+    result, in the same order of operations, so every output is the same float.
+    """
+    s = np.asarray(sigma, dtype=float)[..., None]
+    if dim > 1:
+        capped = np.minimum(s, 20.0 / math.sqrt(dim - 1))
+        a = (dim - 1) * capped * capped
+        mode = np.sqrt(a * (a + 1.0))
+        for _ in range(2):
+            tanh = np.tanh(mode)
+            mode = mode - (mode * tanh - a) / (tanh + mode * (1.0 - tanh * tanh))
+        slope = (dim - 1) / np.tanh(mode)
+    else:
+        slope = np.zeros_like(s)
+    window = gaussian._RADIAL_WINDOW
+    k_sigma = slope * s
+    below = np.minimum(k_sigma, window)
+    half = 0.5 * (window + below)
+    x, w = quadrature.gauss_legendre(gaussian._RADIAL_NODES)
+    tau = half * (x + 1.0) - below
+    log_w = tau * (s * ((dim - 1) - slope) - 0.5 * tau) + np.log(w)
+    with np.errstate(over="ignore"):
+        mode = k_sigma * s
+        offset = mode * ((dim - 1) - 0.5 * slope)
+        if dim > 1:
+            tail = np.expm1(-2.0 * mode)
+            log_w = log_w + (dim - 1) * np.log(np.expm1(-2.0 * s * (k_sigma + tau)) / tail)
+            offset = offset + (dim - 1) * np.log(-tail)
+    p = np.exp(log_w)
+    z = p.sum(axis=-1)
+    width = 2.0 * k_sigma + window
+    q = tau * (2.0 * k_sigma + tau) / width
+    mean_q = gaussian._row_dot(p, q) / z
+    dev = q - mean_q[..., None]
+    var_q = gaussian._row_dot(p, dev * dev) / z
+    log_s = np.log(s[..., 0])
+    log_scale = 2.0 * log_s + np.log(width[..., 0])
+    mode_sq = (k_sigma * (k_sigma / width))[..., 0]
+    log_xi = (hy.log_sphere_area(dim) - (dim - 1) * math.log(2.0) + offset[..., 0]
+              + np.log(z * half[..., 0]) + log_s)
+    return log_xi, log_scale + np.log(mode_sq + mean_q), 2.0 * log_scale + np.log(var_q)
+
+
+def refine_by_columns(f, panels, tol) -> float:
+    """Adaptive Simpson's refinement with the panels as seven separate arrays.
+
+    The reference for :func:`rmnml.quadrature._refine`, which holds them as
+    one (7, m) array: the same local test on each panel, and the halves of the
+    split ones joined column by column.
+    """
+    x0, x1, x2, f0, f1, f2, s = panels
+    accepted = []
+    splits = 0
+    while x0.size:
+        lm, rm = 0.5 * (x0 + x1), 0.5 * (x1 + x2)
+        mid_values = f(np.concatenate([lm, rm]))
+        flm, frm = mid_values[:x0.size], mid_values[x0.size:]
+        left = quadrature._simpson(f0, flm, f1, x1 - x0)
+        right = quadrature._simpson(f1, frm, f2, x2 - x1)
+        err = (left + right - s) / 15.0
+        done = (np.abs(err) <= tol * (x2 - x0)) | ~(
+            (x0 < lm) & (lm < x1) & (x1 < rm) & (rm < x2))
+        accepted.append((left + right + err)[done])
+        split = ~done
+        splits += int(np.count_nonzero(split))
+        if splits > quadrature._MAX_SUBDIVISIONS:
+            best = math.fsum(np.concatenate([*accepted, left[split], right[split]]))
+            raise quadrature.QuadratureError("budget", best_estimate=best)
+        x0, x1, x2, f0, f1, f2, s = (
+            np.column_stack([lo[split], hi[split]]).ravel()
+            for lo, hi in ((x0, x1), (lm, rm), (x1, x2), (f0, f1), (flm, frm),
+                           (f1, f2), (left, right)))
+    return math.fsum(np.concatenate(accepted))
 
 
 @pytest.fixture

@@ -153,6 +153,18 @@ class TestPcCommand:
                        + math.log(4 * (dim - 1) ** 2)) + math.log(1e300)
         assert payload["term_fisher"] == pytest.approx(limit, rel=1e-12)
 
+    def test_window_on_the_mode_at_dimension_1e10(self, capsys):
+        # one Newton step for the mode left the kernel's window off it here,
+        # and the run printed overflow warnings and a nan best estimate.  The
+        # sigma integrand's mass sits in a thin layer at sigma_min, where the
+        # doubling rule may still stop short of its tolerance (exit 3).
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["pc", "--dim", "10000000000", "--n", "100", "--sigma", "1e-6:1e-5"])
+        captured = capsys.readouterr()
+        assert code in (0, cli.NUMERICAL_ERROR)
+        assert "nan" not in captured.out + captured.err
+
     # at D = 1e4 and 3e4 the sigma integrand falls about as sigma^-(D+1),
     # and the doubling rule in log sigma must still agree by 1,024 nodes
     @pytest.mark.parametrize("dim", [8, 16, 10_000, 30_000])
@@ -302,6 +314,23 @@ class TestCodelengthCommand:
         assert payload["total"] == ref.total
         assert "chart_gap_lorentz_graph" in payload
         assert "chart_gap_poincare" in payload
+
+    @pytest.mark.parametrize("dim, bound", [(1, "1.34e+154"), (2, "2.68e+153")])
+    def test_log_lik_overflow_names_the_stage(self, dim, bound, tmp_path, capsys):
+        # past sigma = 1.3e154 sqrt(2/n) / (D-1), -n log xi, about
+        # n (D-1)^2 sigma^2 / 2, overflows, and so does sigma^2 past 1.3e154;
+        # the complexity on the same domain is finite
+        path = tmp_path / "data.json"
+        assert run(["sample", "--dim", str(dim), "--n", "50", "--sigma", "0.5",
+                    "--seed", "1", "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert run(["codelength", "--data", str(path), "--sigma", "1e200:1e300"]) == 3
+        err = capsys.readouterr().err
+        assert ("maximum likelihood estimation failed: the log-likelihood at "
+                f"sigma_hat = 1e+200 overflows: at D = {dim} and n = 50 it is finite "
+                f"only below about sigma = {bound}") in err
+        assert run(["pc", "--dim", str(dim), "--n", "50", "--sigma", "1e200:1e300"]) == 0
+        assert all(math.isfinite(v) for v in json.loads(capsys.readouterr().out).values())
 
     def test_isometric_dataset_same_total(self, tmp_path, capsys):
         base = sample(80, RgdParams(hy.origin(2), 0.7), seed=9)

@@ -1,6 +1,8 @@
 """The Fisher information: the log formula against its oracles."""
 
+import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -10,10 +12,10 @@ from rmnml.complexity import ParamDomain, pc_hgd
 from rmnml.gaussian import (RgdParams, log_fisher_factors, log_radial_weight,
                             radial_cutoff)
 from rmnml.quadrature import integrate_1d
-from rmnml.validation import (fisher_integral, fisher_numeric, normal_chart, xi,
-                              xi_derivatives)
+from rmnml.validation import (FisherBlock, fisher_integral, fisher_numeric, normal_chart,
+                              xi, xi_derivatives)
 
-from conftest import dist, fisher_factors, random_point
+from conftest import dist, fisher_factors, fisher_numeric_per_offset, random_point
 
 TIGHT = 1e-12
 
@@ -129,6 +131,31 @@ class TestNumericOracle:
         assert abs(det0 - det1) <= 3.0 * (se0 + se1)
         assert abs(at_origin.sigma_entry - moved.sigma_entry) <= 3.0 * (
             at_origin.sigma_entry_se + moved.sigma_entry_se)
+
+    @pytest.mark.parametrize("dim, passes", [(1, 3), (2, 9), (3, 19)])
+    def test_one_distance_pass_per_mu_offset(self, dim, passes, rng, monkeypatch):
+        # 9, 19 and 33 offsets share 3, 9 and 19 distinct mu offsets: the sigma
+        # offsets reuse their mu offset's distances, and -0.0 and 0.0 are one
+        # offset.  The estimate is the per-offset loop's, field for field and
+        # bit for bit, and no more than one distance array per mu offset is
+        # alive at a time: 1.44 MB at D = 2, the quick suite's largest.
+        params = RgdParams(random_point(rng, dim, 1.0), 0.9)
+        reference = fisher_numeric_per_offset(params, 20_000, seed=31)
+        returned = []
+        live_bytes = []
+
+        def counted(x, ys, dist_many=hy.dist_many):
+            d = dist_many(x, ys)
+            returned.append(weakref.ref(d))
+            live_bytes.append(sum(a.nbytes for a in (r() for r in returned) if a is not None))
+            return d
+
+        monkeypatch.setattr(hy, "dist_many", counted)
+        block = fisher_numeric(params, 20_000, seed=31)
+        assert len(returned) == passes
+        assert max(live_bytes) <= passes * 20_000 * 8
+        for field in dataclasses.fields(FisherBlock):
+            assert np.array_equal(getattr(block, field.name), getattr(reference, field.name))
 
     def test_sample_budget_guard(self):
         with pytest.raises(ValueError):

@@ -5,14 +5,15 @@ import pytest
 
 from rmnml import hyperbolic as hy
 from rmnml.complexity import ParamDomain, _log_sigma_integrand, hgd_sigma_integral
-from rmnml.gaussian import (Dataset, RgdParams, frechet_mean, log_lik,
-                            log_pdf_vol_many, mle, radial_cutoff,
+from rmnml.gaussian import (Dataset, RgdParams, _radial_rule, frechet_mean, log_lik,
+                            log_pdf_vol_many, log_radial_weight, mle, radial_cutoff,
                             radial_moments, sample)
 from rmnml.quadrature import integrate_1d
 from rmnml.validation import xi, xi_derivatives, xi_quadrature_oracle
 
 from conftest import (closed_fisher_factors, dist, log_map, minkowski_inner,
-                      polar_point, random_point, sphere_area, xi_fd_derivatives)
+                      polar_point, radial_moments_plain, random_point, sphere_area,
+                      xi_fd_derivatives)
 
 TIGHT = 1e-12
 DOMAIN = ParamDomain(radius_R=3.0, sigma_min=0.05, sigma_max=3.0)
@@ -154,6 +155,54 @@ class TestRadialMoments:
         for dim in (8, 16, 30, 100):
             moments = radial_moments(dim, np.array([0.05, 0.5, 3.0]))
             assert np.all(np.isfinite(moments))
+
+    @pytest.mark.parametrize("dim", [10**6, 10**7, 10**8, 10**10])
+    def test_window_on_the_mode_at_large_dim(self, dim):
+        # near sigma = 0.2 / sqrt(D) one Newton step from sqrt(a (a + 1)) left
+        # the window off the mode, and exp overflowed at D = 1e10; warnings
+        # are errors here.  The moments match a trapezoid rule on a dense grid
+        # of plain log w about the bisected mode, whose log w rounds by up to
+        # 3e-5 at D = 1e10.
+        sigmas = np.linspace(0.05, 5.0, 100) / math.sqrt(dim)
+        for result in radial_moments(dim, sigmas):
+            assert np.isfinite(result).all()
+        for sigma in sigmas[[0, 3, 19, 99]].tolist():
+            m = radial_mode(dim, sigma)
+            r = np.linspace(max(m - 20.0 * sigma, 0.0), m + 20.0 * sigma, 4001)
+            log_w = log_radial_weight(dim, r, sigma)
+            top = float(log_w.max())
+            w = np.exp(log_w - top)
+            z = np.trapezoid(w, r)
+            mean = np.trapezoid(w * r * r, r) / z
+            var = np.trapezoid(w * (r * r - mean) ** 2, r) / z
+            log_area = math.log(2.0) + 0.5 * dim * math.log(math.pi) - math.lgamma(0.5 * dim)
+            log_xi, log_mean, log_var = radial_moments(dim, sigma)
+            assert float(log_xi) == pytest.approx(log_area + top + math.log(z), rel=1e-12)
+            assert float(log_mean) == pytest.approx(math.log(mean), abs=1e-9)
+            assert float(log_var) == pytest.approx(math.log(var), abs=1e-5)
+
+    def test_in_place_passes_match_plain_expressions(self):
+        # the kernel writes each pass into one of four arrays, in the order
+        # of operations of the plain expressions: every output is the same float
+        for dim in (1, 2, 3, 5, 16, 1000, 10**6, 10**10):
+            for sigma in (np.geomspace(1e-77, 1e280, 300), np.linspace(0.05, 5.0, 64), 0.7):
+                for got, want in zip(radial_moments(dim, sigma), radial_moments_plain(dim, sigma)):
+                    assert np.array_equal(got, want)
+
+    def test_rule_is_read_only_and_calls_repeat(self):
+        # the kernel writes its passes in place: a stray write into the cached
+        # rule would change every later call, and sigma is left as it was
+        for array in _radial_rule():
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+            with pytest.raises(ValueError):
+                np.add(array, 1.0, out=array)
+        sigmas = np.linspace(0.05, 3.0, 7)
+        for dim in (1, 3):
+            first, second = radial_moments(dim, sigmas), radial_moments(dim, sigmas)
+            for a, b in zip(first, second):
+                assert np.array_equal(a, b)
+        assert np.array_equal(sigmas, np.linspace(0.05, 3.0, 7))
 
     @pytest.mark.parametrize("dim", [10, 100, 1000])
     def test_moments_against_simpson_in_high_dimension(self, dim):

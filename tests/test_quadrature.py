@@ -6,6 +6,8 @@ import pytest
 from rmnml import quadrature
 from rmnml.quadrature import QuadratureError, integrate_1d
 
+from conftest import refine_by_columns
+
 TIGHT = 1e-12
 
 
@@ -39,6 +41,31 @@ def test_subdivision_budget_error_carries_estimate(monkeypatch):
         integrate_1d(lambda x: np.sqrt(np.abs(x - 1.0 / 3.0)), 0.0, 1.0, 1e-14)
     exact = ((1 / 3) ** 1.5 + (2 / 3) ** 1.5) * 2 / 3
     assert excinfo.value.best_estimate == pytest.approx(exact, rel=1e-2)
+
+
+@pytest.mark.parametrize("budget", [3, 40, quadrature._MAX_SUBDIVISIONS])
+def test_panel_array_matches_column_reference(budget, monkeypatch):
+    # the (7, m) panel array accepts the panels that seven separate arrays
+    # accept, so the sums, and the best estimates past a budget, are the
+    # same floats
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", budget)
+    cases = [(lambda x: np.sqrt(np.abs(x - 1.0 / 3.0)), 0.0, 1.0, 1e-12),
+             (lambda x: np.exp(-x * x) * np.cos(3.0 * x), 0.0, 10.0, 1e-13),
+             (lambda x: 1.0 / (1e-4 + x * x), -1.0, 2.0, 1e-11)]
+
+    def outcome():
+        try:
+            return integrate_1d(f, a, b, tol)
+        except QuadratureError as exc:
+            return "best", exc.best_estimate
+
+    for f, a, b, tol in cases:
+        panel_array = outcome()
+        monkeypatch.setattr(quadrature, "_refine", refine_by_columns)
+        columns = outcome()
+        monkeypatch.undo()
+        monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", budget)
+        assert panel_array == columns
 
 
 def test_simpson_calls_f_on_float_arrays():
