@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hyperbolic as hy
-from .gaussian import Dataset, log_fisher_factors, mle
+from .gaussian import Dataset, check_sigma_max, log_fisher_factors, mle
 from .quadrature import integrate_1d
 
 #: Default compact parameter domain (geodesic ball radius, sigma interval).
@@ -46,7 +46,9 @@ class ParamDomain:
     Accepted range: 0 < radius_R <= RADIUS_MAX (1e15) and finite
     bounds with SIGMA_FLOOR (about 1.2e-77) <= sigma_min < sigma_max.
     Every term of the log complexity is finite on such a domain, as the
-    Fisher factors are read as logs.  The likelihood of ``mle`` needs
+    Fisher factors are read as logs, up to the moment kernel's largest
+    sigma, about 9e306 / (D-1): the domain has no D, so ``pc_hgd`` and
+    ``mle`` check that bound.  The likelihood of ``mle`` needs
     n log xi, which overflows past about sigma = 1.3e154 sqrt(2/n) / (D-1);
     ``mle`` raises EstimationError there.
     """
@@ -149,10 +151,13 @@ def pc_hgd(dim: int, n: int, domain: ParamDomain, rel_tol: float = 1e-10) -> PcR
 
     (D+1)/2 log(n/2pi) + log V_{H^D}(R) + log of the sigma integral.  The
     location Fisher factor is xi'/(D sigma xi); see the module notes on the
-    dropped o(1) term.
+    dropped o(1) term.  A ``sigma_max`` past the moment kernel's largest
+    sigma at ``dim``, about 9e306 / (D-1), is a ValueError
+    (:func:`rmnml.gaussian.check_sigma_max`).
     """
     if n < 2:
         raise ValueError("n must be >= 2")
+    check_sigma_max(dim, domain.sigma_max)
     return pc_general(dim + 1, n, hgd_sigma_integral(dim, domain, rel_tol),
                       log_vol_theta=hy.log_ball_volume(dim, domain.radius_R))
 

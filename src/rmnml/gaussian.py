@@ -8,7 +8,7 @@ with the normalization constant xi.  log xi and the logs of the first two
 moments of d^2 come from one log-domain radial quadrature,
 :func:`radial_moments`, and the Fisher information is one log formula
 over those moments, :func:`log_fisher_factors`.  The paper's closed form
-of xi, and the Monte-Carlo and Simpson oracles of the Fisher information,
+of xi, and the Monte-Carlo and quadrature oracles of the Fisher information,
 are kept in :mod:`rmnml.validation`.  Also log-likelihoods, seeded sampling and
 maximum likelihood estimation by safeguarded Newton: for mu, the Frechet
 mean, with the Hessian sum_i [u u^T + d coth d (I - u u^T)] >= n I, step
@@ -50,6 +50,8 @@ _RADIAL_NODES = 96
 _RADIAL_WINDOW = 10.0
 #: sigma past which sigma^2 overflows.
 _SIGMA_SQUARE_MAX = math.sqrt(sys.float_info.max)
+#: (D-1) times the largest sigma :func:`radial_moments` holds at D >= 2.
+_SIGMA_CEILING = sys.float_info.max / (2.0 * _RADIAL_WINDOW)
 
 
 class EstimationError(RuntimeError):
@@ -174,7 +176,8 @@ def radial_moments(dim: int, sigma):
     where m is too large to place it within sigma.  The moments are those
     of q = r^2 - m^2 = sigma^2 tau (2 k sigma + tau), divided by its scale
     S = sigma^2 (2 k sigma + 10) before any square and summed about the
-    mean, so log E and log Var are finite while (D-1) sigma is a float.
+    mean, so log E and log Var are finite while 20 (D-1) sigma is a float
+    (:func:`check_sigma_max`).
     log xi, about (D-1)^2 sigma^2 / 2, is +inf past sigma = 1e154 / (D-1).
 
     Each pass over the (rows, 96) nodes writes into one of four arrays,
@@ -235,6 +238,21 @@ def radial_moments(dim: int, sigma):
     log_xi = (hy.log_sphere_area(dim) - (dim - 1) * math.log(2.0) + offset[..., 0]
               + np.log(z * half[..., 0]) + log_s)
     return log_xi, log_scale + np.log(mode_sq + mean_q), 2.0 * log_scale + np.log(var_q)
+
+
+def check_sigma_max(dim: int, sigma_max: float) -> None:
+    """Raise ValueError if ``sigma_max`` is past the largest sigma of :func:`radial_moments`.
+
+    Past about sigma = 1e154 / (D-1) the kernel's log xi is +inf and its
+    moments stay finite, but the window's scaled r^2 - m^2,
+    (2 k sigma + tau) tau with k sigma = (D-1) sigma and tau below 10,
+    overflows past float max / (20 (D-1)), about 9e306 / (D-1).  D = 1 has
+    no bound.
+    """
+    if dim > 1 and sigma_max > _SIGMA_CEILING / (dim - 1):
+        raise ValueError(
+            f"sigma_max = {sigma_max!r} is past the largest sigma the moment kernel "
+            f"holds at D = {dim}: float max / (20 (D - 1)) = {_SIGMA_CEILING / (dim - 1)!r}")
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -456,12 +474,14 @@ def mle(data: Dataset, domain: "ParamDomain") -> MleFit:
     about the origin if it falls outside; sigma solves
     E[d^2](sigma) = sigma^3 xi'/xi = mean d^2(x_i, mu) by safeguarded
     Newton on [sigma_min, sigma_max], with boundary values used (and
-    flagged) when the equation has no interior root.  EstimationError names
+    flagged) when the equation has no interior root.  A ``sigma_max`` past
+    :func:`check_sigma_max`'s bound is a ValueError.  EstimationError names
     sigma_hat where the log-likelihood overflows: past about
     sigma = 1.3e154 sqrt(2/n) / (D-1), and 1.3e154 at D = 1.
     """
     if data.n < 2:
         raise ValueError("the MLE needs at least 2 points (sigma is degenerate at n=1)")
+    check_sigma_max(data.dim, domain.sigma_max)
     far = int(np.argmax(data.coords[:, 0]))
     if data.coords[far, 0] > math.cosh(hy.DATA_RADIUS):
         raise ValueError(f"point {far} lies {math.acosh(data.coords[far, 0]):.6g} from "

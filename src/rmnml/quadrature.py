@@ -1,22 +1,52 @@
 """Deterministic 1-D integration with error control.
 
-Adaptive Simpson refined level by level, and doubling Gauss-Legendre
-log-sums over a log-integrand.  Both rules call the integrand on arrays of
-abscissae, and every result is reproducible.  A Gauss-Legendre rule is
-built with numpy alone, by Newton's method on the Legendre P_n, the
-first time its node count is asked for, and cached.
+Adaptive Gauss-Kronrod (7 and 15 points) refined level by level, and
+doubling Gauss-Legendre log-sums over a log-integrand.  Both rules call
+the integrand on arrays of abscissae, and every result is reproducible.
+The Gauss-Kronrod rule is a literal table; a Gauss-Legendre rule is built
+with numpy alone, by Newton's method on the Legendre P_n, the first time
+its node count is asked for, and cached.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from typing import Callable
 
 import numpy as np
 
-#: Panel splits adaptive Simpson may make before it gives up.
+#: Panel splits the adaptive Gauss-Kronrod rule may make before it gives up.
 _MAX_SUBDIVISIONS = 100_000
+#: Equal panels the adaptive Gauss-Kronrod rule starts from.
+_SEED_PANELS = 8
+#: A panel with |K15 - G7| at most this share of its integral of |f| is at
+#: the rounding floor of its sums, and is accepted.
+_ROUNDING_FLOOR = 50.0 * sys.float_info.epsilon
+
+# The 15-point Kronrod rule on [-1, 1] and the 7-point Gauss rule it extends
+# (Piessens et al., QUADPACK, 1983, routine QK15), as printed there: the
+# nonnegative nodes, descending, with their Kronrod weights, and the Gauss
+# weights of the nodes 1, 3, 5 and 7 of that list.  A literal table, so the
+# oracle rule shares nothing with gauss_legendre.
+_KRONROD_X = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+              0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+              0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+              0.207784955007898467600689403773245, 0.0)
+_KRONROD_W = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+              0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+              0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+              0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_GAUSS_W = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+            0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
+#: The 15 nodes in ascending order and their Kronrod weights; the Gauss
+#: nodes are every second one, from the second, with the weights _GAUSS_15.
+_NODES_15 = np.array([-x for x in _KRONROD_X[:7]] + list(_KRONROD_X[::-1]))
+_KRONROD_15 = np.array(_KRONROD_W[:7] + _KRONROD_W[::-1])
+_GAUSS_15 = np.array(_GAUSS_W[:3] + _GAUSS_W[::-1])
+for _table in (_NODES_15, _KRONROD_15, _GAUSS_15):
+    _table.setflags(write=False)
 
 
 class QuadratureError(RuntimeError):
@@ -65,10 +95,6 @@ def gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _simpson(f0, fm, f1, h):
-    return h / 6.0 * (f0 + 4.0 * fm + f1)
-
-
 #: Node counts of the Gauss-Legendre rule in :func:`integrate_1d`: the
 #: first rule, and the count past which it stops doubling.
 _GL_NODES_MIN = 32
@@ -76,17 +102,25 @@ _GL_NODES_MAX = 1024
 
 
 def integrate_1d(f: Callable, a: float, b: float, rel_tol: float = 1e-10,
-                 rule: str = "simpson") -> float:
+                 rule: str = "gauss-kronrod") -> float:
     """Integrate ``f`` over ``[a, b]`` to the relative tolerance ``rel_tol``.
 
     Both rules call ``f`` on a 1-D float array of abscissae, and ``f``
     returns an array of the same shape.
 
-    ``rule="simpson"`` is adaptive Simpson, refined level by level: each
-    pass evaluates the two midpoints of every open panel in one call of
-    ``f``, and a panel is accepted once its local error estimate is at most
-    its width's share of the error budget.  The estimated error of the
-    returned value is at most ``rel_tol * |result|``.  Raises
+    ``rule="gauss-kronrod"`` is adaptive Gauss-Kronrod, refined level by
+    level from 8 equal panels: each pass evaluates the 15 Kronrod nodes of
+    every open panel in one call of ``f``, and |K15 - G7| is a panel's error
+    estimate.  A panel is accepted once that estimate is at most its width's
+    share of ``rel_tol`` times the running total (the accepted panels plus
+    the open panels' K15, recomputed at each level), or once it is at the
+    rounding floor, 50 eps times the panel's integral of |f|: the nodes never
+    touch a panel's ends, so a spike there can stay hidden from the seed
+    panels and the first totals.  A panel too narrow to split is accepted
+    as it is.  If the total ends below the magnitude the budget came from,
+    the refinement is redone with the budget capped at the final total (at
+    most twice), so the summed estimates of the panels accepted on their
+    budget are at most ``rel_tol * |result|``.  Raises
     :class:`QuadratureError` (carrying the best estimate) if the budget of
     ``_MAX_SUBDIVISIONS`` panel splits is exhausted first.
 
@@ -100,8 +134,8 @@ def integrate_1d(f: Callable, a: float, b: float, rel_tol: float = 1e-10,
         raise ValueError("rel_tol must be positive")
     if not a < b:
         raise ValueError(f"invalid interval: [{a}, {b}]")
-    if rule == "simpson":
-        return _adaptive_simpson(f, a, b, rel_tol)
+    if rule == "gauss-kronrod":
+        return _adaptive_gauss_kronrod(f, a, b, rel_tol)
     if rule != "log-gauss-legendre":
         raise ValueError(f"unknown rule: {rule!r}")
     nodes = _GL_NODES_MIN
@@ -125,64 +159,61 @@ def log_gauss_legendre(log_f: Callable, a: float, b: float, nodes: int) -> float
     return top + math.log(half * float(w @ np.exp(log_values - top)))
 
 
-_COARSE_PANELS = 64
-
-
-def _adaptive_simpson(f, a, b, rel_tol: float) -> float:
-    # seed panels on a uniform grid so peaked integrands cannot fool the
-    # magnitude estimate that sets the error budget
-    edges = np.linspace(a, b, _COARSE_PANELS + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    values = f(np.concatenate([edges, mids]))
-    ends, mid_values = values[:_COARSE_PANELS + 1], values[_COARSE_PANELS + 1:]
-    sums = _simpson(ends[:-1], mid_values, ends[1:], edges[1:] - edges[:-1])
-    panels = np.stack((edges[:-1], mids, edges[1:], ends[:-1], mid_values, ends[1:], sums))
-    estimate = math.fsum(sums)
-
-    total = estimate
+def _adaptive_gauss_kronrod(f, a, b, rel_tol: float) -> float:
+    edges = np.linspace(a, b, _SEED_PANELS + 1)
+    seeds = np.stack((edges[:-1], edges[1:]))
+    cap = math.inf
     for _ in range(3):
-        target = max(rel_tol * abs(estimate), 1e-300)
-        total = _refine(f, panels, target / (b - a))
-        if target >= 0.5 * rel_tol * abs(total):
+        total, error = _refine(f, seeds, rel_tol, cap, b - a)
+        if error <= rel_tol * abs(total):
             break
-        # the budget was set from a poor magnitude estimate; redo with the
-        # improved one (deterministic, at most twice)
-        estimate = total
+        # the total fell below the magnitude that set the budget; redo with
+        # the budget capped at the final total (deterministic, at most twice)
+        cap = abs(total)
     return total
 
 
-def _refine(f, panels: np.ndarray, tol) -> float:
-    # Level by level: one call of f evaluates both midpoints of every open
-    # panel.  The open panels are one (7, m) array of rows x0, x1, x2, f0,
-    # f1, f2 and the Simpson value s; the halves of the split ones, in
-    # position order, come from one stack, one index and one reshape.  Each
-    # panel passes or fails its own local test, so the accepted set does not
-    # depend on the order of refinement, and math.fsum rounds their sum
-    # once, whatever the order.
-    accepted = []
+def _kronrod_sums(f, lo: np.ndarray, hi: np.ndarray):
+    """K15, G7 and the K15 of |f| on each panel [lo, hi], from one call of ``f``."""
+    half = 0.5 * (hi - lo)
+    x = 0.5 * (lo + hi) + np.multiply.outer(_NODES_15, half)
+    values = f(x.ravel()).reshape(x.shape)
+    return (half * (_KRONROD_15 @ values), half * (_GAUSS_15 @ values[1::2]),
+            half * (_KRONROD_15 @ np.abs(values)))
+
+
+def _refine(f, panels: np.ndarray, rel_tol: float, cap: float, length: float):
+    # Level by level: one call of f evaluates the 15 nodes of every open
+    # panel.  The open panels are one (2, m) array of rows lo and hi; the
+    # halves of the split ones, in position order, come from one stack, one
+    # index and one reshape.  The budget follows the running total of the
+    # level, so the accepted set does not depend on the order of refinement
+    # within a level, and math.fsum rounds each sum once, whatever the order.
+    # Returns the total and the summed estimates of the panels accepted on
+    # their budget.
+    accepted, errors = [], []
     splits = 0
     while True:
-        x0, x1, x2, f0, f1, f2, s = panels
-        lm, rm = 0.5 * (x0 + x1), 0.5 * (x1 + x2)
-        mid_values = f(np.concatenate([lm, rm]))
-        flm, frm = mid_values[:x0.size], mid_values[x0.size:]
-        left = _simpson(f0, flm, f1, x1 - x0)
-        right = _simpson(f1, frm, f2, x2 - x1)
-        err = (left + right - s) / 15.0
-        # a panel too narrow to subdivide in floating point is accepted as is
-        done = (np.abs(err) <= tol * (x2 - x0)) | ~(
-            (x0 < lm) & (lm < x1) & (x1 < rm) & (rm < x2))
-        accepted.append((left + right + err)[done])
+        lo, hi = panels
+        kron, gauss, mass = _kronrod_sums(f, lo, hi)
+        diff = np.abs(kron - gauss)
+        total = math.fsum(np.concatenate([*accepted, kron]).tolist())
+        budget = rel_tol * min(abs(total), cap) / length
+        within = diff <= budget * (hi - lo)
+        mid = 0.5 * (lo + hi)
+        # at the rounding floor, or too narrow to split in floating point
+        done = within | (diff <= _ROUNDING_FLOOR * mass) | ~((lo < mid) & (mid < hi))
+        accepted.append(kron[done])
+        errors.append(diff[within])
         split = ~done
         count = int(np.count_nonzero(split))
         if not count:
-            return math.fsum(np.concatenate(accepted).tolist())
+            return (math.fsum(np.concatenate(accepted).tolist()),
+                    math.fsum(np.concatenate(errors).tolist()))
         splits += count
         if splits > _MAX_SUBDIVISIONS:
-            best = math.fsum(np.concatenate([*accepted, left[split], right[split]]).tolist())
             raise QuadratureError(
                 f"tolerance not reached after {_MAX_SUBDIVISIONS} subdivisions",
-                best_estimate=best)
-        # one row per split panel: its left half's seven values, then its right half's
-        halves = np.stack((x0, lm, x1, f0, flm, f1, left, x1, rm, x2, f1, frm, f2, right)).T[split]
-        panels = halves.reshape(-1, 7).T
+                best_estimate=total)
+        # one row per split panel: its left half's ends, then its right half's
+        panels = np.stack((lo, mid, mid, hi)).T[split].reshape(-1, 2).T

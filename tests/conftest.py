@@ -84,7 +84,7 @@ def sphere_area(dim: int) -> float:
 
 
 def log_ball_volume_oracle(dim: int, radius: float) -> float:
-    """log vol of a geodesic ball in H^dim by adaptive Simpson in r.
+    """log vol of a geodesic ball in H^dim by adaptive Gauss-Kronrod in r.
 
     log |S^(D-1)| + (D-1) log sinh R + log of the integral over [0, R] of
     (sinh r / sinh R)^(D-1).  The log of the ratio is taken as
@@ -221,36 +221,33 @@ def radial_moments_plain(dim: int, sigma):
     return log_xi, log_scale + np.log(mode_sq + mean_q), 2.0 * log_scale + np.log(var_q)
 
 
-def refine_by_columns(f, panels, tol) -> float:
-    """Adaptive Simpson's refinement with the panels as seven separate arrays.
+def refine_by_columns(f, panels, rel_tol, cap, length):
+    """The adaptive Gauss-Kronrod level loop with the panel ends as two separate arrays.
 
     The reference for :func:`rmnml.quadrature._refine`, which holds them as
-    one (7, m) array: the same local test on each panel, and the halves of the
-    split ones joined column by column.
+    one (2, m) array: the same sums, budget and tests on each panel, and the
+    halves of the split ones joined column by column.
     """
-    x0, x1, x2, f0, f1, f2, s = panels
-    accepted = []
+    lo, hi = panels
+    accepted, errors = [], []
     splits = 0
-    while x0.size:
-        lm, rm = 0.5 * (x0 + x1), 0.5 * (x1 + x2)
-        mid_values = f(np.concatenate([lm, rm]))
-        flm, frm = mid_values[:x0.size], mid_values[x0.size:]
-        left = quadrature._simpson(f0, flm, f1, x1 - x0)
-        right = quadrature._simpson(f1, frm, f2, x2 - x1)
-        err = (left + right - s) / 15.0
-        done = (np.abs(err) <= tol * (x2 - x0)) | ~(
-            (x0 < lm) & (lm < x1) & (x1 < rm) & (rm < x2))
-        accepted.append((left + right + err)[done])
+    while lo.size:
+        kron, gauss, mass = quadrature._kronrod_sums(f, lo, hi)
+        diff = np.abs(kron - gauss)
+        total = math.fsum(np.concatenate([*accepted, kron]))
+        budget = rel_tol * min(abs(total), cap) / length
+        within = diff <= budget * (hi - lo)
+        mid = 0.5 * (lo + hi)
+        done = within | (diff <= quadrature._ROUNDING_FLOOR * mass) | ~((lo < mid) & (mid < hi))
+        accepted.append(kron[done])
+        errors.append(diff[within])
         split = ~done
         splits += int(np.count_nonzero(split))
         if splits > quadrature._MAX_SUBDIVISIONS:
-            best = math.fsum(np.concatenate([*accepted, left[split], right[split]]))
-            raise quadrature.QuadratureError("budget", best_estimate=best)
-        x0, x1, x2, f0, f1, f2, s = (
-            np.column_stack([lo[split], hi[split]]).ravel()
-            for lo, hi in ((x0, x1), (lm, rm), (x1, x2), (f0, f1), (flm, frm),
-                           (f1, f2), (left, right)))
-    return math.fsum(np.concatenate(accepted))
+            raise quadrature.QuadratureError("budget", best_estimate=total)
+        lo, hi = (np.column_stack([left[split], right[split]]).ravel()
+                  for left, right in ((lo, mid), (mid, hi)))
+    return math.fsum(np.concatenate(accepted)), math.fsum(np.concatenate(errors))
 
 
 @pytest.fixture

@@ -86,7 +86,7 @@ def test_criterion_04_reparameterization_invariance():
         lo = float(rng.uniform(0.1, 1.0))
         hi = lo + float(rng.uniform(0.5, 2.0))
         domain = ParamDomain(float(rng.uniform(0.5, 4.0)), lo, hi)
-        # Simpson in sigma against the complexity's rule in log sigma
+        # Gauss-Kronrod in sigma against the complexity's rule in log sigma
         a = fisher_integral(dim, domain, rel_tol)
         pc = pc_hgd(dim, 2, domain)
         b = math.exp(pc.term_volume + pc.term_fisher)

@@ -153,6 +153,32 @@ class TestPcCommand:
                        + math.log(4 * (dim - 1) ** 2)) + math.log(1e300)
         assert payload["term_fisher"] == pytest.approx(limit, rel=1e-12)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 50, 1000])
+    def test_sigma_max_past_the_kernel_ceiling_is_usage_error(self, dim, tmp_path, capsys):
+        # past float max / (20 (D-1)) the kernel's scaled r^2 - m^2 overflows,
+        # and pc printed RuntimeWarnings and a nan best estimate (exit 3).  pc
+        # and codelength run at the bound and name it just past it; D = 1 has
+        # no bound
+        bound = sys.float_info.max / (20.0 * (dim - 1)) if dim > 1 else sys.float_info.max
+        data = tmp_path / "data.json"
+        cases = [(bound, 0)] + ([(math.nextafter(bound, math.inf), 2)] if dim > 1 else [])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["sample", "--dim", str(dim), "--n", "50", "--sigma", "0.5",
+                        "--seed", "1", "--out", str(data)]) == 0
+            for sigma_max, expected in cases:
+                for argv in (["pc", "--dim", str(dim), "--n", "50"],
+                             ["codelength", "--data", str(data)]):
+                    code = run([*argv, "--sigma", f"0.1:{sigma_max!r}"])
+                    out, err = capsys.readouterr()
+                    assert code == expected, err
+                    if expected:
+                        assert err == (f"error: sigma_max = {sigma_max!r} is past the largest "
+                                       f"sigma the moment kernel holds at D = {dim}: float "
+                                       f"max / (20 (D - 1)) = {bound!r}\n")
+                    else:
+                        assert all(math.isfinite(v) for v in json.loads(out).values())
+
     def test_window_on_the_mode_at_dimension_1e10(self, capsys):
         # one Newton step for the mode left the kernel's window off it here,
         # and the run printed overflow warnings and a nan best estimate.  The

@@ -87,7 +87,7 @@ class TestPcHgd:
 
     def test_derivative_oracle_rebuild(self):
         # rebuild the sigma integrand from finite-difference xi derivatives
-        # and integrate it by adaptive Simpson, apart from the moment kernel
+        # and integrate it by adaptive Gauss-Kronrod, apart from the moment kernel
         domain = ParamDomain(radius_R=3.0, sigma_min=0.3, sigma_max=2.0)
         rel_tol = 1e-8
         kernel = pc_hgd(2, 1000, domain, rel_tol)
@@ -103,7 +103,7 @@ class TestPcHgd:
 
 class TestSigmaIntegral:
     def test_kernel_matches_simpson_oracle_over_benchmark_domains(self):
-        # closed-form integrand by adaptive Simpson, on domains drawn from
+        # closed-form integrand by adaptive Gauss-Kronrod, on domains drawn from
         # the benchmark's range
         rng = np.random.default_rng(33)
         for _ in range(10):

@@ -34,7 +34,7 @@ def _called_name(node: ast.Call) -> str | None:
 def test_oracles_stay_in_validation():
     # one kernel per quantity: the library reads xi, the moments and the
     # Fisher information from the moment kernel, and the paper's closed form
-    # and the Monte-Carlo and Simpson oracles belong to the validation suites
+    # and the Monte-Carlo and quadrature oracles belong to the validation suites
     oracles = {"xi", "xi_derivatives", "xi_quadrature_oracle", "FisherBlock",
                "fisher_numeric", "normal_chart", "fisher_integral", "pc_mc_gauss1d"}
     offenders = []

@@ -179,7 +179,7 @@ class TestFisherIntegral:
         assert value == pytest.approx(3.0 / math.sqrt(2.0), rel=1e-10)
 
     def test_parameterization_invariance(self):
-        # Simpson in sigma against the complexity's Gauss-Legendre rule in
+        # Gauss-Kronrod in sigma against the complexity's Gauss-Legendre rule in
         # log sigma
         rel_tol = 1e-11
         for dim, lo, hi, radius in [(1, 0.5, 2.0, 1.0), (2, 0.3, 2.0, 3.0),

@@ -206,10 +206,10 @@ class TestRadialMoments:
 
     @pytest.mark.parametrize("dim", [10, 100, 1000])
     def test_moments_against_simpson_in_high_dimension(self, dim):
-        # direct adaptive-Simpson integrals of w(r) = exp(-r^2/2s^2) sinh^(D-1) r,
+        # direct adaptive Gauss-Kronrod integrals of w(r) = exp(-r^2/2s^2) sinh^(D-1) r,
         # r^2 w and (r^2 - E)^2 w over the mode m +- 40 sigma.  log w is taken
         # relative to log w(m) in a form that does not subtract two numbers of
-        # size 1e6-1e7; the direct difference exhausts Simpson's budget.
+        # size 1e6-1e7; the direct difference exhausted adaptive Simpson's budget.
         for sigma in (0.05, 0.3, 1.0, 3.0):
             m = radial_mode(dim, sigma)
 
@@ -234,11 +234,11 @@ class TestRadialMoments:
 
     @pytest.mark.parametrize("dim", [10, 100, 1000])
     def test_sigma_integral_against_simpson_in_high_dimension(self, dim):
-        # the Gauss-Legendre rule in log sigma against adaptive Simpson over
-        # the same log-integrand, shifted by its maximum before exp; abs 1e-10
-        # on the log is the rule's own default stopping tolerance.  Simpson
-        # runs at 1e-11: at D = 1000 the integrand's rounding, near 1e-12,
-        # exhausts its budget at 1e-12.
+        # the Gauss-Legendre rule in log sigma against adaptive Gauss-Kronrod
+        # over the same log-integrand, shifted by its maximum before exp; abs
+        # 1e-10 on the log is the rule's own default stopping tolerance.  The
+        # oracle runs at 1e-11: at D = 1000 the integrand's rounding, near
+        # 1e-12, exhausted adaptive Simpson's budget at 1e-12.
         domain = ParamDomain()
         a, b = math.log(domain.sigma_min), math.log(domain.sigma_max)
         top = float(_log_sigma_integrand(dim, np.linspace(a, b, 257)).max())

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from rmnml import quadrature
+from rmnml import hyperbolic as hy, quadrature
 from rmnml.quadrature import QuadratureError, integrate_1d
 
-from conftest import refine_by_columns
+from conftest import log_ball_volume_oracle, refine_by_columns
 
 TIGHT = 1e-12
 
@@ -45,7 +45,7 @@ def test_subdivision_budget_error_carries_estimate(monkeypatch):
 
 @pytest.mark.parametrize("budget", [3, 40, quadrature._MAX_SUBDIVISIONS])
 def test_panel_array_matches_column_reference(budget, monkeypatch):
-    # the (7, m) panel array accepts the panels that seven separate arrays
+    # the (2, m) panel array accepts the panels that two separate arrays
     # accept, so the sums, and the best estimates past a budget, are the
     # same floats
     monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", budget)
@@ -68,7 +68,7 @@ def test_panel_array_matches_column_reference(budget, monkeypatch):
         assert panel_array == columns
 
 
-def test_simpson_calls_f_on_float_arrays():
+def test_adaptive_rule_calls_f_on_float_arrays():
     seen = []
 
     def f(x):
@@ -78,52 +78,59 @@ def test_simpson_calls_f_on_float_arrays():
     integrate_1d(f, 0.0, 40.0, TIGHT)
     assert all(isinstance(x, np.ndarray) and x.ndim == 1 and x.dtype == float
                for x in seen)
-    # one call per refinement level, not one per abscissa
+    # one call per refinement level, not one per abscissa; 300 abscissae in
+    # 4 calls, where adaptive Simpson took 3,865 in 10
     assert len(seen) < 100
-    assert sum(x.size for x in seen) > 1000
+    assert sum(x.size for x in seen) <= 500
 
 
-def stack_simpson(f, a, b, rel_tol):
-    """Adaptive Simpson on scalar calls of ``f`` with a LIFO stack of panels.
+def recursive_gauss_kronrod(f, a, b, rel_tol):
+    """Adaptive G7-K15 on scalar calls of ``f``, one panel at a time.
 
-    The reference for the level-by-level rule: the same 64 seed panels, local
-    test, budget and magnitude redo.  Returns the integral and the number of
-    calls of ``f``.
+    The reference for the level-by-level rule: the same 8 seed panels,
+    budget from the running total, rounding floor, narrow-panel test and
+    redo, written on Python floats as a recursion that takes one level's
+    panels from a stack.  Returns the integral and the number of calls of
+    ``f``.
     """
     calls = [0]
+    nodes, kronrod, gauss = (quadrature._NODES_15.tolist(), quadrature._KRONROD_15.tolist(),
+                             quadrature._GAUSS_15.tolist())
 
-    def g(x):
-        calls[0] += 1
-        return f(x)
+    def sums(lo, hi):
+        centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        values = [f(centre + x * half) for x in nodes]
+        calls[0] += len(values)
+        return (half * sum(w * v for w, v in zip(kronrod, values)),
+                half * sum(w * v for w, v in zip(gauss, values[1::2])),
+                half * sum(w * abs(v) for w, v in zip(kronrod, values)))
 
-    def simpson(f0, fm, f1, h):
-        return h / 6.0 * (f0 + 4.0 * fm + f1)
-
-    edges = np.linspace(a, b, 65).tolist()
-    ends = [g(x) for x in edges]
-    panels = []
-    for x0, x2, f0, f2 in zip(edges, edges[1:], ends, ends[1:]):
-        x1 = 0.5 * (x0 + x2)
-        f1 = g(x1)
-        panels.append((x0, x1, x2, f0, f1, f2, simpson(f0, f1, f2, x2 - x0)))
-    estimate = math.fsum(p[6] for p in panels)
-    for _ in range(3):
-        target = max(rel_tol * abs(estimate), 1e-300)
-        tol, stack, accepted = target / (b - a), panels[::-1], []
+    def level(stack, accepted, errors, cap):
+        panels = []
         while stack:
-            x0, x1, x2, f0, f1, f2, s = stack.pop()
-            lm, rm = 0.5 * (x0 + x1), 0.5 * (x1 + x2)
-            flm, frm = g(lm), g(rm)
-            left, right = simpson(f0, flm, f1, x1 - x0), simpson(f1, frm, f2, x2 - x1)
-            err = (left + right - s) / 15.0
-            if abs(err) <= tol * (x2 - x0) or not (x0 < lm < x1 < rm < x2):
-                accepted.append(left + right + err)
+            lo, hi = stack.pop()
+            panels.append((lo, hi, *sums(lo, hi)))
+        total = math.fsum(accepted + [p[2] for p in panels])
+        budget = rel_tol * min(abs(total), cap) / (b - a)
+        for lo, hi, kron, gk, mass in panels:
+            diff, mid = abs(kron - gk), 0.5 * (lo + hi)
+            within = diff <= budget * (hi - lo)
+            if within or diff <= quadrature._ROUNDING_FLOOR * mass or not lo < mid < hi:
+                accepted.append(kron)
+                errors += [diff] if within else []
             else:
-                stack += [(x1, rm, x2, f1, frm, f2, right), (x0, lm, x1, f0, flm, f1, left)]
-        total = math.fsum(accepted)
-        if target >= 0.5 * rel_tol * abs(total):
+                stack += [(lo, mid), (mid, hi)]
+        if not stack:
+            return math.fsum(accepted), math.fsum(errors)
+        return level(stack, accepted, errors, cap)
+
+    edges = np.linspace(a, b, 9).tolist()
+    cap = math.inf
+    for _ in range(3):
+        total, error = level(list(zip(edges, edges[1:])), [], [], cap)
+        if error <= rel_tol * abs(total):
             break
-        estimate = total
+        cap = abs(total)
     return total, calls[0]
 
 
@@ -132,12 +139,17 @@ def stack_simpson(f, a, b, rel_tol):
     (lambda x: np.sqrt(x) * np.cos(7 * x), 0.0, 2.0, TIGHT),
     (lambda x: np.sinh(x) ** 4 * np.exp(-x * x / 0.5), 0.0, 12.0, 1e-9),
     (lambda x: 1.0 / (1e-4 + x * x), -1.0, 1.0, 1e-11),
-    # a peak the seed grid underestimates, so the magnitude redo runs
+    # a peak the seed panels underestimate, so the running total grows
     (lambda x: np.exp(-((x - 0.3) / 0.002) ** 2), 0.0, 1.0, 1e-10),
+    # a peak on a seed panel's middle node, which K15 overestimates 74-fold,
+    # so the total shrinks and the redo runs
+    (lambda x: np.exp(-((x - 0.0625) / 1e-4) ** 2) + 1e-3 * (1.0 + np.cos(60.0 * x)),
+     0.0, 1.0, 1e-8),
 ])
-def test_simpson_accepts_the_panels_of_the_stack_rule(f, a, b, rel_tol):
+def test_level_loop_accepts_the_panels_of_the_recursive_rule(f, a, b, rel_tol):
     # same panels accepted: the same number of abscissae, and the value up
-    # to the rounding of the integrand's numpy and scalar evaluations
+    # to the rounding of the integrand's numpy and scalar evaluations and of
+    # the weighted sums
     abscissae = []
 
     def counted(x):
@@ -145,16 +157,71 @@ def test_simpson_accepts_the_panels_of_the_stack_rule(f, a, b, rel_tol):
         return f(x)
 
     value = integrate_1d(counted, a, b, rel_tol)
-    reference, calls = stack_simpson(lambda x: float(f(np.float64(x))), a, b, rel_tol)
+    reference, calls = recursive_gauss_kronrod(lambda x: float(f(np.float64(x))), a, b,
+                                               rel_tol)
     assert sum(abscissae) == calls
     assert value == pytest.approx(reference, rel=1e-14)
 
 
-def test_simpson_is_deterministic():
+def test_adaptive_rule_redoes_a_budget_set_from_a_shrinking_total(monkeypatch):
+    # the overestimated peak of the last case above: the first pass ends
+    # with its accepted estimates above rel_tol * |result|, the second does not
+    passes = []
+    refine = quadrature._refine
+
+    def recorded(*args):
+        passes.append(refine(*args))
+        return passes[-1]
+
+    monkeypatch.setattr(quadrature, "_refine", recorded)
+    rel_tol = 1e-8
+    value = integrate_1d(lambda x: np.exp(-((x - 0.0625) / 1e-4) ** 2)
+                         + 1e-3 * (1.0 + np.cos(60.0 * x)), 0.0, 1.0, rel_tol)
+    assert len(passes) == 2
+    assert passes[0][1] > rel_tol * abs(passes[0][0])
+    assert passes[1][1] <= rel_tol * abs(value)
+    exact = 1e-4 * math.sqrt(math.pi) + 1e-3 * (1.0 + math.sin(60.0) / 60.0)
+    assert value == pytest.approx(exact, rel=rel_tol)
+
+
+def test_adaptive_rule_is_deterministic():
     f = lambda x: np.sqrt(x) * np.cos(7 * x)
     first = integrate_1d(f, 0.0, 2.0, TIGHT)
     second = integrate_1d(f, 0.0, 2.0, TIGHT)
     assert first.hex() == second.hex()
+
+
+def test_kronrod_rule_is_exact_to_degree_22():
+    x, w = quadrature._NODES_15, quadrature._KRONROD_15
+    np.testing.assert_array_equal(x, -x[::-1])
+    np.testing.assert_array_equal(w, w[::-1])
+    powers = np.arange(25)
+    moments = (x ** powers[:, None]) @ w
+    exact = np.where(powers % 2 == 0, 2.0 / (powers + 1.0), 0.0)
+    np.testing.assert_allclose(moments[:23], exact[:23], rtol=0.0, atol=1e-15)
+    assert abs(moments[24] - exact[24]) > 1e-10  # and no further
+
+
+def test_gauss_rule_is_exact_to_degree_13_on_the_legendre_nodes():
+    from numpy.polynomial.legendre import leggauss  # the oracle for the nodes
+    x, w = quadrature._NODES_15[1::2], quadrature._GAUSS_15
+    np.testing.assert_allclose(x, leggauss(7)[0], rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(w, leggauss(7)[1], rtol=0.0, atol=1e-15)
+    powers = np.arange(15)
+    moments = (x ** powers[:, None]) @ w
+    exact = np.where(powers % 2 == 0, 2.0 / (powers + 1.0), 0.0)
+    np.testing.assert_allclose(moments[:14], exact[:14], rtol=0.0, atol=1e-15)
+    assert abs(moments[14] - exact[14]) > 1e-5  # and no further
+
+
+@pytest.mark.parametrize("dim, radius", [(148, 131.0), (500, 700.0), (400, 1000.0)])
+def test_rounding_floor_resolves_an_endpoint_spike(dim, radius):
+    # the ball volume's integrand is a spike of width about 1 / (D - 1) at
+    # r = R, whose mass the seed panels' nodes barely see; without the
+    # rounding floor the panels under it exhaust the budget at (500, 700)
+    # and (400, 1000)
+    assert log_ball_volume_oracle(dim, radius) == pytest.approx(
+        hy.log_ball_volume(dim, radius), rel=1e-12)
 
 
 def test_budget_error_estimate_is_finite_and_improves_with_budget(monkeypatch):
@@ -175,7 +242,7 @@ def test_invalid_interval_and_spec():
     with pytest.raises(ValueError):
         integrate_1d(lambda x: x, 1.0, 0.0)
     for rel_tol in (0.0, -1e-10, math.nan):
-        for rule in ("simpson", "log-gauss-legendre"):
+        for rule in ("gauss-kronrod", "log-gauss-legendre"):
             with pytest.raises(ValueError, match="rel_tol must be positive"):
                 integrate_1d(lambda x: x, 0.0, 1.0, rel_tol, rule=rule)
 

@@ -44,3 +44,34 @@ def test_reparameterization_suite_passes():
 
 def test_mc_pipeline_quick_passes():
     assert check_mc_pipeline(quick=True).passed
+
+
+def _abscissae_through_f(monkeypatch):
+    """Count the abscissae the oracles in ``validation`` pass to their integrands."""
+    count = [0]
+    integrate_1d = validation.integrate_1d
+
+    def counted(f, *args, **kwargs):
+        def g(x):
+            count[0] += x.size
+            return f(x)
+        return integrate_1d(g, *args, **kwargs)
+
+    monkeypatch.setattr(validation, "integrate_1d", counted)
+    return count
+
+
+def test_reparameterization_oracle_evaluation_count(monkeypatch):
+    # fisher_integral over the suite's 20 domains: 2,580 abscissae; adaptive
+    # Simpson took 23,636
+    count = _abscissae_through_f(monkeypatch)
+    assert check_reparameterization().passed
+    assert 0 < count[0] <= 4_000
+
+
+def test_xi_oracle_evaluation_count(monkeypatch):
+    # xi_quadrature_oracle over the suite's 25 cases: 9,720 abscissae;
+    # adaptive Simpson took 138,329
+    count = _abscissae_through_f(monkeypatch)
+    assert check_xi().passed
+    assert 0 < count[0] <= 15_000
