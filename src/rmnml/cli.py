@@ -215,7 +215,7 @@ def cmd_select_dim(args) -> int:
         candidates.append((dim, path))
     if len(candidates) < 2:
         raise InputError("select-dim needs at least 2 --candidate entries")
-    lo, hi = parse_sigma_range(args.sigma)
+    domain = _domain_from(args)
 
     scores = []
     for dim, path in sorted(candidates):
@@ -227,7 +227,7 @@ def cmd_select_dim(args) -> int:
                                  f"but the file holds dimension {data.dim}")
             if data.n < 2:
                 raise InputError(f"{path}: needs at least 2 points")
-            report = rm_nml_codelength(data, ParamDomain(args.radius, lo, hi))
+            report = rm_nml_codelength(data, domain)
             entry.update({
                 "total": report.total,
                 "neg_max_loglik": report.neg_max_loglik,
@@ -247,7 +247,8 @@ def select_best(scores: list[dict]) -> dict:
     """Entry with the smallest total; ties break toward the smaller dimension."""
     survivors = [e for e in scores if e.get("error") is None]
     if not survivors:
-        raise InputError("every candidate failed")
+        raise InputError("every candidate failed: " + "; ".join(
+            f"dim {e['dim']}: {e['error']}" for e in scores))
     return min(survivors, key=lambda e: (e["total"], e["dim"]))
 
 

@@ -135,15 +135,14 @@ def hgd_sigma_integral(dim: int, domain: ParamDomain,
                        rel_tol: float = 1e-10) -> float:
     """log integral over [sigma_min, sigma_max] of (xi'/(D sigma xi))^(D/2) B(sigma).
 
-    B(sigma) is the square root of the sigma Fisher information.  The
-    integral is taken in log sigma by the doubling Gauss-Legendre rule of
-    :func:`integrate_1d`, which stops once two successive logs agree within
+    B(sigma) is the square root of the sigma Fisher information.  The log
+    integrand in u = log sigma goes to :func:`integrate_1d`, the doubling
+    Gauss-Legendre rule, which stops once two successive logs agree within
     ``rel_tol`` and otherwise raises :class:`QuadratureError` with the best
     estimate of the log.
     """
     return integrate_1d(lambda u: _log_sigma_integrand(dim, u),
-                        math.log(domain.sigma_min), math.log(domain.sigma_max),
-                        rel_tol, rule="log-gauss-legendre")
+                        math.log(domain.sigma_min), math.log(domain.sigma_max), rel_tol)
 
 
 def pc_hgd(dim: int, n: int, domain: ParamDomain, rel_tol: float = 1e-10) -> PcResult:

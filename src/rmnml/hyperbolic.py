@@ -3,8 +3,8 @@
 A point is a (D+1,) float array on the upper sheet of the hyperboloid
 <x,x>_L = -1 in Minkowski space R^{D,1}, and a set of points an (n, D+1)
 array.  This module provides the hyperboloid check, distances, the
-conversion of Poincare-ball input, the exponential map, isometries and
-log geodesic ball volumes.  All functions are pure.
+conversion of Poincare-ball input, isometries and log geodesic ball
+volumes.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -102,23 +102,6 @@ def poincare_to_lorentz(points: np.ndarray) -> np.ndarray:
                             f"coordinates must have norm < 1")
     denom = 1.0 - nrm2
     return np.column_stack([(1.0 + nrm2) / denom, 2.0 * points / denom[:, None]])
-
-
-def exp_map(base: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Geodesic exponential cosh(|v|) base + sinh(|v|) v/|v|.
-
-    ``vec`` is a tangent vector at ``base`` (Minkowski-orthogonal to it);
-    that is not checked.
-    """
-    sq = float(vec[1:] @ vec[1:] - vec[0] * vec[0])
-    nrm = math.sqrt(max(sq, 0.0))
-    if nrm == 0.0:
-        return base.copy()
-    out = math.cosh(nrm) * base + math.sinh(nrm) / nrm * vec
-    # exact hyperboloid projection; without it iterated maps amplify the
-    # rounding residual geometrically
-    out[0] = math.hypot(1.0, float(np.linalg.norm(out[1:])))
-    return out
 
 
 def isometry_to(mu: np.ndarray) -> np.ndarray:

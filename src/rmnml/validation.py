@@ -12,10 +12,11 @@ of N(theta, 1), for the asymptotic formula.  The Kraft suite codes with
 :func:`rmnml.gaussian.log_pdf_vol_many`, the density of the code-length.
 Tests confirm that the suites detect errors by patching the names ``xi``,
 ``radial_moments`` and ``log_pdf_vol_many`` here.  The two quadrature
-oracles use adaptive Gauss-Kronrod (:func:`rmnml.quadrature.integrate_1d`),
-a rule the production kernels never call: 9,720 integrand evaluations for
-the xi suite's 25 integrals and 2,580 for the reparameterization suite's
-20, where adaptive Simpson took 138,329 and 23,636.
+oracles use :func:`adaptive_gauss_kronrod`, the oracle rule, defined here
+with its QK15 table so that the production kernels share nothing with it:
+9,720 integrand evaluations for the xi suite's 25 integrals and 2,580 for
+the reparameterization suite's 20, where adaptive Simpson took 138,329
+and 23,636.  :func:`exp_map` serves :func:`normal_chart` alone.
 """
 
 from __future__ import annotations
@@ -30,10 +31,125 @@ from . import coding, hyperbolic as hy
 from .complexity import ParamDomain, pc_general, pc_hgd
 from .gaussian import (RgdParams, _log_pdf_vol, log_fisher_factors, log_pdf_vol_many,
                        log_radial_weight, radial_cutoff, radial_moments, sample)
-from .quadrature import integrate_1d
+from .quadrature import QuadratureError
 
 #: Step of the central differences in :func:`fisher_numeric`.
 _FD_STEP = 1e-4
+
+#: Panel splits :func:`adaptive_gauss_kronrod` may make before it gives up.
+_MAX_SUBDIVISIONS = 100_000
+#: Equal panels :func:`adaptive_gauss_kronrod` starts from.
+_SEED_PANELS = 8
+#: A panel with |K15 - G7| at most this share of its integral of |f| is at
+#: the rounding floor of its sums, and is accepted.
+_ROUNDING_FLOOR = 50.0 * np.finfo(float).eps
+
+# The 15-point Kronrod rule on [-1, 1] and the 7-point Gauss rule it extends
+# (Piessens et al., QUADPACK, 1983, routine QK15), as printed there: the
+# nonnegative nodes, descending, with their Kronrod weights, and the Gauss
+# weights of the nodes 1, 3, 5 and 7 of that list.  A literal table, so the
+# oracle rule shares nothing with rmnml.quadrature.gauss_legendre.
+_KRONROD_X = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+              0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+              0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+              0.207784955007898467600689403773245, 0.0)
+_KRONROD_W = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+              0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+              0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+              0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_GAUSS_W = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+            0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
+#: The 15 nodes in ascending order and their Kronrod weights; the Gauss
+#: nodes are every second one, from the second, with the weights _GAUSS_15.
+_NODES_15 = np.array([-x for x in _KRONROD_X[:7]] + list(_KRONROD_X[::-1]))
+_KRONROD_15 = np.array(_KRONROD_W[:7] + _KRONROD_W[::-1])
+_GAUSS_15 = np.array(_GAUSS_W[:3] + _GAUSS_W[::-1])
+for _table in (_NODES_15, _KRONROD_15, _GAUSS_15):
+    _table.setflags(write=False)
+
+
+def adaptive_gauss_kronrod(f, a: float, b: float, rel_tol: float = 1e-10) -> float:
+    """Integrate ``f`` over ``[a, b]`` to the relative tolerance ``rel_tol``.
+
+    ``f`` is called on a 1-D float array of abscissae and returns an array
+    of the same shape.  Adaptive Gauss-Kronrod, refined level by level from
+    8 equal panels: each pass evaluates the 15 Kronrod nodes of every open
+    panel in one call of ``f``, and |K15 - G7| is a panel's error estimate.
+    A panel is accepted once that estimate is at most its width's share of
+    ``rel_tol`` times the running total (the accepted panels plus the open
+    panels' K15, recomputed at each level), or once it is at the rounding
+    floor, 50 eps times the panel's integral of |f|.  A panel too narrow to
+    split is accepted as it is.  If the total ends below the magnitude the
+    budget came from, the refinement is redone with the budget capped at
+    the final total (at most twice), so the summed estimates of the panels
+    accepted on their budget are at most ``rel_tol * |result|``.  Raises
+    :class:`rmnml.quadrature.QuadratureError` (carrying the best estimate)
+    if the budget of ``_MAX_SUBDIVISIONS`` panel splits is exhausted first.
+
+    Blind spot: no node touches a panel's ends, and the outermost K15 node
+    sits about 0.43% of a seed panel's width from each end, so narrower mass
+    at an end of ``[a, b]`` can be missed.  The tests'
+    ``log_ball_volume_oracle(1000, 1e4)``, a spike about 1e-3 wide at r = R
+    with the nearest node 5.3 away, sums to exactly 0.
+    """
+    if not rel_tol > 0:
+        raise ValueError("rel_tol must be positive")
+    if not a < b:
+        raise ValueError(f"invalid interval: [{a}, {b}]")
+    edges = np.linspace(a, b, _SEED_PANELS + 1)
+    seeds = np.stack((edges[:-1], edges[1:]))
+    cap = math.inf
+    for _ in range(3):
+        total, error = _refine(f, seeds, rel_tol, cap, b - a)
+        if error <= rel_tol * abs(total):
+            break
+        # the total fell below the magnitude that set the budget; redo with
+        # the budget capped at the final total (deterministic, at most twice)
+        cap = abs(total)
+    return total
+
+
+def _kronrod_sums(f, lo: np.ndarray, hi: np.ndarray):
+    """K15, G7 and the K15 of |f| on each panel [lo, hi], from one call of ``f``."""
+    half = 0.5 * (hi - lo)
+    x = 0.5 * (lo + hi) + np.multiply.outer(_NODES_15, half)
+    values = f(x.ravel()).reshape(x.shape)
+    return (half * (_KRONROD_15 @ values), half * (_GAUSS_15 @ values[1::2]),
+            half * (_KRONROD_15 @ np.abs(values)))
+
+
+def _refine(f, panels: np.ndarray, rel_tol: float, cap: float, length: float):
+    # Level by level: one call of f evaluates the 15 nodes of every open
+    # panel, held as one (2, m) array of rows lo and hi.  The budget follows
+    # the level's running total, so the accepted set does not depend on the
+    # order within a level, and math.fsum rounds each sum once.  Returns the
+    # total and the summed estimates of the panels accepted on their budget.
+    accepted, errors = [], []
+    splits = 0
+    while True:
+        lo, hi = panels
+        kron, gauss, mass = _kronrod_sums(f, lo, hi)
+        diff = np.abs(kron - gauss)
+        total = math.fsum(np.concatenate([*accepted, kron]).tolist())
+        budget = rel_tol * min(abs(total), cap) / length
+        within = diff <= budget * (hi - lo)
+        mid = 0.5 * (lo + hi)
+        # at the rounding floor, or too narrow to split in floating point
+        done = within | (diff <= _ROUNDING_FLOOR * mass) | ~((lo < mid) & (mid < hi))
+        accepted.append(kron[done])
+        errors.append(diff[within])
+        split = ~done
+        count = int(np.count_nonzero(split))
+        if not count:
+            return (math.fsum(np.concatenate(accepted).tolist()),
+                    math.fsum(np.concatenate(errors).tolist()))
+        splits += count
+        if splits > _MAX_SUBDIVISIONS:
+            raise QuadratureError(
+                f"tolerance not reached after {_MAX_SUBDIVISIONS} subdivisions",
+                best_estimate=total)
+        # one row per split panel: its left half's ends, then its right half's
+        panels = np.stack((lo, mid, mid, hi)).T[split].reshape(-1, 2).T
 
 
 @dataclass(frozen=True)
@@ -127,7 +243,7 @@ def xi_derivatives(dim: int, sigma):
 def xi_quadrature_oracle(dim: int, sigma: float) -> float:
     """xi by direct quadrature of its defining radial integral, by adaptive Gauss-Kronrod."""
     cutoff = radial_cutoff(dim, sigma)
-    integral = integrate_1d(
+    integral = adaptive_gauss_kronrod(
         lambda r: np.exp(log_radial_weight(dim, r, sigma)),
         0.0, cutoff, 1e-12)
     return math.exp(hy.log_sphere_area(dim)) * integral
@@ -157,6 +273,23 @@ class FisherBlock:
         return det, abs(det) * rel
 
 
+def exp_map(base: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Geodesic exponential cosh(|v|) base + sinh(|v|) v/|v|.
+
+    ``vec`` is a tangent vector at ``base`` (Minkowski-orthogonal to it);
+    that is not checked.
+    """
+    sq = float(vec[1:] @ vec[1:] - vec[0] * vec[0])
+    nrm = math.sqrt(max(sq, 0.0))
+    if nrm == 0.0:
+        return base.copy()
+    out = math.cosh(nrm) * base + math.sinh(nrm) / nrm * vec
+    # exact hyperboloid projection; without it iterated maps amplify the
+    # rounding residual geometrically
+    out[0] = math.hypot(1.0, float(np.linalg.norm(out[1:])))
+    return out
+
+
 def normal_chart(mu: np.ndarray):
     """Normal orthonormal coordinates at mu.
 
@@ -170,7 +303,7 @@ def normal_chart(mu: np.ndarray):
     def chart(t: np.ndarray) -> np.ndarray:
         v = np.zeros(dim + 1)
         v[1:] = np.asarray(t, dtype=float)
-        return hy.exp_map(mu, T @ v)
+        return exp_map(mu, T @ v)
 
     return chart
 
@@ -254,7 +387,8 @@ def fisher_integral(dim: int, domain: ParamDomain, rel_tol: float = 1e-10) -> fl
         return np.exp(0.5 * (dim * log_c_mu + log_i_sigma))
 
     vol_theta = math.exp(hy.log_ball_volume(dim, domain.radius_R))
-    return vol_theta * integrate_1d(integrand, domain.sigma_min, domain.sigma_max, rel_tol)
+    return vol_theta * adaptive_gauss_kronrod(integrand, domain.sigma_min, domain.sigma_max,
+                                              rel_tol)
 
 
 def _normal_cdf(z: np.ndarray) -> np.ndarray:

@@ -6,8 +6,8 @@ import pytest
 from rmnml import hyperbolic as hy
 from rmnml import gaussian, quadrature, validation
 from rmnml.gaussian import Dataset, RgdParams, log_fisher_factors, log_pdf_vol_many, sample
-from rmnml.quadrature import integrate_1d
-from rmnml.validation import FisherBlock, normal_chart, xi, xi_derivatives
+from rmnml.validation import (FisherBlock, adaptive_gauss_kronrod, exp_map, normal_chart, xi,
+                              xi_derivatives)
 
 
 def random_point(rng: np.random.Generator, dim: int, max_radius: float = 2.0) -> np.ndarray:
@@ -17,7 +17,7 @@ def random_point(rng: np.random.Generator, dim: int, max_radius: float = 2.0) ->
     r = rng.uniform(0.0, max_radius)
     vec = np.zeros(dim + 1)
     vec[1:] = r * direction
-    return hy.exp_map(hy.origin(dim), vec)
+    return exp_map(hy.origin(dim), vec)
 
 
 def random_dataset(rng: np.random.Generator, dim: int, n: int,
@@ -99,7 +99,7 @@ def log_ball_volume_oracle(dim: int, radius: float) -> float:
                 np.expm1(-2.0 * r) / math.expm1(-2.0 * radius))))
 
     return (hy.log_sphere_area(dim) + (dim - 1) * float(hy.log_sinh(radius))
-            + math.log(integrate_1d(scaled, 0.0, radius, 1e-11)))
+            + math.log(adaptive_gauss_kronrod(scaled, 0.0, radius, 1e-11)))
 
 
 def xi_fd_derivatives(dim: int, sigma):
@@ -224,7 +224,7 @@ def radial_moments_plain(dim: int, sigma):
 def refine_by_columns(f, panels, rel_tol, cap, length):
     """The adaptive Gauss-Kronrod level loop with the panel ends as two separate arrays.
 
-    The reference for :func:`rmnml.quadrature._refine`, which holds them as
+    The reference for :func:`rmnml.validation._refine`, which holds them as
     one (2, m) array: the same sums, budget and tests on each panel, and the
     halves of the split ones joined column by column.
     """
@@ -232,18 +232,18 @@ def refine_by_columns(f, panels, rel_tol, cap, length):
     accepted, errors = [], []
     splits = 0
     while lo.size:
-        kron, gauss, mass = quadrature._kronrod_sums(f, lo, hi)
+        kron, gauss, mass = validation._kronrod_sums(f, lo, hi)
         diff = np.abs(kron - gauss)
         total = math.fsum(np.concatenate([*accepted, kron]))
         budget = rel_tol * min(abs(total), cap) / length
         within = diff <= budget * (hi - lo)
         mid = 0.5 * (lo + hi)
-        done = within | (diff <= quadrature._ROUNDING_FLOOR * mass) | ~((lo < mid) & (mid < hi))
+        done = within | (diff <= validation._ROUNDING_FLOOR * mass) | ~((lo < mid) & (mid < hi))
         accepted.append(kron[done])
         errors.append(diff[within])
         split = ~done
         splits += int(np.count_nonzero(split))
-        if splits > quadrature._MAX_SUBDIVISIONS:
+        if splits > validation._MAX_SUBDIVISIONS:
             raise quadrature.QuadratureError("budget", best_estimate=total)
         lo, hi = (np.column_stack([left[split], right[split]]).ravel()
                   for left, right in ((lo, mid), (mid, hi)))

@@ -17,9 +17,8 @@ from rmnml.coding import partition_ball, prefix_code
 from rmnml.complexity import (ParamDomain, chart_gap, hgd_sigma_integral,
                               pc_general, pc_hgd, regret, rm_nml_codelength)
 from rmnml.gaussian import RgdParams, log_pdf_vol_many, mle, sample
-from rmnml.quadrature import integrate_1d
-from rmnml.validation import (fisher_integral, fisher_numeric, pc_mc_gauss1d, xi,
-                              xi_quadrature_oracle)
+from rmnml.validation import (adaptive_gauss_kronrod, exp_map, fisher_integral, fisher_numeric,
+                              pc_mc_gauss1d, xi, xi_quadrature_oracle)
 
 from conftest import (closed_sigma_integrand, fisher_factors, sphere_area,
                       sqrt_det_metric, xi_fd_derivatives)
@@ -110,7 +109,7 @@ def test_criterion_05_symmetric_space_lemmas():
             direction /= np.linalg.norm(direction)
             vec = np.zeros(3)
             vec[1:] = float(rng.uniform(0.3, 1.5)) * direction
-            mu = hy.exp_map(hy.origin(2), vec)
+            mu = exp_map(hy.origin(2), vec)
         blocks.append(fisher_numeric(RgdParams(mu, sigma), 100_000, seed=550 + j))
 
     cross_ok = all(np.all(np.abs(b.cross_block) <= 3.0 * b.cross_block_se)
@@ -137,7 +136,7 @@ def test_criterion_06_chart_gap_identity():
         mu_vec = np.zeros(3)
         direction = rng.standard_normal(2)
         mu_vec[1:] = float(rng.uniform(0, 1.2)) * direction / np.linalg.norm(direction)
-        mu = hy.exp_map(hy.origin(2), mu_vec)
+        mu = exp_map(hy.origin(2), mu_vec)
         data = sample(n, RgdParams(mu, float(rng.uniform(0.3, 1.5))),
                       seed=int(rng.integers(2 ** 31)))
         if n not in pc_cache:
@@ -188,7 +187,7 @@ def test_criterion_09_ball_volume_oracle():
     for dim in range(1, 6):
         area = sphere_area(dim)
         for radius in (0.5, 1.0, 2.0, 4.0):
-            oracle = area * integrate_1d(
+            oracle = area * adaptive_gauss_kronrod(
                 lambda r: np.sinh(r) ** (dim - 1), 0.0, radius, rel_tol)
             volume = math.exp(hy.log_ball_volume(dim, radius))
             worst = max(worst, abs(volume - oracle) / oracle)
@@ -262,7 +261,7 @@ def test_criterion_12_corollary_discrepancy_resolution():
                            (2, 1000, ParamDomain(3.0, 0.3, 2.0)),
                            (3, 500, ParamDomain(2.0, 0.4, 2.5))]:
         kernel = pc_hgd(dim, n, domain, rel_tol).total_log_pc
-        int_rebuilt = integrate_1d(
+        int_rebuilt = adaptive_gauss_kronrod(
             lambda s: closed_sigma_integrand(dim, s, xi_fd_derivatives),
             domain.sigma_min, domain.sigma_max, rel_tol)
         rebuilt = pc_general(

@@ -259,12 +259,12 @@ class TestSampleCommand:
         # quadrature oracle for E[d^2] and its spread (precomputed forms
         # exercised in the gaussian tests); generous 3-sigma band
         from rmnml.gaussian import log_radial_weight, radial_cutoff
-        from rmnml.quadrature import integrate_1d
+        from rmnml.validation import adaptive_gauss_kronrod
         cutoff = radial_cutoff(2, 1.0)
         w = lambda r, k=0: r ** k * np.exp(log_radial_weight(2, r, 1.0))
-        z = integrate_1d(lambda r: w(r), 0.0, cutoff, 1e-12)
-        m2 = integrate_1d(lambda r: w(r, 2), 0.0, cutoff, 1e-12) / z
-        m4 = integrate_1d(lambda r: w(r, 4), 0.0, cutoff, 1e-12) / z
+        z = adaptive_gauss_kronrod(lambda r: w(r), 0.0, cutoff, 1e-12)
+        m2 = adaptive_gauss_kronrod(lambda r: w(r, 2), 0.0, cutoff, 1e-12) / z
+        m4 = adaptive_gauss_kronrod(lambda r: w(r, 4), 0.0, cutoff, 1e-12) / z
         stderr = math.sqrt((m4 - m2 ** 2) / data.n)
         assert abs(float(d2.mean()) - m2) <= 3 * stderr
 
@@ -520,6 +520,25 @@ class TestSelectDim:
         code = run(["select-dim", "--candidate", "2=/nonexistent/a.json",
                     "--candidate", "3=/nonexistent/b.json"])
         assert code == 2
+        # the message names each candidate and its error
+        err = capsys.readouterr().err
+        assert "every candidate failed: dim 2: cannot read /nonexistent/a.json" in err
+        assert "; dim 3: cannot read /nonexistent/b.json" in err
+
+    @pytest.mark.parametrize("option, value, bound", [
+        ("--radius", "-1", "radius_R must be in (0, 1e+15]"),
+        ("--sigma", "1e-300:1", "sigma_min must be at least 1.22e-77"),
+    ], ids=["radius", "sigma"])
+    def test_bad_domain_names_the_bound(self, tmp_path, capsys, option, value, bound):
+        path = tmp_path / "d2.json"
+        write_dataset(str(path), sample(50, RgdParams(hy.origin(2), 0.8), seed=19))
+        code = run(["select-dim", "--candidate", f"2={path}",
+                    "--candidate", f"3={path}", option, value])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert bound in captured.err
+        assert "every candidate failed" not in captured.err
 
     def test_needs_two_candidates(self, tmp_path, capsys):
         path = tmp_path / "x.json"

@@ -7,8 +7,8 @@ from rmnml import hyperbolic as hy, quadrature
 from rmnml.complexity import (ParamDomain, chart_gap, hgd_sigma_integral,
                               pc_general, pc_hgd, regret, rm_nml_codelength)
 from rmnml.gaussian import Dataset, RgdParams, log_pdf_vol_many, mle, sample
-from rmnml.quadrature import QuadratureError, integrate_1d
-from rmnml.validation import pc_mc_gauss1d
+from rmnml.quadrature import QuadratureError
+from rmnml.validation import adaptive_gauss_kronrod, pc_mc_gauss1d
 
 from conftest import (closed_sigma_integrand, lorentz_to_poincare, polar_point,
                       random_dataset, random_point, sqrt_det_metric, xi_fd_derivatives)
@@ -91,7 +91,7 @@ class TestPcHgd:
         domain = ParamDomain(radius_R=3.0, sigma_min=0.3, sigma_max=2.0)
         rel_tol = 1e-8
         kernel = pc_hgd(2, 1000, domain, rel_tol)
-        rebuilt_int = integrate_1d(
+        rebuilt_int = adaptive_gauss_kronrod(
             lambda s: closed_sigma_integrand(2, s, xi_fd_derivatives),
             domain.sigma_min, domain.sigma_max, rel_tol)
         rebuilt = pc_general(3, 1000, math.log(rebuilt_int),
@@ -102,7 +102,7 @@ class TestPcHgd:
 
 
 class TestSigmaIntegral:
-    def test_kernel_matches_simpson_oracle_over_benchmark_domains(self):
+    def test_kernel_matches_gauss_kronrod_oracle_over_benchmark_domains(self):
         # closed-form integrand by adaptive Gauss-Kronrod, on domains drawn from
         # the benchmark's range
         rng = np.random.default_rng(33)
@@ -111,7 +111,7 @@ class TestSigmaIntegral:
                                  float(rng.uniform(0.08, 0.3)),
                                  float(rng.uniform(2.0, 3.5)))
             for dim in range(1, 6):
-                oracle = integrate_1d(
+                oracle = adaptive_gauss_kronrod(
                     lambda s: closed_sigma_integrand(dim, s),
                     domain.sigma_min, domain.sigma_max, 1e-11)
                 assert math.exp(hgd_sigma_integral(dim, domain)) == pytest.approx(

@@ -11,9 +11,8 @@ from rmnml import hyperbolic as hy
 from rmnml.complexity import ParamDomain, pc_hgd
 from rmnml.gaussian import (RgdParams, log_fisher_factors, log_radial_weight,
                             radial_cutoff)
-from rmnml.quadrature import integrate_1d
-from rmnml.validation import (FisherBlock, fisher_integral, fisher_numeric, normal_chart,
-                              xi, xi_derivatives)
+from rmnml.validation import (FisherBlock, adaptive_gauss_kronrod, fisher_integral,
+                              fisher_numeric, normal_chart, xi, xi_derivatives)
 
 from conftest import dist, fisher_factors, fisher_numeric_per_offset, random_point
 
@@ -35,8 +34,8 @@ def sigma_score_variance(dim: int, sigma: float) -> float:
         return (r * r / sigma ** 3 - ratio) ** k * np.exp(
             log_radial_weight(dim, r, sigma))
 
-    z = integrate_1d(lambda r: weight(r), 0.0, cutoff, TIGHT)
-    return integrate_1d(lambda r: weight(r, 2), 0.0, cutoff, TIGHT) / z
+    z = adaptive_gauss_kronrod(lambda r: weight(r), 0.0, cutoff, TIGHT)
+    return adaptive_gauss_kronrod(lambda r: weight(r, 2), 0.0, cutoff, TIGHT) / z
 
 
 class TestClosedForms:
@@ -213,8 +212,8 @@ def test_pointwise_reparameterization_identity():
         def weight(r, k=0):
             return r ** k * np.exp(log_radial_weight(dim, r, sigma))
 
-        z = integrate_1d(lambda r: weight(r), 0.0, cutoff, TIGHT)
-        mean_d2 = integrate_1d(lambda r: weight(r, 2), 0.0, cutoff, TIGHT) / z
+        z = adaptive_gauss_kronrod(lambda r: weight(r), 0.0, cutoff, TIGHT)
+        mean_d2 = adaptive_gauss_kronrod(lambda r: weight(r, 2), 0.0, cutoff, TIGHT) / z
 
         def expected_loglik(s):
             return -math.log(xi(dim, math.exp(s))) - mean_d2 / (2.0 * math.exp(2 * s))

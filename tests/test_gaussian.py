@@ -8,8 +8,8 @@ from rmnml.complexity import ParamDomain, _log_sigma_integrand, hgd_sigma_integr
 from rmnml.gaussian import (Dataset, RgdParams, _radial_rule, frechet_mean, log_lik,
                             log_pdf_vol_many, log_radial_weight, mle, radial_cutoff,
                             radial_moments, sample)
-from rmnml.quadrature import integrate_1d
-from rmnml.validation import xi, xi_derivatives, xi_quadrature_oracle
+from rmnml.validation import (adaptive_gauss_kronrod, exp_map, xi, xi_derivatives,
+                              xi_quadrature_oracle)
 
 from conftest import (closed_fisher_factors, dist, log_map, minkowski_inner,
                       polar_point, radial_moments_plain, random_point, sphere_area,
@@ -44,14 +44,14 @@ class TestXi:
 
     def test_dimension_two_value(self):
         # oracle: 2 pi \int_0^inf exp(-r^2/2) sinh r dr
-        oracle = 2 * math.pi * integrate_1d(
+        oracle = 2 * math.pi * adaptive_gauss_kronrod(
             lambda r: np.exp(-r * r / 2.0) * np.sinh(r), 0.0, 42.0, TIGHT)
         assert xi(2, 1.0) == pytest.approx(oracle, rel=1e-10)
         assert oracle == pytest.approx(8.8636, abs=5e-4)
 
     def test_dimension_three_small_sigma(self):
         sigma = 0.5
-        oracle = 4 * math.pi * integrate_1d(
+        oracle = 4 * math.pi * adaptive_gauss_kronrod(
             lambda r: np.exp(-r * r / (2 * sigma ** 2)) * np.sinh(r) ** 2,
             0.0, radial_cutoff(3, sigma), TIGHT)
         assert xi(3, sigma) == pytest.approx(oracle, rel=1e-8)
@@ -205,7 +205,7 @@ class TestRadialMoments:
         assert np.array_equal(sigmas, np.linspace(0.05, 3.0, 7))
 
     @pytest.mark.parametrize("dim", [10, 100, 1000])
-    def test_moments_against_simpson_in_high_dimension(self, dim):
+    def test_moments_against_gauss_kronrod_in_high_dimension(self, dim):
         # direct adaptive Gauss-Kronrod integrals of w(r) = exp(-r^2/2s^2) sinh^(D-1) r,
         # r^2 w and (r^2 - E)^2 w over the mode m +- 40 sigma.  log w is taken
         # relative to log w(m) in a form that does not subtract two numbers of
@@ -219,9 +219,9 @@ class TestRadialMoments:
                         (r - m) + np.log(np.expm1(-2.0 * r) / math.expm1(-2.0 * m))))
 
             a, b = max(m - 40 * sigma, 0.0), m + 40 * sigma
-            z = integrate_1d(w, a, b, TIGHT)
-            mean = integrate_1d(lambda r: r * r * w(r), a, b, TIGHT) / z
-            var = integrate_1d(lambda r: (r * r - mean) ** 2 * w(r), a, b, TIGHT) / z
+            z = adaptive_gauss_kronrod(w, a, b, TIGHT)
+            mean = adaptive_gauss_kronrod(lambda r: r * r * w(r), a, b, TIGHT) / z
+            var = adaptive_gauss_kronrod(lambda r: (r * r - mean) ** 2 * w(r), a, b, TIGHT) / z
             log_w_mode = -m * m / (2 * sigma * sigma) + (dim - 1) * (
                 m + math.log(-math.expm1(-2.0 * m)) - math.log(2.0))
             log_area = math.log(2.0) + 0.5 * dim * math.log(math.pi) - math.lgamma(0.5 * dim)
@@ -233,7 +233,7 @@ class TestRadialMoments:
             assert math.exp(log_var) == pytest.approx(var, rel=1e-9)
 
     @pytest.mark.parametrize("dim", [10, 100, 1000])
-    def test_sigma_integral_against_simpson_in_high_dimension(self, dim):
+    def test_sigma_integral_against_gauss_kronrod_in_high_dimension(self, dim):
         # the Gauss-Legendre rule in log sigma against adaptive Gauss-Kronrod
         # over the same log-integrand, shifted by its maximum before exp; abs
         # 1e-10 on the log is the rule's own default stopping tolerance.  The
@@ -242,7 +242,7 @@ class TestRadialMoments:
         domain = ParamDomain()
         a, b = math.log(domain.sigma_min), math.log(domain.sigma_max)
         top = float(_log_sigma_integrand(dim, np.linspace(a, b, 257)).max())
-        oracle = top + math.log(integrate_1d(
+        oracle = top + math.log(adaptive_gauss_kronrod(
             lambda u: np.exp(_log_sigma_integrand(dim, u) - top), a, b, 1e-11))
         assert hgd_sigma_integral(dim, domain) == pytest.approx(oracle, abs=1e-10)
 
@@ -294,8 +294,8 @@ class TestPdf:
             x[:, 0], x[:, 1] = np.cosh(r), np.sinh(r)
             return np.exp(log_pdf_vol_many(x, params)) * np.sinh(r) ** (dim - 1)
 
-        mass = area * integrate_1d(integrand, 0.0, min(30.0, radial_cutoff(dim, sigma)),
-                                   1e-9)
+        mass = area * adaptive_gauss_kronrod(integrand, 0.0,
+                                             min(30.0, radial_cutoff(dim, sigma)), 1e-9)
         assert mass == pytest.approx(1.0, abs=1e-6)
 
 
@@ -336,9 +336,9 @@ class TestSample:
                 return r ** k * np.exp(-r * r / (2 * sigma ** 2)) * (
                     np.sinh(r) ** (dim - 1))
 
-            z = integrate_1d(lambda r: w(r), 0.0, cutoff, TIGHT)
-            second = integrate_1d(lambda r: w(r, 2), 0.0, cutoff, TIGHT)
-            fourth = integrate_1d(lambda r: w(r, 4), 0.0, cutoff, TIGHT)
+            z = adaptive_gauss_kronrod(lambda r: w(r), 0.0, cutoff, TIGHT)
+            second = adaptive_gauss_kronrod(lambda r: w(r, 2), 0.0, cutoff, TIGHT)
+            fourth = adaptive_gauss_kronrod(lambda r: w(r, 4), 0.0, cutoff, TIGHT)
             expect = second / z
             var_d2 = fourth / z - expect ** 2
 
@@ -406,7 +406,7 @@ class TestMle:
 
         def loglik_at(t0, t1, s):
             v = T @ np.array([0.0, t0, t1])
-            moved = hy.exp_map(mu, v)
+            moved = exp_map(mu, v)
             return log_lik(data, RgdParams(moved, s))
 
         for grad in (

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from rmnml import hyperbolic as hy, quadrature
+from rmnml import hyperbolic as hy, quadrature, validation
 from rmnml.quadrature import QuadratureError, integrate_1d
+from rmnml.validation import adaptive_gauss_kronrod
 
 from conftest import log_ball_volume_oracle, refine_by_columns
 
@@ -12,17 +13,17 @@ TIGHT = 1e-12
 
 
 def test_constant_integral():
-    assert integrate_1d(np.ones_like, 0.0, 1.0, TIGHT) == pytest.approx(1.0, rel=1e-12)
+    assert adaptive_gauss_kronrod(np.ones_like, 0.0, 1.0, TIGHT) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_gaussian_tail_integral():
     # \int_0^inf exp(-r^2/2) dr truncated at 40 sigma
-    value = integrate_1d(lambda r: np.exp(-r * r / 2.0), 0.0, 40.0, TIGHT)
+    value = adaptive_gauss_kronrod(lambda r: np.exp(-r * r / 2.0), 0.0, 40.0, TIGHT)
     assert value == pytest.approx(math.sqrt(math.pi / 2.0), rel=1e-11)
 
 
 def test_sinh_antiderivative():
-    value = integrate_1d(np.sinh, 0.0, 1.0, TIGHT)
+    value = adaptive_gauss_kronrod(np.sinh, 0.0, 1.0, TIGHT)
     assert value == pytest.approx(math.cosh(1.0) - 1.0, rel=1e-11)
 
 
@@ -30,41 +31,42 @@ def test_linearity():
     f = lambda x: np.exp(-x) * np.sin(3 * x)
     g = lambda x: x ** 3 - 2 * x
     a, b = 0.2, 1.7
-    lhs = integrate_1d(lambda x: 2.5 * f(x) - 1.25 * g(x), a, b, TIGHT)
-    rhs = 2.5 * integrate_1d(f, a, b, TIGHT) - 1.25 * integrate_1d(g, a, b, TIGHT)
+    lhs = adaptive_gauss_kronrod(lambda x: 2.5 * f(x) - 1.25 * g(x), a, b, TIGHT)
+    rhs = (2.5 * adaptive_gauss_kronrod(f, a, b, TIGHT)
+           - 1.25 * adaptive_gauss_kronrod(g, a, b, TIGHT))
     assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
 def test_subdivision_budget_error_carries_estimate(monkeypatch):
-    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 3)
+    monkeypatch.setattr(validation, "_MAX_SUBDIVISIONS", 3)
     with pytest.raises(QuadratureError) as excinfo:
-        integrate_1d(lambda x: np.sqrt(np.abs(x - 1.0 / 3.0)), 0.0, 1.0, 1e-14)
+        adaptive_gauss_kronrod(lambda x: np.sqrt(np.abs(x - 1.0 / 3.0)), 0.0, 1.0, 1e-14)
     exact = ((1 / 3) ** 1.5 + (2 / 3) ** 1.5) * 2 / 3
     assert excinfo.value.best_estimate == pytest.approx(exact, rel=1e-2)
 
 
-@pytest.mark.parametrize("budget", [3, 40, quadrature._MAX_SUBDIVISIONS])
+@pytest.mark.parametrize("budget", [3, 40, validation._MAX_SUBDIVISIONS])
 def test_panel_array_matches_column_reference(budget, monkeypatch):
     # the (2, m) panel array accepts the panels that two separate arrays
     # accept, so the sums, and the best estimates past a budget, are the
     # same floats
-    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", budget)
+    monkeypatch.setattr(validation, "_MAX_SUBDIVISIONS", budget)
     cases = [(lambda x: np.sqrt(np.abs(x - 1.0 / 3.0)), 0.0, 1.0, 1e-12),
              (lambda x: np.exp(-x * x) * np.cos(3.0 * x), 0.0, 10.0, 1e-13),
              (lambda x: 1.0 / (1e-4 + x * x), -1.0, 2.0, 1e-11)]
 
     def outcome():
         try:
-            return integrate_1d(f, a, b, tol)
+            return adaptive_gauss_kronrod(f, a, b, tol)
         except QuadratureError as exc:
             return "best", exc.best_estimate
 
     for f, a, b, tol in cases:
         panel_array = outcome()
-        monkeypatch.setattr(quadrature, "_refine", refine_by_columns)
+        monkeypatch.setattr(validation, "_refine", refine_by_columns)
         columns = outcome()
         monkeypatch.undo()
-        monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", budget)
+        monkeypatch.setattr(validation, "_MAX_SUBDIVISIONS", budget)
         assert panel_array == columns
 
 
@@ -75,7 +77,7 @@ def test_adaptive_rule_calls_f_on_float_arrays():
         seen.append(x)
         return np.exp(-x * x / 2.0)
 
-    integrate_1d(f, 0.0, 40.0, TIGHT)
+    adaptive_gauss_kronrod(f, 0.0, 40.0, TIGHT)
     assert all(isinstance(x, np.ndarray) and x.ndim == 1 and x.dtype == float
                for x in seen)
     # one call per refinement level, not one per abscissa; 300 abscissae in
@@ -94,8 +96,8 @@ def recursive_gauss_kronrod(f, a, b, rel_tol):
     ``f``.
     """
     calls = [0]
-    nodes, kronrod, gauss = (quadrature._NODES_15.tolist(), quadrature._KRONROD_15.tolist(),
-                             quadrature._GAUSS_15.tolist())
+    nodes, kronrod, gauss = (validation._NODES_15.tolist(), validation._KRONROD_15.tolist(),
+                             validation._GAUSS_15.tolist())
 
     def sums(lo, hi):
         centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -115,7 +117,7 @@ def recursive_gauss_kronrod(f, a, b, rel_tol):
         for lo, hi, kron, gk, mass in panels:
             diff, mid = abs(kron - gk), 0.5 * (lo + hi)
             within = diff <= budget * (hi - lo)
-            if within or diff <= quadrature._ROUNDING_FLOOR * mass or not lo < mid < hi:
+            if within or diff <= validation._ROUNDING_FLOOR * mass or not lo < mid < hi:
                 accepted.append(kron)
                 errors += [diff] if within else []
             else:
@@ -156,7 +158,7 @@ def test_level_loop_accepts_the_panels_of_the_recursive_rule(f, a, b, rel_tol):
         abscissae.append(x.size)
         return f(x)
 
-    value = integrate_1d(counted, a, b, rel_tol)
+    value = adaptive_gauss_kronrod(counted, a, b, rel_tol)
     reference, calls = recursive_gauss_kronrod(lambda x: float(f(np.float64(x))), a, b,
                                                rel_tol)
     assert sum(abscissae) == calls
@@ -167,16 +169,16 @@ def test_adaptive_rule_redoes_a_budget_set_from_a_shrinking_total(monkeypatch):
     # the overestimated peak of the last case above: the first pass ends
     # with its accepted estimates above rel_tol * |result|, the second does not
     passes = []
-    refine = quadrature._refine
+    refine = validation._refine
 
     def recorded(*args):
         passes.append(refine(*args))
         return passes[-1]
 
-    monkeypatch.setattr(quadrature, "_refine", recorded)
+    monkeypatch.setattr(validation, "_refine", recorded)
     rel_tol = 1e-8
-    value = integrate_1d(lambda x: np.exp(-((x - 0.0625) / 1e-4) ** 2)
-                         + 1e-3 * (1.0 + np.cos(60.0 * x)), 0.0, 1.0, rel_tol)
+    value = adaptive_gauss_kronrod(lambda x: np.exp(-((x - 0.0625) / 1e-4) ** 2)
+                                   + 1e-3 * (1.0 + np.cos(60.0 * x)), 0.0, 1.0, rel_tol)
     assert len(passes) == 2
     assert passes[0][1] > rel_tol * abs(passes[0][0])
     assert passes[1][1] <= rel_tol * abs(value)
@@ -186,13 +188,13 @@ def test_adaptive_rule_redoes_a_budget_set_from_a_shrinking_total(monkeypatch):
 
 def test_adaptive_rule_is_deterministic():
     f = lambda x: np.sqrt(x) * np.cos(7 * x)
-    first = integrate_1d(f, 0.0, 2.0, TIGHT)
-    second = integrate_1d(f, 0.0, 2.0, TIGHT)
+    first = adaptive_gauss_kronrod(f, 0.0, 2.0, TIGHT)
+    second = adaptive_gauss_kronrod(f, 0.0, 2.0, TIGHT)
     assert first.hex() == second.hex()
 
 
 def test_kronrod_rule_is_exact_to_degree_22():
-    x, w = quadrature._NODES_15, quadrature._KRONROD_15
+    x, w = validation._NODES_15, validation._KRONROD_15
     np.testing.assert_array_equal(x, -x[::-1])
     np.testing.assert_array_equal(w, w[::-1])
     powers = np.arange(25)
@@ -204,7 +206,7 @@ def test_kronrod_rule_is_exact_to_degree_22():
 
 def test_gauss_rule_is_exact_to_degree_13_on_the_legendre_nodes():
     from numpy.polynomial.legendre import leggauss  # the oracle for the nodes
-    x, w = quadrature._NODES_15[1::2], quadrature._GAUSS_15
+    x, w = validation._NODES_15[1::2], validation._GAUSS_15
     np.testing.assert_allclose(x, leggauss(7)[0], rtol=0.0, atol=1e-15)
     np.testing.assert_allclose(w, leggauss(7)[1], rtol=0.0, atol=1e-15)
     powers = np.arange(15)
@@ -230,21 +232,21 @@ def test_budget_error_estimate_is_finite_and_improves_with_budget(monkeypatch):
     exact = ((1 / 3) ** 1.5 + (2 / 3) ** 1.5) * 2 / 3
     gaps = []
     for budget in (30, 300):
-        monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", budget)
+        monkeypatch.setattr(validation, "_MAX_SUBDIVISIONS", budget)
         with pytest.raises(QuadratureError) as excinfo:
-            integrate_1d(lambda x: np.sqrt(np.abs(x - 1.0 / 3.0)), 0.0, 1.0, 1e-14)
+            adaptive_gauss_kronrod(lambda x: np.sqrt(np.abs(x - 1.0 / 3.0)), 0.0, 1.0, 1e-14)
         assert math.isfinite(excinfo.value.best_estimate)
         gaps.append(abs(excinfo.value.best_estimate - exact) / exact)
     assert gaps[1] < gaps[0] < 1e-4
 
 
 def test_invalid_interval_and_spec():
-    with pytest.raises(ValueError):
-        integrate_1d(lambda x: x, 1.0, 0.0)
-    for rel_tol in (0.0, -1e-10, math.nan):
-        for rule in ("gauss-kronrod", "log-gauss-legendre"):
+    for integrate in (adaptive_gauss_kronrod, integrate_1d):
+        with pytest.raises(ValueError):
+            integrate(lambda x: x, 1.0, 0.0)
+        for rel_tol in (0.0, -1e-10, math.nan):
             with pytest.raises(ValueError, match="rel_tol must be positive"):
-                integrate_1d(lambda x: x, 0.0, 1.0, rel_tol, rule=rule)
+                integrate(lambda x: x, 0.0, 1.0, rel_tol)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 32, 64, 96, 128, 256, 1024])
@@ -266,16 +268,11 @@ def test_gauss_legendre_rule(n):
 def test_log_gauss_legendre_rule():
     # log of exp(-x^2/2) over [-10, 10]; the rule sums in the log domain
     # and returns the log of the integral
-    value = integrate_1d(lambda x: -0.5 * x * x, -10.0, 10.0, TIGHT,
-                         rule="log-gauss-legendre")
+    value = integrate_1d(lambda x: -0.5 * x * x, -10.0, 10.0, TIGHT)
     assert math.exp(value) == pytest.approx(math.sqrt(2.0 * math.pi), rel=1e-12)
-    big = integrate_1d(lambda x: 700.0 + 0.0 * x, 0.0, 1.0, TIGHT,
-                       rule="log-gauss-legendre")
+    big = integrate_1d(lambda x: 700.0 + 0.0 * x, 0.0, 1.0, TIGHT)
     assert math.exp(big) == pytest.approx(math.exp(700.0), rel=1e-12)
     # an integral beyond the float range has a finite log; abs 1e-12 on the
     # log is rel 1e-12 on the integral
-    huge = integrate_1d(lambda x: 710.0 + 0.0 * x, 0.0, 2.0, TIGHT,
-                        rule="log-gauss-legendre")
+    huge = integrate_1d(lambda x: 710.0 + 0.0 * x, 0.0, 2.0, TIGHT)
     assert huge == pytest.approx(710.0 + math.log(2.0), abs=1e-12)
-    with pytest.raises(ValueError):
-        integrate_1d(lambda x: x, 0.0, 1.0, rule="trapezoid")

@@ -49,15 +49,15 @@ def test_mc_pipeline_quick_passes():
 def _abscissae_through_f(monkeypatch):
     """Count the abscissae the oracles in ``validation`` pass to their integrands."""
     count = [0]
-    integrate_1d = validation.integrate_1d
+    adaptive_gauss_kronrod = validation.adaptive_gauss_kronrod
 
     def counted(f, *args, **kwargs):
         def g(x):
             count[0] += x.size
             return f(x)
-        return integrate_1d(g, *args, **kwargs)
+        return adaptive_gauss_kronrod(g, *args, **kwargs)
 
-    monkeypatch.setattr(validation, "integrate_1d", counted)
+    monkeypatch.setattr(validation, "adaptive_gauss_kronrod", counted)
     return count
 
 
