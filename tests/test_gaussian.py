@@ -246,6 +246,23 @@ class TestRadialMoments:
             lambda u: np.exp(_log_sigma_integrand(dim, u) - top), a, b, 1e-11))
         assert hgd_sigma_integral(dim, domain) == pytest.approx(oracle, abs=1e-10)
 
+    @pytest.mark.parametrize("dim", [10, 100, 1000])
+    def test_sigma_integral_against_simpson_in_high_dimension(self, dim):
+        # the same log-integral against composite Simpson on 2^16 equal panels
+        # in log sigma, a rule with no adaptive panel choice and so no end
+        # blind spot.  Quartering the panels cuts its error 16-fold; at 2^16
+        # the default domain's worst case (D = 100) is near 6e-13.
+        domain = ParamDomain()
+        a, b = math.log(domain.sigma_min), math.log(domain.sigma_max)
+        n = 2 ** 16
+        log_f = _log_sigma_integrand(dim, np.linspace(a, b, n + 1))
+        top = float(log_f.max())
+        f = np.exp(log_f - top)
+        simpson = (b - a) / (3 * n) * (f[0] + f[-1] + 4 * math.fsum(f[1:-1:2])
+                                       + 2 * math.fsum(f[2:-1:2]))
+        oracle = top + math.log(simpson)
+        assert hgd_sigma_integral(dim, domain) == pytest.approx(oracle, abs=1e-10)
+
 
 class TestXiDerivatives:
     def test_dimension_one_exact(self):
