@@ -27,7 +27,8 @@ import sys
 import numpy as np
 
 from . import coding, hyperbolic as hy, validation
-from .complexity import ParamDomain, chart_gap, pc_hgd, rm_nml_codelength
+from .complexity import (DEFAULT_RADIUS, DEFAULT_SIGMA_MAX, DEFAULT_SIGMA_MIN, ParamDomain,
+                         chart_gap, pc_hgd, rm_nml_codelength)
 from .gaussian import Dataset, EstimationError, RgdParams, log_pdf_vol_many, sample
 from .quadrature import QuadratureError
 
@@ -38,6 +39,21 @@ NUMERICAL_ERROR = 3
 
 class InputError(ValueError):
     """Bad configuration or malformed input file (exit code 2)."""
+
+
+#: Failures of a numerical stage (exit code 3).
+_NUMERICAL_FAILURES = (QuadratureError, EstimationError, OverflowError, MemoryError)
+
+
+def _numerical_message(exc: Exception) -> str:
+    """The text that :func:`main`, or a select-dim candidate, reports for a numerical failure."""
+    if isinstance(exc, QuadratureError):
+        return f"numerical integration failed: {exc} (best estimate {exc.best_estimate!r})"
+    if isinstance(exc, EstimationError):
+        return f"maximum likelihood estimation failed: {exc}"
+    if isinstance(exc, OverflowError):
+        return f"numerical overflow: {exc}"
+    return f"out of memory: {exc}"
 
 
 def parse_sigma_range(text: str) -> tuple[float, float]:
@@ -217,7 +233,7 @@ def cmd_select_dim(args) -> int:
         raise InputError("select-dim needs at least 2 --candidate entries")
     domain = _domain_from(args)
 
-    scores = []
+    scores, numerical = [], False
     for dim, path in sorted(candidates):
         entry = {"dim": dim, "path": path, "total": None, "error": None}
         try:
@@ -236,9 +252,18 @@ def cmd_select_dim(args) -> int:
             })
         except ValueError as exc:
             entry["error"] = str(exc)
+        except _NUMERICAL_FAILURES as exc:
+            entry["error"] = _numerical_message(exc)
+            numerical = True
         scores.append(entry)
 
-    best = select_best(scores)
+    try:
+        best = select_best(scores)
+    except InputError as exc:
+        if not numerical:
+            raise
+        print(f"error: {exc}", file=sys.stderr)
+        return NUMERICAL_ERROR
     _emit({"selected_dim": best["dim"], "scores": scores}, args.out, None)
     return 0
 
@@ -289,11 +314,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Coordinate-invariant NML code-lengths on hyperbolic space.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_domain(command):
+        command.add_argument("--radius", type=float, default=DEFAULT_RADIUS)
+        command.add_argument("--sigma", default=f"{DEFAULT_SIGMA_MIN!r}:{DEFAULT_SIGMA_MAX!r}",
+                             help="sigma range MIN:MAX")
+
     pc = sub.add_parser("pc", help="asymptotic log parametric complexity")
     pc.add_argument("--dim", type=int, required=True)
     pc.add_argument("--n", type=int, required=True)
-    pc.add_argument("--radius", type=float, default=3.0)
-    pc.add_argument("--sigma", default="0.1:3", help="sigma range MIN:MAX")
+    add_domain(pc)
     pc.add_argument("--rel-tol", type=float, default=1e-10)
     pc.add_argument("--out", default=None)
     pc.add_argument("--csv", default=None)
@@ -301,8 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cl = sub.add_parser("codelength", help="NML code-length of a dataset")
     cl.add_argument("--data", required=True)
-    cl.add_argument("--radius", type=float, default=3.0)
-    cl.add_argument("--sigma", default="0.1:3")
+    add_domain(cl)
     cl.add_argument("--rel-tol", type=float, default=1e-10)
     cl.add_argument("--out", default=None)
     cl.add_argument("--csv", default=None)
@@ -322,8 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "smallest code-length")
     sd.add_argument("--candidate", action="append", required=True,
                     metavar="DIM=PATH")
-    sd.add_argument("--radius", type=float, default=3.0)
-    sd.add_argument("--sigma", default="0.1:3")
+    add_domain(sd)
     sd.add_argument("--out", default=None)
     sd.set_defaults(func=cmd_select_dim)
 
@@ -349,18 +376,8 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except QuadratureError as exc:
-        print(f"error: numerical integration failed: {exc} "
-              f"(best estimate {exc.best_estimate!r})", file=sys.stderr)
-        return NUMERICAL_ERROR
-    except EstimationError as exc:
-        print(f"error: maximum likelihood estimation failed: {exc}", file=sys.stderr)
-        return NUMERICAL_ERROR
-    except OverflowError as exc:
-        print(f"error: numerical overflow: {exc}", file=sys.stderr)
-        return NUMERICAL_ERROR
-    except MemoryError as exc:
-        print(f"error: out of memory: {exc}", file=sys.stderr)
+    except _NUMERICAL_FAILURES as exc:
+        print(f"error: {_numerical_message(exc)}", file=sys.stderr)
         return NUMERICAL_ERROR
 
 

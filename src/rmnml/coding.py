@@ -8,7 +8,8 @@ for a density p on the ball, given by its natural log against the volume
 element.  Such lengths always satisfy the Kraft inequality (so a prefix
 code with these lengths exists), and the expected code-length of any
 uniquely decodable code over the partition is bounded below by
-E_S[ -(sup_{x in S} log p(x) + log vol(S)) / ln 2 ].
+E_S[ -(sup_{x in S} log p(x) + log vol(S)) / ln 2 ].  The inf and sup are
+taken on a sub-grid of each cell, and P(S) is p(midpoint of S) vol(S), renormalized.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Cell extrema are approximated on this many points per axis.
+#: Cell extrema are approximated on this many points per axis.  It must be odd:
+#: the middle node of a cell's sub-grid is its midpoint, which gives its probability.
 SUBGRID = 5
 #: Cells per call of the log density in :func:`prefix_code`, which bounds its memory.
 BLOCK_CELLS = 4096
@@ -29,12 +31,16 @@ MAX_RADIUS = math.acosh(np.finfo(float).max / (2.0 * math.pi))
 
 @dataclass(frozen=True)
 class Partition:
-    """Polar-grid partition of a geodesic ball in H^2."""
+    """Polar-grid partition of a geodesic ball in H^2.
 
-    representatives: np.ndarray   # (m, 3) Lorentz coordinates of cell centers
-    volumes: np.ndarray           # (m,)
-    r_ranges: np.ndarray          # (m, 2)
-    angle_ranges: np.ndarray      # (m, 2)
+    Cells are in ring-major order: cell k spans the radii
+    r_edges[i : i + 2] and the angles angle_edges[j : j + 2], where
+    (i, j) = divmod(k, n_angle).
+    """
+
+    r_edges: np.ndarray       # (n_r + 1,)
+    angle_edges: np.ndarray   # (n_angle + 1,)
+    volumes: np.ndarray       # (m,) = (n_r * n_angle,)
 
     def __len__(self) -> int:
         return self.volumes.size
@@ -60,39 +66,9 @@ def partition_ball(radius: float, n_r: int, n_angle: int) -> Partition:
         raise ValueError(f"radius must be positive and at most {MAX_RADIUS:.6g}, "
                          f"past which the ball volume overflows; got {radius!r}")
     r_edges = np.linspace(0.0, radius, n_r + 1)
-    t_edges = np.linspace(0.0, 2.0 * math.pi, n_angle + 1)
-    r_lo = np.repeat(r_edges[:-1], n_angle)
-    r_hi = np.repeat(r_edges[1:], n_angle)
-    t_lo = np.tile(t_edges[:-1], n_r)
-    t_hi = np.tile(t_edges[1:], n_r)
-    volumes = (t_hi - t_lo) * (np.cosh(r_hi) - np.cosh(r_lo))
-    reps = _lorentz_of_polar(0.5 * (r_lo + r_hi), 0.5 * (t_lo + t_hi))
-    return Partition(
-        representatives=reps,
-        volumes=volumes,
-        r_ranges=np.stack([r_lo, r_hi], axis=1),
-        angle_ranges=np.stack([t_lo, t_hi], axis=1))
-
-
-def _log_density(log_pdf, points: np.ndarray) -> np.ndarray:
-    # a value past the float range is reported by the check below
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = np.asarray(log_pdf(points), dtype=float)
-    if not np.isfinite(values).all():
-        raise ValueError("the log density must be finite on the ball")
-    return values
-
-
-def _probabilities(partition: Partition, log_p: np.ndarray) -> np.ndarray:
-    # shifted by the largest log mass: densities past the float range still code
-    log_mass = log_p + np.log(partition.volumes)
-    mass = np.exp(log_mass - log_mass.max())
-    return mass / mass.sum()
-
-
-def cell_probabilities(partition: Partition, log_pdf) -> np.ndarray:
-    """Cell masses approximated by p(representative) * volume, renormalized."""
-    return _probabilities(partition, _log_density(log_pdf, partition.representatives))
+    angle_edges = np.linspace(0.0, 2.0 * math.pi, n_angle + 1)
+    volumes = np.outer(np.diff(np.cosh(r_edges)), np.diff(angle_edges)).ravel()
+    return Partition(r_edges, angle_edges, volumes)
 
 
 @dataclass(frozen=True)
@@ -111,33 +87,40 @@ def prefix_code(partition: Partition, log_pdf) -> PrefixCode:
     ``log_pdf`` maps an (m, 3) array of Lorentz coordinates to m finite
     natural-log densities against the volume element.  It is called once per
     block of up to BLOCK_CELLS cells, on the SUBGRID x SUBGRID inclusive
-    sub-grid of every cell of the block (whose min and max stand in for the
-    cell's inf and sup) followed by their representatives (which give
-    :func:`cell_probabilities`).  Raises ValueError when the log density is
-    not finite or a length does not fit an int64.
+    sub-grid of every cell of the block: its min and max stand in for the
+    cell's inf and sup, and its middle node is the cell's midpoint.  Raises
+    ValueError when the log density is not finite or a length does not fit
+    an int64.
     """
     m = len(partition)
+    n_angle = partition.angle_edges.size - 1
     frac = np.linspace(0.0, 1.0, SUBGRID)[:, None]
-    log_inf, log_sup, log_rep = np.empty(m), np.empty(m), np.empty(m)
+    log_inf, log_sup, log_mid = np.empty(m), np.empty(m), np.empty(m)
     for start in range(0, m, BLOCK_CELLS):
         block = slice(start, start + BLOCK_CELLS)
-        (r_lo, r_hi) = partition.r_ranges[block].T
-        (t_lo, t_hi) = partition.angle_ranges[block].T
+        ring, sector = np.divmod(np.arange(start, min(start + BLOCK_CELLS, m)), n_angle)
+        (r_lo, r_hi) = partition.r_edges[ring], partition.r_edges[ring + 1]
+        (t_lo, t_hi) = partition.angle_edges[sector], partition.angle_edges[sector + 1]
         r, t = np.broadcast_arrays((r_lo + frac * (r_hi - r_lo))[:, None],
                                    t_lo + frac * (t_hi - t_lo))
-        reps = partition.representatives[block]
-        values = _log_density(log_pdf, np.concatenate(
-            [_lorentz_of_polar(r, t).reshape(-1, 3), reps]))
-        grid = values[:-len(reps)].reshape(-1, len(reps))
+        # a value past the float range is reported by the check below
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.asarray(log_pdf(_lorentz_of_polar(r, t).reshape(-1, 3)), dtype=float)
+        if not np.isfinite(values).all():
+            raise ValueError("the log density must be finite on the ball")
+        grid = values.reshape(SUBGRID * SUBGRID, -1)
         log_inf[block], log_sup[block] = grid.min(axis=0), grid.max(axis=0)
-        log_rep[block] = values[-len(reps):]
+        log_mid[block] = grid[SUBGRID ** 2 // 2]
     log_vol = np.log(partition.volumes)
     bits = np.ceil(-(log_inf + log_vol) / math.log(2.0))
     if not np.all(np.abs(bits) < 2.0 ** 63):
         raise ValueError(f"code-lengths up to {np.max(np.abs(bits)):.6g} bits "
                          f"do not fit an int64")
     lengths = bits.astype(np.int64)
-    prob = _probabilities(partition, log_rep)
+    # shifted by the largest log mass: densities past the float range still code
+    log_mass = log_mid + log_vol
+    mass = np.exp(log_mass - log_mass.max())
+    prob = mass / mass.sum()
     return PrefixCode(
         lengths=lengths,
         kraft_sum=float(np.sum(np.exp2(-lengths.astype(float)))),

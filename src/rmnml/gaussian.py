@@ -317,11 +317,16 @@ def sample(n: int, params: RgdParams, seed: int) -> Dataset:
     polar point at the origin is then carried to ``mu`` by the isometry
     :func:`rmnml.hyperbolic.isometry_to`.  Deterministic for a fixed seed.
 
-    The nodes lie (sigma^2 (D-1) + 12 sigma) / 4095 apart, and interpolation
-    adds about spacing^2 / 3 to Var(r).  Against :func:`radial_moments`, the
-    drawn law's E[d^2] is within a relative 1e-5, but Var(d^2) runs high by
-    2.9% at (D, sigma) = (3000, 0.4) (spacing 0.30 sigma) and by 8.0% at
-    (10000, 0.2) (spacing 0.49 sigma).
+    The table spans [0, sigma^2 (D-1) + 12 sigma] in 4095 steps, and
+    interpolation adds about step^2 / 3 to Var(r).  Where the span passes the
+    mode, E[d^2] of the drawn law is within a relative 1e-5 of
+    :func:`radial_moments`, but Var(d^2) runs high by 2.9% at (D, sigma) =
+    (3000, 0.4) (step 0.30 sigma) and by 8.0% at (10000, 0.2) (step 0.49
+    sigma).  At large D and small (D-1) sigma^2 the span ends below the mode
+    and the draws are wrong with no error: at (1000, 0.02), where it ends at
+    0.640 and the mode is near 0.68, 4,000 seed-1 draws give 0.877 times the
+    kernel's E[d^2] and 0.072 times its Var(d^2).  Item 2 of ROADMAP.md
+    plans exact rejection sampling in place of the table.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -83,10 +83,12 @@ def dist_many(x: np.ndarray, ys: np.ndarray) -> np.ndarray:
     m = x[0] * ys[:, 0] - ys[:, 1:] @ x[1:]  # -<x,y>_L
     if np.any(m < 1.0 - ACOSH_REJECT_TOL):
         raise GeometryError("arccosh argument below 1: points are off-manifold")
-    delta = ys - x
+    sinh_half_sq = 0.5 * (m - 1.0)
+    near = np.flatnonzero(~(m >= 2.0))  # the chord's rows; far rows may square past float max
+    delta = ys.take(near, axis=0) - x
     # <x-y, x-y>_L = 4 sinh^2(d/2) >= 0 on the manifold
-    chord2 = np.einsum("ij,ij->i", delta[:, 1:], delta[:, 1:]) - delta[:, 0] ** 2
-    sinh_half_sq = np.where(m >= 2.0, 0.5 * (m - 1.0), 0.25 * chord2)
+    sinh_half_sq[near] = 0.25 * (np.einsum("ij,ij->i", delta[:, 1:], delta[:, 1:])
+                                 - delta[:, 0] ** 2)
     return 2.0 * np.arcsinh(np.sqrt(np.maximum(sinh_half_sq, 0.0)))
 
 

@@ -16,7 +16,7 @@ from rmnml import cli, coding, hyperbolic as hy, quadrature
 from rmnml.cli import (InputError, build_parser, load_dataset, main, parse_sigma_range,
                        select_best, write_dataset)
 from rmnml.complexity import ParamDomain, pc_hgd, rm_nml_codelength
-from rmnml.gaussian import Dataset, RgdParams, sample
+from rmnml.gaussian import Dataset, EstimationError, RgdParams, sample
 from rmnml.quadrature import QuadratureError
 from rmnml.validation import xi
 
@@ -539,6 +539,57 @@ class TestSelectDim:
         assert captured.out == ""
         assert bound in captured.err
         assert "every candidate failed" not in captured.err
+
+    @staticmethod
+    def numerical_failures(monkeypatch, failing):
+        # one candidate's numerical stage fails; the others score as before
+        errors = {2: QuadratureError("still disagree at 1024 nodes", best_estimate=-1.5),
+                  3: EstimationError("no convergence after 50 iterations")}
+
+        def codelength(data, domain, *args):
+            if data.dim in failing:
+                raise errors[data.dim]
+            return rm_nml_codelength(data, domain, *args)
+
+        monkeypatch.setattr(cli, "rm_nml_codelength", codelength)
+
+    def candidates(self, tmp_path):
+        argv = ["select-dim"]
+        for dim in (2, 3):
+            path = tmp_path / f"d{dim}.json"
+            write_dataset(str(path), sample(50, RgdParams(hy.origin(dim), 0.8), seed=dim))
+            argv += ["--candidate", f"{dim}={path}"]
+        return argv
+
+    def test_numerical_failure_keeps_other_scores(self, tmp_path, capsys, monkeypatch):
+        argv = self.candidates(tmp_path)
+        self.numerical_failures(monkeypatch, failing={3})
+        assert run(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["selected_dim"] == 2
+        by_dim = {e["dim"]: e for e in payload["scores"]}
+        assert by_dim[2]["error"] is None and math.isfinite(by_dim[2]["total"])
+        assert by_dim[3]["total"] is None
+        assert by_dim[3]["error"] == ("maximum likelihood estimation failed: "
+                                      "no convergence after 50 iterations")
+
+    def test_all_numerical_failures_exit_3_naming_each(self, tmp_path, capsys, monkeypatch):
+        argv = self.candidates(tmp_path)
+        self.numerical_failures(monkeypatch, failing={2, 3})
+        assert run(argv) == cli.NUMERICAL_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: every candidate failed: dim 2: numerical integration failed: "
+            "still disagree at 1024 nodes (best estimate -1.5); dim 3: maximum "
+            "likelihood estimation failed: no convergence after 50 iterations\n")
+
+    @pytest.mark.parametrize("argv", [["pc", "--dim", "2", "--n", "10"],
+                                      ["codelength", "--data", "d.json"],
+                                      ["select-dim", "--candidate", "2=d.json"]],
+                             ids=["pc", "codelength", "select-dim"])
+    def test_default_domain_is_the_library_default(self, argv):
+        assert cli._domain_from(build_parser().parse_args(argv)) == ParamDomain()
 
     def test_needs_two_candidates(self, tmp_path, capsys):
         path = tmp_path / "x.json"

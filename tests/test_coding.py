@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from rmnml import coding, hyperbolic as hy
-from rmnml.coding import (SUBGRID, PrefixCode, cell_probabilities,
-                          partition_ball, prefix_code)
+from rmnml.coding import SUBGRID, PrefixCode, partition_ball, prefix_code
 from rmnml.validation import xi
 
 
@@ -20,6 +19,19 @@ def rgd_density(sigma: float):
     return log_pdf
 
 
+def shifted_density(sigma: float):
+    """Unnormalized hyperbolic Gaussian about a point off the origin, so that
+    its density varies with the angle."""
+    mu = coding._lorentz_of_polar(np.array(1.0), np.array(0.3))
+
+    def log_pdf(points):
+        inner = mu[0] * points[..., 0] - points[..., 1:] @ mu[1:]
+        d = np.arccosh(np.maximum(inner, 1.0))
+        return -d * d / (2.0 * sigma * sigma)
+
+    return log_pdf
+
+
 def uniform_density(radius: float):
     log_volume = hy.log_ball_volume(2, radius)
 
@@ -27,6 +39,19 @@ def uniform_density(radius: float):
         return np.full(points.shape[:-1], -log_volume)
 
     return log_pdf
+
+
+def cell_ranges(partition):
+    """Per-cell (r_lo, r_hi, t_lo, t_hi) in the ring-major order of the cells."""
+    n_r, n_angle = partition.r_edges.size - 1, partition.angle_edges.size - 1
+    return (np.repeat(partition.r_edges[:-1], n_angle), np.repeat(partition.r_edges[1:], n_angle),
+            np.tile(partition.angle_edges[:-1], n_r), np.tile(partition.angle_edges[1:], n_r))
+
+
+def cell_centres(partition):
+    """Lorentz coordinates of each cell's midpoint in radius and angle."""
+    r_lo, r_hi, t_lo, t_hi = cell_ranges(partition)
+    return coding._lorentz_of_polar(0.5 * (r_lo + r_hi), 0.5 * (t_lo + t_hi))
 
 
 class TestPartition:
@@ -49,11 +74,22 @@ class TestPartition:
         assert len(fine) == 2 * len(coarse)
         assert fine.volumes.max() == pytest.approx(coarse.volumes.max() / 2, rel=1e-12)
 
-    def test_representatives_inside_cells(self):
-        partition = partition_ball(1.5, 5, 7)
-        radii = np.arccosh(partition.representatives[:, 0])
-        assert np.all(radii >= partition.r_ranges[:, 0] - 1e-12)
-        assert np.all(radii <= partition.r_ranges[:, 1] + 1e-12)
+    def test_middle_subgrid_node_is_midpoint(self):
+        # the cell probabilities read p at the middle sub-grid node
+        assert SUBGRID % 2 == 1
+        rng = np.random.default_rng(5)
+        radii = np.exp(rng.uniform(-5.0, math.log(coding.MAX_RADIUS), size=200))
+        for radius in [coding.MAX_RADIUS, *radii]:
+            partition = partition_ball(float(radius), *rng.integers(1, 40, size=2))
+            seen = []
+
+            def log_pdf(points):
+                seen.append(points.copy())
+                return np.zeros(len(points))
+
+            prefix_code(partition, log_pdf)
+            middle = seen[0].reshape(SUBGRID * SUBGRID, -1, 3)[SUBGRID ** 2 // 2]
+            assert np.array_equal(middle, cell_centres(partition))
 
     def test_invalid_grid(self):
         with pytest.raises(ValueError):
@@ -107,10 +143,11 @@ class TestExpectedLength:
         assert lower <= avg <= lower + 1.0  # only ceiling slack for uniform
 
     def test_probabilities_normalized(self):
-        partition = partition_ball(2.0, 10, 12)
-        prob = cell_probabilities(partition, rgd_density(0.8))
-        assert float(prob.sum()) == pytest.approx(1.0, rel=1e-12)
-        assert np.all(prob >= 0)
+        # a uniform density on one ring: every cell has the same length L,
+        # so the average is L exactly when the probabilities sum to 1
+        code = prefix_code(partition_ball(2.0, 1, 12), uniform_density(2.0))
+        assert np.all(code.lengths == code.lengths[0])
+        assert code.average_bits == pytest.approx(float(code.lengths[0]), rel=1e-12)
 
 
 def test_refinement_approaches_pointwise_density():
@@ -119,7 +156,7 @@ def test_refinement_approaches_pointwise_density():
     for n in (8, 16, 32, 64):
         partition = partition_ball(2.0, n, n)
         lengths = prefix_code(partition, pdf).lengths
-        target = -pdf(partition.representatives) / math.log(2.0)
+        target = -pdf(cell_centres(partition)) / math.log(2.0)
         gap = lengths + np.log2(partition.volumes) - target
         assert np.all(gap >= -1e-9)      # ceiling never undershoots
         if n == 64:
@@ -130,22 +167,22 @@ def loop_reference(partition, log_pdf):
     """The code built with one ``log_pdf`` call per sub-grid point.
 
     Cell extrema come from SUBGRID * SUBGRID separate calls on the cells,
-    and the probabilities from one more call at the representatives.
+    and the probabilities from one more call at the cell centres.
     """
     frac = np.linspace(0.0, 1.0, SUBGRID)
     lo = np.full(len(partition), np.inf)
     hi = np.full(len(partition), -np.inf)
+    r_lo, r_hi, t_lo, t_hi = cell_ranges(partition)
     for fr in frac:
-        r = partition.r_ranges[:, 0] + fr * (partition.r_ranges[:, 1] - partition.r_ranges[:, 0])
+        r = r_lo + fr * (r_hi - r_lo)
         for ft in frac:
-            t = partition.angle_ranges[:, 0] + ft * (
-                partition.angle_ranges[:, 1] - partition.angle_ranges[:, 0])
+            t = t_lo + ft * (t_hi - t_lo)
             values = log_pdf(coding._lorentz_of_polar(r, t))
             lo = np.minimum(lo, values)
             hi = np.maximum(hi, values)
     log_vol = np.log(partition.volumes)
     lengths = np.ceil(-(lo + log_vol) / math.log(2.0)).astype(np.int64)
-    log_mass = log_pdf(partition.representatives) + log_vol
+    log_mass = log_pdf(cell_centres(partition)) + log_vol
     mass = np.exp(log_mass - log_mass.max())
     prob = mass / mass.sum()
     return PrefixCode(
@@ -166,7 +203,7 @@ class TestPrefixCode:
             return pdf(points)
 
         prefix_code(partition, log_pdf)
-        assert calls == [((SUBGRID * SUBGRID + 1) * len(partition), 3)]
+        assert calls == [(SUBGRID * SUBGRID * len(partition), 3)]
 
     @pytest.mark.parametrize("grid", [(8, 16), (5, 9)])
     def test_blocks_match_one_call_bit_for_bit(self, grid, monkeypatch):
@@ -183,18 +220,18 @@ class TestPrefixCode:
         blocked = prefix_code(partition, log_pdf)
         m = len(partition)
         assert len(calls) == math.ceil(m / 7)
-        assert sum(calls) == (SUBGRID * SUBGRID + 1) * m
+        assert sum(calls) == SUBGRID * SUBGRID * m
         assert np.array_equal(blocked.lengths, whole.lengths)
         assert blocked.kraft_sum == whole.kraft_sum
         assert blocked.average_bits == whole.average_bits
         assert blocked.lower_bound_bits == whole.lower_bound_bits
 
     @pytest.mark.parametrize("grid", [(32, 32), (8, 16)])
-    @pytest.mark.parametrize("density", ["rgd-0.5", "rgd-1.0", "uniform"])
+    @pytest.mark.parametrize("density", ["rgd-0.5", "rgd-1.0", "uniform", "shifted"])
     def test_matches_loop_reference_bit_for_bit(self, grid, density):
         radius = 3.0
         pdf = {"rgd-0.5": rgd_density(0.5), "rgd-1.0": rgd_density(1.0),
-               "uniform": uniform_density(radius)}[density]
+               "uniform": uniform_density(radius), "shifted": shifted_density(0.7)}[density]
         partition = partition_ball(radius, *grid)
         code = prefix_code(partition, pdf)
         reference = loop_reference(partition, pdf)
@@ -219,6 +256,6 @@ class TestRadiusBound:
     @pytest.mark.parametrize("grid", [(1, 1), (4, 4)])
     def test_largest_radius_gives_finite_cells(self, grid):
         partition = partition_ball(coding.MAX_RADIUS, *grid)
-        assert np.isfinite(partition.representatives).all()
+        assert np.isfinite(cell_centres(partition)).all()
         assert np.isfinite(partition.volumes).all()
         assert np.all(partition.volumes > 0)

@@ -1,12 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from rmnml import hyperbolic as hy
 from rmnml.complexity import RADIUS_MAX, ParamDomain, chart_gap
-from rmnml.gaussian import Dataset, RgdParams
-from rmnml.validation import adaptive_gauss_kronrod, exp_map
+from rmnml.gaussian import Dataset, RgdParams, log_lik
+from rmnml.validation import adaptive_gauss_kronrod, exp_map, xi
 
 from conftest import (dist, log_ball_volume_oracle, log_map, lorentz_to_poincare,
                       minkowski_inner, poincare_dist, polar_point, random_point,
@@ -114,6 +115,19 @@ class TestDistance:
             ys = np.column_stack([np.cosh(radii), np.sinh(radii)[:, None] * directions])
             d = hy.dist_many(T[:, 0], ys @ T.T)
             np.testing.assert_allclose(d, radii, rtol=1e-12, atol=0.0)
+
+    def test_far_row_warns_nothing(self):
+        # the chord of the row at r = 400 squares past the float range; only
+        # the inner-product form is used there, and it is exact
+        radii = np.array([400.0, 1.0])
+        ys = np.column_stack([np.cosh(radii), np.sinh(radii), np.zeros(2)])
+        params = RgdParams(hy.origin(2), 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(hy.dist_many(hy.origin(2), ys), radii)
+            value = log_lik(Dataset(ys), params)
+        assert value == pytest.approx(-(400.0 ** 2 + 1.0) / 2.0 - 2.0 * math.log(xi(2, 1.0)),
+                                      rel=1e-15)
 
     def test_off_manifold_rejection(self):
         with pytest.raises(hy.GeometryError):
