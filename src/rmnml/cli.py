@@ -166,7 +166,7 @@ def cmd_pc(args) -> int:
     if args.dim < 1:
         raise InputError(f"--dim must be a positive integer, got {args.dim}")
     domain = _domain_from(args)
-    result = pc_hgd(args.dim, args.n, domain, args.rel_tol)
+    result = pc_hgd(args.dim, args.n, domain)
     _emit({
         "k": result.k,
         "n": result.n,
@@ -184,7 +184,7 @@ def cmd_codelength(args) -> int:
         raise InputError(f"{args.data}: the code-length needs at least 2 "
                          f"points, got {data.n}")
     domain = _domain_from(args)
-    report = rm_nml_codelength(data, domain, args.rel_tol)
+    report = rm_nml_codelength(data, domain)
     _emit({
         "n": data.n,
         "dim": data.dim,
@@ -323,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--dim", type=int, required=True)
     pc.add_argument("--n", type=int, required=True)
     add_domain(pc)
-    pc.add_argument("--rel-tol", type=float, default=1e-10)
     pc.add_argument("--out", default=None)
     pc.add_argument("--csv", default=None)
     pc.set_defaults(func=cmd_pc)
@@ -331,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     cl = sub.add_parser("codelength", help="NML code-length of a dataset")
     cl.add_argument("--data", required=True)
     add_domain(cl)
-    cl.add_argument("--rel-tol", type=float, default=1e-10)
     cl.add_argument("--out", default=None)
     cl.add_argument("--csv", default=None)
     cl.set_defaults(func=cmd_codelength)

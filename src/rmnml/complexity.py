@@ -131,21 +131,20 @@ def _log_sigma_integrand(dim: int, u: np.ndarray) -> np.ndarray:
     return 0.5 * (dim * log_c_mu + log_i_sigma) + u
 
 
-def hgd_sigma_integral(dim: int, domain: ParamDomain,
-                       rel_tol: float = 1e-10) -> float:
+def hgd_sigma_integral(dim: int, domain: ParamDomain) -> float:
     """log integral over [sigma_min, sigma_max] of (xi'/(D sigma xi))^(D/2) B(sigma).
 
     B(sigma) is the square root of the sigma Fisher information.  The log
     integrand in u = log sigma goes to :func:`integrate_1d`, the doubling
     Gauss-Legendre rule, which stops once two successive logs agree within
-    ``rel_tol`` and otherwise raises :class:`QuadratureError` with the best
+    1e-10 and otherwise raises :class:`QuadratureError` with the best
     estimate of the log.
     """
     return integrate_1d(lambda u: _log_sigma_integrand(dim, u),
-                        math.log(domain.sigma_min), math.log(domain.sigma_max), rel_tol)
+                        math.log(domain.sigma_min), math.log(domain.sigma_max))
 
 
-def pc_hgd(dim: int, n: int, domain: ParamDomain, rel_tol: float = 1e-10) -> PcResult:
+def pc_hgd(dim: int, n: int, domain: ParamDomain) -> PcResult:
     """Log parametric complexity of the hyperbolic Gaussian on ``domain``.
 
     (D+1)/2 log(n/2pi) + log V_{H^D}(R) + log of the sigma integral.  The
@@ -157,12 +156,11 @@ def pc_hgd(dim: int, n: int, domain: ParamDomain, rel_tol: float = 1e-10) -> PcR
     if n < 2:
         raise ValueError("n must be >= 2")
     check_sigma_max(dim, domain.sigma_max)
-    return pc_general(dim + 1, n, hgd_sigma_integral(dim, domain, rel_tol),
+    return pc_general(dim + 1, n, hgd_sigma_integral(dim, domain),
                       log_vol_theta=hy.log_ball_volume(dim, domain.radius_R))
 
 
-def rm_nml_codelength(data: Dataset, domain: ParamDomain = ParamDomain(),
-                      rel_tol: float = 1e-10) -> CodeLengthReport:
+def rm_nml_codelength(data: Dataset, domain: ParamDomain = ParamDomain()) -> CodeLengthReport:
     """Volume-element NML code-length of ``data`` in nats.
 
     Maximized negative log-likelihood plus log parametric complexity; the
@@ -170,7 +168,7 @@ def rm_nml_codelength(data: Dataset, domain: ParamDomain = ParamDomain(),
     asymptotic complexity formula is not reliable.
     """
     fit = mle(data, domain)
-    pc = pc_hgd(data.dim, data.n, domain, rel_tol)
+    pc = pc_hgd(data.dim, data.n, domain)
     return CodeLengthReport(
         neg_max_loglik=-fit.max_log_lik,
         log_pc=pc.total_log_pc,

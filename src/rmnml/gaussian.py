@@ -50,6 +50,8 @@ _RADIAL_NODES = 96
 _RADIAL_WINDOW = 10.0
 #: sigma past which sigma^2 overflows.
 _SIGMA_SQUARE_MAX = math.sqrt(sys.float_info.max)
+#: sigma below which sigma^2 is no longer a normal float.
+_SIGMA_SQUARE_MIN = math.sqrt(sys.float_info.min)
 #: (D-1) times the largest sigma :func:`radial_moments` holds at D >= 2.
 _SIGMA_CEILING = sys.float_info.max / (2.0 * _RADIAL_WINDOW)
 
@@ -63,7 +65,8 @@ class RgdParams:
     """Location/scale parameters (mu, sigma) of the hyperbolic Gaussian.
 
     ``mu`` is stored as a read-only copy of its (D+1,) Lorentz coordinates,
-    checked to lie on H^D.
+    checked to lie on H^D.  ``sigma`` must be finite and at least
+    sqrt(float min), about 1.49e-154, where sigma^2 is still a normal float.
     """
 
     mu: np.ndarray
@@ -81,6 +84,9 @@ class RgdParams:
         object.__setattr__(self, "mu", mu)
         if not 0 < self.sigma < math.inf:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+        if self.sigma < _SIGMA_SQUARE_MIN:
+            raise ValueError(f"sigma must be at least {_SIGMA_SQUARE_MIN:.3g}, where "
+                             f"sigma^2 underflows; got {self.sigma}")
 
     @property
     def dim(self) -> int:
@@ -186,16 +192,7 @@ def radial_moments(dim: int, sigma):
     cached x + 1 and log w are read-only, so no pass can write into them.
     """
     s = np.asarray(sigma, dtype=float)[..., None]
-    if dim > 1:
-        capped = np.minimum(s, 20.0 / math.sqrt(dim - 1))
-        a = (dim - 1) * capped * capped
-        mode = np.sqrt(a * (a + 1.0))
-        for _ in range(2):
-            tanh = np.tanh(mode)
-            mode = mode - (mode * tanh - a) / (tanh + mode * (1.0 - tanh * tanh))
-        slope = (dim - 1) / np.tanh(mode)  # k
-    else:
-        slope = np.zeros_like(s)
+    slope = _mode_slope(dim, s)  # k
     k_sigma = slope * s  # m / sigma
     below = np.minimum(k_sigma, _RADIAL_WINDOW)  # the window is tau in [-below, 10]
     half = 0.5 * (_RADIAL_WINDOW + below)
@@ -238,6 +235,19 @@ def radial_moments(dim: int, sigma):
     log_xi = (hy.log_sphere_area(dim) - (dim - 1) * math.log(2.0) + offset[..., 0]
               + np.log(z * half[..., 0]) + log_s)
     return log_xi, log_scale + np.log(mode_sq + mean_q), 2.0 * log_scale + np.log(var_q)
+
+
+def _mode_slope(dim: int, s: np.ndarray) -> np.ndarray:
+    """k = m / sigma^2 at the mode m of log w, as :func:`radial_moments` finds it."""
+    if dim == 1:
+        return np.zeros_like(s)
+    capped = np.minimum(s, 20.0 / math.sqrt(dim - 1))
+    a = (dim - 1) * capped * capped
+    mode = np.sqrt(a * (a + 1.0))
+    for _ in range(2):
+        tanh = np.tanh(mode)
+        mode = mode - (mode * tanh - a) / (tanh + mode * (1.0 - tanh * tanh))
+    return (dim - 1) / np.tanh(mode)
 
 
 def check_sigma_max(dim: int, sigma_max: float) -> None:
@@ -299,8 +309,11 @@ def log_lik(data: Dataset, params: RgdParams) -> float:
 
 
 def _radial_table(dim: int, sigma: float):
-    """4096-node inverse-CDF table of the radial density on [0, cutoff]."""
-    r = np.linspace(0.0, radial_cutoff(dim, sigma, tail=12.0), 4096)
+    """4096-node inverse-CDF table of the radial density on [0, end]; end is at
+    least 10 sigma past the mode m = k sigma^2, where D is large and (D-1) sigma^2 small."""
+    mode = float(_mode_slope(dim, np.float64(sigma))) * sigma * sigma
+    end = max(radial_cutoff(dim, sigma, tail=12.0), mode + _RADIAL_WINDOW * sigma)
+    r = np.linspace(0.0, end, 4096)
     logw = log_radial_weight(dim, r, sigma)
     w = np.exp(logw - np.max(logw))
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * np.diff(r))])
@@ -317,16 +330,13 @@ def sample(n: int, params: RgdParams, seed: int) -> Dataset:
     polar point at the origin is then carried to ``mu`` by the isometry
     :func:`rmnml.hyperbolic.isometry_to`.  Deterministic for a fixed seed.
 
-    The table spans [0, sigma^2 (D-1) + 12 sigma] in 4095 steps, and
-    interpolation adds about step^2 / 3 to Var(r).  Where the span passes the
-    mode, E[d^2] of the drawn law is within a relative 1e-5 of
+    The table spans [0, max(sigma^2 (D-1) + 12 sigma, m + 10 sigma)] in 4095
+    steps, m the mode, and interpolation adds about step^2 / 3 to Var(r).
+    E[d^2] of the drawn law is within a relative 1e-5 of
     :func:`radial_moments`, but Var(d^2) runs high by 2.9% at (D, sigma) =
     (3000, 0.4) (step 0.30 sigma) and by 8.0% at (10000, 0.2) (step 0.49
-    sigma).  At large D and small (D-1) sigma^2 the span ends below the mode
-    and the draws are wrong with no error: at (1000, 0.02), where it ends at
-    0.640 and the mode is near 0.68, 4,000 seed-1 draws give 0.877 times the
-    kernel's E[d^2] and 0.072 times its Var(d^2).  Item 2 of ROADMAP.md
-    plans exact rejection sampling in place of the table.
+    sigma).  Item 2 of ROADMAP.md plans exact rejection sampling in place of
+    the table.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -110,7 +110,8 @@ def isometry_to(mu: np.ndarray) -> np.ndarray:
     """Lorentz boost T with T o = mu and <Tx,Ty>_L = <x,y>_L.
 
     The returned (D+1)x(D+1) matrix maps the origin to ``mu`` and preserves
-    all Minkowski products, hence all distances.
+    all Minkowski products, hence all distances.  Its spatial block
+    I + (mu0 - 1) u u^T is written in place, so T is the only (D+1)^2 array.
     """
     d = mu.size - 1
     spatial = mu[1:]
@@ -122,7 +123,10 @@ def isometry_to(mu: np.ndarray) -> np.ndarray:
     T[0, 0] = mu[0]                     # cosh(r)
     T[0, 1:] = s * u                    # sinh(r) u
     T[1:, 0] = s * u
-    T[1:, 1:] = np.eye(d) + (mu[0] - 1.0) * np.outer(u, u)
+    block = np.outer(u, u, out=T[1:, 1:])
+    block *= mu[0] - 1.0
+    block += 0.0  # -0.0 to 0.0, as the sum with the identity gives
+    block[np.diag_indices(d)] += 1.0
     return T
 
 

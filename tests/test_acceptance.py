@@ -260,7 +260,7 @@ def test_criterion_12_corollary_discrepancy_resolution():
     for dim, n, domain in [(1, 100, ParamDomain(1.5, 0.5, 2.0)),
                            (2, 1000, ParamDomain(3.0, 0.3, 2.0)),
                            (3, 500, ParamDomain(2.0, 0.4, 2.5))]:
-        kernel = pc_hgd(dim, n, domain, rel_tol).total_log_pc
+        kernel = pc_hgd(dim, n, domain).total_log_pc
         int_rebuilt = adaptive_gauss_kronrod(
             lambda s: closed_sigma_integrand(dim, s, xi_fd_derivatives),
             domain.sigma_min, domain.sigma_max, rel_tol)
@@ -268,7 +268,7 @@ def test_criterion_12_corollary_discrepancy_resolution():
             dim + 1, n, math.log(int_rebuilt),
             log_vol_theta=hy.log_ball_volume(dim, domain.radius_R)).total_log_pc
         worst = max(worst, abs(rebuilt - kernel) / abs(kernel))
-        int_kernel = math.exp(hgd_sigma_integral(dim, domain, rel_tol))
+        int_kernel = math.exp(hgd_sigma_integral(dim, domain))
         worst = max(worst, abs(int_rebuilt - int_kernel) / int_kernel)
     report(12, "Fisher-form resolution", worst <= 1e-5,
            f"max rel gap kernel vs derivative-oracle rebuild {worst:.2e} (tol 1e-05)")

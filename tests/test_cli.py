@@ -15,7 +15,7 @@ import rmnml
 from rmnml import cli, coding, hyperbolic as hy, quadrature
 from rmnml.cli import (InputError, build_parser, load_dataset, main, parse_sigma_range,
                        select_best, write_dataset)
-from rmnml.complexity import ParamDomain, pc_hgd, rm_nml_codelength
+from rmnml.complexity import ParamDomain, _log_sigma_integrand, pc_hgd, rm_nml_codelength
 from rmnml.gaussian import Dataset, EstimationError, RgdParams, sample
 from rmnml.quadrature import QuadratureError
 from rmnml.validation import xi
@@ -34,7 +34,7 @@ class TestPcCommand:
                     "--sigma", "0.3:2", "--out", str(out)])
         assert code == 0
         payload = json.loads(out.read_text())
-        ref = pc_hgd(2, 1000, ParamDomain(3.0, 0.3, 2.0), 1e-10)
+        ref = pc_hgd(2, 1000, ParamDomain(3.0, 0.3, 2.0))
         assert payload["k"] == ref.k
         assert payload["term_kn"] == ref.term_kn
         assert payload["term_volume"] == ref.term_volume
@@ -94,10 +94,27 @@ class TestPcCommand:
         assert payload["term_volume"] == pytest.approx(
             log_ball_volume_oracle(dim, radius), rel=1e-10)
 
-    @pytest.mark.parametrize("rel_tol", ["0", "-1e-10", "nan"])
-    def test_non_positive_rel_tol_is_usage_error(self, rel_tol, capsys):
-        assert run(["pc", "--dim", "2", "--n", "100", f"--rel-tol={rel_tol}"]) == 2
-        assert capsys.readouterr().err == "error: rel_tol must be positive\n"
+    @pytest.mark.parametrize("command", [["pc", "--dim", "2", "--n", "100"],
+                                         ["codelength", "--data", "d.json"]],
+                             ids=["pc", "codelength"])
+    def test_rel_tol_is_not_an_option(self, command, capsys):
+        # the sigma rule's tolerance is a constant of rmnml.quadrature
+        with pytest.raises(SystemExit) as excinfo:
+            run([*command, "--rel-tol", "1e-8"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --rel-tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sigma", ["0.01:10", "0.01:20", "0.005:10"])
+    def test_thin_layer_at_sigma_min_converges(self, sigma, capsys):
+        # at D = 1e4 the log integrand falls from sigma_min at a slope of about
+        # -D in log sigma; the doubling rule first agrees with itself at 2,048
+        # nodes
+        assert run(["pc", "--dim", "10000", "--n", "100", "--sigma", sigma]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        lo, hi = map(float, sigma.split(":"))
+        reference = quadrature.log_gauss_legendre(
+            lambda u: _log_sigma_integrand(10000, u), math.log(lo), math.log(hi), 4096)
+        assert payload["term_fisher"] == pytest.approx(reference, abs=1e-9)
 
     @pytest.mark.parametrize("argv, bound", [
         (["--dim", "2", "--radius", "inf"], "radius_R"),
@@ -322,6 +339,21 @@ class TestSampleCommand:
         data = load_dataset(str(out))
         d = hy.dist_many(mu, data.coords)
         assert float(np.median(d)) < 1.0
+
+
+@pytest.mark.parametrize("command", [["sample", "--dim", "2", "--n", "10", "--out", "x.json"],
+                                     ["coding-demo", "--grid", "4"]],
+                         ids=["sample", "coding-demo"])
+def test_sigma_whose_square_underflows_is_usage_error(command, tmp_path, monkeypatch, capsys):
+    # below sqrt(float min) sigma^2 leaves the normal floats: sample's table
+    # was all nan, and coding-demo divided by zero
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([*command, "--sigma", "1e-200"]) == 2
+    assert capsys.readouterr().err == ("error: sigma must be at least 1.49e-154, where "
+                                       "sigma^2 underflows; got 1e-200\n")
+    assert not (tmp_path / "x.json").exists()
 
 
 class TestCodelengthCommand:
@@ -793,7 +825,7 @@ def test_reused_parser_matches_fresh_parser(tmp_path, monkeypatch, capsys):
     assert sorted(files) == ["cl.csv", "cl.json", "d1.json", "d2.json", "d3.json"]
     # no value carries over: the second select-dim scores 2 files on the
     # default domain, and the last codelength prints on the default domain
-    default_pc = pc_hgd(2, 60, ParamDomain(), 1e-10).total_log_pc
+    default_pc = pc_hgd(2, 60, ParamDomain()).total_log_pc
     first, second = (json.loads(c[1]) for c in calls[6:8])
     assert [e["dim"] for e in first["scores"]] == [1, 2, 3]
     assert [e["dim"] for e in second["scores"]] == [2, 3]

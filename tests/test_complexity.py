@@ -90,14 +90,14 @@ class TestPcHgd:
         # and integrate it by adaptive Gauss-Kronrod, apart from the moment kernel
         domain = ParamDomain(radius_R=3.0, sigma_min=0.3, sigma_max=2.0)
         rel_tol = 1e-8
-        kernel = pc_hgd(2, 1000, domain, rel_tol)
+        kernel = pc_hgd(2, 1000, domain)
         rebuilt_int = adaptive_gauss_kronrod(
             lambda s: closed_sigma_integrand(2, s, xi_fd_derivatives),
             domain.sigma_min, domain.sigma_max, rel_tol)
         rebuilt = pc_general(3, 1000, math.log(rebuilt_int),
                              log_vol_theta=hy.log_ball_volume(2, 3.0))
         assert rebuilt.total_log_pc == pytest.approx(kernel.total_log_pc, rel=1e-5)
-        kernel_int = math.exp(hgd_sigma_integral(2, domain, rel_tol))
+        kernel_int = math.exp(hgd_sigma_integral(2, domain))
         assert rebuilt_int == pytest.approx(kernel_int, rel=1e-5)
 
 

@@ -5,9 +5,9 @@ import pytest
 
 from rmnml import hyperbolic as hy
 from rmnml.complexity import ParamDomain, _log_sigma_integrand, hgd_sigma_integral
-from rmnml.gaussian import (Dataset, RgdParams, _radial_rule, frechet_mean, log_lik,
-                            log_pdf_vol_many, log_radial_weight, mle, radial_cutoff,
-                            radial_moments, sample)
+from rmnml.gaussian import (_SIGMA_SQUARE_MIN, Dataset, RgdParams, _radial_rule,
+                            _radial_table, frechet_mean, log_lik, log_pdf_vol_many,
+                            log_radial_weight, mle, radial_cutoff, radial_moments, sample)
 from rmnml.validation import (adaptive_gauss_kronrod, exp_map, xi, xi_derivatives,
                               xi_quadrature_oracle)
 
@@ -390,6 +390,23 @@ class TestSample:
     def test_sigma_must_be_positive_and_finite(self, sigma):
         with pytest.raises(ValueError, match="sigma must be positive and finite"):
             RgdParams(hy.origin(2), sigma)
+
+    def test_sigma_whose_square_underflows_names_the_bound(self):
+        assert RgdParams(hy.origin(2), _SIGMA_SQUARE_MIN).sigma ** 2 > 0.0
+        with pytest.raises(ValueError, match=r"sigma must be at least 1\.49e-154, where "
+                                             r"sigma\^2 underflows; got 1e-160"):
+            RgdParams(hy.origin(2), 1e-160)
+
+    @pytest.mark.parametrize("dim, sigma", [(1000, 0.02), (10_000, 0.005)])
+    def test_table_reaches_the_mode(self, dim, sigma):
+        # the mode m lies past sigma^2 (D-1) + 12 sigma here, where the table
+        # used to end; sample maps its first n uniforms through the table, so
+        # these are the distances from mu of its seed-1 draws
+        grid, cdf = _radial_table(dim, sigma)
+        r = np.interp(np.random.default_rng(1).uniform(0.0, 1.0, 4000), cdf, grid)
+        _, log_mean, log_var = radial_moments(dim, sigma)
+        stderr = math.sqrt(math.exp(log_var) / r.size)
+        assert abs(float(np.mean(r * r)) - math.exp(log_mean)) <= 4.0 * stderr
 
 
 class TestMle:

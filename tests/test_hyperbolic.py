@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -245,6 +246,18 @@ class TestIsometry:
         T = hy.isometry_to(mu)
         assert np.all(np.isfinite(T))
         np.testing.assert_allclose(T @ hy.origin(2), mu, rtol=1e-12)
+
+    def test_allocates_one_matrix(self):
+        # the spatial block is written in place: no (D+1)^2 temporaries
+        dim = 2000
+        mu = polar_point(2.0, np.ones(dim) / math.sqrt(dim))
+        tracemalloc.start()
+        try:
+            hy.isometry_to(mu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (dim + 1) ** 2 * 8
 
     def test_preserves_minkowski_products(self, rng):
         mu = random_point(rng, 2)

@@ -244,9 +244,9 @@ def test_invalid_interval_and_spec():
     for integrate in (adaptive_gauss_kronrod, integrate_1d):
         with pytest.raises(ValueError):
             integrate(lambda x: x, 1.0, 0.0)
-        for rel_tol in (0.0, -1e-10, math.nan):
-            with pytest.raises(ValueError, match="rel_tol must be positive"):
-                integrate(lambda x: x, 0.0, 1.0, rel_tol)
+    for rel_tol in (0.0, -1e-10, math.nan):
+        with pytest.raises(ValueError, match="rel_tol must be positive"):
+            adaptive_gauss_kronrod(lambda x: x, 0.0, 1.0, rel_tol)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 32, 64, 96, 128, 256, 1024])
@@ -268,11 +268,11 @@ def test_gauss_legendre_rule(n):
 def test_log_gauss_legendre_rule():
     # log of exp(-x^2/2) over [-10, 10]; the rule sums in the log domain
     # and returns the log of the integral
-    value = integrate_1d(lambda x: -0.5 * x * x, -10.0, 10.0, TIGHT)
+    value = integrate_1d(lambda x: -0.5 * x * x, -10.0, 10.0)
     assert math.exp(value) == pytest.approx(math.sqrt(2.0 * math.pi), rel=1e-12)
-    big = integrate_1d(lambda x: 700.0 + 0.0 * x, 0.0, 1.0, TIGHT)
+    big = integrate_1d(lambda x: 700.0 + 0.0 * x, 0.0, 1.0)
     assert math.exp(big) == pytest.approx(math.exp(700.0), rel=1e-12)
     # an integral beyond the float range has a finite log; abs 1e-12 on the
     # log is rel 1e-12 on the integral
-    huge = integrate_1d(lambda x: 710.0 + 0.0 * x, 0.0, 2.0, TIGHT)
+    huge = integrate_1d(lambda x: 710.0 + 0.0 * x, 0.0, 2.0)
     assert huge == pytest.approx(710.0 + math.log(2.0), abs=1e-12)
