@@ -4,8 +4,8 @@ Subcommands: ``pc``, ``codelength``, ``sample``, ``select-dim``,
 ``validate``, ``coding-demo``.  Exit codes: 0 on success, 1 when a
 validation suite fails, 2 on usage or input errors, 3 when a numerical
 stage fails (quadrature, estimation, or a value beyond the float range)
-or an array does not fit in memory (``sample`` builds a dense
-(D+1) x (D+1) isometry: 80 GB at D = 1e5).
+or an array does not fit in memory (``sample`` holds its n draws as
+(n, D+1) floats: 80 GB at n = D = 1e5).
 Datasets are JSON files
 ``{"chart": "lorentz", "dim": D, "points": [[x0, ..., xD], ...]}``;
 ``"chart": "poincare"`` with D-component points is accepted on input and

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import hyperbolic as hy
 from .gaussian import Dataset, check_sigma_max, log_fisher_factors, mle
-from .quadrature import integrate_1d
+from .quadrature import QuadratureError, integrate_1d
 
 #: Default compact parameter domain (geodesic ball radius, sigma interval).
 DEFAULT_RADIUS = 3.0
@@ -138,10 +138,42 @@ def hgd_sigma_integral(dim: int, domain: ParamDomain) -> float:
     integrand in u = log sigma goes to :func:`integrate_1d`, the doubling
     Gauss-Legendre rule, which stops once two successive logs agree within
     1e-10 and otherwise raises :class:`QuadratureError` with the best
-    estimate of the log.
+    estimate of the log.  Its message then also names the sigma where the
+    log integrand peaks and the width of the layer there (see
+    :func:`_layer`): at large D with (D - 1) sigma_min^2 small, the mass
+    sits in a layer at sigma_min about 1/D wide in u, too thin for the rule.
     """
-    return integrate_1d(lambda u: _log_sigma_integrand(dim, u),
-                        math.log(domain.sigma_min), math.log(domain.sigma_max))
+    a, b = math.log(domain.sigma_min), math.log(domain.sigma_max)
+
+    def log_f(u):
+        return _log_sigma_integrand(dim, u)
+
+    try:
+        return integrate_1d(log_f, a, b)
+    except QuadratureError as exc:
+        peak, width = _layer(log_f, a, b)
+        raise QuadratureError(f"{exc}: the integrand peaks at sigma = {math.exp(peak):.6g}, "
+                              f"in a layer {width:.2g} wide in log sigma",
+                              best_estimate=exc.best_estimate) from exc
+
+
+def _layer(log_f, a: float, b: float) -> tuple[float, float]:
+    """The end of [a, b] where ``log_f`` peaks, and the distance in which it falls by 1.
+
+    The log sigma integrand is convex in u (its second differences on
+    sigma in [1e-6, 1e30] are nonnegative up to rounding for D = 1 to 1e6),
+    so it peaks at an end.  The width is h / fall(h) at the first
+    h = (b - a) 2^-k, k = 60, ..., 1, inward from that end, where the fall
+    reaches 1: 1/|slope| for a linear fall, and b - a if it never does.
+    """
+    ends = log_f(np.array([a, b]))
+    peak, inward = (a, 1.0) if ends[0] >= ends[1] else (b, -1.0)
+    steps = (b - a) * 2.0 ** -np.arange(60.0, 0.0, -1.0)
+    fall = ends.max() - log_f(peak + inward * steps)
+    reached = np.flatnonzero(fall >= 1.0)
+    if not reached.size:
+        return peak, b - a
+    return peak, float(steps[reached[0]] / fall[reached[0]])
 
 
 def pc_hgd(dim: int, n: int, domain: ParamDomain) -> PcResult:

@@ -327,8 +327,9 @@ def sample(n: int, params: RgdParams, seed: int) -> Dataset:
     The radius follows the density proportional to
     exp(-r^2 / 2 sigma^2) sinh^(D-1) r via a 4096-node inverse-CDF table
     with linear interpolation; the direction is uniform on S^(D-1).  The
-    polar point at the origin is then carried to ``mu`` by the isometry
-    :func:`rmnml.hyperbolic.isometry_to`.  Deterministic for a fixed seed.
+    polar point at the origin is then carried to ``mu`` by
+    :func:`rmnml.hyperbolic.boost`, in O(nD).  Deterministic for a fixed
+    seed.
 
     The table spans [0, max(sigma^2 (D-1) + 12 sigma, m + 10 sigma)] in 4095
     steps, m the mode, and interpolation adds about step^2 / 3 to Var(r).
@@ -357,7 +358,7 @@ def sample(n: int, params: RgdParams, seed: int) -> Dataset:
     with np.errstate(over="ignore", invalid="ignore"):
         coords[:, 0] = np.cosh(radii)
         coords[:, 1:] = np.sinh(radii)[:, None] * dirs
-        moved = coords @ hy.isometry_to(params.mu).T
+        moved = hy.boost(params.mu, coords)
     if not np.isfinite(moved).all():
         r_mu = math.acosh(max(float(params.mu[0]), 1.0))
         raise ValueError(f"sigma = {params.sigma!r} with mu at distance {r_mu:.6g} draws "

@@ -130,6 +130,28 @@ def isometry_to(mu: np.ndarray) -> np.ndarray:
     return T
 
 
+def boost(mu: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """The rows of ``points`` carried by T = :func:`isometry_to` (mu), in O(nD).
+
+    T is the identity plus a rank-2 update: with mu = (mu0, s u), |u| = 1,
+    (Ty)_0 = mu0 y0 + s (u . y_s) and
+    (Ty)_s = y_s + u (s y0 + (mu0 - 1)(u . y_s)),
+    so the (D+1)^2 matrix is not formed.  At the origin ``points`` itself
+    is returned.
+    """
+    spatial = mu[1:]
+    s = math.hypot(*spatial)
+    if s == 0.0:
+        return points
+    u = spatial / s
+    y0, ys = points[:, 0], points[:, 1:]
+    along = ys @ u
+    moved = np.empty_like(points)
+    moved[:, 0] = mu[0] * y0 + s * along
+    moved[:, 1:] = ys + np.outer(s * y0 + (mu[0] - 1.0) * along, u)
+    return moved
+
+
 def log_sphere_area(dim: int) -> float:
     """log of the surface area 2 pi^(D/2) / Gamma(D/2) of the unit sphere S^(D-1)
     in R^D, finite at every dimension."""

@@ -208,6 +208,23 @@ class TestPcCommand:
         assert code in (0, cli.NUMERICAL_ERROR)
         assert "nan" not in captured.out + captured.err
 
+    def test_thin_layer_failure_names_the_layer(self, capsys):
+        # the log integrand falls from sigma_min at a slope of about -1e10 in
+        # log sigma, so its mass sits in a layer about 1e-10 wide, which the
+        # 2,048-node rule does not resolve
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["pc", "--dim", "10000000000", "--n", "100", "--sigma", "1e-6:1e-5"])
+        err = capsys.readouterr().err
+        assert code == cli.NUMERICAL_ERROR
+        found = re.search(r"peaks at sigma = (\S+), in a layer (\S+) wide in log sigma", err)
+        assert found is not None, err
+        assert float(found.group(1)) == pytest.approx(1e-6, rel=1e-5)
+        u = math.log(1e-6) + np.array([0.0, 1e-9])
+        values = _log_sigma_integrand(10**10, u)
+        width = 1e-9 / abs(values[1] - values[0])  # 1 / |slope| at sigma_min
+        assert width / 3 <= float(found.group(2)) <= 3 * width
+
     # at D = 1e4 and 3e4 the sigma integrand falls about as sigma^-(D+1),
     # and the doubling rule in log sigma must still agree by 1,024 nodes
     @pytest.mark.parametrize("dim", [8, 16, 10_000, 30_000])
@@ -317,17 +334,28 @@ class TestSampleCommand:
         assert not out.exists()
 
     def test_out_of_memory_exit_code(self, monkeypatch, tmp_path, capsys):
-        # sample builds a dense (D+1) x (D+1) isometry, 80 GB at D = 1e5
-        def exhausted(mu):
-            raise MemoryError("Unable to allocate 74.5 GiB for an array with "
-                              "shape (100001, 100001) and data type float64")
-        monkeypatch.setattr(hy, "isometry_to", exhausted)
+        # sample draws an (n, D) Gaussian block for the directions, 80 GB at
+        # n = D = 1e5
+        default_rng = np.random.default_rng
+
+        class Exhausted:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def uniform(self, *args):
+                return self.rng.uniform(*args)
+
+            def standard_normal(self, size):
+                raise MemoryError("Unable to allocate 74.5 GiB for an array with "
+                                  "shape (100000, 100000) and data type float64")
+
+        monkeypatch.setattr(np.random, "default_rng", Exhausted)
         out = tmp_path / "x.json"
         assert run(["sample", "--dim", "2", "--n", "3", "--sigma", "1",
                     "--out", str(out)]) == 3
         assert capsys.readouterr().err == (
             "error: out of memory: Unable to allocate 74.5 GiB for an array with "
-            "shape (100001, 100001) and data type float64\n")
+            "shape (100000, 100000) and data type float64\n")
         assert not out.exists()
 
     def test_custom_mu(self, tmp_path):

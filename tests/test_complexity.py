@@ -10,8 +10,9 @@ from rmnml.gaussian import Dataset, RgdParams, log_pdf_vol_many, mle, sample
 from rmnml.quadrature import QuadratureError
 from rmnml.validation import adaptive_gauss_kronrod, pc_mc_gauss1d
 
-from conftest import (closed_sigma_integrand, lorentz_to_poincare, polar_point,
-                      random_dataset, random_point, sqrt_det_metric, xi_fd_derivatives)
+from conftest import (closed_sigma_integrand, exact_d1_gap, log_exact_complexity_d1,
+                      lorentz_to_poincare, polar_point, random_dataset, random_point,
+                      sqrt_det_metric, xi_fd_derivatives)
 
 DOMAIN = ParamDomain(radius_R=3.0, sigma_min=0.1, sigma_max=3.0)
 
@@ -74,6 +75,15 @@ class TestPcHgd:
         result = pc_hgd(1, 100, domain)
         assert result.total_log_pc == pytest.approx(reference.total_log_pc, rel=1e-10)
         assert hy.log_ball_volume(1, 1.5) == math.log(3.0)  # vol = 2R on the line
+
+    @pytest.mark.parametrize("n", [10, 100, 1_000, 10_000, 100_000])
+    def test_exact_finite_n_complexity_at_dim_one(self, n):
+        # the dropped o(1) term at D = 1: n (log C_n - pc_hgd) = -11/12 - 1/2n + O(n^-2)
+        domain = ParamDomain()
+        direct = log_exact_complexity_d1(n, domain) - pc_hgd(1, n, domain).total_log_pc
+        gap = exact_d1_gap(n)
+        assert abs(direct - gap) <= 1e-10
+        assert abs(n * gap + 11.0 / 12.0) <= 0.6 / n
 
     def test_monotone_in_radius(self):
         totals = [pc_hgd(2, 200, ParamDomain(r, 0.3, 2.0)).total_log_pc

@@ -259,6 +259,29 @@ class TestIsometry:
             tracemalloc.stop()
         assert peak < 1.5 * (dim + 1) ** 2 * 8
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 10, 50])
+    def test_boost_applies_the_matrix(self, dim, rng):
+        points = np.array([random_point(rng, dim, 3.0) for _ in range(40)])
+        for _ in range(5):
+            mu = random_point(rng, dim, 3.0)
+            expected = points @ hy.isometry_to(mu).T
+            scale = mu[0] * points[:, :1]  # the size of each moved row's terms
+            assert np.all(np.abs(hy.boost(mu, points) - expected) <= 1e-14 * scale)
+        assert hy.boost(hy.origin(dim), points) is points
+
+    def test_boost_does_not_form_the_matrix(self):
+        dim = 2000
+        mu = polar_point(2.0, np.ones(dim) / math.sqrt(dim))
+        points = np.tile(hy.origin(dim), (10, 1))
+        tracemalloc.start()
+        try:
+            hy.boost(mu, points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the result and one (n, D) temporary; T would be 200 times the points
+        assert peak < 5 * points.nbytes
+
     def test_preserves_minkowski_products(self, rng):
         mu = random_point(rng, 2)
         T = hy.isometry_to(mu)

@@ -1,4 +1,8 @@
 import math
+import sys
+
+import numpy as np
+import pytest
 
 from rmnml import validation
 from rmnml.validation import (check_kraft, check_mc_pipeline,
@@ -75,3 +79,42 @@ def test_xi_oracle_evaluation_count(monkeypatch):
     count = _abscissae_through_f(monkeypatch)
     assert check_xi().passed
     assert 0 < count[0] <= 15_000
+
+
+def _math_erfc(x: np.ndarray) -> np.ndarray:
+    return np.array([math.erfc(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def test_erfc_matches_math_erfc_on_a_dense_grid():
+    x = np.linspace(-7.0, 27.5, 345_001)  # step 1e-4
+    got, ref = validation._erfc(x), _math_erfc(x)
+    normal = ref >= sys.float_info.min
+    assert np.max(np.abs(got - ref)[normal] / ref[normal]) <= 1e-14
+    assert np.max(np.abs(got - ref)[~normal]) <= 1e-320  # the subnormal tail, x > 26.55
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0, math.inf, -math.inf, math.nan, 26.6, 27.0,
+                                   27.2, 27.3, 28.0, 1e300, -1e300, 5e-324])
+def test_erfc_special_values_and_the_subnormal_tail(value):
+    got = float(validation._erfc(np.array([value]))[0])
+    ref = math.erfc(value)
+    if math.isnan(ref):
+        assert math.isnan(got)
+    elif ref < sys.float_info.min:
+        assert abs(got - ref) <= 1e-320
+    else:
+        assert got == ref
+
+
+def test_erfc_entry_does_not_depend_on_the_array_size():
+    block = validation._ERFC_BLOCK
+    x = np.random.default_rng(5).uniform(-8.0, 30.0, block + 1)
+    whole = validation._erfc(x)
+    for size in (0, 1, block - 1, block, block + 1):
+        assert np.array_equal(validation._erfc(x[:size]), whole[:size])
+    shaped = validation._erfc(x[:-1].reshape(128, -1))
+    assert shaped.shape == (128, block // 128)
+    assert np.array_equal(shaped.ravel(), whole[:-1])
+    # the last entry alone, and in the first block of a shifted array
+    assert validation._erfc(x[-1:])[0] == whole[-1]
+    assert validation._erfc(x[::-1])[0] == whole[-1]
