@@ -17,7 +17,7 @@ from .complexity import (CodeLengthReport, ParamDomain, PcResult, chart_gap,
 from .gaussian import (Dataset, MleFit, RgdParams, log_fisher_factors, log_lik,
                        mle, sample)
 from .hyperbolic import (CHART_LORENTZ_GRAPH, CHART_POINCARE, GeometryError,
-                         isometry_to, log_ball_volume, origin)
+                         log_ball_volume, origin)
 from .quadrature import QuadratureError
 
 __version__ = "0.1.0"
@@ -25,7 +25,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CHART_LORENTZ_GRAPH", "CHART_POINCARE", "CodeLengthReport", "Dataset",
     "GeometryError", "MleFit", "ParamDomain", "PcResult", "QuadratureError",
-    "RgdParams", "chart_gap", "isometry_to", "log_ball_volume",
-    "log_fisher_factors", "log_lik", "mle", "origin", "pc_general", "pc_hgd",
-    "regret", "rm_nml_codelength", "sample",
+    "RgdParams", "chart_gap", "log_ball_volume", "log_fisher_factors",
+    "log_lik", "mle", "origin", "pc_general", "pc_hgd", "regret",
+    "rm_nml_codelength", "sample",
 ]

@@ -5,7 +5,9 @@ Subcommands: ``pc``, ``codelength``, ``sample``, ``select-dim``,
 validation suite fails, 2 on usage or input errors, 3 when a numerical
 stage fails (quadrature, estimation, or a value beyond the float range)
 or an array does not fit in memory (``sample`` holds its n draws as
-(n, D+1) floats: 80 GB at n = D = 1e5).
+(n, D+1) floats: 80 GB at n = D = 1e5), and 141 (the shell's 128 +
+SIGPIPE) when the reader of stdout has closed it, with no traceback.  A
+named output file that cannot be written is an input error.
 Datasets are JSON files
 ``{"chart": "lorentz", "dim": D, "points": [[x0, ..., xD], ...]}``;
 ``"chart": "poincare"`` with D-component points is accepted on input and
@@ -19,9 +21,11 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import itertools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -35,6 +39,7 @@ from .quadrature import QuadratureError
 USAGE_ERROR = 2
 VALIDATION_ERROR = 1
 NUMERICAL_ERROR = 3
+BROKEN_PIPE = 141
 
 
 class InputError(ValueError):
@@ -132,29 +137,37 @@ def load_dataset(path: str) -> Dataset:
         raise InputError(f"{path}: {exc}") from exc
 
 
+def _write_file(path: str, text: str, newline: str | None = None):
+    """Write ``text`` to the file ``path``; an OSError is an InputError naming it."""
+    try:
+        with open(path, "w", newline=newline) as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 def write_dataset(path: str, data: Dataset):
     payload = {
         "chart": "lorentz",
         "dim": data.dim,
         "points": data.coords.tolist(),
     }
-    with open(path, "w") as handle:
-        handle.write(json.dumps(payload) + "\n")
+    _write_file(path, json.dumps(payload) + "\n")
 
 
 def _emit(payload: dict, out: str | None, csv_out: str | None = None):
     text = json.dumps(payload, indent=2)
     if out:
-        with open(out, "w") as handle:
-            handle.write(text + "\n")
+        _write_file(out, text + "\n")
     else:
         print(text)
     if csv_out:
         flat = {k: v for k, v in payload.items() if not isinstance(v, (dict, list))}
-        with open(csv_out, "w", newline="") as handle:
-            writer = csv.DictWriter(handle, fieldnames=list(flat))
-            writer.writeheader()
-            writer.writerow(flat)
+        table = io.StringIO(newline="")
+        writer = csv.DictWriter(table, fieldnames=list(flat))
+        writer.writeheader()
+        writer.writerow(flat)
+        _write_file(csv_out, table.getvalue(), newline="")
 
 
 def _domain_from(args) -> ParamDomain:
@@ -370,7 +383,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull so that the flush at
+        # exit cannot raise again (the note on SIGPIPE in the signal docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return BROKEN_PIPE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

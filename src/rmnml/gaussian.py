@@ -11,7 +11,9 @@ over those moments, :func:`log_fisher_factors`.  The paper's closed form
 of xi, and the Monte-Carlo and quadrature oracles of the Fisher information,
 are kept in :mod:`rmnml.validation`.  Also log-likelihoods, seeded sampling and
 maximum likelihood estimation by safeguarded Newton: for mu, the Frechet
-mean, with the Hessian sum_i [u u^T + d coth d (I - u u^T)] >= n I, step
+mean in the frame of the boost to mu (:func:`rmnml.hyperbolic.boost`, the
+one isometry kernel, which also carries the draws of :func:`sample`), with
+the Hessian sum_i [u u^T + d coth d (I - u u^T)] >= n I, step
 halving on too little decrease, and a stop below 1e-10 or at the rounding
 floor of its frame; for sigma, on log E[d^2].
 """
@@ -327,9 +329,9 @@ def sample(n: int, params: RgdParams, seed: int) -> Dataset:
     The radius follows the density proportional to
     exp(-r^2 / 2 sigma^2) sinh^(D-1) r via a 4096-node inverse-CDF table
     with linear interpolation; the direction is uniform on S^(D-1).  The
-    polar point at the origin is then carried to ``mu`` by
-    :func:`rmnml.hyperbolic.boost`, in O(nD).  Deterministic for a fixed
-    seed.
+    polar points at the origin are then carried to ``mu`` by the Lorentz
+    boost :func:`rmnml.hyperbolic.boost`, in O(nD); at the origin they are
+    returned as drawn.  Deterministic for a fixed seed.
 
     The table spans [0, max(sigma^2 (D-1) + 12 sigma, m + 10 sigma)] in 4095
     steps, m the mode, and interpolation adds about step^2 / 3 to Var(r).
@@ -370,11 +372,14 @@ def sample(n: int, params: RgdParams, seed: int) -> Dataset:
 def frechet_mean(coords: np.ndarray) -> np.ndarray:
     """Minimizer of f(mu) = sum_i d^2(x_i, mu) by safeguarded Riemannian Newton.
 
-    One (n, D) pass per iteration, in the frame E = columns 1..D of
-    T = :func:`rmnml.hyperbolic.isometry_to` (mu): a_i = <E, x_i>_L gives
-    sinh d_i = |a_i| and log_mu x_i = (d_i / sinh d_i) a_i.  The Hessian of f/2,
+    One (n, D) pass per iteration, in the frame of the boost T to mu
+    (:func:`rmnml.hyperbolic.boost`): a_i, the spatial part of T^-1 x_i, the
+    boost at (mu0, -mu_s), gives sinh d_i = |a_i| and
+    log_mu x_i = (d_i / sinh d_i) a_i.  The Hessian of f/2,
     sum_i [u_i u_i^T + d_i coth d_i (I - u_i u_i^T)] with u_i = a_i / |a_i|, is
-    >= n I, so the Newton step s exists; mu moves to T (cosh|s|, sinh|s| s/|s|).
+    >= n I, so the Newton step s exists; mu moves to the point with normal
+    coordinates s about it, T (cosh|s|, sinh|s| s/|s|)
+    (:func:`rmnml.hyperbolic.exp_normal`).
     A step is kept when f drops by a quarter of its first-order prediction,
     less the rounding of f, and is halved otherwise.  The frame rounds each
     log map by about 1e-15 mu0 x0_i d_i / sinh d_i, which sets that rounding
@@ -389,10 +394,10 @@ def frechet_mean(coords: np.ndarray) -> np.ndarray:
     # projection: start from a data point instead
     mink = float(mean[1:] @ mean[1:] - mean[0] * mean[0])
     mu = mean / math.sqrt(-mink) if mink <= -1.0 else coords[0].copy()
-    frame, eta, done = None, 1.0, False  # frame: the last kept point's isometry
+    frame, eta, done = None, 1.0, False  # frame: the last kept point
     for _ in range(_MAX_FRECHET_ITERATIONS):
-        T = hy.isometry_to(mu)
-        a = coords[:, 1:] @ T[1:, 1:] - np.outer(coords[:, 0], T[0, 1:])
+        inverse = np.concatenate([mu[:1], -mu[1:]])
+        a = hy.boost(inverse, coords)[:, 1:]
         sinh_d = np.sqrt(np.einsum("ij,ij->i", a, a))
         d = np.arcsinh(sinh_d)
         value = float(d @ d)
@@ -408,10 +413,8 @@ def frechet_mean(coords: np.ndarray) -> np.ndarray:
             step = np.linalg.solve(hess, grad)
             norm = math.sqrt(float(step @ step))
             done = norm < max(_FRECHET_STEP_TOL, float(error.mean()))
-            frame, kept_value, decrease, eta = T, value, _FRECHET_ARMIJO * 2.0 * (grad @ step), 1.0
-        scale = math.sinh(eta * norm) / norm if norm > 0.0 else 0.0
-        mu = frame @ np.concatenate([[math.cosh(eta * norm)], scale * step])
-        mu[0] = math.hypot(1.0, float(np.linalg.norm(mu[1:])))  # back onto the sheet
+            frame, kept_value, decrease, eta = mu, value, _FRECHET_ARMIJO * 2.0 * (grad @ step), 1.0
+        mu = hy.exp_normal(frame, eta * step)
         if done:
             return mu
     raise EstimationError(

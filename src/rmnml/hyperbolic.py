@@ -3,8 +3,8 @@
 A point is a (D+1,) float array on the upper sheet of the hyperboloid
 <x,x>_L = -1 in Minkowski space R^{D,1}, and a set of points an (n, D+1)
 array.  This module provides the hyperboloid check, distances, the
-conversion of Poincare-ball input, isometries and log geodesic ball
-volumes.  All functions are pure.
+conversion of Poincare-ball input, the Lorentz boost that carries the
+origin to any point, and log geodesic ball volumes.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -106,50 +106,45 @@ def poincare_to_lorentz(points: np.ndarray) -> np.ndarray:
     return np.column_stack([(1.0 + nrm2) / denom, 2.0 * points / denom[:, None]])
 
 
-def isometry_to(mu: np.ndarray) -> np.ndarray:
-    """Lorentz boost T with T o = mu and <Tx,Ty>_L = <x,y>_L.
+def boost(mu: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """The rows of ``points`` carried by the Lorentz boost T with T o = mu, in O(nD).
 
-    The returned (D+1)x(D+1) matrix maps the origin to ``mu`` and preserves
-    all Minkowski products, hence all distances.  Its spatial block
-    I + (mu0 - 1) u u^T is written in place, so T is the only (D+1)^2 array.
+    T preserves Minkowski products, hence distances, and is the identity
+    plus a rank-2 update: with mu = (mu0, s u), |u| = 1, T = I + B^T M B,
+    where B holds the rows e0 and (0, u) and M = [[mu0 - 1, s], [s, mu0 - 1]].
+    So the rows move as P + (P B^T)(M B), and no (D+1)^2 matrix is formed.
+    The inverse boost is the one at (mu0, -s u).  At the origin ``points``
+    itself is returned.
     """
-    d = mu.size - 1
     spatial = mu[1:]
     s = math.hypot(*spatial)  # np.linalg.norm overflows past |spatial| = 1.3e154
-    T = np.eye(d + 1)
-    if s == 0.0:
-        return T
-    u = spatial / s
-    T[0, 0] = mu[0]                     # cosh(r)
-    T[0, 1:] = s * u                    # sinh(r) u
-    T[1:, 0] = s * u
-    block = np.outer(u, u, out=T[1:, 1:])
-    block *= mu[0] - 1.0
-    block += 0.0  # -0.0 to 0.0, as the sum with the identity gives
-    block[np.diag_indices(d)] += 1.0
-    return T
-
-
-def boost(mu: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """The rows of ``points`` carried by T = :func:`isometry_to` (mu), in O(nD).
-
-    T is the identity plus a rank-2 update: with mu = (mu0, s u), |u| = 1,
-    (Ty)_0 = mu0 y0 + s (u . y_s) and
-    (Ty)_s = y_s + u (s y0 + (mu0 - 1)(u . y_s)),
-    so the (D+1)^2 matrix is not formed.  At the origin ``points`` itself
-    is returned.
-    """
-    spatial = mu[1:]
-    s = math.hypot(*spatial)
     if s == 0.0:
         return points
-    u = spatial / s
-    y0, ys = points[:, 0], points[:, 1:]
-    along = ys @ u
-    moved = np.empty_like(points)
-    moved[:, 0] = mu[0] * y0 + s * along
-    moved[:, 1:] = ys + np.outer(s * y0 + (mu[0] - 1.0) * along, u)
+    basis = np.zeros((2, mu.size))
+    basis[0, 0] = 1.0
+    basis[1, 1:] = spatial / s
+    c = mu[0] - 1.0
+    moved = (points @ basis.T) @ (np.array([[c, s], [s, c]]) @ basis)
+    moved += points
     return moved
+
+
+def exp_normal(base: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The point with normal coordinates ``t`` (in R^D) about ``base``.
+
+    The boost to ``base`` carries the origin's orthonormal tangent frame to
+    one at ``base``, so the point is that boost applied to
+    (cosh|t|, sinh|t| t/|t|), the geodesic exponential at the origin.  x0 is
+    then reset to sqrt(1 + |spatial|^2), back onto the sheet.
+    """
+    norm = math.sqrt(float(t @ t))
+    scale = math.sinh(norm) / norm if norm > 0.0 else 0.0
+    polar = np.concatenate([[math.cosh(norm)], scale * t])
+    point = boost(base, polar[None, :])[0]
+    # exact hyperboloid projection; without it iterated maps amplify the
+    # rounding residual geometrically
+    point[0] = math.hypot(1.0, float(np.linalg.norm(point[1:])))
+    return point
 
 
 def log_sphere_area(dim: int) -> float:

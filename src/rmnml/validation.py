@@ -16,7 +16,8 @@ oracles use :func:`adaptive_gauss_kronrod`, the oracle rule, defined here
 with its QK15 table so that the production kernels share nothing with it:
 9,720 integrand evaluations for the xi suite's 25 integrals and 2,580 for
 the reparameterization suite's 20, where adaptive Simpson took 138,329
-and 23,636.  :func:`exp_map` serves :func:`normal_chart` alone.  The
+and 23,636.  :func:`normal_chart` reads normal coordinates through
+:func:`rmnml.hyperbolic.exp_normal`, the Frechet mean's step.  The
 closed form and the Monte-Carlo oracle read erfc from :func:`_erfc`, a
 numpy kernel of Cody's rational Chebyshev approximations (W. J. Cody,
 "Rational Chebyshev approximations for the error function", Math. Comp.
@@ -25,6 +26,7 @@ numpy kernel of Cody's rational Chebyshev approximations (W. J. Cody,
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -356,39 +358,15 @@ class FisherBlock:
         return det, abs(det) * rel
 
 
-def exp_map(base: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Geodesic exponential cosh(|v|) base + sinh(|v|) v/|v|.
-
-    ``vec`` is a tangent vector at ``base`` (Minkowski-orthogonal to it);
-    that is not checked.
-    """
-    sq = float(vec[1:] @ vec[1:] - vec[0] * vec[0])
-    nrm = math.sqrt(max(sq, 0.0))
-    if nrm == 0.0:
-        return base.copy()
-    out = math.cosh(nrm) * base + math.sinh(nrm) / nrm * vec
-    # exact hyperboloid projection; without it iterated maps amplify the
-    # rounding residual geometrically
-    out[0] = math.hypot(1.0, float(np.linalg.norm(out[1:])))
-    return out
-
-
 def normal_chart(mu: np.ndarray):
     """Normal orthonormal coordinates at mu.
 
     Returns ``chart(t)`` mapping tangent coordinates t in R^D to the point
-    exp_mu(T e(t)) where T is the isometry carrying the origin (and its
-    orthonormal tangent frame) to mu.  The metric at t = 0 is the identity.
+    :func:`rmnml.hyperbolic.exp_normal` (mu, t): the geodesic exponential
+    at mu of the tangent vector that the boost to mu carries (0, t) to.
+    The metric at t = 0 is the identity.
     """
-    T = hy.isometry_to(mu)
-    dim = mu.size - 1
-
-    def chart(t: np.ndarray) -> np.ndarray:
-        v = np.zeros(dim + 1)
-        v[1:] = np.asarray(t, dtype=float)
-        return exp_map(mu, T @ v)
-
-    return chart
+    return functools.partial(hy.exp_normal, mu)
 
 
 def fisher_numeric(params: RgdParams, n_samples: int, seed: int) -> FisherBlock:

@@ -6,8 +6,42 @@ import pytest
 from rmnml import hyperbolic as hy
 from rmnml import gaussian, quadrature, validation
 from rmnml.gaussian import Dataset, RgdParams, log_fisher_factors, log_pdf_vol_many, sample
-from rmnml.validation import (FisherBlock, adaptive_gauss_kronrod, exp_map, normal_chart, xi,
+from rmnml.validation import (FisherBlock, adaptive_gauss_kronrod, normal_chart, xi,
                               xi_derivatives)
+
+
+def exp_map(base: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Geodesic exponential cosh(|v|) base + sinh(|v|) v/|v|.
+
+    ``vec`` is a tangent vector at ``base`` (Minkowski-orthogonal to it);
+    that is not checked.
+    """
+    sq = float(vec[1:] @ vec[1:] - vec[0] * vec[0])
+    nrm = math.sqrt(max(sq, 0.0))
+    if nrm == 0.0:
+        return base.copy()
+    out = math.cosh(nrm) * base + math.sinh(nrm) / nrm * vec
+    # exact hyperboloid projection; without it iterated maps amplify the
+    # rounding residual geometrically
+    out[0] = math.hypot(1.0, float(np.linalg.norm(out[1:])))
+    return out
+
+
+def isometry_matrix(mu: np.ndarray) -> np.ndarray:
+    """The (D+1)x(D+1) Lorentz boost T with T o = mu, written out entry by entry.
+
+    With mu = (mu0, s u), |u| = 1: T = [[mu0, s u^T], [s u, I + (mu0 - 1) u u^T]].
+    The reference that :func:`rmnml.hyperbolic.boost` is checked against.
+    """
+    s = math.hypot(*mu[1:])
+    T = np.eye(mu.size)
+    if s == 0.0:
+        return T
+    u = mu[1:] / s
+    T[0, 0] = mu[0]
+    T[0, 1:] = T[1:, 0] = s * u
+    T[1:, 1:] += (mu[0] - 1.0) * np.outer(u, u)
+    return T
 
 
 def random_point(rng: np.random.Generator, dim: int, max_radius: float = 2.0) -> np.ndarray:

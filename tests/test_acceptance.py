@@ -17,10 +17,10 @@ from rmnml.coding import partition_ball, prefix_code
 from rmnml.complexity import (ParamDomain, chart_gap, hgd_sigma_integral,
                               pc_general, pc_hgd, regret, rm_nml_codelength)
 from rmnml.gaussian import RgdParams, log_pdf_vol_many, mle, sample
-from rmnml.validation import (adaptive_gauss_kronrod, exp_map, fisher_integral, fisher_numeric,
+from rmnml.validation import (adaptive_gauss_kronrod, fisher_integral, fisher_numeric,
                               pc_mc_gauss1d, xi, xi_quadrature_oracle)
 
-from conftest import (closed_sigma_integrand, fisher_factors, sphere_area,
+from conftest import (closed_sigma_integrand, exp_map, fisher_factors, sphere_area,
                       sqrt_det_metric, xi_fd_derivatives)
 
 DOMAIN = ParamDomain(radius_R=3.0, sigma_min=0.1, sigma_max=3.0)

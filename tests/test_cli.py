@@ -420,10 +420,9 @@ class TestCodelengthCommand:
 
     def test_isometric_dataset_same_total(self, tmp_path, capsys):
         base = sample(80, RgdParams(hy.origin(2), 0.7), seed=9)
-        T = hy.isometry_to(polar_point(0.9, [0.6, 0.8]))
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         write_dataset(str(a), base)
-        write_dataset(str(b), Dataset(base.coords @ T.T))
+        write_dataset(str(b), Dataset(hy.boost(polar_point(0.9, [0.6, 0.8]), base.coords)))
         run(["codelength", "--data", str(a)])
         total_a = json.loads(capsys.readouterr().out)["total"]
         run(["codelength", "--data", str(b)])
@@ -924,3 +923,39 @@ def test_cli_import_leaves_scipy_unloaded():
                           text=True, timeout=60, check=True,
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("sample", "--out"), ("pc", "--out"), ("pc", "--csv"), ("codelength", "--out"),
+    ("codelength", "--csv"), ("select-dim", "--out"), ("coding-demo", "--out")])
+def test_unwritable_output_path_is_usage_error(command, flag, tmp_path, capsys):
+    data = tmp_path / "data.json"
+    write_dataset(str(data), sample(20, RgdParams(hy.origin(2), 0.7), seed=3))
+    args = {
+        "sample": ["--dim", "2", "--n", "10", "--sigma", "1"],
+        "pc": ["--dim", "2", "--n", "100"],
+        "codelength": ["--data", str(data)],
+        "select-dim": ["--candidate", f"2={data}", "--candidate", f"3={data}"],
+        "coding-demo": ["--grid", "4"],
+    }[command]
+    target = tmp_path / "missing" / "result"
+    assert run([command, *args, flag, str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {target}: [Errno 2] No such file or directory")
+    assert not target.parent.exists()
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # the reader of stdout is gone before the first write
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = os.path.dirname(os.path.dirname(rmnml.__file__))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "rmnml.cli", "pc", "--dim", "2", "--n", "100"],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src})
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.BROKEN_PIPE == 141
+    # no traceback, and no "Exception ignored" from the flush at exit
+    assert proc.stderr == ""

@@ -26,6 +26,27 @@ def _nodes(path: Path):
     return ast.walk(ast.parse(path.read_text(), str(path)))
 
 
+def _bindings(names: set[str], skip: str | None = None) -> list[str]:
+    """Each def, class, import or assignment of one of ``names`` in the
+    package's modules but ``skip``, as "module.py:line name"."""
+    found = []
+    for path in sorted(SOURCES.glob("*.py")):
+        if path.stem == skip:
+            continue
+        for node in _nodes(path):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                bound = {node.name}
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound = {alias.name.rsplit(".", 1)[-1] for alias in node.names}
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound = {target.id for target in targets if isinstance(target, ast.Name)}
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in bound & names]
+    return found
+
+
 def _called_name(node: ast.Call) -> str | None:
     func = node.func
     return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
@@ -34,31 +55,24 @@ def _called_name(node: ast.Call) -> str | None:
 def test_oracles_stay_in_validation():
     # one kernel per quantity: the library reads xi, the moments and the
     # Fisher information from the moment kernel, and the paper's closed form
-    # and the Monte-Carlo and quadrature oracles, with the exponential map and
+    # and the Monte-Carlo and quadrature oracles, with the normal chart and
     # the adaptive Gauss-Kronrod rule and its QK15 table, and the erfc
     # kernel with its coefficient tables, belong to the validation suites
     oracles = {"xi", "xi_derivatives", "xi_quadrature_oracle", "FisherBlock",
                "fisher_numeric", "normal_chart", "fisher_integral", "pc_mc_gauss1d",
-               "exp_map", "adaptive_gauss_kronrod", "_kronrod_sums", "_KRONROD_X",
+               "adaptive_gauss_kronrod", "_kronrod_sums", "_KRONROD_X",
                "_KRONROD_W", "_GAUSS_W", "_NODES_15", "_KRONROD_15", "_GAUSS_15",
                "_erfc", "_erfc_block", "_exp_minus_square", "_cody_ratio", "_ERFC_A",
                "_ERFC_B", "_ERFC_C", "_ERFC_D", "_ERFC_P", "_ERFC_Q"}
-    offenders = []
-    for path in sorted(SOURCES.glob("*.py")):
-        if path.stem == "validation":
-            continue
-        for node in _nodes(path):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                names = {node.name}
-            elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                names = {alias.name.rsplit(".", 1)[-1] for alias in node.names}
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = {target.id for target in targets if isinstance(target, ast.Name)}
-            else:
-                continue
-            offenders += [f"{path.name}:{node.lineno} {name}" for name in names & oracles]
-    assert offenders == []
+    assert _bindings(oracles, skip="validation") == []
+
+
+def test_one_boost_for_every_isometry():
+    # hyperbolic.boost is the one code that applies the boost to mu, and
+    # hyperbolic.exp_normal the one geodesic exponential: the (D+1)^2
+    # matrix and the second exponential are gone from the package
+    assert _bindings({"isometry_to", "exp_map"}) == []
+    assert len(rmnml.__all__) == 21
 
 
 def test_fisher_factors_read_only_through_the_log_formula():

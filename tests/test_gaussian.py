@@ -8,8 +8,7 @@ from rmnml.complexity import ParamDomain, _log_sigma_integrand, hgd_sigma_integr
 from rmnml.gaussian import (_SIGMA_SQUARE_MIN, Dataset, RgdParams, _radial_rule,
                             _radial_table, frechet_mean, log_lik, log_pdf_vol_many,
                             log_radial_weight, mle, radial_cutoff, radial_moments, sample)
-from rmnml.validation import (adaptive_gauss_kronrod, exp_map, xi, xi_derivatives,
-                              xi_quadrature_oracle)
+from rmnml.validation import adaptive_gauss_kronrod, xi, xi_derivatives, xi_quadrature_oracle
 
 from conftest import (closed_fisher_factors, dist, log_map, minkowski_inner,
                       polar_point, radial_moments_plain, random_point, sphere_area,
@@ -293,10 +292,10 @@ class TestPdf:
 
     def test_isometry_invariance(self, rng):
         params = RgdParams(random_point(rng, 2), 1.1)
-        T = hy.isometry_to(random_point(rng, 2))
+        nu = random_point(rng, 2)
         x = random_point(rng, 2)
-        moved = RgdParams(T @ params.mu, params.sigma)
-        assert pdf_vol(T @ x, moved) == pytest.approx(
+        moved_mu, moved_x = hy.boost(nu, np.stack([params.mu, x]))
+        assert pdf_vol(moved_x, RgdParams(moved_mu, params.sigma)) == pytest.approx(
             pdf_vol(x, params), rel=1e-9)
 
     @pytest.mark.parametrize("dim", [2, 3])
@@ -368,10 +367,9 @@ class TestSample:
         params = RgdParams(hy.origin(2), 1.0)
         data = sample(200, params, seed=5)
         nu = random_point(rng, 2)
-        T = hy.isometry_to(nu)
-        moved = Dataset(data.coords @ T.T)
+        moved = Dataset(hy.boost(nu, data.coords))
         d_before = hy.dist_many(params.mu, data.coords)
-        d_after = hy.dist_many(T @ params.mu, moved.coords)
+        d_after = hy.dist_many(hy.boost(nu, params.mu[None, :])[0], moved.coords)
         assert np.max(np.abs(d_before - d_after)) < 1e-9
 
     def test_centered_at_mu(self, rng):
@@ -435,12 +433,10 @@ class TestMle:
         data = sample(300, RgdParams(random_point(rng, 2, 1.0), 0.9), seed=21)
         fit = mle(data, DOMAIN)
         mu, sigma = fit.params.mu, fit.params.sigma
-        T = hy.isometry_to(mu)
         h = 1e-6
 
         def loglik_at(t0, t1, s):
-            v = T @ np.array([0.0, t0, t1])
-            moved = exp_map(mu, v)
+            moved = hy.exp_normal(mu, np.array([t0, t1], dtype=float))
             return log_lik(data, RgdParams(moved, s))
 
         for grad in (
@@ -453,10 +449,9 @@ class TestMle:
     def test_isometry_equivariance(self, rng):
         data = sample(150, RgdParams(random_point(rng, 2, 0.8), 0.7), seed=31)
         nu = random_point(rng, 2, 1.0)
-        T = hy.isometry_to(nu)
         fit = mle(data, DOMAIN)
-        fit_moved = mle(Dataset(data.coords @ T.T), DOMAIN)
-        assert dist(fit_moved.params.mu, T @ fit.params.mu) < 1e-6
+        fit_moved = mle(Dataset(hy.boost(nu, data.coords)), DOMAIN)
+        assert dist(fit_moved.params.mu, hy.boost(nu, fit.params.mu[None, :])[0]) < 1e-6
         assert fit_moved.params.sigma == pytest.approx(fit.params.sigma, abs=1e-6)
 
     def test_dominates_random_alternatives(self, rng):

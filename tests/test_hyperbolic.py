@@ -8,11 +8,11 @@ import pytest
 from rmnml import hyperbolic as hy
 from rmnml.complexity import RADIUS_MAX, ParamDomain, chart_gap
 from rmnml.gaussian import Dataset, RgdParams, log_lik
-from rmnml.validation import adaptive_gauss_kronrod, exp_map, xi
+from rmnml.validation import adaptive_gauss_kronrod, xi
 
-from conftest import (dist, log_ball_volume_oracle, log_map, lorentz_to_poincare,
-                      minkowski_inner, poincare_dist, polar_point, random_point,
-                      sphere_area, sqrt_det_metric)
+from conftest import (dist, exp_map, isometry_matrix, log_ball_volume_oracle, log_map,
+                      lorentz_to_poincare, minkowski_inner, poincare_dist, polar_point,
+                      random_point, sphere_area, sqrt_det_metric)
 
 TIGHT = 1e-12
 
@@ -110,11 +110,11 @@ class TestDistance:
         radii = np.array([1.0, 1.3, 1.35, 5.0, 10.0, 20.0, 30.0, 40.0])
         for _ in range(5):
             mu = random_point(rng, dim, max_radius=1.0)
-            T = hy.isometry_to(mu)
             directions = rng.standard_normal((radii.size, dim))
             directions /= np.linalg.norm(directions, axis=1, keepdims=True)
             ys = np.column_stack([np.cosh(radii), np.sinh(radii)[:, None] * directions])
-            d = hy.dist_many(T[:, 0], ys @ T.T)
+            moved = hy.boost(mu, np.vstack([hy.origin(dim), ys]))
+            d = hy.dist_many(moved[0], moved[1:])
             np.testing.assert_allclose(d, radii, rtol=1e-12, atol=0.0)
 
     def test_far_row_warns_nothing(self):
@@ -231,43 +231,41 @@ class TestPolar:
 
 
 class TestIsometry:
-    def test_identity_at_origin(self):
-        assert np.array_equal(hy.isometry_to(hy.origin(3)), np.eye(4))
+    def test_identity_at_origin(self, rng):
+        points = np.array([random_point(rng, 3) for _ in range(5)])
+        assert hy.boost(hy.origin(3), points) is points
 
     def test_moves_origin_to_target(self, rng):
         for _ in range(20):
             mu = random_point(rng, 3)
-            T = hy.isometry_to(mu)
-            assert np.max(np.abs(T @ hy.origin(3) - mu)) < 1e-12
+            assert np.max(np.abs(hy.boost(mu, hy.origin(3)[None, :])[0] - mu)) < 1e-12
 
     def test_far_target_stays_finite(self):
         # |spatial| = sinh 400 is past 1.3e154, where a squared norm overflows
         mu = polar_point(400.0, [0.6, 0.8])
-        T = hy.isometry_to(mu)
-        assert np.all(np.isfinite(T))
-        np.testing.assert_allclose(T @ hy.origin(2), mu, rtol=1e-12)
-
-    def test_allocates_one_matrix(self):
-        # the spatial block is written in place: no (D+1)^2 temporaries
-        dim = 2000
-        mu = polar_point(2.0, np.ones(dim) / math.sqrt(dim))
-        tracemalloc.start()
-        try:
-            hy.isometry_to(mu)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * (dim + 1) ** 2 * 8
+        moved = hy.boost(mu, hy.origin(2)[None, :])
+        assert np.all(np.isfinite(moved))
+        np.testing.assert_allclose(moved[0], mu, rtol=1e-12)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 10, 50])
     def test_boost_applies_the_matrix(self, dim, rng):
         points = np.array([random_point(rng, dim, 3.0) for _ in range(40)])
         for _ in range(5):
             mu = random_point(rng, dim, 3.0)
-            expected = points @ hy.isometry_to(mu).T
+            expected = points @ isometry_matrix(mu).T
             scale = mu[0] * points[:, :1]  # the size of each moved row's terms
             assert np.all(np.abs(hy.boost(mu, points) - expected) <= 1e-14 * scale)
         assert hy.boost(hy.origin(dim), points) is points
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 10, 50])
+    def test_inverse_boost_undoes_boost(self, dim, rng):
+        points = np.array([random_point(rng, dim, 3.0) for _ in range(40)])
+        for _ in range(5):
+            mu = random_point(rng, dim, 3.0)
+            inverse = np.concatenate([mu[:1], -mu[1:]])
+            back = hy.boost(inverse, hy.boost(mu, points))
+            scale = mu[0] * mu[0] * points[:, :1]  # the size of the round trip's terms
+            assert np.all(np.abs(back - points) <= 1e-14 * scale)
 
     def test_boost_does_not_form_the_matrix(self):
         dim = 2000
@@ -284,16 +282,17 @@ class TestIsometry:
 
     def test_preserves_minkowski_products(self, rng):
         mu = random_point(rng, 2)
-        T = hy.isometry_to(mu)
+        points = np.array([random_point(rng, 2) for _ in range(20)])
         J = np.diag([-1.0, 1.0, 1.0])
-        assert np.max(np.abs(T.T @ J @ T - J)) < 1e-12
+        moved = hy.boost(mu, points)
+        assert np.max(np.abs(moved @ J @ moved.T - points @ J @ points.T)) < 1e-12 * mu[0] ** 2
 
     def test_preserves_distances(self, rng):
         mu = random_point(rng, 2)
-        T = hy.isometry_to(mu)
         for _ in range(100):
             x, y = random_point(rng, 2), random_point(rng, 2)
-            assert dist(T @ x, T @ y) == pytest.approx(dist(x, y), abs=1e-9)
+            moved_x, moved_y = hy.boost(mu, np.stack([x, y]))
+            assert dist(moved_x, moved_y) == pytest.approx(dist(x, y), abs=1e-9)
 
 
 class TestVolumeElement:
