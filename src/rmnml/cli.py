@@ -7,7 +7,8 @@ stage fails (quadrature, estimation, or a value beyond the float range)
 or an array does not fit in memory (``sample`` holds its n draws as
 (n, D+1) floats: 80 GB at n = D = 1e5), and 141 (the shell's 128 +
 SIGPIPE) when the reader of stdout has closed it, with no traceback.  A
-named output file that cannot be written is an input error.
+named output file that cannot be written is an input error, found before
+anything reaches stdout, and before ``sample`` draws.
 Datasets are JSON files
 ``{"chart": "lorentz", "dim": D, "points": [[x0, ..., xD], ...]}``;
 ``"chart": "poincare"`` with D-component points is accepted on input and
@@ -137,13 +138,22 @@ def load_dataset(path: str) -> Dataset:
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _write_file(path: str, text: str, newline: str | None = None):
+def _write_file(path: str, text: str, newline: str | None = None, mode: str = "w"):
     """Write ``text`` to the file ``path``; an OSError is an InputError naming it."""
     try:
-        with open(path, "w", newline=newline) as handle:
+        with open(path, mode, newline=newline) as handle:
             handle.write(text)
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc
+
+
+def _check_writable(path: str):
+    """Raise :func:`_write_file`'s InputError now if ``path`` cannot be written;
+    appending nothing leaves an existing file as it was, and a new one is removed."""
+    existed = os.path.lexists(path)
+    _write_file(path, "", mode="a")
+    if not existed:
+        os.remove(path)
 
 
 def write_dataset(path: str, data: Dataset):
@@ -156,11 +166,8 @@ def write_dataset(path: str, data: Dataset):
 
 
 def _emit(payload: dict, out: str | None, csv_out: str | None = None):
+    # the files first, so that a run that cannot write one prints nothing
     text = json.dumps(payload, indent=2)
-    if out:
-        _write_file(out, text + "\n")
-    else:
-        print(text)
     if csv_out:
         flat = {k: v for k, v in payload.items() if not isinstance(v, (dict, list))}
         table = io.StringIO(newline="")
@@ -168,6 +175,10 @@ def _emit(payload: dict, out: str | None, csv_out: str | None = None):
         writer.writeheader()
         writer.writerow(flat)
         _write_file(csv_out, table.getvalue(), newline="")
+    if out:
+        _write_file(out, text + "\n")
+    else:
+        print(text)
 
 
 def _domain_from(args) -> ParamDomain:
@@ -191,13 +202,21 @@ def cmd_pc(args) -> int:
     return 0
 
 
-def cmd_codelength(args) -> int:
-    data = load_dataset(args.data)
+def _score(path: str, domain: ParamDomain, dim: int | None = None):
+    """The dataset at ``path``, which must hold dimension ``dim`` if given, and
+    its report from this module's ``rm_nml_codelength``, which tests replace."""
+    data = load_dataset(path)
+    if dim is not None and data.dim != dim:
+        raise InputError(f"{path}: declared candidate dimension {dim} "
+                         f"but the file holds dimension {data.dim}")
     if data.n < 2:
-        raise InputError(f"{args.data}: the code-length needs at least 2 "
+        raise InputError(f"{path}: the code-length needs at least 2 "
                          f"points, got {data.n}")
-    domain = _domain_from(args)
-    report = rm_nml_codelength(data, domain)
+    return data, rm_nml_codelength(data, domain)
+
+
+def cmd_codelength(args) -> int:
+    data, report = _score(args.data, _domain_from(args))
     _emit({
         "n": data.n,
         "dim": data.dim,
@@ -226,6 +245,7 @@ def cmd_sample(args) -> int:
         params = RgdParams(mu, args.sigma_value)
     except hy.GeometryError as exc:
         raise InputError(f"--mu is not on the manifold: {exc}") from exc
+    _check_writable(args.out)  # before the draws, which may take seconds
     write_dataset(args.out, sample(args.n, params, args.seed))
     return 0
 
@@ -250,13 +270,7 @@ def cmd_select_dim(args) -> int:
     for dim, path in sorted(candidates):
         entry = {"dim": dim, "path": path, "total": None, "error": None}
         try:
-            data = load_dataset(path)
-            if data.dim != dim:
-                raise InputError(f"{path}: declared candidate dimension {dim} "
-                                 f"but the file holds dimension {data.dim}")
-            if data.n < 2:
-                raise InputError(f"{path}: needs at least 2 points")
-            report = rm_nml_codelength(data, domain)
+            _, report = _score(path, domain, dim)
             entry.update({
                 "total": report.total,
                 "neg_max_loglik": report.neg_max_loglik,

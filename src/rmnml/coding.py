@@ -9,7 +9,8 @@ element.  Such lengths always satisfy the Kraft inequality (so a prefix
 code with these lengths exists), and the expected code-length of any
 uniquely decodable code over the partition is bounded below by
 E_S[ -(sup_{x in S} log p(x) + log vol(S)) / ln 2 ].  The inf and sup are
-taken on a sub-grid of each cell, and P(S) is p(midpoint of S) vol(S), renormalized.
+taken on a sub-grid of each cell, built by :func:`rmnml.hyperbolic.polar`, and
+P(S) is p(midpoint of S) vol(S), renormalized.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import hyperbolic as hy
 
 #: Cell extrema are approximated on this many points per axis.  It must be odd:
 #: the middle node of a cell's sub-grid is its midpoint, which gives its probability.
@@ -44,14 +47,6 @@ class Partition:
 
     def __len__(self) -> int:
         return self.volumes.size
-
-
-def _lorentz_of_polar(r: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    out = np.empty(r.shape + (3,))
-    out[..., 0] = np.cosh(r)
-    out[..., 1] = np.sinh(r) * np.cos(theta)
-    out[..., 2] = np.sinh(r) * np.sin(theta)
-    return out
 
 
 def partition_ball(radius: float, n_r: int, n_angle: int) -> Partition:
@@ -87,10 +82,10 @@ def prefix_code(partition: Partition, log_pdf) -> PrefixCode:
     ``log_pdf`` maps an (m, 3) array of Lorentz coordinates to m finite
     natural-log densities against the volume element.  It is called once per
     block of up to BLOCK_CELLS cells, on the SUBGRID x SUBGRID inclusive
-    sub-grid of every cell of the block: its min and max stand in for the
-    cell's inf and sup, and its middle node is the cell's midpoint.  Raises
-    ValueError when the log density is not finite or a length does not fit
-    an int64.
+    sub-grid of every cell of the block, one :func:`rmnml.hyperbolic.polar`
+    call: its min and max stand in for the cell's inf and sup, and its
+    middle node is the cell's midpoint.  Raises ValueError when the log
+    density is not finite or a length does not fit an int64.
     """
     m = len(partition)
     n_angle = partition.angle_edges.size - 1
@@ -101,11 +96,12 @@ def prefix_code(partition: Partition, log_pdf) -> PrefixCode:
         ring, sector = np.divmod(np.arange(start, min(start + BLOCK_CELLS, m)), n_angle)
         (r_lo, r_hi) = partition.r_edges[ring], partition.r_edges[ring + 1]
         (t_lo, t_hi) = partition.angle_edges[sector], partition.angle_edges[sector + 1]
-        r, t = np.broadcast_arrays((r_lo + frac * (r_hi - r_lo))[:, None],
-                                   t_lo + frac * (t_hi - t_lo))
+        r = (r_lo + frac * (r_hi - r_lo))[:, None]  # broadcast against the angles
+        t = t_lo + frac * (t_hi - t_lo)
         # a value past the float range is reported by the check below
         with np.errstate(over="ignore", invalid="ignore"):
-            values = np.asarray(log_pdf(_lorentz_of_polar(r, t).reshape(-1, 3)), dtype=float)
+            points = hy.polar(r, np.stack([np.cos(t), np.sin(t)], axis=-1))
+            values = np.asarray(log_pdf(points.reshape(-1, 3)), dtype=float)
         if not np.isfinite(values).all():
             raise ValueError("the log density must be finite on the ball")
         grid = values.reshape(SUBGRID * SUBGRID, -1)

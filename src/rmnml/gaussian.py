@@ -328,10 +328,10 @@ def sample(n: int, params: RgdParams, seed: int) -> Dataset:
 
     The radius follows the density proportional to
     exp(-r^2 / 2 sigma^2) sinh^(D-1) r via a 4096-node inverse-CDF table
-    with linear interpolation; the direction is uniform on S^(D-1).  The
-    polar points at the origin are then carried to ``mu`` by the Lorentz
-    boost :func:`rmnml.hyperbolic.boost`, in O(nD); at the origin they are
-    returned as drawn.  Deterministic for a fixed seed.
+    with linear interpolation; the direction, a normal draw over its norm (at
+    D = 1, its sign), is uniform on S^(D-1).  :func:`rmnml.hyperbolic.polar`
+    builds the points at the origin and :func:`rmnml.hyperbolic.boost`
+    carries them to ``mu`` in O(nD).  Deterministic for a fixed seed.
 
     The table spans [0, max(sigma^2 (D-1) + 12 sigma, m + 10 sigma)] in 4095
     steps, m the mode, and interpolation adds about step^2 / 3 to Var(r).
@@ -349,18 +349,11 @@ def sample(n: int, params: RgdParams, seed: int) -> Dataset:
     with np.errstate(over="ignore", invalid="ignore"):
         grid, cdf = _radial_table(dim, params.sigma)
         radii = np.interp(rng.uniform(0.0, 1.0, n), cdf, grid)
-    if dim == 1:
-        dirs = (rng.integers(0, 2, size=(n, 1)) * 2 - 1).astype(float)
-    else:
-        g = rng.standard_normal((n, dim))
-        norms = np.linalg.norm(g, axis=1, keepdims=True)
-        # a zero draw has probability 0; regularize anyway
-        dirs = g / np.maximum(norms, 1e-300)
-    coords = np.empty((n, dim + 1))
+    g = rng.standard_normal((n, dim))
+    # a zero draw has probability 0; regularize anyway
+    dirs = g / np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
     with np.errstate(over="ignore", invalid="ignore"):
-        coords[:, 0] = np.cosh(radii)
-        coords[:, 1:] = np.sinh(radii)[:, None] * dirs
-        moved = hy.boost(params.mu, coords)
+        moved = hy.boost(params.mu, hy.polar(radii, dirs))
     if not np.isfinite(moved).all():
         r_mu = math.acosh(max(float(params.mu[0]), 1.0))
         raise ValueError(f"sigma = {params.sigma!r} with mu at distance {r_mu:.6g} draws "
@@ -490,8 +483,8 @@ def mle(data: Dataset, domain: "ParamDomain") -> MleFit:
     Every point must lie within ``hyperbolic.DATA_RADIUS`` (350) of the
     origin, or ``ValueError`` names the farthest one.  mu is the Frechet
     mean, pulled back to the geodesic ball of radius ``domain.radius_R``
-    about the origin if it falls outside; sigma solves
-    E[d^2](sigma) = sigma^3 xi'/xi = mean d^2(x_i, mu) by safeguarded
+    about the origin if it falls outside (:func:`rmnml.hyperbolic.polar`);
+    sigma solves E[d^2](sigma) = sigma^3 xi'/xi = mean d^2(x_i, mu) by safeguarded
     Newton on [sigma_min, sigma_max], with boundary values used (and
     flagged) when the equation has no interior root.  A ``sigma_max`` past
     :func:`check_sigma_max`'s bound is a ValueError.  EstimationError names
@@ -509,14 +502,9 @@ def mle(data: Dataset, domain: "ParamDomain") -> MleFit:
     dim = data.dim
     mu = frechet_mean(data.coords)
 
-    mu_clamped = False
-    r_mu = float(np.arccosh(max(mu[0], 1.0)))
-    if r_mu > domain.radius_R:
-        # the point at radius R in the direction of mu: (cosh R, sinh R s/|s|)
-        radius, spatial = domain.radius_R, mu[1:]
-        direction = spatial / math.hypot(*spatial)
-        mu = np.concatenate([[math.cosh(radius)], math.sinh(radius) * direction])
-        mu_clamped = True
+    mu_clamped = float(np.arccosh(max(mu[0], 1.0))) > domain.radius_R
+    if mu_clamped:  # the point at radius R in the direction of mu
+        mu = hy.polar(domain.radius_R, mu[1:] / math.hypot(*mu[1:]))
 
     d = hy.dist_many(mu, data.coords)
     target = float(d @ d) / data.n

@@ -3,8 +3,9 @@
 A point is a (D+1,) float array on the upper sheet of the hyperboloid
 <x,x>_L = -1 in Minkowski space R^{D,1}, and a set of points an (n, D+1)
 array.  This module provides the hyperboloid check, distances, the
-conversion of Poincare-ball input, the Lorentz boost that carries the
-origin to any point, and log geodesic ball volumes.  All functions are pure.
+conversion of Poincare-ball input, the polar points (cosh r, sinh r u) at
+the origin, the Lorentz boost that carries the origin to any point, and
+log geodesic ball volumes.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -104,6 +105,15 @@ def poincare_to_lorentz(points: np.ndarray) -> np.ndarray:
                             f"coordinates must have norm < 1")
     denom = 1.0 - nrm2
     return np.column_stack([(1.0 + nrm2) / denom, 2.0 * points / denom[:, None]])
+
+
+def polar(r, u: np.ndarray) -> np.ndarray:
+    """Lorentz rows (cosh r, sinh r u) of the points at distance r from the origin
+    along u: radii of any shape, unit vectors on the last axis of ``u``, broadcast."""
+    out = np.empty(np.broadcast_shapes(np.shape(r), u.shape[:-1]) + (u.shape[-1] + 1,))
+    out[..., 0] = np.cosh(r)
+    np.multiply(np.sinh(r)[..., None], u, out=out[..., 1:])
+    return out
 
 
 def boost(mu: np.ndarray, points: np.ndarray) -> np.ndarray:

@@ -16,8 +16,8 @@ oracles use :func:`adaptive_gauss_kronrod`, the oracle rule, defined here
 with its QK15 table so that the production kernels share nothing with it:
 9,720 integrand evaluations for the xi suite's 25 integrals and 2,580 for
 the reparameterization suite's 20, where adaptive Simpson took 138,329
-and 23,636.  :func:`normal_chart` reads normal coordinates through
-:func:`rmnml.hyperbolic.exp_normal`, the Frechet mean's step.  The
+and 23,636.  :func:`fisher_numeric` reads normal coordinates about mu
+through :func:`rmnml.hyperbolic.exp_normal`, the Frechet mean's step.  The
 closed form and the Monte-Carlo oracle read erfc from :func:`_erfc`, a
 numpy kernel of Cody's rational Chebyshev approximations (W. J. Cody,
 "Rational Chebyshev approximations for the error function", Math. Comp.
@@ -26,7 +26,6 @@ numpy kernel of Cody's rational Chebyshev approximations (W. J. Cody,
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -358,23 +357,13 @@ class FisherBlock:
         return det, abs(det) * rel
 
 
-def normal_chart(mu: np.ndarray):
-    """Normal orthonormal coordinates at mu.
-
-    Returns ``chart(t)`` mapping tangent coordinates t in R^D to the point
-    :func:`rmnml.hyperbolic.exp_normal` (mu, t): the geodesic exponential
-    at mu of the tangent vector that the boost to mu carries (0, t) to.
-    The metric at t = 0 is the identity.
-    """
-    return functools.partial(hy.exp_normal, mu)
-
-
 def fisher_numeric(params: RgdParams, n_samples: int, seed: int) -> FisherBlock:
     """Monte-Carlo Fisher estimate at ``params``.
 
     Draws ``n_samples`` points from the model, computes the Hessian of
-    log p_vol with respect to (normal coordinates of mu, sigma) by central
-    finite differences of size 1e-4, and averages the negated Hessians.
+    log p_vol with respect to (normal coordinates t of mu, sigma) by central
+    finite differences of size 1e-4, and averages the negated Hessians.  The
+    offset t is the point :func:`rmnml.hyperbolic.exp_normal` (mu, t).
     Standard errors are reported per entry.  The distances take one
     :func:`rmnml.hyperbolic.dist_many` pass per distinct mu offset (3, 9
     and 19 at D = 1, 2 and 3), which the sigma offsets share through the
@@ -386,7 +375,6 @@ def fisher_numeric(params: RgdParams, n_samples: int, seed: int) -> FisherBlock:
     n = x.shape[0]
     dim = params.dim
     sigma = params.sigma
-    chart = normal_chart(params.mu)
     k = dim + 1  # eta = (t_1..t_D, sigma)
 
     dists = {}  # by the mu offset's value, so -0.0 and 0.0 share a key
@@ -394,7 +382,7 @@ def fisher_numeric(params: RgdParams, n_samples: int, seed: int) -> FisherBlock:
     def logp(offset: np.ndarray) -> np.ndarray:
         key = tuple(offset[:dim].tolist())
         if key not in dists:
-            dists[key] = hy.dist_many(chart(offset[:dim]), x)
+            dists[key] = hy.dist_many(hy.exp_normal(params.mu, offset[:dim]), x)
         return _log_pdf_vol(dists[key], RgdParams(params.mu, sigma + offset[dim]))
 
     f0 = logp(np.zeros(k))

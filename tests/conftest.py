@@ -6,8 +6,7 @@ import pytest
 from rmnml import hyperbolic as hy
 from rmnml import gaussian, quadrature, validation
 from rmnml.gaussian import Dataset, RgdParams, log_fisher_factors, log_pdf_vol_many, sample
-from rmnml.validation import (FisherBlock, adaptive_gauss_kronrod, normal_chart, xi,
-                              xi_derivatives)
+from rmnml.validation import FisherBlock, adaptive_gauss_kronrod, xi, xi_derivatives
 
 
 def exp_map(base: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -218,16 +217,16 @@ def fisher_numeric_per_offset(params: RgdParams, n_samples: int, seed: int) -> F
     """The Monte-Carlo Fisher estimate with one log_pdf_vol_many call per offset.
 
     The reference for the distance passes that :func:`rmnml.validation.fisher_numeric`
-    shares between offsets: the same draws, chart and central differences,
+    shares between offsets: the same draws, normal coordinates and central differences,
     with each offset's density evaluated from scratch.
     """
     x = sample(n_samples, params, seed).coords
     dim, sigma, step = params.dim, params.sigma, validation._FD_STEP
-    chart = normal_chart(params.mu)
     k = dim + 1
 
     def logp(offset):
-        return log_pdf_vol_many(x, RgdParams(chart(offset[:dim]), sigma + offset[dim]))
+        return log_pdf_vol_many(x, RgdParams(hy.exp_normal(params.mu, offset[:dim]),
+                                             sigma + offset[dim]))
 
     f0 = logp(np.zeros(k))
     unit = np.eye(k) * step

@@ -650,6 +650,17 @@ class TestSelectDim:
     def test_default_domain_is_the_library_default(self, argv):
         assert cli._domain_from(build_parser().parse_args(argv)) == ParamDomain()
 
+    def test_single_point_candidate_gets_the_codelength_message(self, tmp_path, capsys):
+        # each candidate is scored through codelength's own checks
+        one, two = tmp_path / "one.json", tmp_path / "two.json"
+        write_dataset(str(one), sample(1, RgdParams(hy.origin(3), 0.8), seed=4))
+        write_dataset(str(two), sample(50, RgdParams(hy.origin(2), 0.8), seed=4))
+        assert run(["select-dim", "--candidate", f"2={two}", "--candidate", f"3={one}"]) == 0
+        by_dim = {e["dim"]: e for e in json.loads(capsys.readouterr().out)["scores"]}
+        assert by_dim[3]["error"] == f"{one}: the code-length needs at least 2 points, got 1"
+        assert run(["codelength", "--data", str(one)]) == 2
+        assert capsys.readouterr().err == f"error: {by_dim[3]['error']}\n"
+
     def test_needs_two_candidates(self, tmp_path, capsys):
         path = tmp_path / "x.json"
         write_dataset(str(path), sample(10, RgdParams(hy.origin(2), 1.0), seed=2))
@@ -943,6 +954,40 @@ def test_unwritable_output_path_is_usage_error(command, flag, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {target}: [Errno 2] No such file or directory")
     assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("command", ["pc", "codelength"])
+def test_unwritable_csv_prints_nothing(command, tmp_path, capsys):
+    # a run that fails must not leave a complete result on stdout
+    data = tmp_path / "data.json"
+    write_dataset(str(data), sample(20, RgdParams(hy.origin(2), 0.7), seed=3))
+    args = ["--dim", "2", "--n", "10"] if command == "pc" else ["--data", str(data)]
+    target = tmp_path / "missing" / "x.csv"
+    assert run([command, *args, "--csv", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {target}: [Errno 2]")
+
+
+def test_sample_checks_its_output_before_drawing(tmp_path, capsys, monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("sample ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "sample", no_draws)
+    target = tmp_path / "missing" / "x.json"
+    assert run(["sample", "--dim", "2", "--n", "300000", "--sigma", "1",
+                "--out", str(target)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot write {target}: [Errno 2] No such file or directory")
+
+
+def test_sample_check_leaves_an_existing_file_as_it_was(tmp_path):
+    # the check appends nothing; a run that then fails keeps the old file
+    out = tmp_path / "x.json"
+    out.write_text("old contents\n")
+    assert run(["sample", "--dim", "2", "--n", "10", "--sigma", "1e200",
+                "--out", str(out)]) == 2
+    assert out.read_text() == "old contents\n"
 
 
 def test_closed_stdout_exits_141_without_a_traceback():

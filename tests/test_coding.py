@@ -22,7 +22,7 @@ def rgd_density(sigma: float):
 def shifted_density(sigma: float):
     """Unnormalized hyperbolic Gaussian about a point off the origin, so that
     its density varies with the angle."""
-    mu = coding._lorentz_of_polar(np.array(1.0), np.array(0.3))
+    mu = polar_points(1.0, 0.3)
 
     def log_pdf(points):
         inner = mu[0] * points[..., 0] - points[..., 1:] @ mu[1:]
@@ -41,6 +41,11 @@ def uniform_density(radius: float):
     return log_pdf
 
 
+def polar_points(r, t):
+    """Lorentz points at radii ``r`` and angles ``t`` of H^2."""
+    return hy.polar(r, np.stack([np.cos(t), np.sin(t)], axis=-1))
+
+
 def cell_ranges(partition):
     """Per-cell (r_lo, r_hi, t_lo, t_hi) in the ring-major order of the cells."""
     n_r, n_angle = partition.r_edges.size - 1, partition.angle_edges.size - 1
@@ -51,7 +56,7 @@ def cell_ranges(partition):
 def cell_centres(partition):
     """Lorentz coordinates of each cell's midpoint in radius and angle."""
     r_lo, r_hi, t_lo, t_hi = cell_ranges(partition)
-    return coding._lorentz_of_polar(0.5 * (r_lo + r_hi), 0.5 * (t_lo + t_hi))
+    return polar_points(0.5 * (r_lo + r_hi), 0.5 * (t_lo + t_hi))
 
 
 class TestPartition:
@@ -177,7 +182,7 @@ def loop_reference(partition, log_pdf):
         r = r_lo + fr * (r_hi - r_lo)
         for ft in frac:
             t = t_lo + ft * (t_hi - t_lo)
-            values = log_pdf(coding._lorentz_of_polar(r, t))
+            values = log_pdf(polar_points(r, t))
             lo = np.minimum(lo, values)
             hi = np.maximum(hi, values)
     log_vol = np.log(partition.volumes)

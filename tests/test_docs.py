@@ -55,11 +55,11 @@ def _called_name(node: ast.Call) -> str | None:
 def test_oracles_stay_in_validation():
     # one kernel per quantity: the library reads xi, the moments and the
     # Fisher information from the moment kernel, and the paper's closed form
-    # and the Monte-Carlo and quadrature oracles, with the normal chart and
-    # the adaptive Gauss-Kronrod rule and its QK15 table, and the erfc
-    # kernel with its coefficient tables, belong to the validation suites
+    # and the Monte-Carlo and quadrature oracles, with the adaptive
+    # Gauss-Kronrod rule and its QK15 table, and the erfc kernel with its
+    # coefficient tables, belong to the validation suites
     oracles = {"xi", "xi_derivatives", "xi_quadrature_oracle", "FisherBlock",
-               "fisher_numeric", "normal_chart", "fisher_integral", "pc_mc_gauss1d",
+               "fisher_numeric", "fisher_integral", "pc_mc_gauss1d",
                "adaptive_gauss_kronrod", "_kronrod_sums", "_KRONROD_X",
                "_KRONROD_W", "_GAUSS_W", "_NODES_15", "_KRONROD_15", "_GAUSS_15",
                "_erfc", "_erfc_block", "_exp_minus_square", "_cody_ratio", "_ERFC_A",
@@ -73,6 +73,19 @@ def test_one_boost_for_every_isometry():
     # matrix and the second exponential are gone from the package
     assert _bindings({"isometry_to", "exp_map"}) == []
     assert len(rmnml.__all__) == 21
+
+
+def test_one_polar_kernel():
+    # hyperbolic.polar builds every point (cosh r, sinh r u) at the origin:
+    # the draws, the prefix code's sub-grid and the MLE's clamp; the old
+    # helpers are gone, and no other module takes the sinh of a radius
+    assert _bindings({"_lorentz_of_polar", "normal_chart"}) == []
+    offenders = [f"{path.name}:{node.lineno}"
+                 for path in sorted(SOURCES.glob("*.py"))
+                 if path.stem != "hyperbolic"
+                 for node in _nodes(path)
+                 if isinstance(node, ast.Call) and _called_name(node) == "sinh"]
+    assert offenders == []
 
 
 def test_fisher_factors_read_only_through_the_log_formula():

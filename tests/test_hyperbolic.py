@@ -229,6 +229,38 @@ class TestPolar:
         assert math.sqrt(minkowski_inner(v, v)) == pytest.approx(
             dist(hy.origin(2), x), abs=1e-12)
 
+    @staticmethod
+    def unit_vectors(rng, shape, dim):
+        u = rng.standard_normal(shape + (dim,))
+        return u / np.linalg.norm(u, axis=-1, keepdims=True)
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_kernel_rows_lie_on_the_sheet(self, dim, rng):
+        r = np.concatenate([[0.0], np.exp(rng.uniform(-10.0, math.log(705.0), 200)), [705.0]])
+        rows = hy.polar(r, self.unit_vectors(rng, r.shape, dim))
+        assert rows.shape == (r.size, dim + 1)
+        assert hy.hyperboloid_violation(rows) is None
+        near = r < 20.0
+        assert np.allclose(hy.dist_many(hy.origin(dim), rows[near]), r[near],
+                           rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("lead", [(), (7,), (3, 4)])
+    def test_kernel_shapes(self, lead, rng):
+        r = rng.uniform(0.0, 3.0, lead)
+        u = self.unit_vectors(rng, lead, 2)
+        assert hy.polar(r, u).shape == lead + (3,)
+        # one direction for every radius, and one radius for every direction
+        assert hy.polar(r, u[..., :1, :] if lead else u).shape == lead + (3,)
+        assert hy.polar(1.5, u).shape == lead + (3,)
+
+    def test_kernel_is_the_hand_written_row(self, rng):
+        r = rng.uniform(0.0, 700.0, (6, 5))
+        u = self.unit_vectors(rng, (6, 5), 3)
+        by_hand = np.concatenate([np.cosh(r)[..., None], np.sinh(r)[..., None] * u], axis=-1)
+        assert np.array_equal(hy.polar(r, u), by_hand)
+        assert np.array_equal(hy.polar(2.0, u[0, 0]),
+                              np.concatenate([[np.cosh(2.0)], np.sinh(2.0) * u[0, 0]]))
+
 
 class TestIsometry:
     def test_identity_at_origin(self, rng):
