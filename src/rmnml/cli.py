@@ -166,9 +166,12 @@ def write_dataset(path: str, data: Dataset):
 
 
 def _emit(payload: dict, out: str | None, csv_out: str | None = None):
-    # the files first, so that a run that cannot write one prints nothing
+    # the files first, so that a run that cannot write one prints nothing,
+    # and --out checked before --csv is written, so that it leaves no file
     text = json.dumps(payload, indent=2)
     if csv_out:
+        if out:
+            _check_writable(out)
         flat = {k: v for k, v in payload.items() if not isinstance(v, (dict, list))}
         table = io.StringIO(newline="")
         writer = csv.DictWriter(table, fieldnames=list(flat))
@@ -237,10 +240,12 @@ def cmd_sample(args) -> int:
         raise InputError(f"--dim must be a positive integer, got {args.dim}")
     mu = hy.origin(args.dim)
     if args.mu is not None:
-        mu = np.asarray([float(v) for v in args.mu.split(",")])
+        try:
+            mu = np.asarray([float(v) for v in args.mu.split(",")])
+        except ValueError as exc:
+            raise InputError(f"--mu expects comma-separated numbers, got {args.mu!r}") from exc
         if mu.size != args.dim + 1:
-            raise InputError(f"--mu needs {args.dim + 1} comma-separated "
-                             f"Lorentz components")
+            raise InputError(f"--mu needs {args.dim + 1} comma-separated Lorentz components")
     try:
         params = RgdParams(mu, args.sigma_value)
     except hy.GeometryError as exc:

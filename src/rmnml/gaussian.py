@@ -126,25 +126,6 @@ class Dataset:
         return self.n
 
 
-def radial_cutoff(dim: int, sigma: float, tail: float = 40.0) -> float:
-    """Truncation radius for integrals of exp(-r^2/2s^2) sinh^(D-1) r.
-
-    The integrand completes to a Gaussian centered near sigma^2 (D-1) with
-    width sigma, so ``tail`` standard deviations beyond that point leave a
-    negligible remainder (below 1e-300 at the default).
-    """
-    return sigma * sigma * (dim - 1) + tail * sigma
-
-
-def log_radial_weight(dim: int, r: np.ndarray, sigma: float) -> np.ndarray:
-    """log of exp(-r^2 / 2 sigma^2) sinh^(D-1)(r), stable for large r."""
-    r = np.asarray(r, dtype=float)
-    gauss = -r * r / (2.0 * sigma * sigma)
-    if dim == 1:
-        return gauss
-    return gauss + (dim - 1) * hy.log_sinh(r)
-
-
 @functools.cache
 def _radial_rule() -> tuple[np.ndarray, np.ndarray]:
     """x + 1 and log w of the radial Gauss-Legendre rule, built once, read-only."""
@@ -297,10 +278,22 @@ def log_pdf_vol_many(coords: np.ndarray, params: RgdParams) -> np.ndarray:
     return _log_pdf_vol(hy.dist_many(params.mu, coords), params)
 
 
+def _finite_sigma_bound(dim: int, n: int = 1) -> float:
+    """About the largest sigma where sigma^2 (to 1.3e154) and n log xi, about
+    n (D-1)^2 sigma^2 / 2, are finite, so that n log p_vol terms sum to a float."""
+    return _SIGMA_SQUARE_MAX * (1.0 if dim == 1 else min(1.0, math.sqrt(2.0 / n) / (dim - 1)))
+
+
 def _log_pdf_vol(d: np.ndarray, params: RgdParams) -> np.ndarray:
-    """log p_vol at the distances ``d`` from ``params.mu``."""
+    """log p_vol at the distances ``d`` from ``params.mu``; OverflowError past
+    :func:`_finite_sigma_bound`, where sigma^2 or log xi overflows."""
     log_xi = float(radial_moments(params.dim, params.sigma)[0])
-    return -d * d / (2.0 * params.sigma ** 2) - log_xi
+    square = params.sigma * params.sigma
+    if square == math.inf or log_xi == math.inf:
+        raise OverflowError(f"the log density at sigma = {params.sigma:.6g} overflows: at D = "
+                            f"{params.dim} it is finite only below about sigma = "
+                            f"{_finite_sigma_bound(params.dim):.3g}")
+    return -d * d / (2.0 * square) - log_xi
 
 
 def log_lik(data: Dataset, params: RgdParams) -> float:
@@ -314,9 +307,11 @@ def _radial_table(dim: int, sigma: float):
     """4096-node inverse-CDF table of the radial density on [0, end]; end is at
     least 10 sigma past the mode m = k sigma^2, where D is large and (D-1) sigma^2 small."""
     mode = float(_mode_slope(dim, np.float64(sigma))) * sigma * sigma
-    end = max(radial_cutoff(dim, sigma, tail=12.0), mode + _RADIAL_WINDOW * sigma)
+    end = max(sigma * sigma * (dim - 1) + 12.0 * sigma, mode + _RADIAL_WINDOW * sigma)
     r = np.linspace(0.0, end, 4096)
-    logw = log_radial_weight(dim, r, sigma)
+    logw = -r * r / (2.0 * sigma * sigma)  # log of exp(-r^2 / 2 sigma^2) sinh^(D-1) r
+    if dim > 1:
+        logw = logw + (dim - 1) * hy.log_sinh(r)
     w = np.exp(logw - np.max(logw))
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * np.diff(r))])
     cdf /= cdf[-1]
@@ -512,14 +507,14 @@ def mle(data: Dataset, domain: "ParamDomain") -> MleFit:
     sigma, sigma_clamped = _solve_sigma(dim, target, domain.sigma_min,
                                         domain.sigma_max)
     params = RgdParams(mu, sigma)
-    # past the float range, named below: sigma^2, or the n log xi terms, each
-    # about (D-1)^2 sigma^2 / 2
-    with np.errstate(over="ignore"):
-        max_log_lik = -math.inf if sigma * sigma == math.inf else float(
-            np.sum(_log_pdf_vol(d, params)))
+    try:  # past the float range, named below: sigma^2, log xi or the sum of n log xi
+        with np.errstate(over="ignore"):
+            max_log_lik = float(np.sum(_log_pdf_vol(d, params)))
+    except OverflowError:
+        max_log_lik = -math.inf
     if max_log_lik == -math.inf:
-        bound = _SIGMA_SQUARE_MAX * (1.0 if dim == 1 else math.sqrt(2.0 / data.n) / (dim - 1))
         raise EstimationError(
             f"the log-likelihood at sigma_hat = {sigma:.6g} overflows: at D = {dim} and "
-            f"n = {data.n} it is finite only below about sigma = {bound:.3g}")
+            f"n = {data.n} it is finite only below about sigma = "
+            f"{_finite_sigma_bound(dim, data.n):.3g}")
     return MleFit(params, mu_clamped, sigma_clamped, max_log_lik)

@@ -144,13 +144,11 @@ def exp_normal(base: np.ndarray, t: np.ndarray) -> np.ndarray:
 
     The boost to ``base`` carries the origin's orthonormal tangent frame to
     one at ``base``, so the point is that boost applied to
-    (cosh|t|, sinh|t| t/|t|), the geodesic exponential at the origin.  x0 is
-    then reset to sqrt(1 + |spatial|^2), back onto the sheet.
+    :func:`polar` (|t|, t/|t|), the geodesic exponential at the origin.  x0
+    is then reset to sqrt(1 + |spatial|^2), back onto the sheet.
     """
     norm = math.sqrt(float(t @ t))
-    scale = math.sinh(norm) / norm if norm > 0.0 else 0.0
-    polar = np.concatenate([[math.cosh(norm)], scale * t])
-    point = boost(base, polar[None, :])[0]
+    point = boost(base, polar(norm, (t / norm if norm > 0.0 else t)[None, :]))[0]
     # exact hyperboloid projection; without it iterated maps amplify the
     # rounding residual geometrically
     point[0] = math.hypot(1.0, float(np.linalg.norm(point[1:])))

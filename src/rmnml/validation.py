@@ -3,8 +3,9 @@
 Each suite reruns one of the independent oracles (quadrature, Monte
 Carlo, reparameterization, Kraft) against the production kernels and
 reports a pass/fail line.  The oracles live here only: the paper's
-closed-form :func:`xi` and its derivatives and :func:`xi_quadrature_oracle`
-for :func:`rmnml.gaussian.radial_moments`; the Monte-Carlo Fisher estimate
+closed-form :func:`xi` and its derivatives and :func:`xi_quadrature_oracle`,
+with its :func:`log_radial_weight` and :func:`radial_cutoff`, for
+:func:`rmnml.gaussian.radial_moments`; the Monte-Carlo Fisher estimate
 :func:`fisher_numeric` for :func:`rmnml.gaussian.log_fisher_factors`; the
 integral in sigma :func:`fisher_integral` for the complexity's rule in
 log sigma; and :func:`pc_mc_gauss1d`, a Monte-Carlo parametric complexity
@@ -15,9 +16,8 @@ Tests confirm that the suites detect errors by patching the names ``xi``,
 oracles use :func:`adaptive_gauss_kronrod`, the oracle rule, defined here
 with its QK15 table so that the production kernels share nothing with it:
 9,720 integrand evaluations for the xi suite's 25 integrals and 2,580 for
-the reparameterization suite's 20, where adaptive Simpson took 138,329
-and 23,636.  :func:`fisher_numeric` reads normal coordinates about mu
-through :func:`rmnml.hyperbolic.exp_normal`, the Frechet mean's step.  The
+the reparameterization suite's 20.  :func:`fisher_numeric` reads normal
+coordinates about mu through :func:`rmnml.hyperbolic.exp_normal`.  The
 closed form and the Monte-Carlo oracle read erfc from :func:`_erfc`, a
 numpy kernel of Cody's rational Chebyshev approximations (W. J. Cody,
 "Rational Chebyshev approximations for the error function", Math. Comp.
@@ -35,7 +35,7 @@ import numpy as np
 from . import coding, hyperbolic as hy
 from .complexity import ParamDomain, pc_general, pc_hgd
 from .gaussian import (RgdParams, _log_pdf_vol, log_fisher_factors, log_pdf_vol_many,
-                       log_radial_weight, radial_cutoff, radial_moments, sample)
+                       radial_moments, sample)
 from .quadrature import QuadratureError
 
 #: Step of the central differences in :func:`fisher_numeric`.
@@ -324,12 +324,22 @@ def xi_derivatives(dim: int, sigma):
     return d1[()], d2[()]
 
 
+def radial_cutoff(dim: int, sigma: float) -> float:
+    """End of the radial integrals: 40 sigma past sigma^2 (D-1), near the peak of
+    exp(-r^2 / 2 sigma^2) sinh^(D-1) r, which leaves below 1e-300 of the mass."""
+    return sigma * sigma * (dim - 1) + 40.0 * sigma
+
+
+def log_radial_weight(dim: int, r: np.ndarray, sigma: float) -> np.ndarray:
+    """log of exp(-r^2 / 2 sigma^2) sinh^(D-1)(r), stable for large r."""
+    gauss = -r * r / (2.0 * sigma * sigma)
+    return gauss if dim == 1 else gauss + (dim - 1) * hy.log_sinh(r)
+
+
 def xi_quadrature_oracle(dim: int, sigma: float) -> float:
     """xi by direct quadrature of its defining radial integral, by adaptive Gauss-Kronrod."""
-    cutoff = radial_cutoff(dim, sigma)
-    integral = adaptive_gauss_kronrod(
-        lambda r: np.exp(log_radial_weight(dim, r, sigma)),
-        0.0, cutoff, 1e-12)
+    integral = adaptive_gauss_kronrod(lambda r: np.exp(log_radial_weight(dim, r, sigma)),
+                                      0.0, radial_cutoff(dim, sigma), 1e-12)
     return math.exp(hy.log_sphere_area(dim)) * integral
 
 
@@ -387,17 +397,9 @@ def fisher_numeric(params: RgdParams, n_samples: int, seed: int) -> FisherBlock:
 
     f0 = logp(np.zeros(k))
     unit = np.eye(k) * _FD_STEP
-
-    plus = np.empty((k, n))
-    minus = np.empty((k, n))
+    neg_h = np.empty((k, k, n))  # per-sample negated Hessian entries
     for i in range(k):
-        plus[i] = logp(unit[i])
-        minus[i] = logp(-unit[i])
-
-    # per-sample negated Hessian entries
-    neg_h = np.empty((k, k, n))
-    for i in range(k):
-        neg_h[i, i] = -(plus[i] - 2.0 * f0 + minus[i]) / _FD_STEP ** 2
+        neg_h[i, i] = -(logp(unit[i]) - 2.0 * f0 + logp(-unit[i])) / _FD_STEP ** 2
     for i in range(k):
         for j in range(i + 1, k):
             pp = logp(unit[i] + unit[j])

@@ -268,7 +268,8 @@ class TestSampleCommand:
         ("1.1,0,0", "--mu is not on the manifold: point is off the hyperboloid"),
         ("-1,0,0", "--mu is not on the manifold: x0 must be positive"),
         ("1,0", "--mu needs 3 comma-separated Lorentz components"),
-    ], ids=["off-sheet", "x0-negative", "wrong-length"])
+        ("x,0,0", "--mu expects comma-separated numbers, got 'x,0,0'"),
+    ], ids=["off-sheet", "x0-negative", "wrong-length", "non-numeric"])
     def test_bad_mu_is_usage_error(self, mu, reason, tmp_path, capsys):
         out = tmp_path / "x.json"
         assert run(["sample", "--dim", "2", "--n", "5", "--sigma", "1", f"--mu={mu}",
@@ -292,8 +293,7 @@ class TestSampleCommand:
         d2 = hy.dist_many(hy.origin(2), data.coords) ** 2
         # quadrature oracle for E[d^2] and its spread (precomputed forms
         # exercised in the gaussian tests); generous 3-sigma band
-        from rmnml.gaussian import log_radial_weight, radial_cutoff
-        from rmnml.validation import adaptive_gauss_kronrod
+        from rmnml.validation import adaptive_gauss_kronrod, log_radial_weight, radial_cutoff
         cutoff = radial_cutoff(2, 1.0)
         w = lambda r, k=0: r ** k * np.exp(log_radial_weight(2, r, 1.0))
         z = adaptive_gauss_kronrod(lambda r: w(r), 0.0, cutoff, 1e-12)
@@ -726,13 +726,19 @@ class TestCodingDemo:
         assert all(math.isfinite(v) for v in payload.values())
         assert payload["kraft_sum"] <= 1.0
 
-    @pytest.mark.parametrize("sigma", ["1e12", "1e100"])
+    @pytest.mark.parametrize("sigma", ["1e12", "1e100", "1e160"])
     def test_unrepresentable_code_is_usage_error(self, sigma, capsys):
+        # past sigma = 1.34e154, sigma^2 overflows before any code-length is
+        # formed: the log-density stage stops the run with exit 3
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert run(["coding-demo", "--sigma", sigma]) == 2
+            assert run(["coding-demo", "--sigma", sigma]) == (3 if sigma == "1e160" else 2)
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        if sigma == "1e160":
+            assert err == ("error: numerical overflow: the log density at sigma = 1e+160 "
+                           "overflows: at D = 2 it is finite only below about "
+                           "sigma = 1.34e+154\n")
 
     @pytest.mark.parametrize("radius", ["711", "inf"])
     def test_radius_past_float_range_is_usage_error(self, radius, capsys):
@@ -950,10 +956,16 @@ def test_unwritable_output_path_is_usage_error(command, flag, tmp_path, capsys):
         "coding-demo": ["--grid", "4"],
     }[command]
     target = tmp_path / "missing" / "result"
+    # a writable --csv beside an unwritable --out: --out is checked first,
+    # so the run leaves no file
+    table = tmp_path / "ok.csv"
+    if flag == "--out" and command in ("pc", "codelength"):
+        args = [*args, "--csv", str(table)]
     assert run([command, *args, flag, str(target)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {target}: [Errno 2] No such file or directory")
     assert not target.parent.exists()
+    assert not table.exists()
 
 
 @pytest.mark.parametrize("command", ["pc", "codelength"])

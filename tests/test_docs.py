@@ -56,14 +56,16 @@ def test_oracles_stay_in_validation():
     # one kernel per quantity: the library reads xi, the moments and the
     # Fisher information from the moment kernel, and the paper's closed form
     # and the Monte-Carlo and quadrature oracles, with the adaptive
-    # Gauss-Kronrod rule and its QK15 table, and the erfc kernel with its
-    # coefficient tables, belong to the validation suites
+    # Gauss-Kronrod rule and its QK15 table, the erfc kernel with its
+    # coefficient tables, and the radial weight and cutoff of the quadrature
+    # oracle, belong to the validation suites
     oracles = {"xi", "xi_derivatives", "xi_quadrature_oracle", "FisherBlock",
                "fisher_numeric", "fisher_integral", "pc_mc_gauss1d",
                "adaptive_gauss_kronrod", "_kronrod_sums", "_KRONROD_X",
                "_KRONROD_W", "_GAUSS_W", "_NODES_15", "_KRONROD_15", "_GAUSS_15",
                "_erfc", "_erfc_block", "_exp_minus_square", "_cody_ratio", "_ERFC_A",
-               "_ERFC_B", "_ERFC_C", "_ERFC_D", "_ERFC_P", "_ERFC_Q"}
+               "_ERFC_B", "_ERFC_C", "_ERFC_D", "_ERFC_P", "_ERFC_Q", "radial_cutoff",
+               "log_radial_weight"}
     assert _bindings(oracles, skip="validation") == []
 
 
@@ -75,28 +77,30 @@ def test_one_boost_for_every_isometry():
     assert len(rmnml.__all__) == 21
 
 
+def _callers(name: str) -> set[str]:
+    """"module.name" of each top-level def or class of the package that calls ``name``."""
+    return {f"{path.stem}.{getattr(top, 'name', top.lineno)}"
+            for path in sorted(SOURCES.glob("*.py"))
+            for top in ast.parse(path.read_text(), str(path)).body
+            if any(isinstance(node, ast.Call) and _called_name(node) == name
+                   for node in ast.walk(top))}
+
+
 def test_one_polar_kernel():
     # hyperbolic.polar builds every point (cosh r, sinh r u) at the origin:
-    # the draws, the prefix code's sub-grid and the MLE's clamp; the old
-    # helpers are gone, and no other module takes the sinh of a radius
+    # the draws, the prefix code's sub-grid, the MLE's clamp and the
+    # geodesic exponential; the old helpers are gone, and no other function
+    # takes the sinh of a radius
     assert _bindings({"_lorentz_of_polar", "normal_chart"}) == []
-    offenders = [f"{path.name}:{node.lineno}"
-                 for path in sorted(SOURCES.glob("*.py"))
-                 if path.stem != "hyperbolic"
-                 for node in _nodes(path)
-                 if isinstance(node, ast.Call) and _called_name(node) == "sinh"]
-    assert offenders == []
+    assert _callers("sinh") == {"hyperbolic.polar"}
+    assert "hyperbolic.exp_normal" not in _callers("cosh")
 
 
 def test_fisher_factors_read_only_through_the_log_formula():
     # gaussian.log_fisher_factors is the one function that turns the moments
     # into Fisher factors; the rest of the library calls it, not the kernel
-    offenders = [f"{path.name}:{node.lineno}"
-                 for path in sorted(SOURCES.glob("*.py"))
-                 if path.stem not in ("gaussian", "validation")
-                 for node in _nodes(path)
-                 if isinstance(node, ast.Call) and _called_name(node) == "radial_moments"]
-    assert offenders == []
+    modules = {caller.split(".")[0] for caller in _callers("radial_moments")}
+    assert modules <= {"gaussian", "validation"}
 
 
 def test_no_fisher_module():

@@ -9,10 +9,10 @@ import pytest
 
 from rmnml import hyperbolic as hy
 from rmnml.complexity import ParamDomain, pc_hgd
-from rmnml.gaussian import (RgdParams, log_fisher_factors, log_radial_weight,
-                            radial_cutoff)
+from rmnml.gaussian import RgdParams, log_fisher_factors
 from rmnml.validation import (FisherBlock, adaptive_gauss_kronrod, fisher_integral,
-                              fisher_numeric, xi, xi_derivatives)
+                              fisher_numeric, log_radial_weight, radial_cutoff, xi,
+                              xi_derivatives)
 
 from conftest import dist, fisher_factors, fisher_numeric_per_offset, random_point
 

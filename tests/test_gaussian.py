@@ -6,9 +6,10 @@ import pytest
 from rmnml import hyperbolic as hy
 from rmnml.complexity import ParamDomain, _log_sigma_integrand, hgd_sigma_integral
 from rmnml.gaussian import (_SIGMA_SQUARE_MIN, Dataset, RgdParams, _radial_rule,
-                            _radial_table, frechet_mean, log_lik, log_pdf_vol_many,
-                            log_radial_weight, mle, radial_cutoff, radial_moments, sample)
-from rmnml.validation import adaptive_gauss_kronrod, xi, xi_derivatives, xi_quadrature_oracle
+                            _radial_table, frechet_mean, log_lik, log_pdf_vol_many, mle,
+                            radial_moments, sample)
+from rmnml.validation import (adaptive_gauss_kronrod, log_radial_weight, radial_cutoff, xi,
+                              xi_derivatives, xi_quadrature_oracle)
 
 from conftest import (closed_fisher_factors, dist, log_map, minkowski_inner,
                       polar_point, radial_moments_plain, random_point, sphere_area,
@@ -334,6 +335,17 @@ class TestLogLik:
         data = sample(50, params, seed=3)
         total = log_pdf_vol_many(data.coords, params).sum()
         assert log_lik(data, params) == pytest.approx(float(total), abs=1e-12)
+
+    @pytest.mark.parametrize("dim, bound", [(1, 1.34e154), (2, 1.34e154), (3, 9.48e153)])
+    def test_overflow_names_the_stage(self, dim, bound):
+        # sigma^2 overflows past 1.34e154, and log xi, about (D-1)^2 sigma^2 / 2,
+        # past 1.34e154 sqrt(2) / (D-1); below both the density is finite
+        data = Dataset(hy.origin(dim)[None, :])
+        assert math.isfinite(log_lik(data, RgdParams(hy.origin(dim), 0.99 * bound)))
+        with pytest.raises(OverflowError) as info:
+            log_lik(data, RgdParams(hy.origin(dim), 1e200))
+        assert str(info.value) == (f"the log density at sigma = 1e+200 overflows: at D = "
+                                   f"{dim} it is finite only below about sigma = {bound:.3g}")
 
 
 class TestSample:

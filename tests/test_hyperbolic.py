@@ -261,6 +261,15 @@ class TestPolar:
         assert np.array_equal(hy.polar(2.0, u[0, 0]),
                               np.concatenate([[np.cosh(2.0)], np.sinh(2.0) * u[0, 0]]))
 
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_exp_normal_at_the_origin_is_the_kernel(self, dim, rng):
+        # exp_normal builds its point with polar, so its spatial part is
+        # polar's bit for bit; x0 is then put back on the sheet
+        for t in rng.standard_normal((200, dim)) * rng.uniform(0.0, 5.0, (200, 1)):
+            norm = math.sqrt(float(t @ t))
+            assert np.array_equal(hy.exp_normal(hy.origin(dim), t)[1:],
+                                  hy.polar(norm, t / norm)[1:])
+
 
 class TestIsometry:
     def test_identity_at_origin(self, rng):
