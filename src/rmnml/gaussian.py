@@ -297,10 +297,19 @@ def _log_pdf_vol(d: np.ndarray, params: RgdParams) -> np.ndarray:
 
 
 def log_lik(data: Dataset, params: RgdParams) -> float:
-    """Log-likelihood -n log xi(sigma) - sum_i d^2(x_i, mu) / (2 sigma^2)."""
+    """Log-likelihood -n log xi(sigma) - sum_i d^2(x_i, mu) / (2 sigma^2);
+    OverflowError naming the stage where n finite terms sum past the float
+    range, about :func:`_finite_sigma_bound` (D, n)."""
     if data.dim != params.dim:
         raise ValueError(f"data dimension {data.dim} != parameter dimension {params.dim}")
-    return float(np.sum(log_pdf_vol_many(data.coords, params)))
+    terms = log_pdf_vol_many(data.coords, params)
+    with np.errstate(over="ignore"):
+        total = float(np.sum(terms))
+    if total == -math.inf and np.isfinite(terms).all():
+        raise OverflowError(f"the log-likelihood at sigma = {params.sigma:.6g} overflows: at D = "
+                            f"{params.dim} and n = {data.n} it is finite only below about "
+                            f"sigma = {_finite_sigma_bound(params.dim, data.n):.3g}")
+    return total
 
 
 def _radial_table(dim: int, sigma: float):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -279,11 +280,17 @@ class TestSampleCommand:
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("dim", ["0", "-1"])
-    def test_non_positive_dim_is_usage_error(self, dim, tmp_path, capsys):
-        assert run(["sample", "--dim", dim, "--n", "5", "--sigma", "1",
-                    "--out", str(tmp_path / "x.json")]) == 2
-        assert capsys.readouterr().err == f"error: --dim must be a positive integer, got {dim}\n"
+    # a negative --seed is named before numpy's "expected non-negative integer"
+    @pytest.mark.parametrize("flag, value, rule", [("--dim", "0", "a positive"),
+                                                   ("--dim", "-1", "a positive"),
+                                                   ("--seed", "-1", "a non-negative")],
+                             ids=["0", "-1", "seed--1"])
+    def test_non_positive_dim_is_usage_error(self, flag, value, rule, tmp_path, capsys):
+        options = {"--dim": "2", "--n": "5", "--sigma": "1", "--seed": "0", flag: value}
+        out = tmp_path / "x.json"
+        assert run(["sample", *itertools.chain(*options.items()), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {flag} must be {rule} integer, got {value}\n"
+        assert not out.exists()
 
     def test_sample_statistics(self, tmp_path):
         out = tmp_path / "big.json"
@@ -367,6 +374,52 @@ class TestSampleCommand:
         data = load_dataset(str(out))
         d = hy.dist_many(mu, data.coords)
         assert float(np.median(d)) < 1.0
+
+
+def _strict_json(text: str):
+    """json.loads that refuses NaN, Infinity and -Infinity, which JSON lacks."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestWriteDataset:
+    # r = 38.5 puts x0 in [1e16, 1e17), where %.17g prints a JSON integer
+    RADII = (0.0, 1e-8, 1.0, 38.5, 700.0)
+
+    # D = 1000 at n = 1e4 would hold 1e7 Python floats at once; the other
+    # sizes cover the same template
+    @pytest.mark.parametrize("dim, n", [(dim, n) for dim in (1, 2, 5) for n in (1, 3, 10_000)]
+                             + [(1000, 1), (1000, 3)])
+    def test_reads_back_as_json_dumps_does(self, dim, n, tmp_path):
+        rng = np.random.default_rng([dim, n])
+        path = tmp_path / "data.json"
+        for r in self.RADII:
+            u = rng.standard_normal((n, dim))
+            coords = hy.polar(r, u / np.linalg.norm(u, axis=1, keepdims=True))
+            write_dataset(str(path), Dataset(coords))
+            text = path.read_text()
+            payload = _strict_json(text)
+            assert (payload["chart"], payload["dim"], len(payload["points"])) == (
+                "lorentz", dim, n)
+            if r == 38.5:
+                assert f"[{int(coords[0, 0])}, " in text
+            # json.dumps's shortest repr is the reference.  It keeps -0.0 (at
+            # r = 0), which reads back as 0.0 here (test below), so + 0.0 maps
+            # it there and leaves the bits of every other value as they are
+            reference = np.array(json.loads(json.dumps(coords.tolist())))
+            assert np.array_equal(load_dataset(str(path)).coords.view(np.uint64),
+                                  (reference + 0.0).view(np.uint64))
+
+    def test_negative_zero_reads_back_as_zero(self, tmp_path):
+        # %.17g writes -0.0 as -0, a JSON integer: the one coordinate that does
+        # not read back bit for bit, but as 0.0, an equal float
+        path = tmp_path / "zero.json"
+        write_dataset(str(path), Dataset(np.array([[1.0, -0.0, 0.0]])))
+        assert path.read_text() == '{"chart": "lorentz", "dim": 2, "points": [[1, -0, 0]]}\n'
+        coords = load_dataset(str(path)).coords
+        assert coords.tolist() == [[1.0, 0.0, 0.0]]
+        assert not np.signbit(coords).any()
 
 
 @pytest.mark.parametrize("command", [["sample", "--dim", "2", "--n", "10", "--out", "x.json"],

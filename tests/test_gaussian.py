@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -336,16 +337,24 @@ class TestLogLik:
         total = log_pdf_vol_many(data.coords, params).sum()
         assert log_lik(data, params) == pytest.approx(float(total), abs=1e-12)
 
-    @pytest.mark.parametrize("dim, bound", [(1, 1.34e154), (2, 1.34e154), (3, 9.48e153)])
-    def test_overflow_names_the_stage(self, dim, bound):
+    @pytest.mark.parametrize("dim, bound, n, sigma", [
+        (1, 1.34e154, 1, 1e200), (2, 1.34e154, 1, 1e200), (3, 9.48e153, 1, 1e200),
+        (3, 6.7e153, 2, 9.4e153)], ids=["1-1.34e+154", "2-1.34e+154", "3-9.48e+153", "3-sum"])
+    def test_overflow_names_the_stage(self, dim, bound, n, sigma):
         # sigma^2 overflows past 1.34e154, and log xi, about (D-1)^2 sigma^2 / 2,
-        # past 1.34e154 sqrt(2) / (D-1); below both the density is finite
-        data = Dataset(hy.origin(dim)[None, :])
-        assert math.isfinite(log_lik(data, RgdParams(hy.origin(dim), 0.99 * bound)))
-        with pytest.raises(OverflowError) as info:
-            log_lik(data, RgdParams(hy.origin(dim), 1e200))
-        assert str(info.value) == (f"the log density at sigma = 1e+200 overflows: at D = "
-                                   f"{dim} it is finite only below about sigma = {bound:.3g}")
+        # past 1.34e154 sqrt(2) / (D-1); below both the density is finite.  With
+        # n = 2 at 9.4e153 each term is finite (about -1.77e308) but their sum is not
+        data = Dataset(np.tile(hy.origin(dim), (n, 1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(log_lik(data, RgdParams(hy.origin(dim), 0.99 * bound)))
+            with pytest.raises(OverflowError) as info:
+                log_lik(data, RgdParams(hy.origin(dim), sigma))
+        stage = "log density" if n == 1 else "log-likelihood"
+        sample_size = "" if n == 1 else f" and n = {n}"
+        assert str(info.value) == (f"the {stage} at sigma = {sigma:.6g} overflows: at D = {dim}"
+                                   f"{sample_size} it is finite only below about sigma = "
+                                   f"{bound:.3g}")
 
 
 class TestSample:
