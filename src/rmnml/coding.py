@@ -108,10 +108,12 @@ def prefix_code(partition: Partition, log_pdf) -> PrefixCode:
         log_inf[block], log_sup[block] = grid.min(axis=0), grid.max(axis=0)
         log_mid[block] = grid[SUBGRID ** 2 // 2]
     log_vol = np.log(partition.volumes)
-    bits = np.ceil(-(log_inf + log_vol) / math.log(2.0))
+    nats = -(log_inf + log_vol)
+    with np.errstate(over="ignore"):  # bits past the float range, named below in nats
+        bits = np.ceil(nats / math.log(2.0))
     if not np.all(np.abs(bits) < 2.0 ** 63):
-        raise ValueError(f"code-lengths up to {np.max(np.abs(bits)):.6g} bits "
-                         f"do not fit an int64")
+        raise ValueError(f"code-lengths up to {np.max(np.abs(nats)):.6g} nats, past 2^63 "
+                         f"bits, do not fit an int64")
     lengths = bits.astype(np.int64)
     # shifted by the largest log mass: densities past the float range still code
     log_mass = log_mid + log_vol

@@ -43,8 +43,9 @@ class ParamDomain:
     the origin for the location, interval [sigma_min, sigma_max] for the
     scale.
 
-    Accepted range: 0 < radius_R <= RADIUS_MAX (1e15) and finite
-    bounds with SIGMA_FLOOR (about 1.2e-77) <= sigma_min < sigma_max.
+    Accepted range: float min (about 2.2e-308) <= radius_R <= RADIUS_MAX
+    (1e15), where the log ball volume keeps its digits, and finite bounds
+    with SIGMA_FLOOR (about 1.2e-77) <= sigma_min < sigma_max.
     Every term of the log complexity is finite on such a domain, as the
     Fisher factors are read as logs, up to the moment kernel's largest
     sigma, about 9e306 / (D-1): the domain has no D, so ``pc_hgd`` and
@@ -60,6 +61,9 @@ class ParamDomain:
     def __post_init__(self):
         if not 0 < self.radius_R <= RADIUS_MAX:
             raise ValueError(f"radius_R must be in (0, {RADIUS_MAX:g}]: {self.radius_R}")
+        if self.radius_R < sys.float_info.min:
+            raise ValueError(f"radius_R must be at least {sys.float_info.min:.3g}, below which "
+                             f"the log ball volume loses digits; got {self.radius_R}")
         if not 0 < self.sigma_min < self.sigma_max:
             raise ValueError("need 0 < sigma_min < sigma_max")
         if not self.sigma_max < math.inf:

@@ -20,7 +20,6 @@ floor of its frame; for sigma, on log E[d^2].
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -126,16 +125,6 @@ class Dataset:
         return self.n
 
 
-@functools.cache
-def _radial_rule() -> tuple[np.ndarray, np.ndarray]:
-    """x + 1 and log w of the radial Gauss-Legendre rule, built once, read-only."""
-    x, w = gauss_legendre(_RADIAL_NODES)
-    x1, log_w = x + 1.0, np.log(w)
-    x1.setflags(write=False)
-    log_w.setflags(write=False)
-    return x1, log_w
-
-
 def radial_moments(dim: int, sigma):
     """log xi(sigma), log E[d^2] and log Var(d^2) under the hyperbolic Gaussian.
 
@@ -168,24 +157,18 @@ def radial_moments(dim: int, sigma):
     mean, so log E and log Var are finite while 20 (D-1) sigma is a float
     (:func:`check_sigma_max`).
     log xi, about (D-1)^2 sigma^2 / 2, is +inf past sigma = 1e154 / (D-1).
-
-    Each pass over the (rows, 96) nodes writes into one of four arrays,
-    tau, log w, the expm1 ratio and q, in the order of operations of the
-    plain expressions, so every output is the same float.  The rule's
-    cached x + 1 and log w are read-only, so no pass can write into them.
+    The rule is :func:`gauss_legendre`'s cached, read-only pair, and each
+    pass allocates its result, so a call leaves the rule and ``sigma`` as
+    they were.
     """
     s = np.asarray(sigma, dtype=float)[..., None]
     slope = _mode_slope(dim, s)  # k
     k_sigma = slope * s  # m / sigma
     below = np.minimum(k_sigma, _RADIAL_WINDOW)  # the window is tau in [-below, 10]
     half = 0.5 * (_RADIAL_WINDOW + below)
-    x1, log_gl = _radial_rule()
-    tau = np.multiply(half, x1)
-    tau -= below
-    log_w = np.multiply(tau, 0.5)
-    np.subtract(s * ((dim - 1) - slope), log_w, out=log_w)
-    log_w *= tau
-    log_w += log_gl
+    x, w = gauss_legendre(_RADIAL_NODES)
+    tau = half * (x + 1.0) - below
+    log_w = tau * (s * ((dim - 1) - slope) - 0.5 * tau) + np.log(w)
     # past sigma ~ 1e154 / (D-1), m and r overflow to inf: the expm1 ratio
     # is then 1, as it is, and log xi is +inf
     with np.errstate(over="ignore"):
@@ -193,25 +176,15 @@ def radial_moments(dim: int, sigma):
         offset = mode * ((dim - 1) - 0.5 * slope)  # c + (D-1) log 2
         if dim > 1:
             tail = np.expm1(-2.0 * mode)
-            ratio = np.add(k_sigma, tau)
-            ratio *= -2.0 * s
-            np.expm1(ratio, out=ratio)
-            ratio /= tail
-            np.log(ratio, out=ratio)
-            ratio *= dim - 1
-            log_w += ratio
-            offset += (dim - 1) * np.log(-tail)
-    p = np.exp(log_w, out=log_w)
+            log_w = log_w + (dim - 1) * np.log(np.expm1(-2.0 * s * (k_sigma + tau)) / tail)
+            offset = offset + (dim - 1) * np.log(-tail)
+    p = np.exp(log_w)
     z = p.sum(axis=-1)
-    two_k_sigma = 2.0 * k_sigma
-    width = two_k_sigma + _RADIAL_WINDOW  # S / sigma^2
-    q = two_k_sigma + tau
-    q *= tau
-    q /= width  # (r^2 - m^2) / S
+    width = 2.0 * k_sigma + _RADIAL_WINDOW  # S / sigma^2
+    q = tau * (2.0 * k_sigma + tau) / width  # (r^2 - m^2) / S
     mean_q = _row_dot(p, q) / z
-    q -= mean_q[..., None]
-    q *= q
-    var_q = _row_dot(p, q) / z
+    dev = q - mean_q[..., None]
+    var_q = _row_dot(p, dev * dev) / z
     log_s = np.log(s[..., 0])
     log_scale = 2.0 * log_s + np.log(width[..., 0])  # log S
     mode_sq = (k_sigma * (k_sigma / width))[..., 0]  # m^2 / S
@@ -286,30 +259,44 @@ def _finite_sigma_bound(dim: int, n: int = 1) -> float:
 
 def _log_pdf_vol(d: np.ndarray, params: RgdParams) -> np.ndarray:
     """log p_vol at the distances ``d`` from ``params.mu``; OverflowError past
-    :func:`_finite_sigma_bound`, where sigma^2 or log xi overflows."""
+    :func:`_finite_sigma_bound`, where sigma^2 or log xi overflows, and below
+    sigma = d_max / (sqrt 2 sqrt(float max)), where d_max^2 / (2 sigma^2) does."""
     log_xi = float(radial_moments(params.dim, params.sigma)[0])
     square = params.sigma * params.sigma
     if square == math.inf or log_xi == math.inf:
         raise OverflowError(f"the log density at sigma = {params.sigma:.6g} overflows: at D = "
                             f"{params.dim} it is finite only below about sigma = "
                             f"{_finite_sigma_bound(params.dim):.3g}")
-    return -d * d / (2.0 * square) - log_xi
+    with np.errstate(over="ignore"):  # named below
+        terms = -d * d / (2.0 * square) - log_xi
+    if not np.isfinite(terms).all():
+        far = float(np.max(d))
+        raise OverflowError(f"the log density at sigma = {params.sigma:.6g} overflows: "
+                            f"d^2 / (2 sigma^2) at the farthest distance, d = {far:.6g}, is "
+                            f"finite only above about sigma = "
+                            f"{far / (math.sqrt(2.0) * _SIGMA_SQUARE_MAX):.3g}")
+    return terms
+
+
+def _log_lik_sum(d: np.ndarray, params: RgdParams) -> float:
+    """Sum of log p_vol at the distances ``d``; OverflowError naming the stage
+    where a term (:func:`_log_pdf_vol`) or the sum of n finite terms, past
+    about :func:`_finite_sigma_bound` (D, n), is past the float range."""
+    with np.errstate(over="ignore"):  # named below
+        total = float(np.sum(_log_pdf_vol(d, params)))
+    if total == -math.inf:
+        raise OverflowError(f"the log-likelihood at sigma = {params.sigma:.6g} overflows: at D = "
+                            f"{params.dim} and n = {d.size} it is finite only below about "
+                            f"sigma = {_finite_sigma_bound(params.dim, d.size):.3g}")
+    return total
 
 
 def log_lik(data: Dataset, params: RgdParams) -> float:
     """Log-likelihood -n log xi(sigma) - sum_i d^2(x_i, mu) / (2 sigma^2);
-    OverflowError naming the stage where n finite terms sum past the float
-    range, about :func:`_finite_sigma_bound` (D, n)."""
+    OverflowError names the stage past the float range (:func:`_log_lik_sum`)."""
     if data.dim != params.dim:
         raise ValueError(f"data dimension {data.dim} != parameter dimension {params.dim}")
-    terms = log_pdf_vol_many(data.coords, params)
-    with np.errstate(over="ignore"):
-        total = float(np.sum(terms))
-    if total == -math.inf and np.isfinite(terms).all():
-        raise OverflowError(f"the log-likelihood at sigma = {params.sigma:.6g} overflows: at D = "
-                            f"{params.dim} and n = {data.n} it is finite only below about "
-                            f"sigma = {_finite_sigma_bound(params.dim, data.n):.3g}")
-    return total
+    return _log_lik_sum(hy.dist_many(params.mu, data.coords), params)
 
 
 def _radial_table(dim: int, sigma: float):
@@ -469,7 +456,8 @@ def _solve_sigma(dim: int, target: float, lo: float, hi: float) -> tuple[float, 
 @dataclass(frozen=True)
 class MleFit:
     """MLE result with flags recording clamping to the parameter domain, and
-    ``max_log_lik``: ``log_lik(data, params)`` bit for bit, from the fit's distances."""
+    ``max_log_lik``: the sum of :func:`log_lik` over the fit's distances, so
+    ``log_lik(data, params)`` bit for bit."""
 
     params: RgdParams
     mu_clamped: bool
@@ -491,9 +479,10 @@ def mle(data: Dataset, domain: "ParamDomain") -> MleFit:
     sigma solves E[d^2](sigma) = sigma^3 xi'/xi = mean d^2(x_i, mu) by safeguarded
     Newton on [sigma_min, sigma_max], with boundary values used (and
     flagged) when the equation has no interior root.  A ``sigma_max`` past
-    :func:`check_sigma_max`'s bound is a ValueError.  EstimationError names
-    sigma_hat where the log-likelihood overflows: past about
-    sigma = 1.3e154 sqrt(2/n) / (D-1), and 1.3e154 at D = 1.
+    :func:`check_sigma_max`'s bound is a ValueError.  The maximized
+    log-likelihood is :func:`log_lik`'s one sum over the fit's distances;
+    where it overflows, past about sigma = 1.3e154 sqrt(2/n) / (D-1) and
+    1.3e154 at D = 1, EstimationError names sigma_hat.
     """
     if data.n < 2:
         raise ValueError("the MLE needs at least 2 points (sigma is degenerate at n=1)")
@@ -516,14 +505,11 @@ def mle(data: Dataset, domain: "ParamDomain") -> MleFit:
     sigma, sigma_clamped = _solve_sigma(dim, target, domain.sigma_min,
                                         domain.sigma_max)
     params = RgdParams(mu, sigma)
-    try:  # past the float range, named below: sigma^2, log xi or the sum of n log xi
-        with np.errstate(over="ignore"):
-            max_log_lik = float(np.sum(_log_pdf_vol(d, params)))
-    except OverflowError:
-        max_log_lik = -math.inf
-    if max_log_lik == -math.inf:
+    try:
+        max_log_lik = _log_lik_sum(d, params)
+    except OverflowError as exc:
         raise EstimationError(
             f"the log-likelihood at sigma_hat = {sigma:.6g} overflows: at D = {dim} and "
             f"n = {data.n} it is finite only below about sigma = "
-            f"{_finite_sigma_bound(dim, data.n):.3g}")
+            f"{_finite_sigma_bound(dim, data.n):.3g}") from exc
     return MleFit(params, mu_clamped, sigma_clamped, max_log_lik)

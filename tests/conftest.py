@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rmnml import hyperbolic as hy
-from rmnml import gaussian, quadrature, validation
+from rmnml import quadrature, validation
 from rmnml.gaussian import Dataset, RgdParams, log_fisher_factors, log_pdf_vol_many, sample
 from rmnml.validation import FisherBlock, adaptive_gauss_kronrod, xi, xi_derivatives
 
@@ -241,52 +241,6 @@ def fisher_numeric_per_offset(params: RgdParams, n_samples: int, seed: int) -> F
     se = neg_h.std(axis=2, ddof=1) / math.sqrt(x.shape[0])
     return FisherBlock(est[:dim, :dim], float(est[dim, dim]), est[:dim, dim].copy(),
                        se[:dim, :dim], float(se[dim, dim]), se[:dim, dim].copy(), x.shape[0])
-
-
-def radial_moments_plain(dim: int, sigma):
-    """:func:`rmnml.gaussian.radial_moments` written as plain expressions.
-
-    The reference for the kernel's in-place passes: each pass allocates its
-    result, in the same order of operations, so every output is the same float.
-    """
-    s = np.asarray(sigma, dtype=float)[..., None]
-    if dim > 1:
-        capped = np.minimum(s, 20.0 / math.sqrt(dim - 1))
-        a = (dim - 1) * capped * capped
-        mode = np.sqrt(a * (a + 1.0))
-        for _ in range(2):
-            tanh = np.tanh(mode)
-            mode = mode - (mode * tanh - a) / (tanh + mode * (1.0 - tanh * tanh))
-        slope = (dim - 1) / np.tanh(mode)
-    else:
-        slope = np.zeros_like(s)
-    window = gaussian._RADIAL_WINDOW
-    k_sigma = slope * s
-    below = np.minimum(k_sigma, window)
-    half = 0.5 * (window + below)
-    x, w = quadrature.gauss_legendre(gaussian._RADIAL_NODES)
-    tau = half * (x + 1.0) - below
-    log_w = tau * (s * ((dim - 1) - slope) - 0.5 * tau) + np.log(w)
-    with np.errstate(over="ignore"):
-        mode = k_sigma * s
-        offset = mode * ((dim - 1) - 0.5 * slope)
-        if dim > 1:
-            tail = np.expm1(-2.0 * mode)
-            log_w = log_w + (dim - 1) * np.log(np.expm1(-2.0 * s * (k_sigma + tau)) / tail)
-            offset = offset + (dim - 1) * np.log(-tail)
-    p = np.exp(log_w)
-    z = p.sum(axis=-1)
-    width = 2.0 * k_sigma + window
-    q = tau * (2.0 * k_sigma + tau) / width
-    mean_q = gaussian._row_dot(p, q) / z
-    dev = q - mean_q[..., None]
-    var_q = gaussian._row_dot(p, dev * dev) / z
-    log_s = np.log(s[..., 0])
-    log_scale = 2.0 * log_s + np.log(width[..., 0])
-    mode_sq = (k_sigma * (k_sigma / width))[..., 0]
-    log_xi = (hy.log_sphere_area(dim) - (dim - 1) * math.log(2.0) + offset[..., 0]
-              + np.log(z * half[..., 0]) + log_s)
-    return log_xi, log_scale + np.log(mode_sq + mean_q), 2.0 * log_scale + np.log(var_q)
 
 
 def refine_by_columns(f, panels, rel_tol, cap, length):

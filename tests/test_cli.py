@@ -132,6 +132,22 @@ class TestPcCommand:
         assert err.startswith(f"error: {bound} must be")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("radius", ["5e-324", "1e-320"])
+    def test_subnormal_radius_is_usage_error(self, radius, capsys):
+        # below the smallest normal float the log ball volume loses digits: at
+        # D = 5 and R = 1e-320 it read -3682.47486, not the small ball's -3682.47535
+        assert run(["pc", "--dim", "5", "--n", "100", "--radius", radius]) == 2
+        assert capsys.readouterr().err == (
+            f"error: radius_R must be at least 2.23e-308, below which the log ball "
+            f"volume loses digits; got {radius}\n")
+
+    def test_tiny_radius_is_the_small_ball(self, capsys):
+        # as R -> 0 the ball volume is the Euclidean pi^(D/2) R^D / Gamma(D/2 + 1)
+        assert run(["pc", "--dim", "5", "--n", "100", "--radius", "1e-300"]) == 0
+        small = 2.5 * math.log(math.pi) - math.lgamma(3.5) + 5.0 * math.log(1e-300)
+        assert json.loads(capsys.readouterr().out)["term_volume"] == pytest.approx(
+            small, rel=1e-12)
+
     @pytest.mark.parametrize("dim, sigma", [(3, "1e-12:1"), (1, "1.3e-77:1"),
                                             (2, "1.3e-77:1"), (3, "1.3e-77:1"),
                                             (5, "1.3e-77:1")])
@@ -779,19 +795,27 @@ class TestCodingDemo:
         assert all(math.isfinite(v) for v in payload.values())
         assert payload["kraft_sum"] <= 1.0
 
-    @pytest.mark.parametrize("sigma", ["1e12", "1e100", "1e160"])
-    def test_unrepresentable_code_is_usage_error(self, sigma, capsys):
-        # past sigma = 1.34e154, sigma^2 overflows before any code-length is
-        # formed: the log-density stage stops the run with exit 3
+    @pytest.mark.parametrize("sigma, code, message", [
+        ("1e12", 2, None), ("1e100", 2, None),
+        ("1e160", 3, "numerical overflow: the log density at sigma = 1e+160 overflows: at "
+                     "D = 2 it is finite only below about sigma = 1.34e+154"),
+        ("1.5e-154", 3, "numerical overflow: the log density at sigma = 1.5e-154 overflows: "
+                        "d^2 / (2 sigma^2) at the farthest distance, d = 3, is finite only "
+                        "above about sigma = 1.58e-154"),
+        ("1.6e-154", 2, "code-lengths up to 1.75781e+308 nats, past 2^63 bits, do not fit "
+                        "an int64")], ids=["1e12", "1e100", "1e160", "1.5e-154", "1.6e-154"])
+    def test_unrepresentable_code_is_usage_error(self, sigma, code, message, capsys):
+        # past sigma = 1.34e154, sigma^2 overflows, and below 3 / (sqrt 2
+        # sqrt(float max)) = 1.58e-154 so does d^2 / (2 sigma^2) at the rim,
+        # before any code-length is formed: the log-density stage stops the
+        # run with exit 3.  Just above that, the lengths pass 2^63 bits
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert run(["coding-demo", "--sigma", sigma]) == (3 if sigma == "1e160" else 2)
+            assert run(["coding-demo", "--sigma", sigma]) == code
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        if sigma == "1e160":
-            assert err == ("error: numerical overflow: the log density at sigma = 1e+160 "
-                           "overflows: at D = 2 it is finite only below about "
-                           "sigma = 1.34e+154\n")
+        if message is not None:
+            assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("radius", ["711", "inf"])
     def test_radius_past_float_range_is_usage_error(self, radius, capsys):

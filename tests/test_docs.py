@@ -105,3 +105,12 @@ def test_fisher_factors_read_only_through_the_log_formula():
 
 def test_no_fisher_module():
     assert not (SOURCES / "fisher.py").exists()
+
+
+def test_one_radial_kernel_and_one_log_likelihood_sum():
+    # radial_moments is the one plain kernel, reading the cached rule of
+    # gauss_legendre, and _log_lik_sum the one sum of log densities with its
+    # overflow check: mle reaches the log density only through it
+    assert _bindings({"_radial_rule", "radial_moments_plain"}) == []
+    assert _callers("_log_pdf_vol") == {"gaussian.log_pdf_vol_many", "gaussian._log_lik_sum",
+                                        "validation.fisher_numeric"}

@@ -6,14 +6,14 @@ import pytest
 
 from rmnml import hyperbolic as hy
 from rmnml.complexity import ParamDomain, _log_sigma_integrand, hgd_sigma_integral
-from rmnml.gaussian import (_SIGMA_SQUARE_MIN, Dataset, RgdParams, _radial_rule,
+from rmnml.gaussian import (_SIGMA_SQUARE_MIN, Dataset, RgdParams,
                             _radial_table, frechet_mean, log_lik, log_pdf_vol_many, mle,
                             radial_moments, sample)
 from rmnml.validation import (adaptive_gauss_kronrod, log_radial_weight, radial_cutoff, xi,
                               xi_derivatives, xi_quadrature_oracle)
 
 from conftest import (closed_fisher_factors, dist, log_map, minkowski_inner,
-                      polar_point, radial_moments_plain, random_point, sphere_area,
+                      polar_point, random_point, sphere_area,
                       xi_fd_derivatives)
 
 TIGHT = 1e-12
@@ -182,22 +182,9 @@ class TestRadialMoments:
             assert float(log_mean) == pytest.approx(math.log(mean), abs=1e-9)
             assert float(log_var) == pytest.approx(math.log(var), abs=1e-5)
 
-    def test_in_place_passes_match_plain_expressions(self):
-        # the kernel writes each pass into one of four arrays, in the order
-        # of operations of the plain expressions: every output is the same float
-        for dim in (1, 2, 3, 5, 16, 1000, 10**6, 10**10):
-            for sigma in (np.geomspace(1e-77, 1e280, 300), np.linspace(0.05, 5.0, 64), 0.7):
-                for got, want in zip(radial_moments(dim, sigma), radial_moments_plain(dim, sigma)):
-                    assert np.array_equal(got, want)
-
     def test_rule_is_read_only_and_calls_repeat(self):
-        # the kernel writes its passes in place: a stray write into the cached
-        # rule would change every later call, and sigma is left as it was
-        for array in _radial_rule():
-            with pytest.raises(ValueError):
-                array[0] = 0.0
-            with pytest.raises(ValueError):
-                np.add(array, 1.0, out=array)
+        # a call leaves the cached rule and sigma as they were, so a second
+        # call gives the same floats
         sigmas = np.linspace(0.05, 3.0, 7)
         for dim in (1, 3):
             first, second = radial_moments(dim, sigmas), radial_moments(dim, sigmas)
@@ -339,22 +326,30 @@ class TestLogLik:
 
     @pytest.mark.parametrize("dim, bound, n, sigma", [
         (1, 1.34e154, 1, 1e200), (2, 1.34e154, 1, 1e200), (3, 9.48e153, 1, 1e200),
-        (3, 6.7e153, 2, 9.4e153)], ids=["1-1.34e+154", "2-1.34e+154", "3-9.48e+153", "3-sum"])
+        (3, 6.7e153, 2, 9.4e153), (3, 1.58e-152, 1, 1.5e-154)],
+        ids=["1-1.34e+154", "2-1.34e+154", "3-9.48e+153", "3-sum", "3-term"])
     def test_overflow_names_the_stage(self, dim, bound, n, sigma):
         # sigma^2 overflows past 1.34e154, and log xi, about (D-1)^2 sigma^2 / 2,
         # past 1.34e154 sqrt(2) / (D-1); below both the density is finite.  With
-        # n = 2 at 9.4e153 each term is finite (about -1.77e308) but their sum is not
-        data = Dataset(np.tile(hy.origin(dim), (n, 1)))
+        # n = 2 at 9.4e153 each term is finite (about -1.77e308) but their sum is
+        # not.  A point 300 from mu overflows d^2 / (2 sigma^2) below
+        # 300 / (sqrt 2 sqrt(float max)) = 1.58e-152
+        small = sigma < bound
+        data = Dataset(np.tile(hy.polar(300.0 if small else 0.0, np.eye(dim)[0]), (n, 1)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert math.isfinite(log_lik(data, RgdParams(hy.origin(dim), 0.99 * bound)))
+            finite = (1.01 if small else 0.99) * bound
+            assert math.isfinite(log_lik(data, RgdParams(hy.origin(dim), finite)))
             with pytest.raises(OverflowError) as info:
                 log_lik(data, RgdParams(hy.origin(dim), sigma))
         stage = "log density" if n == 1 else "log-likelihood"
-        sample_size = "" if n == 1 else f" and n = {n}"
-        assert str(info.value) == (f"the {stage} at sigma = {sigma:.6g} overflows: at D = {dim}"
-                                   f"{sample_size} it is finite only below about sigma = "
-                                   f"{bound:.3g}")
+        if small:
+            reason = (f"d^2 / (2 sigma^2) at the farthest distance, d = 300, is finite only "
+                      f"above about sigma = {bound:.3g}")
+        else:
+            sample_size = "" if n == 1 else f" and n = {n}"
+            reason = f"at D = {dim}{sample_size} it is finite only below about sigma = {bound:.3g}"
+        assert str(info.value) == f"the {stage} at sigma = {sigma:.6g} overflows: {reason}"
 
 
 class TestSample:
