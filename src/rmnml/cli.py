@@ -196,11 +196,34 @@ def _domain_from(args) -> ParamDomain:
     return ParamDomain(args.radius, lo, hi)
 
 
+def _check_log_pc(log_pc: float, dim: int, n: int):
+    """Raise InputError if the log complexity ``log_pc`` of H^D at ``n`` is negative.
+
+    The exact NML normalizer integrates each dataset's maximized density,
+    which is at least the density at one fixed parameter, so its log is at
+    least 0.  The asymptotic formula (k/2) log(n / 2 pi) + term_volume +
+    term_fisher, with k = D + 1, falls below 0 when the domain's Fisher
+    volume is small at that n: it counts only the datasets whose MLE lies
+    inside the domain.
+    """
+    if log_pc < 0.0:
+        k = dim + 1
+        bound = 0.5 * k * math.log(2.0 * math.pi / n)
+        raise InputError(f"the log complexity {log_pc:.6g} is negative, which no NML "
+                         f"normalizer's is: at D = {dim} and n = {n} the asymptotic formula "
+                         f"needs term_volume + term_fisher >= (k/2) log(2 pi / n) = "
+                         f"{bound:.6g} with k = {k}, and this domain gives "
+                         f"{log_pc + bound:.6g}")
+
+
 def cmd_pc(args) -> int:
     if args.dim < 1:
         raise InputError(f"--dim must be a positive integer, got {args.dim}")
+    if args.n < 2:
+        raise InputError(f"--n must be an integer of at least 2, got {args.n}")
     domain = _domain_from(args)
     result = pc_hgd(args.dim, args.n, domain)
+    _check_log_pc(result.total_log_pc, args.dim, args.n)
     _emit({
         "k": result.k,
         "n": result.n,
@@ -212,9 +235,9 @@ def cmd_pc(args) -> int:
     return 0
 
 
-def _score(path: str, domain: ParamDomain, dim: int | None = None):
-    """The dataset at ``path``, which must hold dimension ``dim`` if given, and
-    its report from this module's ``rm_nml_codelength``, which tests replace."""
+def _load_scored(path: str, dim: int | None = None) -> Dataset:
+    """The dataset at ``path``, which must hold dimension ``dim`` if given, and at
+    least the 2 points a code-length needs."""
     data = load_dataset(path)
     if dim is not None and data.dim != dim:
         raise InputError(f"{path}: declared candidate dimension {dim} "
@@ -222,11 +245,21 @@ def _score(path: str, domain: ParamDomain, dim: int | None = None):
     if data.n < 2:
         raise InputError(f"{path}: the code-length needs at least 2 "
                          f"points, got {data.n}")
-    return data, rm_nml_codelength(data, domain)
+    return data
+
+
+def _score(data: Dataset, domain: ParamDomain):
+    """The report on ``data`` from this module's ``rm_nml_codelength``, which
+    tests replace; InputError if its log complexity is negative."""
+    report = rm_nml_codelength(data, domain)
+    _check_log_pc(report.log_pc, data.dim, data.n)
+    return report
 
 
 def cmd_codelength(args) -> int:
-    data, report = _score(args.data, _domain_from(args))
+    domain = _domain_from(args)
+    data = _load_scored(args.data)
+    report = _score(data, domain)
     _emit({
         "n": data.n,
         "dim": data.dim,
@@ -245,6 +278,8 @@ def cmd_sample(args) -> int:
         raise InputError(f"--sigma must be positive and finite, got {args.sigma_value}")
     if args.dim < 1:
         raise InputError(f"--dim must be a positive integer, got {args.dim}")
+    if args.n < 1:
+        raise InputError(f"--n must be a positive integer, got {args.n}")
     if args.seed < 0:
         raise InputError(f"--seed must be a non-negative integer, got {args.seed}")
     mu = hy.origin(args.dim)
@@ -280,11 +315,23 @@ def cmd_select_dim(args) -> int:
         raise InputError("select-dim needs at least 2 --candidate entries")
     domain = _domain_from(args)
 
-    scores, numerical = [], False
+    # every candidate is loaded first: code-lengths of different n do not compare
+    scores, loaded, numerical = [], [], False
     for dim, path in sorted(candidates):
         entry = {"dim": dim, "path": path, "total": None, "error": None}
         try:
-            _, report = _score(path, domain, dim)
+            loaded.append((entry, _load_scored(path, dim)))
+        except ValueError as exc:
+            entry["error"] = str(exc)
+        scores.append(entry)
+    if len({data.n for _, data in loaded}) > 1:
+        raise InputError("select-dim compares code-lengths of the same points, but "
+                         + ", ".join(f"dim {entry['dim']} holds n = {data.n}"
+                                     for entry, data in loaded))
+
+    for entry, data in loaded:
+        try:
+            report = _score(data, domain)
             entry.update({
                 "total": report.total,
                 "neg_max_loglik": report.neg_max_loglik,
@@ -296,7 +343,6 @@ def cmd_select_dim(args) -> int:
         except _NUMERICAL_FAILURES as exc:
             entry["error"] = _numerical_message(exc)
             numerical = True
-        scores.append(entry)
 
     try:
         best = select_best(scores)
@@ -386,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     sm.set_defaults(func=cmd_sample)
 
     sd = sub.add_parser("select-dim", help="pick the dimension with the "
-                        "smallest code-length")
+                        "smallest code-length over files of the same n")
     sd.add_argument("--candidate", action="append", required=True,
                     metavar="DIM=PATH")
     add_domain(sd)

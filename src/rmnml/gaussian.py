@@ -43,8 +43,6 @@ _MAX_SIGMA_ITERATIONS = 60
 #: A Newton step in log sigma below this size ends the sigma solve: the
 #: error squares at each step, so about 1e-16 is left.
 _SIGMA_STEP_TOL = 1e-8
-#: A bracket on log sigma narrower than this ends the sigma solve.
-_SIGMA_BRACKET_TOL = 1e-14
 #: Gauss-Legendre nodes of the radial rule in :func:`radial_moments`.
 _RADIAL_NODES = 96
 #: Half-width, in units of sigma, of the radial window about the mode.
@@ -412,13 +410,14 @@ def _solve_sigma(dim: int, target: float, lo: float, hi: float) -> tuple[float, 
     in sigma, so the root is unique.  Newton's method on log E[d^2]
     against u = log sigma, whose slope d log E / du = Var(d^2) /
     (sigma^2 E[d^2]) follows from dE/dsigma = Var(d^2) / sigma^3.  The
-    slope runs from 2 (small sigma) to 4 (large), so the log-log curve is
-    nearly straight.  The kernel gives log E and log Var, so the slope is
-    exp(log Var - log E - 2u).  The first iterate is the cubic (Hermite)
-    interpolant of u against log E through the bracket ends, with those
-    slopes.  A bracket on u is kept, and a step that leaves it is replaced
-    by bisection.  The error squares at each Newton step, so a step below
-    1e-8 ends the solve, as does a bracket narrower than 1e-14.
+    kernel gives log E and log Var, so the slope is exp(log Var - log E - 2u).
+    The slope rises from 2 (small sigma) to 4 (large), so log E is convex
+    and increasing in u.  From the right of the root a Newton step then
+    never passes it, and from the left one step lands to its right, so the
+    iterates need no bracket; each is clipped to [log lo, log hi], which
+    keeps sigma in the domain.  The first iterate is the cubic (Hermite)
+    interpolant of u against log E through the ends, with those slopes.
+    The error squares at each step, so a step below 1e-8 ends the solve.
     """
     _, (log_lo, log_hi), (var_lo, var_hi) = radial_moments(dim, np.array([lo, hi]))
     log_target = math.log(target) if target > 0.0 else -math.inf
@@ -427,7 +426,7 @@ def _solve_sigma(dim: int, target: float, lo: float, hi: float) -> tuple[float, 
     if log_target >= log_hi:
         return hi, True
     u_lo, u_hi = math.log(lo), math.log(hi)
-    width = log_hi - log_lo  # t runs from 0 to 1 across the bracket
+    width = log_hi - log_lo  # t runs from 0 to 1 across the domain
     t = (log_target - log_lo) / width
     d_lo = width * math.exp(2.0 * u_lo + log_lo - var_lo)
     d_hi = width * math.exp(2.0 * u_hi + log_hi - var_hi)
@@ -436,17 +435,9 @@ def _solve_sigma(dim: int, target: float, lo: float, hi: float) -> tuple[float, 
     u = min(max(u, u_lo), u_hi)
     for _ in range(_MAX_SIGMA_ITERATIONS):
         _, log_mean, log_var = map(float, radial_moments(dim, math.exp(u)))
-        gap = log_mean - log_target
-        if gap < 0.0:
-            u_lo = u
-        else:
-            u_hi = u
-        new = u - gap * math.exp(2.0 * u + log_mean - log_var)
-        if not u_lo <= new <= u_hi:
-            new = 0.5 * (u_lo + u_hi)
-        elif abs(new - u) <= _SIGMA_STEP_TOL:
-            return math.exp(new), False
-        if u_hi - u_lo <= _SIGMA_BRACKET_TOL:
+        new = u - (log_mean - log_target) * math.exp(2.0 * u + log_mean - log_var)
+        new = min(max(new, u_lo), u_hi)
+        if abs(new - u) <= _SIGMA_STEP_TOL:
             return math.exp(new), False
         u = new
     raise EstimationError(
@@ -476,9 +467,10 @@ def mle(data: Dataset, domain: "ParamDomain") -> MleFit:
     origin, or ``ValueError`` names the farthest one.  mu is the Frechet
     mean, pulled back to the geodesic ball of radius ``domain.radius_R``
     about the origin if it falls outside (:func:`rmnml.hyperbolic.polar`);
-    sigma solves E[d^2](sigma) = sigma^3 xi'/xi = mean d^2(x_i, mu) by safeguarded
-    Newton on [sigma_min, sigma_max], with boundary values used (and
-    flagged) when the equation has no interior root.  A ``sigma_max`` past
+    sigma solves E[d^2](sigma) = sigma^3 xi'/xi = mean d^2(x_i, mu) by Newton
+    on log E[d^2], convex in log sigma, each iterate clipped to
+    [sigma_min, sigma_max] (:func:`_solve_sigma`), with boundary values used
+    (and flagged) when the equation has no interior root.  A ``sigma_max`` past
     :func:`check_sigma_max`'s bound is a ValueError.  The maximized
     log-likelihood is :func:`log_lik`'s one sum over the fit's distances;
     where it overflows, past about sigma = 1.3e154 sqrt(2/n) / (D-1) and

@@ -88,12 +88,19 @@ class TestPcCommand:
                                              (20, 0.1), (60, 0.5), (5, 0.001)])
     def test_ball_volume_matches_log_oracle(self, dim, radius, capsys):
         # domains where an alternating binomial sum for the volume overflows
-        # or loses its digits
-        assert run(["pc", "--dim", str(dim), "--n", "100", "--radius", str(radius)]) == 0
+        # or loses its digits; at n = 100 a ball of radius 0.001 leaves a
+        # negative log complexity, which pc refuses, so the kernel is checked
+        volume = hy.log_ball_volume(dim, radius)
+        assert volume == pytest.approx(log_ball_volume_oracle(dim, radius), rel=1e-10)
+        code = run(["pc", "--dim", str(dim), "--n", "100", "--radius", str(radius)])
+        if radius == 0.001:
+            assert code == 2
+            assert "is negative" in capsys.readouterr().err
+            return
+        assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert all(math.isfinite(v) for v in payload.values())
-        assert payload["term_volume"] == pytest.approx(
-            log_ball_volume_oracle(dim, radius), rel=1e-10)
+        assert payload["term_volume"] == volume
 
     @pytest.mark.parametrize("command", [["pc", "--dim", "2", "--n", "100"],
                                          ["codelength", "--data", "d.json"]],
@@ -142,11 +149,40 @@ class TestPcCommand:
             f"volume loses digits; got {radius}\n")
 
     def test_tiny_radius_is_the_small_ball(self, capsys):
-        # as R -> 0 the ball volume is the Euclidean pi^(D/2) R^D / Gamma(D/2 + 1)
-        assert run(["pc", "--dim", "5", "--n", "100", "--radius", "1e-300"]) == 0
+        # as R -> 0 the ball volume is the Euclidean pi^(D/2) R^D / Gamma(D/2 + 1);
+        # so small a ball leaves a negative log complexity, which pc refuses
         small = 2.5 * math.log(math.pi) - math.lgamma(3.5) + 5.0 * math.log(1e-300)
-        assert json.loads(capsys.readouterr().out)["term_volume"] == pytest.approx(
-            small, rel=1e-12)
+        assert hy.log_ball_volume(5, 1e-300) == pytest.approx(small, rel=1e-12)
+        assert run(["pc", "--dim", "5", "--n", "100", "--radius", "1e-300"]) == 2
+        assert capsys.readouterr().err.startswith("error: the log complexity -3432.77 is negative")
+
+    @pytest.mark.parametrize("argv, total, bound, given", [
+        (["--dim", "2", "--n", "1000", "--radius", "0.01", "--sigma", "1:1.01"],
+         "-3.80559", "-7.60482 with k = 3", "-11.4104"),
+        (["--dim", "2", "--n", "10", "--radius", "0.1", "--sigma", "0.5:0.6"],
+         "-2.37208", "-0.697062 with k = 3", "-3.06914"),
+        (["--dim", "5", "--n", "100", "--radius", "1e-300"],
+         "-3432.77", "-8.30188 with k = 6", "-3441.08"),
+    ], ids=["thin-sigma", "small-ball", "tiny-ball"])
+    def test_negative_log_complexity_is_usage_error(self, argv, total, bound, given,
+                                                    tmp_path, capsys):
+        # no NML normalizer has a log below 0: the run names the bound that
+        # the domain's Fisher volume must reach at that n, and writes nothing
+        out = tmp_path / "pc.json"
+        assert run(["pc", *argv, "--out", str(out)]) == 2
+        dim, n = argv[1], argv[3]
+        assert capsys.readouterr().err == (
+            f"error: the log complexity {total} is negative, which no NML normalizer's is: "
+            f"at D = {dim} and n = {n} the asymptotic formula needs term_volume + "
+            f"term_fisher >= (k/2) log(2 pi / n) = {bound}, and this domain gives "
+            f"{given}\n")
+        assert not out.exists()
+
+    def test_n_below_two_names_the_flag(self, tmp_path, capsys):
+        out = tmp_path / "pc.json"
+        assert run(["pc", "--dim", "2", "--n", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --n must be an integer of at least 2, got 1\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("dim, sigma", [(3, "1e-12:1"), (1, "1.3e-77:1"),
                                             (2, "1.3e-77:1"), (3, "1.3e-77:1"),
@@ -299,8 +335,9 @@ class TestSampleCommand:
     # a negative --seed is named before numpy's "expected non-negative integer"
     @pytest.mark.parametrize("flag, value, rule", [("--dim", "0", "a positive"),
                                                    ("--dim", "-1", "a positive"),
-                                                   ("--seed", "-1", "a non-negative")],
-                             ids=["0", "-1", "seed--1"])
+                                                   ("--seed", "-1", "a non-negative"),
+                                                   ("--n", "0", "a positive")],
+                             ids=["0", "-1", "seed--1", "n-0"])
     def test_non_positive_dim_is_usage_error(self, flag, value, rule, tmp_path, capsys):
         options = {"--dim": "2", "--n": "5", "--sigma": "1", "--seed": "0", flag: value}
         out = tmp_path / "x.json"
@@ -484,8 +521,9 @@ class TestCodelengthCommand:
         assert ("maximum likelihood estimation failed: the log-likelihood at "
                 f"sigma_hat = 1e+200 overflows: at D = {dim} and n = 50 it is finite "
                 f"only below about sigma = {bound}") in err
-        assert run(["pc", "--dim", str(dim), "--n", "50", "--sigma", "1e200:1e300"]) == 0
-        assert all(math.isfinite(v) for v in json.loads(capsys.readouterr().out).values())
+        # (at D = 1 that complexity is negative, about -456, so pc refuses it)
+        pc = pc_hgd(dim, 50, ParamDomain(sigma_min=1e200, sigma_max=1e300))
+        assert all(map(math.isfinite, (pc.term_kn, pc.term_volume, pc.term_fisher)))
 
     def test_isometric_dataset_same_total(self, tmp_path, capsys):
         base = sample(80, RgdParams(hy.origin(2), 0.7), seed=9)
@@ -564,6 +602,25 @@ class TestCodelengthCommand:
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("error: point ")
         assert "past the data bound of 350: the estimators need x0 <= cosh 350" in err
+
+    def test_sigma_clamped_at_sigma_max_is_flagged(self, tmp_path, capsys):
+        path = tmp_path / "wide.json"
+        write_dataset(str(path), sample(200, RgdParams(hy.origin(2), 5.0), seed=1))
+        assert run(["codelength", "--data", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["boundary_flag"] is True
+
+    def test_negative_log_complexity_is_usage_error(self, tmp_path, capsys):
+        # codelength and each select-dim candidate refuse the log complexity
+        # that pc refuses on the same domain
+        path = tmp_path / "d2.json"
+        write_dataset(str(path), sample(10, RgdParams(hy.origin(2), 0.55), seed=3))
+        domain = ["--radius", "0.1", "--sigma", "0.5:0.6"]
+        message = "the log complexity -2.37208 is negative"
+        assert run(["codelength", "--data", str(path), *domain]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert run(["select-dim", "--candidate", f"2={path}", "--candidate", f"3={path}",
+                    *domain]) == 2
+        assert f"every candidate failed: dim 2: {message}" in capsys.readouterr().err
 
     def test_single_point_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "one.json"
@@ -730,6 +787,27 @@ class TestSelectDim:
         assert run(["codelength", "--data", str(one)]) == 2
         assert capsys.readouterr().err == f"error: {by_dim[3]['error']}\n"
 
+    def test_candidates_of_different_n_are_usage_error(self, tmp_path, capsys):
+        # a D = 2 file of 500 points against a D = 3 file of 50 selected 3
+        two, three = tmp_path / "d2.json", tmp_path / "d3.json"
+        write_dataset(str(two), sample(500, RgdParams(hy.origin(2), 1.0), seed=1))
+        write_dataset(str(three), sample(50, RgdParams(hy.origin(3), 1.0), seed=1))
+        missing = tmp_path / "missing.json"
+        assert run(["select-dim", "--candidate", f"3={three}", "--candidate", f"2={two}",
+                    "--candidate", f"5={missing}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: select-dim compares code-lengths of the same points, "
+                                "but dim 2 holds n = 500, dim 3 holds n = 50\n")
+
+    @pytest.mark.parametrize("spec, message", [
+        ("2", "--candidate expects DIM=PATH, got '2'"),
+        ("x=d.json", "--candidate dimension must be an integer, got 'x'"),
+    ], ids=["no-equals", "non-integer"])
+    def test_malformed_candidate_is_usage_error(self, spec, message, capsys):
+        assert run(["select-dim", "--candidate", spec, "--candidate", "3=d.json"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_needs_two_candidates(self, tmp_path, capsys):
         path = tmp_path / "x.json"
         write_dataset(str(path), sample(10, RgdParams(hy.origin(2), 1.0), seed=2))
@@ -856,6 +934,9 @@ def test_dataset_file_validations(tmp_path):
         load_dataset(str(path))
     path.write_text(json.dumps({"chart": "klein", "dim": 2, "points": [[1, 0, 0]]}))
     with pytest.raises(InputError, match="chart"):
+        load_dataset(str(path))
+    path.write_text(json.dumps({"chart": "lorentz", "dim": 2, "points": []}))
+    with pytest.raises(InputError, match="field 'points' must be a non-empty list"):
         load_dataset(str(path))
     path.write_text(json.dumps({"chart": "lorentz", "dim": 2, "points": [[1, 0]]}))
     with pytest.raises(InputError, match="components"):

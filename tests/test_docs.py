@@ -114,3 +114,9 @@ def test_one_radial_kernel_and_one_log_likelihood_sum():
     assert _bindings({"_radial_rule", "radial_moments_plain"}) == []
     assert _callers("_log_pdf_vol") == {"gaussian.log_pdf_vol_many", "gaussian._log_lik_sum",
                                         "validation.fisher_numeric"}
+
+
+def test_sigma_solve_keeps_no_bracket():
+    # log E[d^2] is convex in log sigma, so the sigma solve is clipped
+    # Newton with no bracket, bisection or bracket width
+    assert _bindings({"_SIGMA_BRACKET_TOL"}) == []

@@ -542,6 +542,34 @@ class TestMle:
         np.testing.assert_allclose(fit.params.mu[1:] / np.linalg.norm(fit.params.mu[1:]),
                                    spatial / np.linalg.norm(spatial), rtol=1e-12)
 
+    def test_sigma_clamped_at_sigma_max(self):
+        # draws at sigma = 5 have a mean d^2 past E[d^2](3), so the solve
+        # returns the upper end itself
+        data = sample(200, RgdParams(hy.origin(2), 5.0), seed=1)
+        fit = mle(data, ParamDomain())
+        assert fit.params.sigma == 3.0
+        assert fit.sigma_clamped and fit.boundary and not fit.mu_clamped
+
+    def test_frechet_step_halving_ends_stationary(self, monkeypatch):
+        # a far-flung H^2 cloud whose first Newton step overshoots: the next
+        # call of exp_normal repeats the step from the same point at half length
+        rng = np.random.default_rng(0)
+        directions = rng.standard_normal((20, 2))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        coords = hy.polar(rng.exponential(6.0, 20), directions)
+        calls, exp_normal = [], hy.exp_normal
+
+        def recorded(base, t):
+            calls.append((np.array(base), np.array(t)))
+            return exp_normal(base, t)
+
+        monkeypatch.setattr(hy, "exp_normal", recorded)
+        mu = frechet_mean(coords)
+        assert any(np.array_equal(base, before) and np.array_equal(t, 0.5 * t_before)
+                   for (before, t_before), (base, t) in zip(calls, calls[1:]))
+        total = sum(log_map(mu, x) for x in coords)
+        assert np.linalg.norm(total) <= 1e-9 * len(coords)
+
 
 class TestDataset:
     def test_rejects_invalid_point_with_index(self):
@@ -603,6 +631,18 @@ def test_mean_dispersion_and_newton_sigma_match_bisection():
             expected = _bisection_sigma(dim, target, DOMAIN.sigma_min, DOMAIN.sigma_max)
             assert not fit.sigma_clamped
             assert fit.params.sigma == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 100, 10**4, 10**6])
+def test_log_mean_dispersion_convex_in_log_sigma(dim):
+    # the sigma solve keeps no bracket because log E[d^2] is convex and
+    # increasing in u = log sigma: its slope Var(d^2) / (sigma^2 E[d^2])
+    # rises from 2 to 4, with no fall past rounding
+    sigmas = np.geomspace(1e-6, 1e4, 2001)
+    _, log_mean, log_var = radial_moments(dim, sigmas)
+    slope = np.exp(log_var - log_mean - 2.0 * np.log(sigmas))
+    assert slope.min() >= 2.0 - 1e-9 and slope.max() <= 4.0 + 1e-9
+    assert np.diff(slope).min() >= -1e-10
 
 
 def test_mean_dispersion_monotone():
