@@ -323,6 +323,9 @@ def cmd_select_dim(args) -> int:
             loaded.append((entry, _load_scored(path, dim)))
         except ValueError as exc:
             entry["error"] = str(exc)
+        except _NUMERICAL_FAILURES as exc:
+            entry["error"] = _numerical_message(exc)
+            numerical = True
         scores.append(entry)
     if len({data.n for _, data in loaded}) > 1:
         raise InputError("select-dim compares code-lengths of the same points, but "

@@ -521,9 +521,14 @@ class TestCodelengthCommand:
         assert ("maximum likelihood estimation failed: the log-likelihood at "
                 f"sigma_hat = 1e+200 overflows: at D = {dim} and n = 50 it is finite "
                 f"only below about sigma = {bound}") in err
-        # (at D = 1 that complexity is negative, about -456, so pc refuses it)
-        pc = pc_hgd(dim, 50, ParamDomain(sigma_min=1e200, sigma_max=1e300))
-        assert all(map(math.isfinite, (pc.term_kn, pc.term_volume, pc.term_fisher)))
+        code = run(["pc", "--dim", str(dim), "--n", "50", "--sigma", "1e200:1e300"])
+        if dim == 1:
+            # there that complexity is finite but negative, about -456
+            assert code == 2
+            assert "is negative" in capsys.readouterr().err
+            return
+        assert code == 0
+        assert all(math.isfinite(v) for v in json.loads(capsys.readouterr().out).values())
 
     def test_isometric_dataset_same_total(self, tmp_path, capsys):
         base = sample(80, RgdParams(hy.origin(2), 0.7), seed=9)
@@ -768,6 +773,27 @@ class TestSelectDim:
             "error: every candidate failed: dim 2: numerical integration failed: "
             "still disagree at 1024 nodes (best estimate -1.5); dim 3: maximum "
             "likelihood estimation failed: no convergence after 50 iterations\n")
+
+    def test_out_of_memory_on_load_keeps_other_scores(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # a candidate's own load failure goes into its entry, as a scoring
+        # failure does
+        argv = self.candidates(tmp_path)
+        load = cli.load_dataset
+
+        def exhausted(path):
+            if path.endswith("d3.json"):
+                raise MemoryError("Unable to allocate 8.00 GiB for an array")
+            return load(path)
+
+        monkeypatch.setattr(cli, "load_dataset", exhausted)
+        assert run(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["selected_dim"] == 2
+        by_dim = {e["dim"]: e for e in payload["scores"]}
+        assert math.isfinite(by_dim[2]["total"])
+        assert by_dim[3]["total"] is None
+        assert by_dim[3]["error"] == "out of memory: Unable to allocate 8.00 GiB for an array"
 
     @pytest.mark.parametrize("argv", [["pc", "--dim", "2", "--n", "10"],
                                       ["codelength", "--data", "d.json"],
