@@ -8,8 +8,9 @@ or an array does not fit in memory (``sample`` holds its n draws as
 (n, D+1) floats: 80 GB at n = D = 1e5), and 141 (the shell's 128 +
 SIGPIPE) when the reader of stdout has closed it, with no traceback.  A
 named output file that cannot be written is an input error, found before
-anything reaches stdout, and before ``sample`` draws.
-Datasets are JSON files
+anything reaches stdout, and before ``sample`` draws; so is a domain whose
+log complexity is negative, found before any data is fitted.  Datasets are
+JSON files
 ``{"chart": "lorentz", "dim": D, "points": [[x0, ..., xD], ...]}``;
 ``"chart": "poincare"`` with D-component points is accepted on input and
 converted.  :func:`main` builds one parser per process and binds each
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import coding, hyperbolic as hy, validation
 from .complexity import (DEFAULT_RADIUS, DEFAULT_SIGMA_MAX, DEFAULT_SIGMA_MIN, ParamDomain,
-                         chart_gap, pc_hgd, rm_nml_codelength)
+                         chart_gap, check_log_pc, pc_hgd, rm_nml_codelength)
 from .gaussian import Dataset, EstimationError, RgdParams, log_pdf_vol_many, sample
 from .quadrature import QuadratureError
 
@@ -196,34 +197,18 @@ def _domain_from(args) -> ParamDomain:
     return ParamDomain(args.radius, lo, hi)
 
 
-def _check_log_pc(log_pc: float, dim: int, n: int):
-    """Raise InputError if the log complexity ``log_pc`` of H^D at ``n`` is negative.
-
-    The exact NML normalizer integrates each dataset's maximized density,
-    which is at least the density at one fixed parameter, so its log is at
-    least 0.  The asymptotic formula (k/2) log(n / 2 pi) + term_volume +
-    term_fisher, with k = D + 1, falls below 0 when the domain's Fisher
-    volume is small at that n: it counts only the datasets whose MLE lies
-    inside the domain.
-    """
-    if log_pc < 0.0:
-        k = dim + 1
-        bound = 0.5 * k * math.log(2.0 * math.pi / n)
-        raise InputError(f"the log complexity {log_pc:.6g} is negative, which no NML "
-                         f"normalizer's is: at D = {dim} and n = {n} the asymptotic formula "
-                         f"needs term_volume + term_fisher >= (k/2) log(2 pi / n) = "
-                         f"{bound:.6g} with k = {k}, and this domain gives "
-                         f"{log_pc + bound:.6g}")
-
-
 def cmd_pc(args) -> int:
     if args.dim < 1:
         raise InputError(f"--dim must be a positive integer, got {args.dim}")
     if args.n < 2:
         raise InputError(f"--n must be an integer of at least 2, got {args.n}")
-    domain = _domain_from(args)
-    result = pc_hgd(args.dim, args.n, domain)
-    _check_log_pc(result.total_log_pc, args.dim, args.n)
+    for flag, value in (("--dim", args.dim), ("--n", args.n)):
+        try:
+            float(value)
+        except OverflowError:
+            raise InputError(f"{flag} must be below about 1.8e308, the largest float; "
+                             f"got an integer of {len(str(value))} digits") from None
+    result = check_log_pc(pc_hgd(args.dim, args.n, _domain_from(args)))
     _emit({
         "k": result.k,
         "n": result.n,
@@ -248,18 +233,10 @@ def _load_scored(path: str, dim: int | None = None) -> Dataset:
     return data
 
 
-def _score(data: Dataset, domain: ParamDomain):
-    """The report on ``data`` from this module's ``rm_nml_codelength``, which
-    tests replace; InputError if its log complexity is negative."""
-    report = rm_nml_codelength(data, domain)
-    _check_log_pc(report.log_pc, data.dim, data.n)
-    return report
-
-
 def cmd_codelength(args) -> int:
     domain = _domain_from(args)
     data = _load_scored(args.data)
-    report = _score(data, domain)
+    report = rm_nml_codelength(data, domain)
     _emit({
         "n": data.n,
         "dim": data.dim,
@@ -315,37 +292,40 @@ def cmd_select_dim(args) -> int:
         raise InputError("select-dim needs at least 2 --candidate entries")
     domain = _domain_from(args)
 
-    # every candidate is loaded first: code-lengths of different n do not compare
-    scores, loaded, numerical = [], [], False
-    for dim, path in sorted(candidates):
-        entry = {"dim": dim, "path": path, "total": None, "error": None}
+    scores, numerical = [], False
+
+    def attempt(entry: dict, step, *step_args):
+        """``step(*step_args)``, or None with its failure in the candidate's ``entry``."""
+        nonlocal numerical
         try:
-            loaded.append((entry, _load_scored(path, dim)))
+            return step(*step_args)
         except ValueError as exc:
             entry["error"] = str(exc)
         except _NUMERICAL_FAILURES as exc:
             entry["error"] = _numerical_message(exc)
             numerical = True
-        scores.append(entry)
+
+    # every candidate is loaded first: code-lengths of different n do not compare
+    loaded = []
+    for dim, path in sorted(candidates):
+        scores.append({"dim": dim, "path": path, "total": None, "error": None})
+        data = attempt(scores[-1], _load_scored, path, dim)
+        if data is not None:
+            loaded.append((scores[-1], data))
     if len({data.n for _, data in loaded}) > 1:
         raise InputError("select-dim compares code-lengths of the same points, but "
                          + ", ".join(f"dim {entry['dim']} holds n = {data.n}"
                                      for entry, data in loaded))
 
     for entry, data in loaded:
-        try:
-            report = _score(data, domain)
+        report = attempt(entry, rm_nml_codelength, data, domain)
+        if report is not None:
             entry.update({
                 "total": report.total,
                 "neg_max_loglik": report.neg_max_loglik,
                 "log_pc": report.log_pc,
                 "boundary_flag": report.boundary_flag,
             })
-        except ValueError as exc:
-            entry["error"] = str(exc)
-        except _NUMERICAL_FAILURES as exc:
-            entry["error"] = _numerical_message(exc)
-            numerical = True
 
     try:
         best = select_best(scores)

@@ -196,15 +196,30 @@ def pc_hgd(dim: int, n: int, domain: ParamDomain) -> PcResult:
                       log_vol_theta=hy.log_ball_volume(dim, domain.radius_R))
 
 
+def check_log_pc(pc: PcResult) -> PcResult:
+    """``pc``, or ValueError naming the bound if its total is negative: no NML
+    normalizer is below 1, but the asymptotic formula counts only the datasets
+    whose MLE lies inside the domain, and is negative when the domain's Fisher
+    volume, term_volume + term_fisher, is below -term_kn = (k/2) log(2 pi / n)."""
+    if pc.total_log_pc < 0.0:
+        raise ValueError(f"the log complexity {pc.total_log_pc:.6g} is negative, which no NML "
+                         f"normalizer's is: at D = {pc.k - 1} and n = {pc.n} the asymptotic "
+                         f"formula needs term_volume + term_fisher >= (k/2) log(2 pi / n) = "
+                         f"{-pc.term_kn:.6g} with k = {pc.k}, and this domain gives "
+                         f"{pc.term_volume + pc.term_fisher:.6g}")
+    return pc
+
+
 def rm_nml_codelength(data: Dataset, domain: ParamDomain = ParamDomain()) -> CodeLengthReport:
     """Volume-element NML code-length of ``data`` in nats.
 
     Maximized negative log-likelihood plus log parametric complexity; the
     boundary flag records an MLE clamped to the domain boundary, where the
-    asymptotic complexity formula is not reliable.
+    asymptotic complexity formula is not reliable.  The domain's log complexity
+    is checked (:func:`check_log_pc`) before the fit, whatever the data.
     """
+    pc = check_log_pc(pc_hgd(data.dim, data.n, domain))
     fit = mle(data, domain)
-    pc = pc_hgd(data.dim, data.n, domain)
     return CodeLengthReport(
         neg_max_loglik=-fit.max_log_lik,
         log_pc=pc.total_log_pc,

@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 import rmnml
-from rmnml import cli, coding, hyperbolic as hy, quadrature
+from rmnml import cli, coding, complexity, hyperbolic as hy, quadrature
 from rmnml.cli import (InputError, build_parser, load_dataset, main, parse_sigma_range,
                        select_best, write_dataset)
 from rmnml.complexity import ParamDomain, _log_sigma_integrand, pc_hgd, rm_nml_codelength
-from rmnml.gaussian import Dataset, EstimationError, RgdParams, sample
+from rmnml.gaussian import Dataset, EstimationError, RgdParams, mle, sample
 from rmnml.quadrature import QuadratureError
 from rmnml.validation import xi
 
@@ -182,6 +182,10 @@ class TestPcCommand:
         out = tmp_path / "pc.json"
         assert run(["pc", "--dim", "2", "--n", "1", "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: --n must be an integer of at least 2, got 1\n"
+        # from 2**1024 no float holds --n, and the run names the flag
+        assert run(["pc", "--dim", "2", "--n", str(2**1024), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: --n must be below about 1.8e308, the largest "
+                                           "float; got an integer of 309 digits\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("dim, sigma", [(3, "1e-12:1"), (1, "1.3e-77:1"),
@@ -516,19 +520,25 @@ class TestCodelengthCommand:
         assert run(["sample", "--dim", str(dim), "--n", "50", "--sigma", "0.5",
                     "--seed", "1", "--out", str(path)]) == 0
         capsys.readouterr()
-        assert run(["codelength", "--data", str(path), "--sigma", "1e200:1e300"]) == 3
+        message = ("the log-likelihood at sigma_hat = 1e+200 overflows: at D = "
+                   f"{dim} and n = 50 it is finite only below about sigma = {bound}")
+        code = run(["codelength", "--data", str(path), "--sigma", "1e200:1e300"])
         err = capsys.readouterr().err
-        assert ("maximum likelihood estimation failed: the log-likelihood at "
-                f"sigma_hat = 1e+200 overflows: at D = {dim} and n = 50 it is finite "
-                f"only below about sigma = {bound}") in err
-        code = run(["pc", "--dim", str(dim), "--n", "50", "--sigma", "1e200:1e300"])
+        pc_code = run(["pc", "--dim", str(dim), "--n", "50", "--sigma", "1e200:1e300"])
+        pc_out, pc_err = capsys.readouterr()
         if dim == 1:
-            # there that complexity is finite but negative, about -456
-            assert code == 2
-            assert "is negative" in capsys.readouterr().err
+            # there that complexity is finite but negative, about -456, and
+            # codelength refuses the domain, as pc does, before it fits
+            assert (code, pc_code) == (2, 2)
+            assert err.startswith("error: the log complexity -456.305 is negative")
+            assert err == pc_err
+            with pytest.raises(EstimationError, match=re.escape(message)):
+                mle(load_dataset(str(path)), ParamDomain(3.0, 1e200, 1e300))
             return
-        assert code == 0
-        assert all(math.isfinite(v) for v in json.loads(capsys.readouterr().out).values())
+        assert code == 3
+        assert f"maximum likelihood estimation failed: {message}" in err
+        assert pc_code == 0
+        assert all(math.isfinite(v) for v in json.loads(pc_out).values())
 
     def test_isometric_dataset_same_total(self, tmp_path, capsys):
         base = sample(80, RgdParams(hy.origin(2), 0.7), seed=9)
@@ -626,6 +636,48 @@ class TestCodelengthCommand:
         assert run(["select-dim", "--candidate", f"2={path}", "--candidate", f"3={path}",
                     *domain]) == 2
         assert f"every candidate failed: dim 2: {message}" in capsys.readouterr().err
+
+    def test_refused_domain_is_not_fitted(self, tmp_path, capsys, monkeypatch):
+        # the log complexity is checked before the fit, so a refused domain
+        # costs no fit, whatever the data
+        path = tmp_path / "d2.json"
+        write_dataset(str(path), sample(10, RgdParams(hy.origin(2), 0.55), seed=3))
+        fits = []
+        monkeypatch.setattr(complexity, "mle", lambda *args: fits.append(args))
+        domain = ["--radius", "0.1", "--sigma", "0.5:0.6"]
+        assert run(["codelength", "--data", str(path), *domain]) == 2
+        assert capsys.readouterr().err.startswith("error: the log complexity -2.37208 is negative")
+        assert run(["select-dim", "--candidate", f"2={path}", "--candidate", f"3={path}",
+                    *domain]) == 2
+        assert fits == []
+
+    def test_codelength_refuses_what_pc_refuses(self, tmp_path, capsys):
+        # on small domains, codelength exits 2 with pc's message exactly when
+        # pc does, and otherwise prints pc's total as its log_pc, bit for bit
+        rng = np.random.default_rng(27)
+        paths = {}
+        for dim, n in itertools.product((1, 2, 3), (2, 10, 100)):
+            paths[dim, n] = tmp_path / f"d{dim}n{n}.json"
+            write_dataset(str(paths[dim, n]), sample(n, RgdParams(hy.origin(dim), 0.5),
+                                                      seed=dim * n))
+        refused = 0
+        for _ in range(100):
+            dim, n = int(rng.choice([1, 2, 3])), int(rng.choice([2, 10, 100]))
+            sigma_min = 10.0 ** rng.uniform(-1.5, 0.3)
+            sigma_max = sigma_min * (1.0 + 10.0 ** rng.uniform(-3.0, 0.0))
+            domain = ["--radius", repr(10.0 ** rng.uniform(-3.0, 0.0)),
+                      "--sigma", f"{sigma_min!r}:{sigma_max!r}"]
+            pc_code = run(["pc", "--dim", str(dim), "--n", str(n), *domain])
+            pc_out, pc_err = capsys.readouterr()
+            code = run(["codelength", "--data", str(paths[dim, n]), *domain])
+            out, err = capsys.readouterr()
+            if pc_code == 2 and "is negative" in pc_err:
+                refused += 1
+                assert (code, err) == (2, pc_err)
+            else:
+                assert (pc_code, code) == (0, 0)
+                assert json.loads(out)["log_pc"] == json.loads(pc_out)["total_log_pc"]
+        assert 0 < refused < 100
 
     def test_single_point_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "one.json"

@@ -120,3 +120,11 @@ def test_sigma_solve_keeps_no_bracket():
     # log E[d^2] is convex in log sigma, so the sigma solve is clipped
     # Newton with no bracket, bisection or bracket width
     assert _bindings({"_SIGMA_BRACKET_TOL"}) == []
+
+
+def test_one_check_of_the_log_complexity():
+    # complexity.check_log_pc alone refuses a negative log complexity: pc
+    # calls it on its result, and rm_nml_codelength before it fits the data
+    assert _bindings({"_score", "_check_log_pc"}) == []
+    assert _callers("check_log_pc") == {"cli.cmd_pc", "complexity.rm_nml_codelength"}
+    assert len(rmnml.__all__) == 21
