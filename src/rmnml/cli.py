@@ -48,19 +48,21 @@ class InputError(ValueError):
     """Bad configuration or malformed input file (exit code 2)."""
 
 
-#: Failures of a numerical stage (exit code 3).
-_NUMERICAL_FAILURES = (QuadratureError, EstimationError, OverflowError, MemoryError)
-
-
-def _numerical_message(exc: Exception) -> str:
-    """The text that :func:`main`, or a select-dim candidate, reports for a numerical failure."""
+def _failure(exc: Exception) -> tuple[int, str]:
+    """The exit code and message of a failed run or select-dim candidate: 2 for a
+    usage or input error, 3 for a numerical stage; any other exception is raised."""
+    if isinstance(exc, ValueError):
+        return USAGE_ERROR, str(exc)
     if isinstance(exc, QuadratureError):
-        return f"numerical integration failed: {exc} (best estimate {exc.best_estimate!r})"
+        return NUMERICAL_ERROR, (f"numerical integration failed: {exc} "
+                                 f"(best estimate {exc.best_estimate!r})")
     if isinstance(exc, EstimationError):
-        return f"maximum likelihood estimation failed: {exc}"
+        return NUMERICAL_ERROR, f"maximum likelihood estimation failed: {exc}"
     if isinstance(exc, OverflowError):
-        return f"numerical overflow: {exc}"
-    return f"out of memory: {exc}"
+        return NUMERICAL_ERROR, f"numerical overflow: {exc}"
+    if isinstance(exc, MemoryError):
+        return NUMERICAL_ERROR, f"out of memory: {exc}"
+    raise exc
 
 
 def parse_sigma_range(text: str) -> tuple[float, float]:
@@ -192,22 +194,28 @@ def _emit(payload: dict, out: str | None, csv_out: str | None = None):
         print(text)
 
 
+def _check_int(flag: str, value: int, least: int):
+    """Raise InputError unless the integer flag's ``value`` is at least ``least``
+    and below about 1.8e308, where a float still holds it."""
+    if value < least:
+        rule = {0: "a non-negative integer", 1: "a positive integer"}.get(
+            least, f"an integer of at least {least}")
+        raise InputError(f"{flag} must be {rule}, got {value}")
+    try:
+        float(value)
+    except OverflowError:
+        raise InputError(f"{flag} must be below about 1.8e308, the largest float; "
+                         f"got an integer of {len(str(value))} digits") from None
+
+
 def _domain_from(args) -> ParamDomain:
     lo, hi = parse_sigma_range(args.sigma)
     return ParamDomain(args.radius, lo, hi)
 
 
 def cmd_pc(args) -> int:
-    if args.dim < 1:
-        raise InputError(f"--dim must be a positive integer, got {args.dim}")
-    if args.n < 2:
-        raise InputError(f"--n must be an integer of at least 2, got {args.n}")
-    for flag, value in (("--dim", args.dim), ("--n", args.n)):
-        try:
-            float(value)
-        except OverflowError:
-            raise InputError(f"{flag} must be below about 1.8e308, the largest float; "
-                             f"got an integer of {len(str(value))} digits") from None
+    _check_int("--dim", args.dim, 1)
+    _check_int("--n", args.n, 2)
     result = check_log_pc(pc_hgd(args.dim, args.n, _domain_from(args)))
     _emit({
         "k": result.k,
@@ -253,12 +261,9 @@ def cmd_codelength(args) -> int:
 def cmd_sample(args) -> int:
     if not 0 < args.sigma_value < math.inf:
         raise InputError(f"--sigma must be positive and finite, got {args.sigma_value}")
-    if args.dim < 1:
-        raise InputError(f"--dim must be a positive integer, got {args.dim}")
-    if args.n < 1:
-        raise InputError(f"--n must be a positive integer, got {args.n}")
-    if args.seed < 0:
-        raise InputError(f"--seed must be a non-negative integer, got {args.seed}")
+    _check_int("--dim", args.dim, 1)
+    _check_int("--n", args.n, 1)
+    _check_int("--seed", args.seed, 0)
     mu = hy.origin(args.dim)
     if args.mu is not None:
         try:
@@ -292,18 +297,15 @@ def cmd_select_dim(args) -> int:
         raise InputError("select-dim needs at least 2 --candidate entries")
     domain = _domain_from(args)
 
-    scores, numerical = [], False
+    scores, codes = [], []
 
     def attempt(entry: dict, step, *step_args):
         """``step(*step_args)``, or None with its failure in the candidate's ``entry``."""
-        nonlocal numerical
         try:
             return step(*step_args)
-        except ValueError as exc:
-            entry["error"] = str(exc)
-        except _NUMERICAL_FAILURES as exc:
-            entry["error"] = _numerical_message(exc)
-            numerical = True
+        except Exception as exc:
+            code, entry["error"] = _failure(exc)
+            codes.append(code)
 
     # every candidate is loaded first: code-lengths of different n do not compare
     loaded = []
@@ -329,11 +331,9 @@ def cmd_select_dim(args) -> int:
 
     try:
         best = select_best(scores)
-    except InputError as exc:
-        if not numerical:
-            raise
+    except InputError as exc:  # the largest code among the failures: 3 if one was numerical
         print(f"error: {exc}", file=sys.stderr)
-        return NUMERICAL_ERROR
+        return max(codes)
     _emit({"selected_dim": best["dim"], "scores": scores}, args.out, None)
     return 0
 
@@ -359,6 +359,7 @@ def cmd_validate(args) -> int:
 def cmd_coding_demo(args) -> int:
     if not args.sigma_value > 0:
         raise InputError(f"--sigma must be positive, got {args.sigma_value}")
+    _check_int("--grid", args.grid, 1)
     partition = coding.partition_ball(args.radius, args.grid, args.grid)
     params = RgdParams(hy.origin(2), args.sigma_value)
     code = coding.prefix_code(partition, lambda points: log_pdf_vol_many(points, params))
@@ -449,12 +450,10 @@ def main(argv: list[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return BROKEN_PIPE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except _NUMERICAL_FAILURES as exc:
-        print(f"error: {_numerical_message(exc)}", file=sys.stderr)
-        return NUMERICAL_ERROR
+    except Exception as exc:
+        code, message = _failure(exc)
+        print(f"error: {message}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -49,9 +49,9 @@ class ParamDomain:
     Every term of the log complexity is finite on such a domain, as the
     Fisher factors are read as logs, up to the moment kernel's largest
     sigma, about 9e306 / (D-1): the domain has no D, so ``pc_hgd`` and
-    ``mle`` check that bound.  The likelihood of ``mle`` needs
-    n log xi, which overflows past about sigma = 1.3e154 sqrt(2/n) / (D-1);
-    ``mle`` raises EstimationError there.
+    ``mle`` check that bound.  The likelihood of ``mle`` needs n log xi,
+    which at D >= 2 overflows past about sigma = 1.3e154 sqrt(2/n) / (D-1);
+    its OverflowError names that bound.
     """
 
     radius_R: float = DEFAULT_RADIUS
@@ -187,10 +187,8 @@ def pc_hgd(dim: int, n: int, domain: ParamDomain) -> PcResult:
     location Fisher factor is xi'/(D sigma xi); see the module notes on the
     dropped o(1) term.  A ``sigma_max`` past the moment kernel's largest
     sigma at ``dim``, about 9e306 / (D-1), is a ValueError
-    (:func:`rmnml.gaussian.check_sigma_max`).
+    (:func:`rmnml.gaussian.check_sigma_max`), and so is n < 2 (:func:`pc_general`).
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
     check_sigma_max(dim, domain.sigma_max)
     return pc_general(dim + 1, n, hgd_sigma_integral(dim, domain),
                       log_vol_theta=hy.log_ball_volume(dim, domain.radius_R))

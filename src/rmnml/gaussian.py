@@ -56,7 +56,7 @@ _SIGMA_CEILING = sys.float_info.max / (2.0 * _RADIAL_WINDOW)
 
 
 class EstimationError(RuntimeError):
-    """Maximum likelihood estimation failed to converge."""
+    """A solver of the fit, :func:`frechet_mean` or :func:`_solve_sigma`, did not converge."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,24 +249,26 @@ def log_pdf_vol_many(coords: np.ndarray, params: RgdParams) -> np.ndarray:
     return _log_pdf_vol(hy.dist_many(params.mu, coords), params)
 
 
-def _finite_sigma_bound(dim: int, n: int = 1) -> float:
-    """About the largest sigma where sigma^2 (to 1.3e154) and n log xi, about
-    n (D-1)^2 sigma^2 / 2, are finite, so that n log p_vol terms sum to a float."""
-    return _SIGMA_SQUARE_MAX * (1.0 if dim == 1 else min(1.0, math.sqrt(2.0 / n) / (dim - 1)))
+def _sigma_overflow(params: RgdParams, n: int) -> OverflowError:
+    """n log xi, about n (D-1)^2 sigma^2 / 2, past the float range, from about sigma =
+    sqrt(float max) min(1, sqrt(2/n) / (D-1)) at D >= 2 (at D = 1 log xi is finite for
+    every sigma): named as the log density at n = 1, else as the log-likelihood."""
+    stage, size = ("log density", "") if n == 1 else ("log-likelihood", f" and n = {n}")
+    bound = _SIGMA_SQUARE_MAX * min(1.0, math.sqrt(2.0 / n) / (params.dim - 1))
+    return OverflowError(f"the {stage} at sigma = {params.sigma:.6g} overflows: at D = "
+                         f"{params.dim}{size} it is finite only below about sigma = {bound:.3g}")
 
 
-def _log_pdf_vol(d: np.ndarray, params: RgdParams) -> np.ndarray:
-    """log p_vol at the distances ``d`` from ``params.mu``; OverflowError past
-    :func:`_finite_sigma_bound`, where sigma^2 or log xi overflows, and below
-    sigma = d_max / (sqrt 2 sqrt(float max)), where d_max^2 / (2 sigma^2) does."""
+def _log_pdf_vol(d: np.ndarray, params: RgdParams, n: int = 1) -> np.ndarray:
+    """log p_vol at the distances ``d`` from ``params.mu``; OverflowError where log xi
+    overflows, named for a sum of ``n`` terms (:func:`_sigma_overflow`), and below
+    sigma = d_max / (sqrt 2 sqrt(float max)), where d_max^2 / (2 sigma^2) does.  At
+    D = 1, sigma^2 may be inf: d^2 / (2 sigma^2) is then 0, as it is to rounding."""
     log_xi = float(radial_moments(params.dim, params.sigma)[0])
-    square = params.sigma * params.sigma
-    if square == math.inf or log_xi == math.inf:
-        raise OverflowError(f"the log density at sigma = {params.sigma:.6g} overflows: at D = "
-                            f"{params.dim} it is finite only below about sigma = "
-                            f"{_finite_sigma_bound(params.dim):.3g}")
+    if log_xi == math.inf:
+        raise _sigma_overflow(params, n)
     with np.errstate(over="ignore"):  # named below
-        terms = -d * d / (2.0 * square) - log_xi
+        terms = -d * d / (2.0 * params.sigma * params.sigma) - log_xi
     if not np.isfinite(terms).all():
         far = float(np.max(d))
         raise OverflowError(f"the log density at sigma = {params.sigma:.6g} overflows: "
@@ -277,15 +279,19 @@ def _log_pdf_vol(d: np.ndarray, params: RgdParams) -> np.ndarray:
 
 
 def _log_lik_sum(d: np.ndarray, params: RgdParams) -> float:
-    """Sum of log p_vol at the distances ``d``; OverflowError naming the stage
-    where a term (:func:`_log_pdf_vol`) or the sum of n finite terms, past
-    about :func:`_finite_sigma_bound` (D, n), is past the float range."""
+    """Sum -n log xi - sum d^2 / (2 sigma^2) of log p_vol at the distances ``d``;
+    OverflowError naming a term (:func:`_log_pdf_vol`) or the larger part of a sum
+    of finite terms: below sigma = 1, where n log xi is small, the distance part,
+    finite above about sqrt(sum d^2 / 2) / sqrt(float max); above it, n log xi
+    (:func:`_sigma_overflow`)."""
     with np.errstate(over="ignore"):  # named below
-        total = float(np.sum(_log_pdf_vol(d, params)))
+        total = float(np.sum(_log_pdf_vol(d, params, d.size)))
+    if total == -math.inf and params.sigma < 1.0:
+        raise OverflowError(f"the log-likelihood at sigma = {params.sigma:.6g} overflows: the "
+                            f"sum of d^2 / (2 sigma^2) over n = {d.size} points is finite only "
+                            f"above about sigma = {math.sqrt(d @ d / 2.0) / _SIGMA_SQUARE_MAX:.3g}")
     if total == -math.inf:
-        raise OverflowError(f"the log-likelihood at sigma = {params.sigma:.6g} overflows: at D = "
-                            f"{params.dim} and n = {d.size} it is finite only below about "
-                            f"sigma = {_finite_sigma_bound(params.dim, d.size):.3g}")
+        raise _sigma_overflow(params, d.size)
     return total
 
 
@@ -472,9 +478,8 @@ def mle(data: Dataset, domain: "ParamDomain") -> MleFit:
     [sigma_min, sigma_max] (:func:`_solve_sigma`), with boundary values used
     (and flagged) when the equation has no interior root.  A ``sigma_max`` past
     :func:`check_sigma_max`'s bound is a ValueError.  The maximized
-    log-likelihood is :func:`log_lik`'s one sum over the fit's distances;
-    where it overflows, past about sigma = 1.3e154 sqrt(2/n) / (D-1) and
-    1.3e154 at D = 1, EstimationError names sigma_hat.
+    log-likelihood is :func:`log_lik`'s one sum over the fit's distances, whose
+    OverflowError names sigma_hat and its bound (:func:`_log_lik_sum`).
     """
     if data.n < 2:
         raise ValueError("the MLE needs at least 2 points (sigma is degenerate at n=1)")
@@ -497,11 +502,4 @@ def mle(data: Dataset, domain: "ParamDomain") -> MleFit:
     sigma, sigma_clamped = _solve_sigma(dim, target, domain.sigma_min,
                                         domain.sigma_max)
     params = RgdParams(mu, sigma)
-    try:
-        max_log_lik = _log_lik_sum(d, params)
-    except OverflowError as exc:
-        raise EstimationError(
-            f"the log-likelihood at sigma_hat = {sigma:.6g} overflows: at D = {dim} and "
-            f"n = {data.n} it is finite only below about sigma = "
-            f"{_finite_sigma_bound(dim, data.n):.3g}") from exc
-    return MleFit(params, mu_clamped, sigma_clamped, max_log_lik)
+    return MleFit(params, mu_clamped, sigma_clamped, _log_lik_sum(d, params))

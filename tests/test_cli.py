@@ -182,10 +182,12 @@ class TestPcCommand:
         out = tmp_path / "pc.json"
         assert run(["pc", "--dim", "2", "--n", "1", "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: --n must be an integer of at least 2, got 1\n"
-        # from 2**1024 no float holds --n, and the run names the flag
-        assert run(["pc", "--dim", "2", "--n", str(2**1024), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == ("error: --n must be below about 1.8e308, the largest "
-                                           "float; got an integer of 309 digits\n")
+        # from 2**1024 no float holds --n or --dim, and the run names the flag
+        for flag, other in (("--n", "--dim"), ("--dim", "--n")):
+            argv = ["pc", other, "2", flag, str(2**1024), "--out", str(out)]
+            assert run(argv) == 2
+            assert capsys.readouterr().err == (f"error: {flag} must be below about 1.8e308, the "
+                                               "largest float; got an integer of 309 digits\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("dim, sigma", [(3, "1e-12:1"), (1, "1.3e-77:1"),
@@ -336,17 +338,22 @@ class TestSampleCommand:
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
 
-    # a negative --seed is named before numpy's "expected non-negative integer"
-    @pytest.mark.parametrize("flag, value, rule", [("--dim", "0", "a positive"),
-                                                   ("--dim", "-1", "a positive"),
-                                                   ("--seed", "-1", "a non-negative"),
-                                                   ("--n", "0", "a positive")],
-                             ids=["0", "-1", "seed--1", "n-0"])
+    # a negative --seed is named before numpy's "expected non-negative integer",
+    # and from 2**1024, where no float holds the value, before numpy's "Maximum
+    # allowed dimension exceeded"
+    @pytest.mark.parametrize("flag, value, rule", [
+        ("--dim", "0", "a positive integer, got 0"),
+        ("--dim", "-1", "a positive integer, got -1"),
+        ("--seed", "-1", "a non-negative integer, got -1"),
+        ("--n", "0", "a positive integer, got 0"),
+        *[(flag, str(2**1024), "below about 1.8e308, the largest float; got an integer "
+                               "of 309 digits") for flag in ("--dim", "--n", "--seed")]],
+        ids=["0", "-1", "seed--1", "n-0", "dim-2**1024", "n-2**1024", "seed-2**1024"])
     def test_non_positive_dim_is_usage_error(self, flag, value, rule, tmp_path, capsys):
         options = {"--dim": "2", "--n": "5", "--sigma": "1", "--seed": "0", flag: value}
         out = tmp_path / "x.json"
         assert run(["sample", *itertools.chain(*options.items()), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: {flag} must be {rule} integer, got {value}\n"
+        assert capsys.readouterr().err == f"error: {flag} must be {rule}\n"
         assert not out.exists()
 
     def test_sample_statistics(self, tmp_path):
@@ -514,14 +521,13 @@ class TestCodelengthCommand:
     @pytest.mark.parametrize("dim, bound", [(1, "1.34e+154"), (2, "2.68e+153")])
     def test_log_lik_overflow_names_the_stage(self, dim, bound, tmp_path, capsys):
         # past sigma = 1.3e154 sqrt(2/n) / (D-1), -n log xi, about
-        # n (D-1)^2 sigma^2 / 2, overflows, and so does sigma^2 past 1.3e154;
-        # the complexity on the same domain is finite
+        # n (D-1)^2 sigma^2 / 2, overflows at D >= 2; at D = 1, log xi is
+        # about log sigma, and the fit is finite; the complexity on the same
+        # domain is finite
         path = tmp_path / "data.json"
         assert run(["sample", "--dim", str(dim), "--n", "50", "--sigma", "0.5",
                     "--seed", "1", "--out", str(path)]) == 0
         capsys.readouterr()
-        message = ("the log-likelihood at sigma_hat = 1e+200 overflows: at D = "
-                   f"{dim} and n = 50 it is finite only below about sigma = {bound}")
         code = run(["codelength", "--data", str(path), "--sigma", "1e200:1e300"])
         err = capsys.readouterr().err
         pc_code = run(["pc", "--dim", str(dim), "--n", "50", "--sigma", "1e200:1e300"])
@@ -532,11 +538,14 @@ class TestCodelengthCommand:
             assert (code, pc_code) == (2, 2)
             assert err.startswith("error: the log complexity -456.305 is negative")
             assert err == pc_err
-            with pytest.raises(EstimationError, match=re.escape(message)):
-                mle(load_dataset(str(path)), ParamDomain(3.0, 1e200, 1e300))
+            fit = mle(load_dataset(str(path)), ParamDomain(3.0, 1e200, 1e300))
+            assert fit.params.sigma == 1e200 and fit.sigma_clamped
+            assert fit.max_log_lik == pytest.approx(-23071.797856600690, rel=1e-15)
             return
         assert code == 3
-        assert f"maximum likelihood estimation failed: {message}" in err
+        assert err == ("error: numerical overflow: the log-likelihood at sigma = 1e+200 "
+                       f"overflows: at D = 2 and n = 50 it is finite only below about "
+                       f"sigma = {bound}\n")
         assert pc_code == 0
         assert all(math.isfinite(v) for v in json.loads(pc_out).values())
 
@@ -988,6 +997,18 @@ class TestCodingDemo:
             assert run(["coding-demo", "--radius", "705"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert all(math.isfinite(v) for v in payload.values())
+
+    @pytest.mark.parametrize("grid, rule", [
+        ("0", "a positive integer, got 0"),
+        (str(2**1024), "below about 1.8e308, the largest float; got an integer of 309 digits")],
+        ids=["0", "2**1024"])
+    def test_grid_names_the_flag(self, grid, rule, tmp_path, capsys):
+        # coding.partition_ball's "n_r and n_angle must be >= 1", and numpy's
+        # "Maximum allowed size exceeded", named no flag
+        out = tmp_path / "code.json"
+        assert run(["coding-demo", "--grid", grid, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --grid must be {rule}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("sigma", ["0", "-1", "nan"])
     def test_non_positive_sigma_is_usage_error(self, sigma, capsys):

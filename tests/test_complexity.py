@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rmnml import hyperbolic as hy, quadrature
+from rmnml import complexity, hyperbolic as hy, quadrature
 from rmnml.complexity import (ParamDomain, chart_gap, hgd_sigma_integral,
                               pc_general, pc_hgd, regret, rm_nml_codelength)
 from rmnml.gaussian import Dataset, RgdParams, log_pdf_vol_many, mle, sample
@@ -135,6 +135,21 @@ class TestSigmaIntegral:
         # the best estimate is the log of the integral
         assert math.exp(excinfo.value.best_estimate) == pytest.approx(
             math.exp(hgd_sigma_integral(2, DOMAIN)), rel=1e-6)
+
+    def test_layer_that_never_falls_by_one_spans_the_domain(self, monkeypatch):
+        # on sigma 1:1.01 at D = 2 the log integrand falls by about 0.03, never
+        # by 1, so the layer named on a quadrature failure is the whole domain,
+        # log sigma_max - log sigma_min wide
+        def failing(log_f, a, b):
+            raise QuadratureError("still disagree at 2048 nodes", best_estimate=-4.5)
+
+        monkeypatch.setattr(complexity, "integrate_1d", failing)
+        with pytest.raises(QuadratureError) as excinfo:
+            hgd_sigma_integral(2, ParamDomain(3.0, 1.0, 1.01))
+        assert str(excinfo.value) == (
+            "still disagree at 2048 nodes: the integrand peaks at sigma = 1, in a layer "
+            f"{math.log(1.01) - math.log(1.0):.2g} wide in log sigma")
+        assert excinfo.value.best_estimate == -4.5
 
 
 class TestCodeLength:

@@ -128,3 +128,16 @@ def test_one_check_of_the_log_complexity():
     assert _bindings({"_score", "_check_log_pc"}) == []
     assert _callers("check_log_pc") == {"cli.cmd_pc", "complexity.rm_nml_codelength"}
     assert len(rmnml.__all__) == 21
+
+
+def test_each_failure_named_once_and_classified_once():
+    # the fit lets the log-likelihood's own OverflowError through, so
+    # EstimationError means only that a solver did not converge, and
+    # cli._failure alone maps an exception to its exit code and message
+    assert _bindings({"_numerical_message", "_NUMERICAL_FAILURES"}) == []
+    mle = next(node for node in _nodes(SOURCES / "gaussian.py")
+               if isinstance(node, ast.FunctionDef) and node.name == "mle")
+    assert not any(isinstance(node, ast.Try) for node in ast.walk(mle))
+    assert _callers("EstimationError") == {"gaussian.frechet_mean", "gaussian._solve_sigma"}
+    assert _callers("_failure") == {"cli.main", "cli.cmd_select_dim"}
+    assert len(rmnml.__all__) == 21

@@ -326,25 +326,36 @@ class TestLogLik:
 
     @pytest.mark.parametrize("dim, bound, n, sigma", [
         (1, 1.34e154, 1, 1e200), (2, 1.34e154, 1, 1e200), (3, 9.48e153, 1, 1e200),
-        (3, 6.7e153, 2, 9.4e153), (3, 1.58e-152, 1, 1.5e-154)],
-        ids=["1-1.34e+154", "2-1.34e+154", "3-9.48e+153", "3-sum", "3-term"])
+        (3, 6.7e153, 2, 9.4e153), (3, 1.58e-152, 1, 1.5e-154), (1, 3.54e-152, 5, 2e-152)],
+        ids=["1-1.34e+154", "2-1.34e+154", "3-9.48e+153", "3-sum", "3-term", "1-sum-small"])
     def test_overflow_names_the_stage(self, dim, bound, n, sigma):
         # sigma^2 overflows past 1.34e154, and log xi, about (D-1)^2 sigma^2 / 2,
         # past 1.34e154 sqrt(2) / (D-1); below both the density is finite.  With
         # n = 2 at 9.4e153 each term is finite (about -1.77e308) but their sum is
         # not.  A point 300 from mu overflows d^2 / (2 sigma^2) below
-        # 300 / (sqrt 2 sqrt(float max)) = 1.58e-152
+        # 300 / (sqrt 2 sqrt(float max)) = 1.58e-152, and the sum of 5 such
+        # terms, each finite, below sqrt(5 300^2 / 2) / sqrt(float max) =
+        # 3.54e-152.  At D = 1, log xi = log(sqrt(2 pi) sigma) is finite for
+        # every sigma, and so is the density past sigma = 1.34e154
         small = sigma < bound
         data = Dataset(np.tile(hy.polar(300.0 if small else 0.0, np.eye(dim)[0]), (n, 1)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             finite = (1.01 if small else 0.99) * bound
             assert math.isfinite(log_lik(data, RgdParams(hy.origin(dim), finite)))
+            if dim == 1 and not small:
+                closed = -n * (0.5 * math.log(2.0 * math.pi) + math.log(sigma))
+                assert log_lik(data, RgdParams(hy.origin(dim), sigma)) == pytest.approx(
+                    closed, rel=1e-15)
+                return
             with pytest.raises(OverflowError) as info:
                 log_lik(data, RgdParams(hy.origin(dim), sigma))
         stage = "log density" if n == 1 else "log-likelihood"
-        if small:
+        if small and n == 1:
             reason = (f"d^2 / (2 sigma^2) at the farthest distance, d = 300, is finite only "
+                      f"above about sigma = {bound:.3g}")
+        elif small:
+            reason = (f"the sum of d^2 / (2 sigma^2) over n = {n} points is finite only "
                       f"above about sigma = {bound:.3g}")
         else:
             sample_size = "" if n == 1 else f" and n = {n}"
