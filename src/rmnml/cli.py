@@ -6,10 +6,13 @@ validation suite fails, 2 on usage or input errors, 3 when a numerical
 stage fails (quadrature, estimation, or a value beyond the float range)
 or an array does not fit in memory (``sample`` holds its n draws as
 (n, D+1) floats: 80 GB at n = D = 1e5), and 141 (the shell's 128 +
-SIGPIPE) when the reader of stdout has closed it, with no traceback.  A
-named output file that cannot be written is an input error, found before
-anything reaches stdout, and before ``sample`` draws; so is a domain whose
-log complexity is negative, found before any data is fitted.  Datasets are
+SIGPIPE) when the reader of stdout has closed it, with no traceback.  An
+integer flag whose float64 array would pass numpy's largest, 2^63 - 1
+bytes, is a usage error that names the flag (or both, for ``sample``'s
+n (D+1) coordinates).  A named output file that cannot be written is an
+input error, found before anything reaches stdout, and before ``sample``
+draws; so is a domain whose log complexity is negative, found before any
+data is fitted.  Datasets are
 JSON files
 ``{"chart": "lorentz", "dim": D, "points": [[x0, ..., xD], ...]}``;
 ``"chart": "poincare"`` with D-component points is accepted on input and
@@ -208,6 +211,20 @@ def _check_int(flag: str, value: int, least: int):
                          f"got an integer of {len(str(value))} digits") from None
 
 
+#: Float64 values in numpy's largest array, np.iinfo(np.intp).max bytes.
+_FLOATS_MAX = np.iinfo(np.intp).max // 8
+
+
+def _check_floats(flags: str, count: int, what: str):
+    """Raise InputError naming ``flags`` if ``what``, ``count`` float64 values,
+    pass numpy's largest array.  The flags have passed :func:`_check_int`, so
+    ``count`` is at most 2^1024 - 2^970, which float max gives to 6 digits."""
+    if count > _FLOATS_MAX:
+        raise InputError(f"{flags} must keep {what} within numpy's largest array, "
+                         f"{_FLOATS_MAX} float64 values; "
+                         f"got {min(count, sys.float_info.max):.6g}")
+
+
 def _domain_from(args) -> ParamDomain:
     lo, hi = parse_sigma_range(args.sigma)
     return ParamDomain(args.radius, lo, hi)
@@ -264,6 +281,9 @@ def cmd_sample(args) -> int:
     _check_int("--dim", args.dim, 1)
     _check_int("--n", args.n, 1)
     _check_int("--seed", args.seed, 0)
+    _check_floats("--dim", args.dim + 1, "the D + 1 coordinates of a point")
+    _check_floats("--n", args.n, "the n radii")
+    _check_floats("--n and --dim", args.n * (args.dim + 1), "the n (D + 1) coordinates")
     mu = hy.origin(args.dim)
     if args.mu is not None:
         try:
@@ -360,6 +380,8 @@ def cmd_coding_demo(args) -> int:
     if not args.sigma_value > 0:
         raise InputError(f"--sigma must be positive, got {args.sigma_value}")
     _check_int("--grid", args.grid, 1)
+    _check_floats("--grid", args.grid + 1, "the grid + 1 edges")
+    _check_floats("--grid", args.grid * args.grid, "the grid^2 cells")
     partition = coding.partition_ball(args.radius, args.grid, args.grid)
     params = RgdParams(hy.origin(2), args.sigma_value)
     code = coding.prefix_code(partition, lambda points: log_pdf_vol_many(points, params))

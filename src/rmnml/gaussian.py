@@ -389,15 +389,18 @@ def frechet_mean(coords: np.ndarray) -> np.ndarray:
         sinh_d = np.sqrt(np.einsum("ij,ij->i", a, a))
         d = np.arcsinh(sinh_d)
         value = float(d @ d)
-        coef = np.divide(d, sinh_d, out=np.ones_like(d), where=sinh_d > 0.0)
+        on_mu = sinh_d == 0.0  # where d = 0 too, and d / sinh d is 1 in the limit
+        safe = sinh_d + on_mu
+        coef = (d + on_mu) / safe
         error = _FRECHET_ROUNDING * mu[0] * coords[:, 0] * coef  # of each log map
         if frame is not None and value > kept_value - eta * decrease + 2.0 * float(d @ error):
             eta *= 0.5
         else:
             grad = coef @ a  # sum_i log_mu x_i in the frame
-            u = np.divide(a, sinh_d[:, None], out=np.zeros_like(a), where=sinh_d[:, None] > 0.0)
+            u = a / safe[:, None]
             d_coth = coef * np.hypot(1.0, sinh_d)
-            hess = d_coth.sum() * np.eye(a.shape[1]) + (u.T * (1.0 - d_coth)) @ u
+            hess = (u.T * (1.0 - d_coth)) @ u
+            hess.flat[::a.shape[1] + 1] += d_coth.sum()
             step = np.linalg.solve(hess, grad)
             norm = math.sqrt(float(step @ step))
             done = norm < max(_FRECHET_STEP_TOL, float(error.mean()))
@@ -421,24 +424,36 @@ def _solve_sigma(dim: int, target: float, lo: float, hi: float) -> tuple[float, 
     and increasing in u.  From the right of the root a Newton step then
     never passes it, and from the left one step lands to its right, so the
     iterates need no bracket; each is clipped to [log lo, log hi], which
-    keeps sigma in the domain.  The first iterate is the cubic (Hermite)
-    interpolant of u against log E through the ends, with those slopes.
-    The error squares at each step, so a step below 1e-8 ends the solve.
+    keeps sigma in the domain.  The error squares at each step, so a step
+    below 1e-8 ends the solve.
+
+    The first kernel call reads lo, hi and sigma_g = sqrt(s) clipped to
+    [lo, hi], where s is the positive root of D s + (D-1)^2 s^2 = target,
+    2 target / (D + sqrt(D^2 + 4 (D-1)^2 target)): E[d^2] runs from
+    D sigma^2 (small sigma) to (D-1)^2 sigma^4 (large), and is sigma^2 at
+    D = 1.  The first iterate is the cubic (Hermite) interpolant of u
+    against log E, with those slopes, across whichever of [lo, sigma_g] and
+    [sigma_g, hi] holds the target.
     """
-    _, (log_lo, log_hi), (var_lo, var_hi) = radial_moments(dim, np.array([lo, hi]))
+    root = 2.0 * target / (dim + math.sqrt(dim * dim + 4.0 * (dim - 1) ** 2 * target))
+    sigmas = [lo, min(max(math.sqrt(root), lo), hi), hi]
+    _, log_e, log_v = (moment.tolist() for moment in radial_moments(dim, np.array(sigmas)))
     log_target = math.log(target) if target > 0.0 else -math.inf
-    if log_target <= log_lo:
+    if log_target <= log_e[0]:
         return lo, True
-    if log_target >= log_hi:
+    if log_target >= log_e[2]:
         return hi, True
+    i = 0 if log_target <= log_e[1] else 1  # the points on either side of the root
+    (u_0, u_1), (e_0, e_1), (v_0, v_1) = (map(math.log, sigmas[i:i + 2]), log_e[i:i + 2],
+                                          log_v[i:i + 2])
+    width = e_1 - e_0  # t runs from 0 to 1 across the pair
+    t = (log_target - e_0) / width
+    d_0 = width * math.exp(2.0 * u_0 + e_0 - v_0)
+    d_1 = width * math.exp(2.0 * u_1 + e_1 - v_1)
+    u = (u_0 + t * t * (3.0 - 2.0 * t) * (u_1 - u_0)
+         + t * (1.0 - t) * ((1.0 - t) * d_0 - t * d_1))
+    u = min(max(u, u_0), u_1)
     u_lo, u_hi = math.log(lo), math.log(hi)
-    width = log_hi - log_lo  # t runs from 0 to 1 across the domain
-    t = (log_target - log_lo) / width
-    d_lo = width * math.exp(2.0 * u_lo + log_lo - var_lo)
-    d_hi = width * math.exp(2.0 * u_hi + log_hi - var_hi)
-    u = (u_lo + t * t * (3.0 - 2.0 * t) * (u_hi - u_lo)
-         + t * (1.0 - t) * ((1.0 - t) * d_lo - t * d_hi))
-    u = min(max(u, u_lo), u_hi)
     for _ in range(_MAX_SIGMA_ITERATIONS):
         _, log_mean, log_var = map(float, radial_moments(dim, math.exp(u)))
         new = u - (log_mean - log_target) * math.exp(2.0 * u + log_mean - log_var)
@@ -474,8 +489,9 @@ def mle(data: Dataset, domain: "ParamDomain") -> MleFit:
     mean, pulled back to the geodesic ball of radius ``domain.radius_R``
     about the origin if it falls outside (:func:`rmnml.hyperbolic.polar`);
     sigma solves E[d^2](sigma) = sigma^3 xi'/xi = mean d^2(x_i, mu) by Newton
-    on log E[d^2], convex in log sigma, each iterate clipped to
-    [sigma_min, sigma_max] (:func:`_solve_sigma`), with boundary values used
+    on log E[d^2], convex in log sigma, from a cubic start between a
+    closed-form sigma and the domain end beyond the root, each iterate clipped
+    to [sigma_min, sigma_max] (:func:`_solve_sigma`), with boundary values used
     (and flagged) when the equation has no interior root.  A ``sigma_max`` past
     :func:`check_sigma_max`'s bound is a ValueError.  The maximized
     log-likelihood is :func:`log_lik`'s one sum over the fit's distances, whose

@@ -2,9 +2,10 @@
 
 :func:`integrate_1d`, the complexity's integral in log sigma, doubles a
 Gauss-Legendre rule summed over the log of the integrand until two
-successive logs agree.  Each rule is built with numpy alone, by Newton's
-method on the Legendre P_n, when its node count is first asked for, and
-cached.  The oracle rule, adaptive Gauss-Kronrod, is in :mod:`rmnml.validation`.
+successive logs agree; its first two rules take one call of the integrand.
+Each rule is built with numpy alone, by Newton's method on the Legendre
+P_n, when its node count is first asked for, and cached.  The oracle rule,
+adaptive Gauss-Kronrod, is in :mod:`rmnml.validation`.
 """
 
 from __future__ import annotations
@@ -77,15 +78,17 @@ def integrate_1d(log_f: Callable, a: float, b: float) -> float:
     log of the integrand there, an array of the same shape.  Rules of 32,
     64, ... nodes are summed in the log domain until two successive logs
     differ by at most 1e-10; past 2048 nodes it raises
-    :class:`QuadratureError` with the last log as its best estimate.
+    :class:`QuadratureError` with the last log as its best estimate.  The
+    first two rules take one ``log_f`` call on their joined abscissae.
     """
     if not a < b:
         raise ValueError(f"invalid interval: [{a}, {b}]")
     nodes = _GL_NODES_MIN
-    coarse = log_gauss_legendre(log_f, a, b, nodes)
+    coarse, fine = _log_gauss_legendre_levels(log_f, a, b, (nodes, 2 * nodes))
     while nodes < _GL_NODES_MAX:
         nodes *= 2
-        fine = log_gauss_legendre(log_f, a, b, nodes)
+        if nodes > 2 * _GL_NODES_MIN:
+            fine = log_gauss_legendre(log_f, a, b, nodes)
         if abs(fine - coarse) <= _GL_LOG_TOL:
             return fine
         coarse = fine
@@ -95,8 +98,20 @@ def integrate_1d(log_f: Callable, a: float, b: float) -> float:
 
 def log_gauss_legendre(log_f: Callable, a: float, b: float, nodes: int) -> float:
     """log of the Gauss-Legendre sum for the integral of exp(log_f) over [a, b]."""
-    x, w = gauss_legendre(nodes)
+    return _log_gauss_legendre_levels(log_f, a, b, (nodes,))[0]
+
+
+def _log_gauss_legendre_levels(log_f: Callable, a: float, b: float,
+                               counts: tuple[int, ...]) -> list[float]:
+    """:func:`log_gauss_legendre` at each node count of ``counts``, from one
+    ``log_f`` call on the joined abscissae; each sum reads only its own nodes."""
+    rules = [gauss_legendre(nodes) for nodes in counts]
     half = 0.5 * (b - a)
-    log_values = log_f(a + half * (x + 1.0))
-    top = float(log_values.max())
-    return top + math.log(half * float(w @ np.exp(log_values - top)))
+    log_values = log_f(a + half * (np.concatenate([x for x, _ in rules]) + 1.0))
+    logs, start = [], 0
+    for _, w in rules:
+        part = log_values[start:start + w.size]
+        start += w.size
+        top = float(part.max())
+        logs.append(top + math.log(half * float(w @ np.exp(part - top))))
+    return logs

@@ -356,6 +356,25 @@ class TestSampleCommand:
         assert capsys.readouterr().err == f"error: {flag} must be {rule}\n"
         assert not out.exists()
 
+    # an array past numpy's largest, 2^60 - 1 float64 values, is named by its
+    # flag before numpy's "array is too big" or "Maximum allowed dimension
+    # exceeded"; both flags when only the n (D + 1) coordinates pass
+    @pytest.mark.parametrize("dim, n, message", [
+        (str(2**60 - 1), "5", "--dim must keep the D + 1 coordinates of a point within "
+                              "numpy's largest array, 1152921504606846975 float64 values; "
+                              "got 1.15292e+18"),
+        ("2", str(2**63), "--n must keep the n radii within numpy's largest array, "
+                          "1152921504606846975 float64 values; got 9.22337e+18"),
+        ("2", str(2**60 // 3 + 1), "--n and --dim must keep the n (D + 1) coordinates "
+                                   "within numpy's largest array, 1152921504606846975 "
+                                   "float64 values; got 1.15292e+18")],
+        ids=["dim", "n", "n-and-dim"])
+    def test_array_past_numpy_names_the_flag(self, dim, n, message, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert run(["sample", "--dim", dim, "--n", n, "--sigma", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_sample_statistics(self, tmp_path):
         out = tmp_path / "big.json"
         run(["sample", "--dim", "2", "--n", "100000", "--sigma", "1.0",
@@ -999,15 +1018,21 @@ class TestCodingDemo:
         assert all(math.isfinite(v) for v in payload.values())
 
     @pytest.mark.parametrize("grid, rule", [
-        ("0", "a positive integer, got 0"),
-        (str(2**1024), "below about 1.8e308, the largest float; got an integer of 309 digits")],
-        ids=["0", "2**1024"])
+        ("0", "be a positive integer, got 0"),
+        (str(2**1024), "be below about 1.8e308, the largest float; got an integer of 309 digits"),
+        *[(str(grid), f"keep the {part} within numpy's largest array, 1152921504606846975 "
+                      f"float64 values; got {count}")
+          for grid, part, count in [(2**30, "grid^2 cells", "1.15292e+18"),
+                                    (2**62, "grid + 1 edges", "4.61169e+18"),
+                                    (2**63, "grid + 1 edges", "9.22337e+18")]]],
+        ids=["0", "2**1024", "2**30", "2**62", "2**63"])
     def test_grid_names_the_flag(self, grid, rule, tmp_path, capsys):
         # coding.partition_ball's "n_r and n_angle must be >= 1", and numpy's
-        # "Maximum allowed size exceeded", named no flag
+        # "Maximum allowed size exceeded" and "array is too big", named no
+        # flag; 2**63 ended in an IndexError traceback from an empty linspace
         out = tmp_path / "code.json"
         assert run(["coding-demo", "--grid", grid, "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: --grid must be {rule}\n"
+        assert capsys.readouterr().err == f"error: --grid must {rule}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("sigma", ["0", "-1", "nan"])

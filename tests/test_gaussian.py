@@ -4,11 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
-from rmnml import hyperbolic as hy
+from rmnml import gaussian, hyperbolic as hy
 from rmnml.complexity import ParamDomain, _log_sigma_integrand, hgd_sigma_integral
 from rmnml.gaussian import (_SIGMA_SQUARE_MIN, Dataset, RgdParams,
-                            _radial_table, frechet_mean, log_lik, log_pdf_vol_many, mle,
-                            radial_moments, sample)
+                            _radial_table, _solve_sigma, frechet_mean, log_lik,
+                            log_pdf_vol_many, mle, radial_moments, sample)
 from rmnml.validation import (adaptive_gauss_kronrod, log_radial_weight, radial_cutoff, xi,
                               xi_derivatives, xi_quadrature_oracle)
 
@@ -642,6 +642,71 @@ def test_mean_dispersion_and_newton_sigma_match_bisection():
             expected = _bisection_sigma(dim, target, DOMAIN.sigma_min, DOMAIN.sigma_max)
             assert not fit.sigma_clamped
             assert fit.params.sigma == pytest.approx(expected, rel=1e-12)
+
+
+def _kernel_roots(dim, log_target, lo, hi):
+    """The least and the largest sigma in [lo, hi], by bisection to adjacent
+    floats, where the kernel's log E[d^2] reaches and where it passes
+    ``log_target``: log E rounds to the target on the floats between them."""
+    def bisect(below):
+        a, b = lo, hi
+        while (mid := 0.5 * (a + b)) not in (a, b):
+            a, b = (mid, b) if below(float(radial_moments(dim, mid)[1])) else (a, mid)
+        return b
+    return bisect(lambda e: e < log_target), bisect(lambda e: e <= log_target)
+
+
+#: radial_moments calls of an interior sigma solve: the three-point call and
+#: the Newton steps.  At D = 1 the closed-form start is the root, so one step
+#: ends the solve; at D = 3 and 5 the cubic start can be off by about 4e-4
+#: in log sigma, which leaves a second step of 1.3e-8 to 2e-8, above the
+#: 1e-8 stop, and a third call to end it.
+SOLVE_CALLS = {1: 2, 2: 3, 3: 4, 5: 4}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 1000])
+def test_three_point_start_keeps_the_clamps_and_the_root(dim, monkeypatch):
+    # a seeded sweep over the default domain and bench-like ones, with
+    # targets inside, at each end (and one ulp either side) and past it
+    rng = np.random.default_rng(29 + dim)
+    domains = [(0.1, 3.0)] + [(float(rng.uniform(0.08, 0.3)), float(rng.uniform(2.0, 3.5)))
+                              for _ in range(2)]
+    calls, kernel = [], gaussian.radial_moments
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    for lo, hi in domains:
+        _, ends, _ = radial_moments(dim, np.array([lo, hi]))
+        log_lo, log_hi = ends.tolist()
+        inside = [math.exp(float(x)) for x in rng.uniform(log_lo, log_hi, 8)]
+        targets = inside.copy()
+        for end in (log_lo, log_hi):
+            targets += _ulps_about(math.exp(end)) + [0.5 * math.exp(end), 2.0 * math.exp(end)]
+        for target in targets:
+            calls.clear()
+            monkeypatch.setattr(gaussian, "radial_moments", counted)
+            sigma, clamped = _solve_sigma(dim, target, lo, hi)
+            monkeypatch.undo()
+            log_target = math.log(target)
+            # the parent's rule: clamped where the target is not inside the
+            # kernel's log E at the two ends
+            assert clamped == (not log_lo < log_target < log_hi)
+            if clamped:
+                assert sigma == (lo if log_target <= log_lo else hi)
+                assert len(calls) == 1
+                continue
+            least, largest = _kernel_roots(dim, log_target, lo, hi)
+            assert least * (1.0 - 1e-15) <= sigma <= largest * (1.0 + 1e-15)
+            if dim <= 5:
+                assert len(calls) <= SOLVE_CALLS[dim], (lo, hi, target)
+            if dim == 1 and target in inside:  # E[d^2] = sigma^2: the start is the root
+                assert abs(sigma - math.sqrt(target)) <= math.ulp(math.sqrt(target))
+
+
+def _ulps_about(x: float) -> list[float]:
+    return [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 5, 100, 10**4, 10**6])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rmnml import hyperbolic as hy, quadrature, validation
+from rmnml.complexity import _log_sigma_integrand
 from rmnml.quadrature import QuadratureError, integrate_1d
 from rmnml.validation import adaptive_gauss_kronrod
 
@@ -276,3 +277,54 @@ def test_log_gauss_legendre_rule():
     # log is rel 1e-12 on the integral
     huge = integrate_1d(lambda x: 710.0 + 0.0 * x, 0.0, 2.0)
     assert huge == pytest.approx(710.0 + math.log(2.0), abs=1e-12)
+
+
+def _counted(log_f):
+    """``log_f`` and the list of the sizes of the arrays it is called on."""
+    sizes = []
+
+    def counted(x):
+        sizes.append(x.size)
+        return log_f(x)
+
+    return counted, sizes
+
+
+@pytest.mark.parametrize("log_f, a, b", [
+    (lambda x: -0.5 * x * x, -3.0, 4.0),
+    (lambda u: _log_sigma_integrand(2, u), math.log(0.1), math.log(3.0)),
+    (lambda u: _log_sigma_integrand(5, u), math.log(0.08), math.log(3.5)),
+], ids=["gaussian", "sigma-D2", "sigma-D5"])
+def test_first_two_levels_take_one_call(log_f, a, b):
+    # where the 32- and 64-node sums agree, one call on the joined 96
+    # abscissae ends the rule, and its result is the 64-node sum bit for bit
+    counted, sizes = _counted(log_f)
+    value = integrate_1d(counted, a, b)
+    assert sizes == [96]
+    assert value.hex() == quadrature.log_gauss_legendre(log_f, a, b, 64).hex()
+
+
+def test_levels_that_disagree_still_double():
+    # a peak of width 0.03 on [0, 1]: 32 and 64 nodes disagree, 64 and 128
+    # agree, so one more call, on the 128 nodes alone, ends the rule
+    def log_f(x):
+        return -0.5 * ((x - 0.4) / 0.03) ** 2
+
+    levels = [quadrature.log_gauss_legendre(log_f, 0.0, 1.0, n) for n in (32, 64, 128)]
+    assert abs(levels[1] - levels[0]) > quadrature._GL_LOG_TOL
+    assert abs(levels[2] - levels[1]) <= quadrature._GL_LOG_TOL
+    counted, sizes = _counted(log_f)
+    value = integrate_1d(counted, 0.0, 1.0)
+    assert sizes == [96, 128]
+    assert value.hex() == levels[2].hex()
+
+
+def test_a_cap_at_the_first_rule_raises_there(monkeypatch):
+    # the cap is read as before: at 32 nodes the rule raises at 32, with the
+    # 32-node sum as its best estimate
+    monkeypatch.setattr(quadrature, "_GL_NODES_MAX", quadrature._GL_NODES_MIN)
+    log_f = lambda x: -0.5 * x * x
+    with pytest.raises(QuadratureError, match="disagree at 32 nodes") as excinfo:
+        integrate_1d(log_f, -10.0, 10.0)
+    assert excinfo.value.best_estimate.hex() == quadrature.log_gauss_legendre(
+        log_f, -10.0, 10.0, 32).hex()

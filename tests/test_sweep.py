@@ -1,5 +1,6 @@
 """A standing sweep of the CLI over the documented ranges of ``pc``,
-``codelength``, ``sample`` and ``coding-demo`` (ROADMAP item 13).
+``codelength``, ``sample``, ``coding-demo`` and ``select-dim``, with one
+``validate --quick`` (ROADMAP item 13).
 
 Every run goes through ``cli.main`` in process, with warnings as errors.  Each
 outcome must fall in exactly one class of ``CLASSES``: an exit code and, for a
@@ -29,7 +30,8 @@ SEED = 28
 #: Each class: its exit code and the pattern of the stderr line after "error: ".
 CLASSES = {
     "finite": (0, None),
-    "flag": (2, r"--(dim|n|seed|grid|sigma) (must|needs|expects) "),
+    "flag": (2, r"(--(dim|n|seed|grid|sigma|candidate)( and --dim| dimension)? "
+                r"(must|needs|expects)|select-dim needs at least 2 --candidate) "),
     "domain bound": (2, r"(radius_R|sigma_min|sigma_max|sigma|radius) (must|= \S+ is past) "),
     "too few points": (2, r"\S+: the code-length needs at least 2 points, got \d+"),
     "data bound": (2, r"point \d+ lies \S+ from the origin, past the data bound of 350"),
@@ -40,9 +42,14 @@ CLASSES = {
     "item 1: off-manifold": (2, r"arccosh argument below 1: points are off-manifold"),
     # a warning that escapes the run: no exit code
     "item 1: frame overflow": (None, r"invalid value encountered in divide"),
-    # an integer flag past numpy's index range that a float still holds: the
-    # message names no flag (an open defect, in CHANGES.md)
-    "numpy size limit": (2, r"Maximum allowed (dimension|size) exceeded"),
+    "unreadable file": (2, r"cannot read \S+: "),
+    "candidate dimension": (2, r"\S+: declared candidate dimension \d+ but the file holds "
+                               r"dimension \d+"),
+    "unequal n": (2, r"select-dim compares code-lengths of the same points, but dim \d+ "
+                     r"holds n = \d+"),
+    "every candidate failed": (2, r"every candidate failed: dim \d+: "),
+    "every candidate failed, one numerically": (3, r"every candidate failed: dim \d+: "),
+    "out of memory": (3, r"out of memory: Unable to allocate "),
     "overflow": (3, r"numerical overflow: the (log density|log-likelihood) at sigma = \S+ "
                     r"overflows: .* (below|above) about sigma = \S+"),
     "item 3: thin layer": (3, r"numerical integration failed: .*: the integrand peaks at "
@@ -50,6 +57,7 @@ CLASSES = {
 }
 
 FLOAT_INT = 2**1024 - 2**970  # the least integer that no float holds
+FLOATS_MAX = 2**60 - 1  # float64 values in numpy's largest array, 2^63 - 1 bytes
 SQUARE_MAX = math.sqrt(sys.float_info.max)
 
 
@@ -72,21 +80,38 @@ def _run(argv: list[str]) -> tuple[int | None, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def _classify(argv: list[str], code: int | None, out: str, err: str) -> str:
-    """The one class of the outcome, with its results checked finite."""
+def _match(message: str, codes) -> str:
+    """The one class among those of exit ``codes`` whose pattern ``message`` matches."""
+    found = [name for name, (exit_code, pattern) in CLASSES.items()
+             if pattern is not None and exit_code in codes and re.match(pattern, message)]
+    assert len(found) == 1, (message, found)
+    return found[0]
+
+
+def _classify(argv: list[str], code: int | None, out: str, err: str) -> tuple[str, list[str]]:
+    """The one class of the outcome, with its results checked finite, and the
+    classes of the select-dim candidates that failed in a run that exits 0,
+    each a class of exit 2 or 3."""
+    failed = []
     if code == 0:
         assert err == "", argv
         if argv[0] == "sample":
             values = cli.load_dataset(argv[argv.index("--out") + 1]).coords.ravel().tolist()
+        elif argv[0] == "validate":
+            assert all("  PASS  " in line for line in out.splitlines()), out
+            values = []
         else:
-            values = [v for v in json.loads(out).values() if type(v) in (int, float)]
+            payload = json.loads(out)
+            values = [v for v in payload.values() if type(v) in (int, float)]
+            for entry in payload.get("scores", []):
+                if entry["error"] is None:
+                    values.append(entry["total"])
+                else:
+                    failed.append(_match(entry["error"], (2, 3)))
         assert all(math.isfinite(v) for v in values), argv
-        return "finite"
+        return "finite", failed
     assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
-    found = [name for name, (exit_code, pattern) in CLASSES.items()
-             if pattern is not None and exit_code == code and re.match(pattern, err[7:])]
-    assert len(found) == 1, (argv, code, err, found)
-    return found[0]
+    return _match(err[7:], (code,)), failed
 
 
 def _explicit(tmp) -> list[tuple[list[str], str]]:
@@ -107,10 +132,10 @@ def _explicit(tmp) -> list[tuple[list[str], str]]:
         (["sample", "--dim", "2", "--n", "5", "--sigma", "1", "--seed", "-1", "--out", near],
          "flag"),
         (["sample", "--dim", str(FLOAT_INT - 1), "--n", "5", "--sigma", "1", "--out", near],
-         "numpy size limit"),
+         "flag"),
         (["sample", "--dim", str(FLOAT_INT), "--n", "5", "--sigma", "1", "--out", near], "flag"),
         (["sample", "--dim", "2", "--n", str(FLOAT_INT - 1), "--sigma", "1", "--out", near],
-         "numpy size limit"),
+         "flag"),
         (["sample", "--dim", "2", "--n", str(FLOAT_INT), "--sigma", "1", "--out", near], "flag"),
         (["sample", "--dim", "2", "--n", "5", "--sigma", "1", "--seed", str(FLOAT_INT - 1),
           "--out", near], "finite"),
@@ -118,8 +143,22 @@ def _explicit(tmp) -> list[tuple[list[str], str]]:
           "--out", near], "flag"),
         (["coding-demo", "--grid", "0"], "flag"),
         (["coding-demo", "--grid", "1"], "finite"),
-        (["coding-demo", "--grid", str(FLOAT_INT - 1)], "numpy size limit"),
+        (["coding-demo", "--grid", str(FLOAT_INT - 1)], "flag"),
         (["coding-demo", "--grid", str(FLOAT_INT)], "flag"),
+        # arrays past numpy's largest, FLOATS_MAX float64 values: sample's n
+        # (D + 1) coordinates and coding-demo's grid^2 cells; below the bound
+        # the allocation fails at once (coding-demo is not run there: its
+        # grid + 1 edges would fit in memory)
+        (["sample", "--dim", "2", "--n", str(FLOATS_MAX // 3), "--sigma", "1", "--out", near],
+         "out of memory"),
+        (["sample", "--dim", "2", "--n", str(FLOATS_MAX // 3 + 1), "--sigma", "1",
+          "--out", near], "flag"),
+        (["sample", "--dim", str(FLOATS_MAX - 1), "--n", "1", "--sigma", "1", "--out", near],
+         "out of memory"),
+        (["sample", "--dim", str(FLOATS_MAX), "--n", "1", "--sigma", "1", "--out", near],
+         "flag"),
+        (["coding-demo", "--grid", str(2**30)], "flag"),
+        (["coding-demo", "--grid", str(2**63)], "flag"),
     ]
     # the domain: radius_R in [float min, 1e15], sigma_min from the floor
     # 1.22e-77, and sigma_max up to the kernel's ceiling float max / (20 (D-1))
@@ -180,6 +219,53 @@ def _explicit(tmp) -> list[tuple[list[str], str]]:
         path.write_text(json.dumps({"chart": "lorentz", "dim": 1, "points": points}))
         cases.append((["codelength", "--data", str(path), "--radius", "400",
                        "--sigma", "1:400"], c))
+    cases += _select_dim(tmp, near, far, one)
+    cases.append((["validate", "--quick"], "finite"))
+    return cases
+
+
+def _select_dim(tmp, near: str, far: str, one: str) -> list[tuple[list[str], str]]:
+    """select-dim over the files of :func:`_explicit`, at its documented bounds."""
+    near1, near3, pair, missing = (str(tmp / name) for name in
+                                   ("near1.json", "near3.json", "pair.json", "missing.json"))
+    (tmp / "pair.json").write_text(json.dumps({"chart": "lorentz", "dim": 1, "points": [
+        [1.0, 0.0], [math.cosh(0.5), math.sinh(0.5)]]}))
+    both = ["select-dim", "--candidate", f"1={near1}", "--candidate", f"2={near}"]
+    cases = [
+        (["sample", "--dim", "1", "--n", "50", "--sigma", "0.5", "--seed", "2", "--out", near1],
+         "finite"),
+        (["sample", "--dim", "3", "--n", "50", "--sigma", "0.5", "--seed", "3", "--out", near3],
+         "finite"),
+        ([*both, "--candidate", f"3={near3}"], "finite"),
+        # the candidate flags
+        (["select-dim", "--candidate", f"2={near}"], "flag"),
+        (["select-dim", "--candidate", near, "--candidate", f"3={near3}"], "flag"),
+        (["select-dim", "--candidate", f"two={near}", "--candidate", f"3={near3}"], "flag"),
+        # a missing file, a file of another dimension and one of too few points
+        # fail their candidate alone; when every candidate fails, the largest
+        # exit code among the failures
+        (["select-dim", "--candidate", f"2={near}", "--candidate", f"3={missing}"], "finite"),
+        (["select-dim", "--candidate", f"2={near}", "--candidate", f"3={near}"], "finite"),
+        (["select-dim", "--candidate", f"2={near}", "--candidate", f"2={one}"], "finite"),
+        (["select-dim", "--candidate", f"2={one}", "--candidate", f"3={missing}"],
+         "every candidate failed"),
+        (["select-dim", "--candidate", f"2={near}", "--candidate", f"3={near3}",
+          "--sigma", f"{math.nextafter(SQUARE_MAX / 5.0, math.inf)!r}:1e300"],
+         "every candidate failed, one numerically"),
+        # candidates of different n
+        (["select-dim", "--candidate", f"2={near}", "--candidate", f"2={far}"], "unequal n"),
+    ]
+    # the domain's sigma floor, and the kernel's ceiling at D = 2, which
+    # fails that candidate alone
+    cases += [([*both, "--sigma", f"{s!r}:1"], c) for s, c in
+              zip(_ulps(complexity.SIGMA_FLOOR), ("domain bound", "finite", "finite"))]
+    cases += [([*both, "--sigma", f"1:{s!r}"], "finite")
+              for s in _ulps(sys.float_info.max / 20.0)]
+    # the data bound, in a candidate beside one near the origin
+    edge = ("item 1: frame overflow", "item 1: frame overflow", "finite")
+    cases += [(["select-dim", "--candidate", f"1={tmp / f'edge{i}.json'}", "--candidate",
+                f"1={pair}", "--radius", "400", "--sigma", "1:400"], c)
+              for i, c in enumerate(edge)]
     return cases
 
 
@@ -214,15 +300,18 @@ def _drawn(tmp, rng) -> list[list[str]]:
 
 
 def test_every_outcome_falls_in_one_class(tmp_path):
-    explicit, drawn = Counter(), Counter()
+    explicit, drawn, candidates = Counter(), Counter(), Counter()
     for argv, expected in _explicit(tmp_path):
-        found = _classify(argv, *_run(argv))
+        found, failed = _classify(argv, *_run(argv))
         assert found == expected, (argv, found)
         explicit[found] += 1
+        candidates.update(failed)
     for argv in _drawn(tmp_path, np.random.default_rng(SEED)):
-        drawn[_classify(argv, *_run(argv))] += 1
-    print("\nexplicit  drawn  class")
-    print("\n".join(f"{explicit[name]:8d} {drawn[name]:6d}  {name}" for name in CLASSES))
+        drawn[_classify(argv, *_run(argv))[0]] += 1
+    # candidates: the failed select-dim candidates of runs that exit 0
+    print("\nexplicit  drawn  candidates  class")
+    print("\n".join(f"{explicit[name]:8d} {drawn[name]:6d} {candidates[name]:11d}  {name}"
+                    for name in CLASSES))
     # the open items among the draws, as they are today
     assert {name: drawn[name] for name in CLASSES if name.startswith("item")} == {
         "item 1: off-manifold": 1, "item 1: frame overflow": 0, "item 3: thin layer": 1}
