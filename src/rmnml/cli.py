@@ -349,22 +349,20 @@ def cmd_select_dim(args) -> int:
                 "boundary_flag": report.boundary_flag,
             })
 
-    try:
-        best = select_best(scores)
-    except InputError as exc:  # the largest code among the failures: 3 if one was numerical
-        print(f"error: {exc}", file=sys.stderr)
+    best = select_best(scores)
+    if best is None:  # the largest code among the failures: 3 if one was numerical
+        print("error: every candidate failed: " + "; ".join(
+            f"dim {e['dim']}: {e['error']}" for e in scores), file=sys.stderr)
         return max(codes)
     _emit({"selected_dim": best["dim"], "scores": scores}, args.out, None)
     return 0
 
 
-def select_best(scores: list[dict]) -> dict:
-    """Entry with the smallest total; ties break toward the smaller dimension."""
+def select_best(scores: list[dict]) -> dict | None:
+    """Entry with the smallest total, ties broken toward the smaller dimension;
+    None when every candidate failed."""
     survivors = [e for e in scores if e.get("error") is None]
-    if not survivors:
-        raise InputError("every candidate failed: " + "; ".join(
-            f"dim {e['dim']}: {e['error']}" for e in scores))
-    return min(survivors, key=lambda e: (e["total"], e["dim"]))
+    return min(survivors, key=lambda e: (e["total"], e["dim"]), default=None)
 
 
 def cmd_validate(args) -> int:

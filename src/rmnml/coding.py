@@ -52,8 +52,10 @@ class Partition:
 def partition_ball(radius: float, n_r: int, n_angle: int) -> Partition:
     """Split the radius-``radius`` ball of H^2 into an n_r x n_angle polar grid.
 
-    Cell volumes are exact: delta_theta * (cosh r_hi - cosh r_lo), and they
-    telescope to the full ball volume.
+    Cell volumes are exact, delta_theta (cosh b - cosh a) on the ring [a, b] taken
+    as e^a expm1(b - a) (-expm1(-(a + b))) / 2 to keep its digits at small radii,
+    and they telescope to the full ball volume.  A radius whose smallest cell,
+    pi (radius / n_r)^2 / n_angle, is below float min is refused.
     """
     if n_r < 1 or n_angle < 1:
         raise ValueError("n_r and n_angle must be >= 1")
@@ -62,7 +64,14 @@ def partition_ball(radius: float, n_r: int, n_angle: int) -> Partition:
                          f"past which the ball volume overflows; got {radius!r}")
     r_edges = np.linspace(0.0, radius, n_r + 1)
     angle_edges = np.linspace(0.0, 2.0 * math.pi, n_angle + 1)
-    volumes = np.outer(np.diff(np.cosh(r_edges)), np.diff(angle_edges)).ravel()
+    a, b = r_edges[:-1], r_edges[1:]
+    rings = np.exp(a) * np.expm1(b - a) * -np.expm1(-(a + b)) / 2.0
+    volumes = np.outer(rings, np.diff(angle_edges)).ravel()
+    tiny = np.finfo(float).tiny
+    if volumes.min() < tiny:
+        least = n_r * math.sqrt(tiny * n_angle / math.pi)
+        raise ValueError(f"radius must be at least {least:.6g} on a {n_r} x {n_angle} grid, "
+                         f"below which a cell volume is below float min; got {radius!r}")
     return Partition(r_edges, angle_edges, volumes)
 
 

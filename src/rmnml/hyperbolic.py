@@ -175,12 +175,12 @@ def log_ball_volume(dim: int, radius: float) -> float:
     log sinh is concave with slope coth, so the rest holds < exp(-40) of the
     mass.  Counting t from R resolves the window at any radius.
     """
-    if dim < 1 or radius < 0:
-        raise GeometryError(f"need dim >= 1 and radius >= 0, got {dim} and {radius}")
+    if dim < 1 or not 0 <= radius < math.inf:
+        raise GeometryError(f"need dim >= 1 and a finite radius >= 0, got {dim} and {radius}")
     if radius == 0.0:
         return -math.inf
     if dim == 1:
         return math.log(2.0 * radius)  # exact
     width = min(40.0 * math.tanh(radius) / (dim - 1), radius)
     return log_sphere_area(dim) + log_gauss_legendre(
-        lambda t: (dim - 1) * log_sinh(radius - t), 0.0, width, 96)
+        lambda t: (dim - 1) * log_sinh(radius - t), 0.0, width, 96)[0]

@@ -84,11 +84,11 @@ def integrate_1d(log_f: Callable, a: float, b: float) -> float:
     if not a < b:
         raise ValueError(f"invalid interval: [{a}, {b}]")
     nodes = _GL_NODES_MIN
-    coarse, fine = _log_gauss_legendre_levels(log_f, a, b, (nodes, 2 * nodes))
+    coarse, fine = log_gauss_legendre(log_f, a, b, nodes, 2 * nodes)
     while nodes < _GL_NODES_MAX:
         nodes *= 2
         if nodes > 2 * _GL_NODES_MIN:
-            fine = log_gauss_legendre(log_f, a, b, nodes)
+            (fine,) = log_gauss_legendre(log_f, a, b, nodes)
         if abs(fine - coarse) <= _GL_LOG_TOL:
             return fine
         coarse = fine
@@ -96,15 +96,10 @@ def integrate_1d(log_f: Callable, a: float, b: float) -> float:
                           f"disagree at {nodes} nodes", best_estimate=coarse)
 
 
-def log_gauss_legendre(log_f: Callable, a: float, b: float, nodes: int) -> float:
-    """log of the Gauss-Legendre sum for the integral of exp(log_f) over [a, b]."""
-    return _log_gauss_legendre_levels(log_f, a, b, (nodes,))[0]
-
-
-def _log_gauss_legendre_levels(log_f: Callable, a: float, b: float,
-                               counts: tuple[int, ...]) -> list[float]:
-    """:func:`log_gauss_legendre` at each node count of ``counts``, from one
-    ``log_f`` call on the joined abscissae; each sum reads only its own nodes."""
+def log_gauss_legendre(log_f: Callable, a: float, b: float, *counts: int) -> list[float]:
+    """log of the Gauss-Legendre sum for the integral of exp(log_f) over [a, b],
+    one per node count of ``counts``, from one ``log_f`` call on the joined
+    abscissae; each sum reads only its own nodes."""
     rules = [gauss_legendre(nodes) for nodes in counts]
     half = 0.5 * (b - a)
     log_values = log_f(a + half * (np.concatenate([x for x, _ in rules]) + 1.0))

@@ -121,7 +121,7 @@ class TestPcCommand:
         payload = json.loads(capsys.readouterr().out)
         lo, hi = map(float, sigma.split(":"))
         reference = quadrature.log_gauss_legendre(
-            lambda u: _log_sigma_integrand(10000, u), math.log(lo), math.log(hi), 4096)
+            lambda u: _log_sigma_integrand(10000, u), math.log(lo), math.log(hi), 4096)[0]
         assert payload["term_fisher"] == pytest.approx(reference, abs=1e-9)
 
     @pytest.mark.parametrize("argv, bound", [
@@ -763,6 +763,11 @@ class TestSelectDim:
             {"dim": 5, "total": 11.0, "error": None},
         ]
         assert select_best(scores)["dim"] == 2
+
+    def test_no_survivor_is_none(self):
+        scores = [{"dim": 2, "total": None, "error": "cannot read a.json"},
+                  {"dim": 3, "total": None, "error": "cannot read b.json"}]
+        assert select_best(scores) is None
 
     def test_single_survivor_selected(self, tmp_path, capsys):
         good = tmp_path / "good.json"

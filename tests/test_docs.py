@@ -141,3 +141,19 @@ def test_each_failure_named_once_and_classified_once():
     assert _callers("EstimationError") == {"gaussian.frechet_mean", "gaussian._solve_sigma"}
     assert _callers("_failure") == {"cli.main", "cli.cmd_select_dim"}
     assert len(rmnml.__all__) == 21
+
+
+def test_one_gauss_legendre_log_sum():
+    # quadrature.log_gauss_legendre is the one log-sum, one log per node count
+    # from one integrand call: the sigma rule's levels and the ball volume
+    assert _bindings({"_log_gauss_legendre_levels"}) == []
+    assert _callers("log_gauss_legendre") == {"quadrature.integrate_1d",
+                                              "hyperbolic.log_ball_volume"}
+
+
+def test_select_dim_verdict_is_returned():
+    # select_best returns None when every candidate failed; cmd_select_dim
+    # names the failures and exits with their largest code
+    select_best = next(node for node in _nodes(SOURCES / "cli.py")
+                       if isinstance(node, ast.FunctionDef) and node.name == "select_best")
+    assert not any(isinstance(node, ast.Raise) for node in ast.walk(select_best))

@@ -440,6 +440,13 @@ class TestBallVolume:
         with pytest.raises(hy.GeometryError):
             hy.log_ball_volume(0, 1.0)
 
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, -1.0])
+    def test_radius_not_finite_or_negative_is_refused(self, radius):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(hy.GeometryError, match="a finite radius >= 0"):
+                hy.log_ball_volume(2, radius)
+
     def test_log_factors_against_direct_forms(self):
         for r in (1e-300, 1e-8, 0.3, 1.0, 20.0, 700.0):
             assert float(hy.log_sinh(r)) == pytest.approx(

@@ -66,6 +66,23 @@ def _ulps(x: float) -> list[float]:
     return [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
 
 
+def _least_radius(grid: int) -> float:
+    """The least radius that ``coding.partition_ball`` takes on a grid x grid
+    partition, by bisection over the bit patterns of the positive floats."""
+    def takes(bits: int) -> bool:
+        try:
+            coding.partition_ball(float(np.int64(bits).view(np.float64)), grid, grid)
+        except ValueError:
+            return False
+        return True
+
+    lo, hi = np.array([1e-300, 1e-100]).view(np.int64).tolist()
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if takes(mid) else (mid, hi)
+    return float(np.int64(hi).view(np.float64))
+
+
 def _run(argv: list[str]) -> tuple[int | None, str, str]:
     """The exit code, stdout and stderr of one run; a warning, raised as an
     error, gives no exit code and its text as the stderr line."""
@@ -176,6 +193,10 @@ def _explicit(tmp) -> list[tuple[list[str], str]]:
     # item 3: the mass of the sigma integral in a layer too thin for the rule
     cases.append((["pc", "--dim", "10000000000", "--n", "100", "--sigma", "1e-6:1e-5"],
                   "item 3: thin layer"))
+    # and at D = 8,108, where |log I| is about 5.5e5, past 2^19: a layer 1.2e-4 wide
+    cases.append((["pc", "--dim", "8108", "--n", "100",
+                   "--sigma", "2.6189740760777145e-30:9.179511751317846e-30"],
+                  "item 3: thin layer"))
     # sample: sigma from sqrt(float min), where sigma^2 is still normal; a
     # wide sigma draws points past the float range of Lorentz coordinates
     cases += [(["sample", "--dim", "2", "--n", "5", "--sigma", repr(s), "--out", near], c)
@@ -189,6 +210,11 @@ def _explicit(tmp) -> list[tuple[list[str], str]]:
     # already pass 2^63 bits
     cases += [(["coding-demo", "--grid", "2", "--radius", repr(r)], c)
               for r, c in zip(_ulps(coding.MAX_RADIUS), ("finite", "finite", "domain bound"))]
+    # and down to the least radius whose smallest cell volume is a normal
+    # float, on the default 32 x 32 grid; the rings keep their digits above it
+    cases += [(["coding-demo", "--radius", r], "finite") for r in ("1e-6", "1e-9")]
+    cases += [(["coding-demo", "--radius", repr(r)], c)
+              for r, c in zip(_ulps(_least_radius(32)), ("domain bound", "finite", "finite"))]
     cases += [(["coding-demo", "--grid", "2", "--sigma", repr(s)], c)
               for s, c in zip(_ulps(SQUARE_MAX), ("code past int64", "code past int64",
                                                   "overflow"))]
