@@ -12,19 +12,17 @@ bytes, is a usage error that names the flag (or both, for ``sample``'s
 n (D+1) coordinates).  A named output file that cannot be written is an
 input error, found before anything reaches stdout, and before ``sample``
 draws; so is a domain whose log complexity is negative, found before any
-data is fitted.  Datasets are
-JSON files
+data is fitted.  Datasets are JSON files
 ``{"chart": "lorentz", "dim": D, "points": [[x0, ..., xD], ...]}``;
 ``"chart": "poincare"`` with D-component points is accepted on input and
-converted.  :func:`main` builds one parser per process and binds each
-subcommand's ``cmd_*`` handler then, so replacing a handler after the
-first call has no effect.
+converted.  :func:`main` builds each command's parser, with its subparser
+alone, at the command's first call and binds its ``cmd_*`` handler then, so
+replacing a handler after that call has no effect.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import itertools
@@ -35,7 +33,7 @@ import sys
 
 import numpy as np
 
-from . import coding, hyperbolic as hy, validation
+from . import hyperbolic as hy, validation
 from .complexity import (DEFAULT_RADIUS, DEFAULT_SIGMA_MAX, DEFAULT_SIGMA_MIN, ParamDomain,
                          chart_gap, check_log_pc, pc_hgd, rm_nml_codelength)
 from .gaussian import Dataset, EstimationError, RgdParams, log_pdf_vol_many, sample
@@ -185,6 +183,7 @@ def _emit(payload: dict, out: str | None, csv_out: str | None = None):
     if csv_out:
         if out:
             _check_writable(out)
+        import csv
         flat = {k: v for k, v in payload.items() if not isinstance(v, (dict, list))}
         table = io.StringIO(newline="")
         writer = csv.DictWriter(table, fieldnames=list(flat))
@@ -375,6 +374,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_coding_demo(args) -> int:
+    from . import coding
     if not args.sigma_value > 0:
         raise InputError(f"--sigma must be positive, got {args.sigma_value}")
     _check_int("--grid", args.grid, 1)
@@ -396,70 +396,89 @@ def cmd_coding_demo(args) -> int:
     return 0
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The ``rmnml`` argument parser, built on the first call and reused;
-    ``build_parser.__wrapped__()`` builds a fresh one."""
-    parser = argparse.ArgumentParser(
-        prog="rmnml",
-        description="Coordinate-invariant NML code-lengths on hyperbolic space.")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_domain(command):
+    command.add_argument("--radius", type=float, default=DEFAULT_RADIUS)
+    command.add_argument("--sigma", default=f"{DEFAULT_SIGMA_MIN!r}:{DEFAULT_SIGMA_MAX!r}",
+                         help="sigma range MIN:MAX")
 
-    def add_domain(command):
-        command.add_argument("--radius", type=float, default=DEFAULT_RADIUS)
-        command.add_argument("--sigma", default=f"{DEFAULT_SIGMA_MIN!r}:{DEFAULT_SIGMA_MAX!r}",
-                             help="sigma range MIN:MAX")
 
+def _add_pc(sub):
     pc = sub.add_parser("pc", help="asymptotic log parametric complexity")
     pc.add_argument("--dim", type=int, required=True)
     pc.add_argument("--n", type=int, required=True)
-    add_domain(pc)
+    _add_domain(pc)
     pc.add_argument("--out", default=None)
     pc.add_argument("--csv", default=None)
     pc.set_defaults(func=cmd_pc)
 
+
+def _add_codelength(sub):
     cl = sub.add_parser("codelength", help="NML code-length of a dataset")
     cl.add_argument("--data", required=True)
-    add_domain(cl)
+    _add_domain(cl)
     cl.add_argument("--out", default=None)
     cl.add_argument("--csv", default=None)
     cl.set_defaults(func=cmd_codelength)
 
+
+def _add_sample(sub):
     sm = sub.add_parser("sample", help="draw a dataset from the model")
     sm.add_argument("--dim", type=int, required=True)
     sm.add_argument("--n", type=int, required=True)
     sm.add_argument("--sigma", dest="sigma_value", type=float, required=True)
-    sm.add_argument("--mu", default=None,
-                    help="Lorentz components of the mean, comma separated")
+    sm.add_argument("--mu", default=None, help="Lorentz components of the mean, comma separated")
     sm.add_argument("--seed", type=int, default=0)
     sm.add_argument("--out", required=True)
     sm.set_defaults(func=cmd_sample)
 
+
+def _add_select_dim(sub):
     sd = sub.add_parser("select-dim", help="pick the dimension with the "
                         "smallest code-length over files of the same n")
-    sd.add_argument("--candidate", action="append", required=True,
-                    metavar="DIM=PATH")
-    add_domain(sd)
+    sd.add_argument("--candidate", action="append", required=True, metavar="DIM=PATH")
+    _add_domain(sd)
     sd.add_argument("--out", default=None)
     sd.set_defaults(func=cmd_select_dim)
 
+
+def _add_validate(sub):
     va = sub.add_parser("validate", help="run the oracle self-checks")
-    va.add_argument("--quick", action="store_true",
-                    help="reduced Monte Carlo budgets")
+    va.add_argument("--quick", action="store_true", help="reduced Monte Carlo budgets")
     va.set_defaults(func=cmd_validate)
 
+
+def _add_coding_demo(sub):
     cd = sub.add_parser("coding-demo", help="prefix-code lengths on a polar grid")
     cd.add_argument("--radius", type=float, default=3.0)
     cd.add_argument("--grid", type=int, default=32)
     cd.add_argument("--sigma", dest="sigma_value", type=float, default=1.0)
     cd.add_argument("--out", default=None)
     cd.set_defaults(func=cmd_coding_demo)
+
+
+#: Each subcommand's adder, which declares its options, in the full parser's order.
+_COMMANDS = {"pc": _add_pc, "codelength": _add_codelength, "sample": _add_sample,
+             "select-dim": _add_select_dim, "validate": _add_validate,
+             "coding-demo": _add_coding_demo}
+
+
+@functools.cache
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``rmnml`` parser of subcommand ``command``, or of all for None, cached;
+    its usage names every command.  ``build_parser.__wrapped__`` builds a fresh one."""
+    parser = argparse.ArgumentParser(
+        prog="rmnml",
+        description="Coordinate-invariant NML code-lengths on hyperbolic space.")
+    sub = parser.add_subparsers(dest="command", required=True, metavar=None if command is None
+                                else "{" + ",".join(_COMMANDS) + "}")
+    for add in _COMMANDS.values() if command is None else [_COMMANDS[command]]:
+        add(sub)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import coding, hyperbolic as hy
+from . import hyperbolic as hy
 from .complexity import ParamDomain, pc_general, pc_hgd
 from .gaussian import (RgdParams, _log_pdf_vol, log_fisher_factors, log_pdf_vol_many,
                        radial_moments, sample)
@@ -536,6 +536,7 @@ def check_reparameterization() -> SuiteResult:
 
 
 def check_kraft() -> SuiteResult:
+    from . import coding
     partition = coding.partition_ball(radius=3.0, n_r=32, n_angle=32)
     ok = True
     details = []

@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import json
 import math
@@ -1164,6 +1165,135 @@ def test_reused_parser_matches_fresh_parser(tmp_path, monkeypatch, capsys):
     assert calls[4][1] == "" and "--data" in calls[5][2]
     assert json.loads(calls[9][1])["log_pc"] == default_pc
     assert json.loads(files["cl.json"])["log_pc"] != default_pc
+
+
+#: The subcommands, in the order of the full parser's help.
+COMMANDS = ("pc", "codelength", "sample", "select-dim", "validate", "coding-demo")
+
+#: argv whose parse the per-command and full parsers must agree on: valid runs,
+#: ``--flag=value`` forms, abbreviations, bad ints and floats, missing required
+#: flags, unrecognized arguments and -h, for every command; then the top level:
+#: -h, and a missing or unknown command.
+PARSER_ARGVS = [
+    ["pc", "--dim", "2", "--n", "10"],
+    ["pc", "--dim=2", "--n=10", "--sigma=0.2:3", "--radius=2", "--out=pc.json"],
+    ["pc", "--dim", "2", "--n", "10", "--rad", "2", "--sig", "0.2:3", "--cs", "pc.csv"],
+    ["pc", "--dim", "two", "--n", "10"],
+    ["pc", "--dim", "2", "--n", "1e3"],
+    ["pc", "--dim", "2", "--n", "10", "--radius", "x"],
+    ["pc", "--dim", "2"],
+    ["pc", "--dim", "2", "--n", "10", "extra"],
+    ["pc", "--dim", "2", "--n", "10", "--bogus", "1"],
+    ["pc", "-h"],
+    ["codelength", "--data", "missing.json"],
+    ["codelength", "--dat=missing.json", "--rad", "3", "--sigma=1:2"],
+    ["codelength", "--data"],
+    ["codelength", "--radius", "2"],
+    ["codelength", "--help"],
+    ["sample", "--dim", "2", "--n", "5", "--sig", "0.5", "--out", "s.json"],
+    ["sample", "--dim", "2", "--n", "5", "--sigma=0.5", "--mu=1,0,0", "--see", "3",
+     "--out=s.json"],
+    ["sample", "--dim", "2", "--n", "5", "--s", "1", "--out", "s.json"],
+    ["sample", "--dim", "2", "--n", "5.0", "--sigma", "1", "--out", "s.json"],
+    ["sample", "--dim", "2", "--n", "5", "--sigma", "half", "--out", "s.json"],
+    ["sample", "--dim", "2", "--n", "5", "--sigma", "1"],
+    ["sample", "-h"],
+    ["select-dim", "--candidate", "1=a.json", "--cand", "2=b.json", "--sigma=0.2:3"],
+    ["select-dim", "--candidate"],
+    ["select-dim", "--radius", "nope", "--candidate", "1=a.json"],
+    ["select-dim"],
+    ["select-dim", "-h"],
+    ["validate"],
+    ["validate", "--q"],
+    ["validate", "--quick", "--slow"],
+    ["validate", "--quick=1"],
+    ["validate", "-h"],
+    ["coding-demo"],
+    ["coding-demo", "--grid", "4", "--sigma=2", "--rad", "1.5"],
+    ["coding-demo", "--grid", "1.5"],
+    ["coding-demo", "--sigma", "x"],
+    ["coding-demo", "--out"],
+    ["coding-demo", "-h"],
+    ["-h"], ["--help"], ["-h", "pc"], [], ["plot"], ["Pc"], ["--dim", "2"], ["--", "pc"],
+]
+
+
+def _parse(parser, argv, capsys):
+    """The namespace of ``argv`` or argparse's exit code, with stdout and stderr."""
+    try:
+        outcome = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        outcome = exc.code
+    return (outcome, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", [a for a in PARSER_ARGVS if a[:1] and a[0] in COMMANDS])
+def test_command_parser_matches_full_parser(argv, capsys):
+    command = _parse(build_parser.__wrapped__(argv[0]), argv, capsys)
+    assert command == _parse(build_parser.__wrapped__(), argv, capsys)
+    assert build_parser(argv[0]) is build_parser(argv[0])
+
+
+@pytest.mark.parametrize("argv", [a for a in PARSER_ARGVS if not a[:1] or a[0] not in COMMANDS])
+def test_no_command_gets_the_full_parser(argv, capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command)
+                        or build_parser(command))
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert built == [None]
+    assert (exc.value.code, out, err) == _parse(build_parser.__wrapped__(), argv, capsys)
+    # the usage line or the help names every command
+    assert "{pc,codelength,sample,select-dim,validate,coding-demo}" in out + err
+
+
+def test_a_run_builds_its_own_subparser_alone(tmp_path, monkeypatch, capsys):
+    added, add_parser = [], argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        added.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+    path = tmp_path / "d.json"
+    write_dataset(str(path), sample(50, RgdParams(hy.origin(2), 0.5), 1))
+    assert main(["codelength", "--data", str(path)]) == 0
+    assert added == ["codelength"]
+    added.clear()
+    with pytest.raises(SystemExit):
+        main(["-h"])
+    assert tuple(added) == tuple(cli._COMMANDS) == COMMANDS
+
+
+def test_csv_and_coding_load_only_in_the_runs_that_use_them(tmp_path):
+    # csv for a --csv file, rmnml.coding for coding-demo and validate's Kraft suite
+    code = "\n".join([
+        "import contextlib, io, json, sys",
+        "from rmnml.cli import main",
+        "loaded = [['csv' in sys.modules, 'rmnml.coding' in sys.modules]]",
+        "for argv in json.loads(sys.argv[1]):",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        assert main(argv) == 0, argv",
+        "    loaded.append(['csv' in sys.modules, 'rmnml.coding' in sys.modules])",
+        "print(json.dumps(loaded))",
+    ])
+    data, table = str(tmp_path / "d.json"), str(tmp_path / "pc.csv")
+    runs = {
+        "sample, codelength, pc, --csv, coding-demo": (
+            [["sample", "--dim", "2", "--n", "50", "--sigma", "0.5", "--out", data],
+             ["codelength", "--data", data], ["pc", "--dim", "2", "--n", "10"],
+             ["pc", "--dim", "2", "--n", "10", "--csv", table], ["coding-demo", "--grid", "4"]],
+            [[False, False]] * 4 + [[True, False], [True, True]]),
+        "validate": ([["validate", "--quick"]], [[False, False], [False, True]]),
+    }
+    src = os.path.dirname(os.path.dirname(rmnml.__file__))
+    for name, (argvs, expected) in runs.items():
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
+                              capture_output=True, text=True, timeout=120, check=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert json.loads(proc.stdout) == expected, name
 
 
 @pytest.mark.parametrize("chart", ["lorentz", "poincare"])

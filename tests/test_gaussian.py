@@ -658,10 +658,10 @@ def _kernel_roots(dim, log_target, lo, hi):
 
 #: radial_moments calls of an interior sigma solve: the three-point call and
 #: the Newton steps.  At D = 1 the closed-form start is the root, so one step
-#: ends the solve; at D = 3 and 5 the cubic start can be off by about 4e-4
-#: in log sigma, which leaves a second step of 1.3e-8 to 2e-8, above the
-#: 1e-8 stop, and a third call to end it.
-SOLVE_CALLS = {1: 2, 2: 3, 3: 4, 5: 4}
+#: ends the solve; at D = 5 the cubic start can be off by about 4e-4 in log
+#: sigma, which leaves a second step whose square is above the 1e-15 stop, and
+#: a third call to end it.
+SOLVE_CALLS = {1: 2, 2: 3, 3: 3, 5: 4}
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 5, 1000])

@@ -1,6 +1,7 @@
 """A standing sweep of the CLI over the documented ranges of ``pc``,
 ``codelength``, ``sample``, ``coding-demo`` and ``select-dim``, with one
-``validate --quick`` (ROADMAP item 13).
+``validate --quick``, each command's ``-h`` and one usage error (ROADMAP
+item 13).
 
 Every run goes through ``cli.main`` in process, with warnings as errors.  Each
 outcome must fall in exactly one class of ``CLASSES``: an exit code and, for a
@@ -30,6 +31,9 @@ SEED = 28
 #: Each class: its exit code and the pattern of the stderr line after "error: ".
 CLASSES = {
     "finite": (0, None),
+    "help": (0, None),
+    # argparse's usage line, then this one line
+    "usage": (2, r"rmnml( \S+)?: error: "),
     "flag": (2, r"(--(dim|n|seed|grid|sigma|candidate)( and --dim| dimension)? "
                 r"(must|needs|expects)|select-dim needs at least 2 --candidate) "),
     "domain bound": (2, r"(radius_R|sigma_min|sigma_max|sigma|radius) (must|= \S+ is past) "),
@@ -84,8 +88,9 @@ def _least_radius(grid: int) -> float:
 
 
 def _run(argv: list[str]) -> tuple[int | None, str, str]:
-    """The exit code, stdout and stderr of one run; a warning, raised as an
-    error, gives no exit code and its text as the stderr line."""
+    """The exit code, stdout and stderr of one run, argparse's exits included;
+    a warning, raised as an error, gives no exit code and its text as the
+    stderr line."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         with warnings.catch_warnings():
@@ -94,6 +99,8 @@ def _run(argv: list[str]) -> tuple[int | None, str, str]:
                 code = cli.main(argv)
             except RuntimeWarning as warning:
                 return None, out.getvalue(), f"error: {warning}\n"
+            except SystemExit as exc:
+                code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -110,6 +117,9 @@ def _classify(argv: list[str], code: int | None, out: str, err: str) -> tuple[st
     classes of the select-dim candidates that failed in a run that exits 0,
     each a class of exit 2 or 3."""
     failed = []
+    if code == 0 and out.startswith("usage: rmnml"):  # -h
+        assert err == "", argv
+        return "help", failed
     if code == 0:
         assert err == "", argv
         if argv[0] == "sample":
@@ -127,6 +137,8 @@ def _classify(argv: list[str], code: int | None, out: str, err: str) -> tuple[st
                     failed.append(_match(entry["error"], (2, 3)))
         assert all(math.isfinite(v) for v in values), argv
         return "finite", failed
+    if err.startswith("usage: rmnml"):
+        return _match(err.splitlines()[-1], (code,)), failed
     assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
     return _match(err[7:], (code,)), failed
 
@@ -247,6 +259,11 @@ def _explicit(tmp) -> list[tuple[list[str], str]]:
                        "--sigma", "1:400"], c))
     cases += _select_dim(tmp, near, far, one)
     cases.append((["validate", "--quick"], "finite"))
+    # the parser: each command's help and the top level's, and a bad int
+    cases += [([*command, "-h"], "help") for command in
+              ([], ["pc"], ["codelength"], ["sample"], ["select-dim"], ["validate"],
+               ["coding-demo"])]
+    cases.append((["pc", "--dim", "two", "--n", "10"], "usage"))
     return cases
 
 
