@@ -12,7 +12,8 @@ bytes, is a usage error that names the flag (or both, for ``sample``'s
 n (D+1) coordinates).  A named output file that cannot be written is an
 input error, found before anything reaches stdout, and before ``sample``
 draws; so is a domain whose log complexity is negative, found before any
-data is fitted.  Datasets are JSON files
+data is fitted.  Datasets are
+JSON files
 ``{"chart": "lorentz", "dim": D, "points": [[x0, ..., xD], ...]}``;
 ``"chart": "poincare"`` with D-component points is accepted on input and
 converted.  :func:`main` builds each command's parser, with its subparser
@@ -396,28 +397,26 @@ def cmd_coding_demo(args) -> int:
     return 0
 
 
-def _add_domain(command):
+def _add_domain(command, *outputs):
     command.add_argument("--radius", type=float, default=DEFAULT_RADIUS)
     command.add_argument("--sigma", default=f"{DEFAULT_SIGMA_MIN!r}:{DEFAULT_SIGMA_MAX!r}",
                          help="sigma range MIN:MAX")
+    for flag in outputs:  # the output files, after the domain
+        command.add_argument(flag, default=None)
 
 
 def _add_pc(sub):
     pc = sub.add_parser("pc", help="asymptotic log parametric complexity")
     pc.add_argument("--dim", type=int, required=True)
     pc.add_argument("--n", type=int, required=True)
-    _add_domain(pc)
-    pc.add_argument("--out", default=None)
-    pc.add_argument("--csv", default=None)
+    _add_domain(pc, "--out", "--csv")
     pc.set_defaults(func=cmd_pc)
 
 
 def _add_codelength(sub):
     cl = sub.add_parser("codelength", help="NML code-length of a dataset")
     cl.add_argument("--data", required=True)
-    _add_domain(cl)
-    cl.add_argument("--out", default=None)
-    cl.add_argument("--csv", default=None)
+    _add_domain(cl, "--out", "--csv")
     cl.set_defaults(func=cmd_codelength)
 
 
@@ -426,7 +425,8 @@ def _add_sample(sub):
     sm.add_argument("--dim", type=int, required=True)
     sm.add_argument("--n", type=int, required=True)
     sm.add_argument("--sigma", dest="sigma_value", type=float, required=True)
-    sm.add_argument("--mu", default=None, help="Lorentz components of the mean, comma separated")
+    sm.add_argument("--mu", default=None,
+                    help="Lorentz components of the mean, comma separated")
     sm.add_argument("--seed", type=int, default=0)
     sm.add_argument("--out", required=True)
     sm.set_defaults(func=cmd_sample)
@@ -435,15 +435,16 @@ def _add_sample(sub):
 def _add_select_dim(sub):
     sd = sub.add_parser("select-dim", help="pick the dimension with the "
                         "smallest code-length over files of the same n")
-    sd.add_argument("--candidate", action="append", required=True, metavar="DIM=PATH")
-    _add_domain(sd)
-    sd.add_argument("--out", default=None)
+    sd.add_argument("--candidate", action="append", required=True,
+                    metavar="DIM=PATH")
+    _add_domain(sd, "--out")
     sd.set_defaults(func=cmd_select_dim)
 
 
 def _add_validate(sub):
     va = sub.add_parser("validate", help="run the oracle self-checks")
-    va.add_argument("--quick", action="store_true", help="reduced Monte Carlo budgets")
+    va.add_argument("--quick", action="store_true",
+                    help="reduced Monte Carlo budgets")
     va.set_defaults(func=cmd_validate)
 
 
@@ -456,7 +457,6 @@ def _add_coding_demo(sub):
     cd.set_defaults(func=cmd_coding_demo)
 
 
-#: Each subcommand's adder, which declares its options, in the full parser's order.
 _COMMANDS = {"pc": _add_pc, "codelength": _add_codelength, "sample": _add_sample,
              "select-dim": _add_select_dim, "validate": _add_validate,
              "coding-demo": _add_coding_demo}
@@ -464,8 +464,8 @@ _COMMANDS = {"pc": _add_pc, "codelength": _add_codelength, "sample": _add_sample
 
 @functools.cache
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``rmnml`` parser of subcommand ``command``, or of all for None, cached;
-    its usage names every command.  ``build_parser.__wrapped__`` builds a fresh one."""
+    """The ``rmnml`` parser of subcommand ``command``, or of all of ``_COMMANDS`` in order
+    for None, cached; its usage names every command.  ``__wrapped__`` builds a fresh one."""
     parser = argparse.ArgumentParser(
         prog="rmnml",
         description="Coordinate-invariant NML code-lengths on hyperbolic space.")

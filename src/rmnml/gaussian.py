@@ -34,6 +34,7 @@ if TYPE_CHECKING:
     from .complexity import ParamDomain
 
 _MAX_FRECHET_ITERATIONS = 100
+_FRECHET_STEP_TOL = 1e-10
 #: Share of the first-order decrease a Frechet step must achieve.
 _FRECHET_ARMIJO = 0.25
 #: Rounding of a log map in :func:`frechet_mean`, per unit of mu0 x0_i d_i / sinh d_i.
@@ -370,9 +371,8 @@ def frechet_mean(coords: np.ndarray) -> np.ndarray:
     A step is kept when f drops by a quarter of its first-order prediction,
     less the rounding of f, and is halved otherwise.  The frame rounds each
     log map by about 1e-15 mu0 x0_i d_i / sinh d_i, which sets that rounding
-    and the accuracy of s.  Stops, taking the last step, when |s|^2 is below that
-    accuracy (the next step is at most 0.40 |s|^2, measured to D = 50 and sigma =
-    2.9), or when |s| stalls below it, as it does far from the origin.
+    and the accuracy of s.  Stops, taking the last step, when s is below
+    1e-10 or stalls below that accuracy, as it does far from the origin.
     Starts from the Euclidean mean m scaled onto the sheet, or from the first
     point where rounding leaves -<m, m>_L below 1, as far clusters do.
     """
@@ -403,7 +403,7 @@ def frechet_mean(coords: np.ndarray) -> np.ndarray:
             hess.flat[::a.shape[1] + 1] += d_coth.sum()
             step = np.linalg.solve(hess, grad)
             norm = math.sqrt(float(step @ step))
-            done = min(norm, norm * norm) < float(error.mean())
+            done = norm < max(_FRECHET_STEP_TOL, float(error.mean()))
             frame, kept_value, decrease, eta = mu, value, _FRECHET_ARMIJO * 2.0 * (grad @ step), 1.0
         mu = hy.exp_normal(frame, eta * step)
         if done:

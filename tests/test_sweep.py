@@ -355,6 +355,8 @@ def test_every_outcome_falls_in_one_class(tmp_path):
     print("\nexplicit  drawn  candidates  class")
     print("\n".join(f"{explicit[name]:8d} {drawn[name]:6d} {candidates[name]:11d}  {name}"
                     for name in CLASSES))
+    # every draw passes argparse: a draw it rejects is a fault of the draws
+    assert drawn["help"] == drawn["usage"] == 0
     # the open items among the draws, as they are today
     assert {name: drawn[name] for name in CLASSES if name.startswith("item")} == {
         "item 1: off-manifold": 1, "item 1: frame overflow": 0, "item 3: thin layer": 1}
