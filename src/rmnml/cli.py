@@ -12,13 +12,13 @@ bytes, is a usage error that names the flag (or both, for ``sample``'s
 n (D+1) coordinates).  A named output file that cannot be written is an
 input error, found before anything reaches stdout, and before ``sample``
 draws; so is a domain whose log complexity is negative, found before any
-data is fitted.  Datasets are
-JSON files
+data is fitted.  Datasets are JSON files
 ``{"chart": "lorentz", "dim": D, "points": [[x0, ..., xD], ...]}``;
 ``"chart": "poincare"`` with D-component points is accepted on input and
 converted.  :func:`main` builds each command's parser, with its subparser
 alone, at the command's first call and binds its ``cmd_*`` handler then, so
-replacing a handler after that call has no effect.
+replacing a handler after that call has no effect.  Its import takes about
+62 ms for numpy, 2 ms for argparse and 3 ms for rmnml (README's table).
 """
 
 from __future__ import annotations

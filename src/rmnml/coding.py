@@ -16,7 +16,7 @@ P(S) is p(midpoint of S) vol(S), renormalized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +32,7 @@ BLOCK_CELLS = 4096
 MAX_RADIUS = math.acosh(np.finfo(float).max / (2.0 * math.pi))
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(NamedTuple):
     """Polar-grid partition of a geodesic ball in H^2.
 
     Cells are in ring-major order: cell k spans the radii
@@ -47,6 +46,9 @@ class Partition:
 
     def __len__(self) -> int:
         return self.volumes.size
+
+
+Partition._make = classmethod(lambda cls, fields: cls(*fields))  # namedtuple's checks len()
 
 
 def partition_ball(radius: float, n_r: int, n_angle: int) -> Partition:
@@ -75,8 +77,7 @@ def partition_ball(radius: float, n_r: int, n_angle: int) -> Partition:
     return Partition(r_edges, angle_edges, volumes)
 
 
-@dataclass(frozen=True)
-class PrefixCode:
+class PrefixCode(NamedTuple):
     """Integer code-lengths of the cells and what they cost, in bits."""
 
     lengths: np.ndarray        # (m,) int64

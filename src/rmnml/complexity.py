@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +37,8 @@ SIGMA_FLOOR = sys.float_info.min ** 0.25
 RADIUS_MAX = 1e15
 
 
-@dataclass(frozen=True)
-class ParamDomain:
+class ParamDomain(NamedTuple("_DomainFields", [("radius_R", float), ("sigma_min", float),
+                                               ("sigma_max", float)])):
     """Compact parameter region: geodesic ball of radius ``radius_R`` about
     the origin for the location, interval [sigma_min, sigma_max] for the
     scale.
@@ -54,27 +54,27 @@ class ParamDomain:
     its OverflowError names that bound.
     """
 
-    radius_R: float = DEFAULT_RADIUS
-    sigma_min: float = DEFAULT_SIGMA_MIN
-    sigma_max: float = DEFAULT_SIGMA_MAX
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
 
-    def __post_init__(self):
-        if not 0 < self.radius_R <= RADIUS_MAX:
-            raise ValueError(f"radius_R must be in (0, {RADIUS_MAX:g}]: {self.radius_R}")
-        if self.radius_R < sys.float_info.min:
+    def __new__(cls, radius_R: float = DEFAULT_RADIUS, sigma_min: float = DEFAULT_SIGMA_MIN,
+                sigma_max: float = DEFAULT_SIGMA_MAX):
+        if not 0 < radius_R <= RADIUS_MAX:
+            raise ValueError(f"radius_R must be in (0, {RADIUS_MAX:g}]: {radius_R}")
+        if radius_R < sys.float_info.min:
             raise ValueError(f"radius_R must be at least {sys.float_info.min:.3g}, below which "
-                             f"the log ball volume loses digits; got {self.radius_R}")
-        if not 0 < self.sigma_min < self.sigma_max:
+                             f"the log ball volume loses digits; got {radius_R}")
+        if not 0 < sigma_min < sigma_max:
             raise ValueError("need 0 < sigma_min < sigma_max")
-        if not self.sigma_max < math.inf:
-            raise ValueError(f"sigma_max must be finite, got {self.sigma_max}")
-        if self.sigma_min < SIGMA_FLOOR:
+        if not sigma_max < math.inf:
+            raise ValueError(f"sigma_max must be finite, got {sigma_max}")
+        if sigma_min < SIGMA_FLOOR:
             raise ValueError(f"sigma_min must be at least {SIGMA_FLOOR:.3g}, where "
-                             f"sigma^4 underflows; got {self.sigma_min}")
+                             f"sigma^4 underflows; got {sigma_min}")
+        return super().__new__(cls, radius_R, sigma_min, sigma_max)
 
 
-@dataclass(frozen=True)
-class PcResult:
+class PcResult(NamedTuple):
     """Log parametric complexity split into its three additive terms."""
 
     k: int
@@ -88,8 +88,7 @@ class PcResult:
         return self.term_kn + self.term_volume + self.term_fisher
 
 
-@dataclass(frozen=True)
-class CodeLengthReport:
+class CodeLengthReport(NamedTuple):
     """Code-length decomposition for one dataset."""
 
     neg_max_loglik: float

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -59,7 +58,6 @@ class EstimationError(RuntimeError):
     """A solver of the fit, :func:`frechet_mean` or :func:`_solve_sigma`, did not converge."""
 
 
-@dataclass(frozen=True, eq=False)
 class RgdParams:
     """Location/scale parameters (mu, sigma) of the hyperbolic Gaussian.
 
@@ -68,11 +66,8 @@ class RgdParams:
     sqrt(float min), about 1.49e-154, where sigma^2 is still a normal float.
     """
 
-    mu: np.ndarray
-    sigma: float
-
-    def __post_init__(self):
-        mu = np.array(self.mu, dtype=float)
+    def __init__(self, mu: np.ndarray, sigma: float):
+        mu = np.array(mu, dtype=float)
         if mu.ndim != 1 or mu.size < 2:
             raise hy.GeometryError(f"mu needs a 1-D array of at least 2 Lorentz "
                                    f"components, got shape {mu.shape}")
@@ -80,16 +75,24 @@ class RgdParams:
         if bad is not None:
             raise hy.GeometryError(bad[1])
         mu.setflags(write=False)
-        object.__setattr__(self, "mu", mu)
-        if not 0 < self.sigma < math.inf:
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
-        if self.sigma < _SIGMA_SQUARE_MIN:
+        if not 0 < sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {sigma}")
+        if sigma < _SIGMA_SQUARE_MIN:
             raise ValueError(f"sigma must be at least {_SIGMA_SQUARE_MIN:.3g}, where "
-                             f"sigma^2 underflows; got {self.sigma}")
+                             f"sigma^2 underflows; got {sigma}")
+        self._mu, self._sigma = mu, sigma
+
+    @property
+    def mu(self) -> np.ndarray:
+        return self._mu
+
+    @property
+    def sigma(self) -> float:
+        return self._sigma
 
     @property
     def dim(self) -> int:
-        return self.mu.size - 1
+        return self._mu.size - 1
 
 
 class Dataset:
@@ -465,8 +468,7 @@ def _solve_sigma(dim: int, target: float, lo: float, hi: float) -> tuple[float, 
         f"sigma solve did not converge in {_MAX_SIGMA_ITERATIONS} iterations")
 
 
-@dataclass(frozen=True)
-class MleFit:
+class MleFit(NamedTuple):
     """MLE result with flags recording clamping to the parameter domain, and
     ``max_log_lik``: the sum of :func:`log_lik` over the fit's distances, so
     ``log_lik(data, params)`` bit for bit."""

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -157,8 +157,7 @@ def _refine(f, panels: np.ndarray, rel_tol: float, cap: float, length: float):
         panels = np.stack((lo, mid, mid, hi)).T[split].reshape(-1, 2).T
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     passed: bool
     detail: str
@@ -343,8 +342,7 @@ def xi_quadrature_oracle(dim: int, sigma: float) -> float:
     return math.exp(hy.log_sphere_area(dim)) * integral
 
 
-@dataclass(frozen=True)
-class FisherBlock:
+class FisherBlock(NamedTuple):
     """Monte-Carlo Fisher estimate split into mu/sigma/cross blocks.
 
     Each entry comes with its standard error; the cross block collects the
@@ -574,5 +572,5 @@ def run_all(quick: bool = False) -> list[SuiteResult]:
     for suite in suites:
         start = time.perf_counter()
         result = suite()
-        results.append(replace(result, seconds=time.perf_counter() - start))
+        results.append(result._replace(seconds=time.perf_counter() - start))
     return results

@@ -20,6 +20,13 @@ run whose class under the sweep's ``_classify`` changed, and every run that
 differs in more than its float fields; and each run that differs in its
 float fields alone, with its largest relative change.
 
+Beside the runs it compares the library's public surface: each name of
+``rmnml.__all__`` and each public class of a module of the package, with
+a class's constructor parameters (annotations left out) and each public
+attribute (a field, property or class constant) and method, namedtuple's
+``_make``, ``_replace``, ``_asdict``, ``_fields`` and ``_field_defaults``
+included.
+
 pytest does not collect this file, and it needs nothing beyond the tests'
 own dependencies.  It exits 0 whatever it finds.
 """
@@ -27,9 +34,12 @@ own dependencies.  It exits 0 whatever it finds.
 from __future__ import annotations
 
 import hashlib
+import importlib
+import inspect
 import json
 import math
 import os
+import pkgutil
 import re
 import shutil
 import subprocess
@@ -43,6 +53,8 @@ ROOT = TESTS.parent
 #: validate's wall time per suite, which no two runs share.
 _WALL = re.compile(r"\[\d+\.\d+ s\]")
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
+#: namedtuple's own API, public though its names start with an underscore.
+_NAMEDTUPLE_API = {"_make", "_replace", "_asdict", "_fields", "_field_defaults"}
 
 
 def _tables(work: Path) -> tuple[list[list[str]], tuple[str, ...]]:
@@ -58,9 +70,65 @@ def _tables(work: Path) -> tuple[list[list[str]], tuple[str, ...]]:
     return runs + test_cli.PARSER_ARGVS, test_cli.COMMANDS
 
 
+def _signature(value) -> str:
+    """``value``'s call signature without annotations, or "" if it has none."""
+    try:
+        sig = inspect.signature(value)
+    except (TypeError, ValueError):  # a builtin type, such as an exception's
+        return ""
+    return str(sig.replace(parameters=[p.replace(annotation=p.empty)
+                                       for p in sig.parameters.values()],
+                           return_annotation=sig.empty))
+
+
+def _surface(rmnml) -> dict[str, dict[str, str]]:
+    """Each name of ``rmnml.__all__`` and each public class of a module of the
+    package: its kind and signature, and for a class each public member's kind."""
+    values = {name: getattr(rmnml, name) for name in rmnml.__all__}
+    exported = {id(value) for value in values.values()}
+    for info in pkgutil.iter_modules(rmnml.__path__):
+        module = importlib.import_module(f"{rmnml.__name__}.{info.name}")
+        values.update((f"{info.name}.{name}", value) for name, value in vars(module).items()
+                      if isinstance(value, type) and value.__module__ == module.__name__
+                      and not name.startswith("_") and id(value) not in exported)
+    surface = {}
+    for name, value in values.items():
+        entry = {"": f"{type(value).__name__}{_signature(value)}"}
+        if isinstance(value, type):
+            # a dataclass field without a default is no attribute of its class
+            for member in set(getattr(value, "__dataclass_fields__", ())) | set(dir(value)):
+                if member.startswith("_") and member not in _NAMEDTUPLE_API:
+                    continue
+                static = inspect.getattr_static(value, member, None)
+                entry[member] = "method" if callable(static) or isinstance(
+                    static, (classmethod, staticmethod)) else "attribute"
+        surface[name] = entry
+    return surface
+
+
+def _surface_changes(mine: dict, theirs: dict) -> list[str]:
+    """Each name or member that one surface has and the other lacks or types differently."""
+    lines = []
+    for name in sorted(set(mine) | set(theirs)):
+        a, b = mine.get(name), theirs.get(name)
+        if a is None or b is None:
+            lines.append(f"  {name}: {'lost' if a is None else 'new'}")
+            continue
+        if a[""] != b[""]:
+            lines.append(f"  {name}: {b['']} -> {a['']}")
+        changed = sorted(f"{m} ({b[m]} -> {a[m]})" for m in a.keys() & b.keys() - {""}
+                         if a[m] != b[m])
+        for label, members in (("gained", sorted(a.keys() - b.keys())),
+                               ("lost", sorted(b.keys() - a.keys())), ("changed", changed)):
+            if members:
+                lines.append(f"  {name} {label}: {', '.join(members)}")
+    return lines
+
+
 def _worker():
     """Run the argv list read from stdin in the current directory, and print
-    one JSON list: the rmnml module's path, then one record per run."""
+    one JSON list: the rmnml module's path, the public surface of the
+    package, then one record per run."""
     sys.path.append(str(TESTS))  # after the tree's src, which PYTHONPATH names
     import rmnml
     import test_sweep
@@ -82,7 +150,7 @@ def _worker():
         return texts
 
     changed()
-    records = [rmnml.__file__]
+    records = []
     for argv in json.load(sys.stdin):
         code, out, err = test_sweep._run(argv)
         try:
@@ -93,20 +161,21 @@ def _worker():
             out = _WALL.sub("[- s]", out)
         records.append({"code": code, "out": out, "err": err, "files": changed(),
                         "class": found})
-    json.dump(records, sys.stdout)
+    json.dump([rmnml.__file__, _surface(rmnml), *records], sys.stdout)
 
 
-def _run_tree(tree: Path, argvs: list[list[str]], work: Path) -> list[dict]:
-    """The records of ``argvs`` run by ``tree``'s rmnml in ``work``."""
+def _run_tree(tree: Path, argvs: list[list[str]], work: Path) -> tuple[dict, list[dict]]:
+    """The public surface of ``tree``'s rmnml, and the records of ``argvs``
+    it runs in ``work``."""
     proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--worker"],
                           input=json.dumps(argvs), capture_output=True, text=True,
                           cwd=work, env={**os.environ, "PYTHONPATH": str(tree / "src")})
     if proc.returncode != 0:
         sys.exit(f"the run on {tree} failed:\n{proc.stderr}")
-    module, *records = json.loads(proc.stdout)
+    module, surface, *records = json.loads(proc.stdout)
     if not Path(module).resolve().is_relative_to((tree / "src").resolve()):
         sys.exit(f"the run on {tree} imported rmnml from {module}")
-    return records
+    return surface, records
 
 
 def _fields(text: str, prefix: str) -> tuple[object, dict[str, float]]:
@@ -179,11 +248,11 @@ def main(argv: list[str]) -> int:
         work.mkdir()
         argvs, commands = _tables(work)
         shutil.copytree(work, base / "seed")
-        results = {}
+        results, surfaces = {}, {}
         for name, tree in (("this", ROOT), ("other", other)):
             shutil.rmtree(work)
             shutil.copytree(base / "seed", work)
-            results[name] = _run_tree(tree, argvs, work)
+            surfaces[name], results[name] = _run_tree(tree, argvs, work)
     finally:
         shutil.rmtree(base)
 
@@ -224,6 +293,9 @@ def main(argv: list[str]) -> int:
     print(f"runs whose class changed, other -> this: {len(reclassed)}", *reclassed, sep="\n")
     print(f"runs that differ in more than their float fields: {len(others)}", *others,
           sep="\n")
+    surface = _surface_changes(surfaces["this"], surfaces["other"])
+    print(f"public surface: {len(surfaces['this'])} names; changes, other -> this: "
+          f"{len(surface)}", *surface, sep="\n")
     return 0
 
 

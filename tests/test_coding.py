@@ -248,11 +248,6 @@ class TestPrefixCode:
         assert code.average_bits == reference.average_bits
         assert code.lower_bound_bits == reference.lower_bound_bits
 
-    def test_record_is_frozen(self):
-        code = prefix_code(partition_ball(1.0, 2, 2), rgd_density(1.0))
-        with pytest.raises(AttributeError):
-            code.kraft_sum = 0.5
-
 
 class TestRadiusBound:
     @pytest.mark.parametrize("radius", [709.0, 711.0, 1e3, math.inf, math.nan, 0.0, -1.0])

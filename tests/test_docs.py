@@ -151,6 +151,15 @@ def test_one_gauss_legendre_log_sum():
                                               "hyperbolic.log_ball_volume"}
 
 
+def test_no_generated_records():
+    # every record is a NamedTuple or a plain class, so importing the
+    # package generates no dataclass methods
+    assert _bindings({"dataclass", "dataclasses"}) == []
+    assert [f"{path.name}:{node.lineno}" for path in sorted(SOURCES.glob("*.py"))
+            for node in _nodes(path)
+            if isinstance(node, ast.ImportFrom) and node.module == "dataclasses"] == []
+
+
 def test_select_dim_verdict_is_returned():
     # select_best returns None when every candidate failed; cmd_select_dim
     # names the failures and exits with their largest code
