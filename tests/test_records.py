@@ -10,7 +10,7 @@ from rmnml import hyperbolic as hy
 from rmnml.coding import Partition, PrefixCode, partition_ball, prefix_code
 from rmnml.complexity import (CodeLengthReport, ParamDomain, PcResult, pc_hgd,
                               rm_nml_codelength)
-from rmnml.gaussian import Dataset, MleFit, RgdParams, log_pdf_vol_many, mle, sample
+from rmnml.gaussian import MleFit, RgdParams, log_pdf_vol_many, mle, sample
 from rmnml.validation import FisherBlock, SuiteResult, fisher_numeric
 
 #: Each record's fields, in the order its constructor takes them.
@@ -69,10 +69,11 @@ def test_replaced_domain_is_checked():
 
 
 def test_params_compare_by_identity():
-    a, b = (RgdParams(hy.origin(2), 0.5) for _ in range(2))
+    mu = hy.origin(2)
+    a, b = RgdParams(mu, 0.5), RgdParams(mu, 0.5)
     assert a != b and a == a
     assert len({a, b}) == 2  # both hash, and they differ
-    assert not a.mu.flags.writeable and a.dim == 2
+    assert a.mu is not mu and not a.mu.flags.writeable and a.dim == 2
 
 
 def test_partition_length_is_its_cell_count():
