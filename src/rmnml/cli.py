@@ -11,9 +11,9 @@ integer flag whose float64 array would pass numpy's largest, 2^63 - 1
 bytes, is a usage error that names the flag (or both, for ``sample``'s
 n (D+1) coordinates).  A named output file that cannot be written is an
 input error, found before anything reaches stdout, and before ``sample``
-draws; so is a domain whose log complexity is negative, found before any
-data is fitted.  Datasets are JSON files
-``{"chart": "lorentz", "dim": D, "points": [[x0, ..., xD], ...]}``;
+draws; so are ``--out`` and ``--csv`` naming one file, and a domain whose
+log complexity is negative, found before any data is fitted.  Datasets are
+JSON files ``{"chart": "lorentz", "dim": D, "points": [[x0, ..., xD], ...]}``;
 ``"chart": "poincare"`` with D-component points is accepted on input and
 converted.  :func:`main` builds each command's parser, with its subparser
 alone, at the command's first call and binds its ``cmd_*`` handler then, so
@@ -177,6 +177,14 @@ def write_dataset(path: str, data: Dataset):
     _write_file(path, f'{{"chart": "lorentz", "dim": {data.dim}, "points": [{points}]}}\n')
 
 
+def _check_outputs(args):
+    """Raise InputError if ``--out`` and ``--csv`` resolve to one file, which the
+    JSON would overwrite once the CSV was written."""
+    if args.out and args.csv and os.path.realpath(args.out) == os.path.realpath(args.csv):
+        raise InputError(f"--out {args.out} and --csv {args.csv} name the same file; "
+                         f"give each its own path")
+
+
 def _emit(payload: dict, out: str | None, csv_out: str | None = None):
     # the files first, so that a run that cannot write one prints nothing,
     # and --out checked before --csv is written, so that it leaves no file
@@ -231,6 +239,7 @@ def _domain_from(args) -> ParamDomain:
 
 
 def cmd_pc(args) -> int:
+    _check_outputs(args)
     _check_int("--dim", args.dim, 1)
     _check_int("--n", args.n, 2)
     result = check_log_pc(pc_hgd(args.dim, args.n, _domain_from(args)))
@@ -259,6 +268,7 @@ def _load_scored(path: str, dim: int | None = None) -> Dataset:
 
 
 def cmd_codelength(args) -> int:
+    _check_outputs(args)
     domain = _domain_from(args)
     data = _load_scored(args.data)
     report = rm_nml_codelength(data, domain)

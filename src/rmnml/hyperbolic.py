@@ -38,7 +38,9 @@ def hyperboloid_violation(coords: np.ndarray) -> tuple[int, str] | None:
 
     A row passes when every coordinate is finite, x0 > 0 and
     |<x,x>_L + 1| <= ON_MANIFOLD_TOL * max(1, x0)^2.  Returns None when
-    every row passes.
+    every row passes.  The rows are checked in whole-array passes, with the
+    spatial square norms from one ``einsum``; the per-row masks that find
+    the failing row and its reason are built only when some row fails.
     """
     x0 = coords[:, 0]
     # <x,x>_L + 1 factored as (s - x0)(s + x0) with s = sqrt(1 + |spatial|^2)
@@ -47,13 +49,15 @@ def hyperboloid_violation(coords: np.ndarray) -> tuple[int, str] | None:
     # row is divided by max(1, x0) first, so no square overflows.
     with np.errstate(invalid="ignore", over="ignore"):
         scale = np.maximum(1.0, x0)
-        s = np.hypot(1.0 / scale, np.linalg.norm(coords[:, 1:] / scale[:, None], axis=1))
-        scaled = (s - x0 / scale) * (s + x0 / scale)
-        finite = np.isfinite(coords).all(axis=1)
-        ok = finite & (x0 > 0) & (np.abs(scaled) <= ON_MANIFOLD_TOL)
-    if ok.all():
+        unit = coords / scale[:, None]
+        spatial = unit[:, 1:]
+        s = np.hypot(1.0 / scale, np.sqrt(np.einsum("ij,ij->i", spatial, spatial)))
+        scaled = (s - unit[:, 0]) * (s + unit[:, 0])
+        within = np.abs(scaled) <= ON_MANIFOLD_TOL
+    if np.isfinite(coords).all() and (x0 > 0).all() and within.all():
         return None
-    i = int(np.argmin(ok))
+    finite = np.isfinite(coords).all(axis=1)
+    i = int(np.argmin(finite & (x0 > 0) & within))
     if not finite[i]:
         return i, "coordinates must be finite"
     if not x0[i] > 0:

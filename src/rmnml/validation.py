@@ -34,8 +34,7 @@ import numpy as np
 
 from . import hyperbolic as hy
 from .complexity import ParamDomain, pc_general, pc_hgd
-from .gaussian import (RgdParams, _log_pdf_vol, log_fisher_factors, log_pdf_vol_many,
-                       radial_moments, sample)
+from .gaussian import RgdParams, log_fisher_factors, log_pdf_vol_many, radial_moments, sample
 from .quadrature import QuadratureError
 
 #: Step of the central differences in :func:`fisher_numeric`.
@@ -216,19 +215,20 @@ def _erfc(z) -> np.ndarray:
 
 
 def _erfc_block(x: np.ndarray) -> np.ndarray:
+    # each branch's entries by an index array: on mixed arguments a boolean
+    # gather or scatter costs several times a take or a put
     y = np.minimum(np.abs(x), _ERFC_ZERO_FROM)  # nan stays nan, and takes the tail branch
     out = np.empty_like(y)
-    small = y <= 0.46875
-    middle = ~small & (y <= 4.0)
-    tail = ~(small | middle)
-    xs, ym, yt = x[small], y[middle], y[tail]
-    out[small] = 1.0 - xs * _cody_ratio(xs * xs, _ERFC_A, _ERFC_B)
-    out[middle] = _exp_minus_square(ym) * _cody_ratio(ym, _ERFC_C, _ERFC_D)
+    small, within = y <= 0.46875, y <= 4.0
+    first, middle, tail = (np.flatnonzero(rows) for rows in (small, within & ~small, ~within))
+    xs, ym, yt = x.take(first), y.take(middle), y.take(tail)
+    out.put(first, 1.0 - xs * _cody_ratio(xs * xs, _ERFC_A, _ERFC_B))
+    out.put(middle, _exp_minus_square(ym) * _cody_ratio(ym, _ERFC_C, _ERFC_D))
     w = 1.0 / (yt * yt)
-    out[tail] = _exp_minus_square(yt) * (
-        (_ONE_OVER_SQRT_PI - w * _cody_ratio(w, _ERFC_P, _ERFC_Q)) / yt)
-    negative = ~small & (x < 0.0)
-    out[negative] = 2.0 - out[negative]
+    out.put(tail, _exp_minus_square(yt) * (
+        (_ONE_OVER_SQRT_PI - w * _cody_ratio(w, _ERFC_P, _ERFC_Q)) / yt))
+    negative = np.flatnonzero(~small & (x < 0.0))
+    out.put(negative, 2.0 - out.take(negative))
     return out
 
 
@@ -374,24 +374,35 @@ def fisher_numeric(params: RgdParams, n_samples: int, seed: int) -> FisherBlock:
     offset t is the point :func:`rmnml.hyperbolic.exp_normal` (mu, t).
     Standard errors are reported per entry.  The distances take one
     :func:`rmnml.hyperbolic.dist_many` pass per distinct mu offset (3, 9
-    and 19 at D = 1, 2 and 3), which the sigma offsets share through the
-    density step of :func:`rmnml.gaussian.log_pdf_vol_many`.
+    and 19 at D = 1, 2 and 3), which the sigma offsets share, and log xi at
+    the three sigmas sigma - h, sigma and sigma + h takes one
+    :func:`rmnml.gaussian.radial_moments` call per estimate; each offset's
+    log density -d^2 / (2 sigma^2) - log xi is then the floats of
+    :func:`rmnml.gaussian.log_pdf_vol_many` at that offset.  ``sigma`` must
+    exceed the step h, so that sigma - h is positive.
     """
     if n_samples < 10_000:
         raise ValueError("n_samples must be >= 1e4 for a usable estimate")
-    x = sample(n_samples, params, seed).coords
-    n = x.shape[0]
     dim = params.dim
     sigma = params.sigma
+    if not sigma > _FD_STEP:
+        raise ValueError(f"sigma must exceed the finite-difference step {_FD_STEP}, "
+                         f"got {sigma}")
+    x = sample(n_samples, params, seed).coords
+    n = x.shape[0]
     k = dim + 1  # eta = (t_1..t_D, sigma)
-
-    dists = {}  # by the mu offset's value, so -0.0 and 0.0 share a key
+    # a sigma offset is +-h or +-0, so its sign picks one of the three sigmas
+    sigmas = sigma + np.array([-_FD_STEP, 0.0, _FD_STEP])
+    log_xi = radial_moments(dim, sigmas)[0]
+    neg_sq = {}  # -d^2 by the mu offset's value, so -0.0 and 0.0 share a key
 
     def logp(offset: np.ndarray) -> np.ndarray:
         key = tuple(offset[:dim].tolist())
-        if key not in dists:
-            dists[key] = hy.dist_many(hy.exp_normal(params.mu, offset[:dim]), x)
-        return _log_pdf_vol(dists[key], RgdParams(params.mu, sigma + offset[dim]))
+        if key not in neg_sq:
+            d = hy.dist_many(hy.exp_normal(params.mu, offset[:dim]), x)
+            neg_sq[key] = -d * d
+        j = 1 + int(np.sign(offset[dim]))
+        return neg_sq[key] / (2.0 * sigmas[j] * sigmas[j]) - log_xi[j]
 
     f0 = logp(np.zeros(k))
     unit = np.eye(k) * _FD_STEP
@@ -464,15 +475,15 @@ def pc_mc_gauss1d(n: int, a: float, b: float, samples: int,
     rng = np.random.default_rng(seed)
     theta = rng.uniform(a, b, samples)
     ybar = theta + rng.standard_normal(samples) / math.sqrt(n)
-    inside = (ybar >= a) & (ybar <= b)
-    y = ybar[inside]
+    inside = np.flatnonzero((ybar >= a) & (ybar <= b))
+    y = ybar.take(inside)
     # Phi(sqrt n (b - ybar)) - Phi(sqrt n (a - ybar)) through the two tails,
     # each at a positive argument, in one kernel call
     tails = _erfc(math.sqrt(0.5 * n) * np.stack((b - y, y - a)))
     marginal = 1.0 - 0.5 * tails[0] - 0.5 * tails[1]
     log_w = np.full(samples, -np.inf)
-    log_w[inside] = (0.5 * math.log(n / (2.0 * math.pi)) + math.log(b - a)
-                     - np.log(np.maximum(marginal, 1e-300)))
+    log_w.put(inside, 0.5 * math.log(n / (2.0 * math.pi)) + math.log(b - a)
+              - np.log(np.maximum(marginal, 1e-300)))
     shift = float(np.max(log_w))
     w = np.exp(log_w - shift)
     mean_w = float(w.mean())

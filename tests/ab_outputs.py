@@ -20,6 +20,12 @@ run whose class under the sweep's ``_classify`` changed, and every run that
 differs in more than its float fields; and each run that differs in its
 float fields alone, with its largest relative change.
 
+A spy counts, for each run, the calls of the moment kernel
+``rmnml.gaussian.radial_moments`` and the sigma rows they take, through
+every module of the package that binds the kernel by name, and the report
+lists the runs whose counts differ.  The counts are not part of a run's
+bytes.
+
 Beside the runs it compares the library's public surface: each name of
 ``rmnml.__all__`` and each public class of a module of the package, with
 a class's constructor parameters (annotations left out) and each public
@@ -125,6 +131,26 @@ def _surface_changes(mine: dict, theirs: dict) -> list[str]:
     return lines
 
 
+def _kernel_spy(rmnml) -> list[int]:
+    """Count the moment kernel's calls and sigma rows: replace it in each module
+    of the package that binds it, and return the running [calls, rows]."""
+    import numpy as np
+    from rmnml import gaussian
+
+    kernel, counts = gaussian.radial_moments, [0, 0]
+
+    def counted(dim, sigma):
+        counts[0] += 1
+        counts[1] += int(np.size(sigma))
+        return kernel(dim, sigma)
+
+    for info in pkgutil.iter_modules(rmnml.__path__):
+        module = importlib.import_module(f"{rmnml.__name__}.{info.name}")
+        if getattr(module, "radial_moments", None) is kernel:
+            module.radial_moments = counted
+    return counts
+
+
 def _worker():
     """Run the argv list read from stdin in the current directory, and print
     one JSON list: the rmnml module's path, the public surface of the
@@ -133,6 +159,7 @@ def _worker():
     import rmnml
     import test_sweep
 
+    counts = _kernel_spy(rmnml)
     stats, digests = {}, {}
 
     def changed() -> dict[str, str]:
@@ -152,7 +179,9 @@ def _worker():
     changed()
     records = []
     for argv in json.load(sys.stdin):
+        before = counts.copy()
         code, out, err = test_sweep._run(argv)
+        kernel = [now - then for now, then in zip(counts, before)]
         try:
             found = test_sweep._classify(argv, code, out, err)[0]
         except Exception as exc:  # an outcome outside every class
@@ -160,7 +189,7 @@ def _worker():
         if argv[:1] == ["validate"]:
             out = _WALL.sub("[- s]", out)
         records.append({"code": code, "out": out, "err": err, "files": changed(),
-                        "class": found})
+                        "class": found, "kernel": kernel})
     json.dump([rmnml.__file__, _surface(rmnml), *records], sys.stdout)
 
 
@@ -258,10 +287,14 @@ def main(argv: list[str]) -> int:
 
     runs, same = Counter(), Counter()
     largest, moved = defaultdict(lambda: (0.0, [])), Counter()
-    reclassed, others, floats_only = [], [], []
+    reclassed, others, floats_only, recounted = [], [], [], []
     for args, mine, theirs in zip(argvs, results["this"], results["other"]):
         command = args[0] if args[:1] and args[0] in commands else "(top level)"
         runs[command] += 1
+        (calls, rows), (their_calls, their_rows) = mine.pop("kernel"), theirs.pop("kernel")
+        if (calls, rows) != (their_calls, their_rows):
+            recounted.append(f"  calls {their_calls} -> {calls}, sigma rows {their_rows} -> "
+                             f"{rows}: {' '.join(args)}")
         if mine == theirs:
             same[command] += 1
             continue
@@ -293,6 +326,8 @@ def main(argv: list[str]) -> int:
     print(f"runs whose class changed, other -> this: {len(reclassed)}", *reclassed, sep="\n")
     print(f"runs that differ in more than their float fields: {len(others)}", *others,
           sep="\n")
+    print(f"runs whose moment-kernel calls or sigma rows differ, other -> this: "
+          f"{len(recounted)}", *recounted, sep="\n")
     surface = _surface_changes(surfaces["this"], surfaces["other"])
     print(f"public surface: {len(surfaces['this'])} names; changes, other -> this: "
           f"{len(surface)}", *surface, sep="\n")

@@ -272,6 +272,57 @@ def refine_by_columns(f, panels, rel_tol, cap, length):
     return math.fsum(np.concatenate(accepted)), math.fsum(np.concatenate(errors))
 
 
+def erfc_block_by_masks(x: np.ndarray) -> np.ndarray:
+    """One block of :func:`rmnml.validation._erfc` with boolean masks for the branches.
+
+    The reference for :func:`rmnml.validation._erfc_block`, which picks each
+    branch's entries by an index array: the same arguments in the same
+    branches, gathered and scattered by the masks.
+    """
+    y = np.minimum(np.abs(x), validation._ERFC_ZERO_FROM)
+    out = np.empty_like(y)
+    small = y <= 0.46875
+    middle = ~small & (y <= 4.0)
+    tail = ~(small | middle)
+    xs, ym, yt = x[small], y[middle], y[tail]
+    ratio, square = validation._cody_ratio, validation._exp_minus_square
+    out[small] = 1.0 - xs * ratio(xs * xs, validation._ERFC_A, validation._ERFC_B)
+    out[middle] = square(ym) * ratio(ym, validation._ERFC_C, validation._ERFC_D)
+    w = 1.0 / (yt * yt)
+    out[tail] = square(yt) * ((validation._ONE_OVER_SQRT_PI
+                               - w * ratio(w, validation._ERFC_P, validation._ERFC_Q)) / yt)
+    negative = ~small & (x < 0.0)
+    out[negative] = 2.0 - out[negative]
+    return out
+
+
+def hyperboloid_violation_by_norms(coords: np.ndarray):
+    """The hyperboloid row check with per-row norms and per-row finiteness.
+
+    The reference for :func:`rmnml.hyperbolic.hyperboloid_violation`, which
+    takes the spatial square norms from one ``einsum`` and checks finiteness
+    over the whole array: the same residual, tolerance, row and message.
+    """
+    x0 = coords[:, 0]
+    with np.errstate(invalid="ignore", over="ignore"):
+        scale = np.maximum(1.0, x0)
+        s = np.hypot(1.0 / scale, np.linalg.norm(coords[:, 1:] / scale[:, None], axis=1))
+        scaled = (s - x0 / scale) * (s + x0 / scale)
+        finite = np.isfinite(coords).all(axis=1)
+        ok = finite & (x0 > 0) & (np.abs(scaled) <= hy.ON_MANIFOLD_TOL)
+    if ok.all():
+        return None
+    i = int(np.argmin(ok))
+    if not finite[i]:
+        return i, "coordinates must be finite"
+    if not x0[i] > 0:
+        return i, f"x0 must be positive, got {x0[i]}"
+    product = float(scaled[i]) * float(scale[i]) * float(scale[i]) - 1.0
+    if math.isfinite(product):
+        return i, f"point is off the hyperboloid: <x,x>_L = {product!r}"
+    return i, f"point is off the hyperboloid: (<x,x>_L + 1) / x0^2 = {float(scaled[i])!r}"
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)

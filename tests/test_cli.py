@@ -1398,6 +1398,23 @@ def test_unwritable_csv_prints_nothing(command, tmp_path, capsys):
     assert captured.err.startswith(f"error: cannot write {target}: [Errno 2]")
 
 
+@pytest.mark.parametrize("command", ["pc", "codelength"])
+@pytest.mark.parametrize("csv_name", ["o.json", "./o.json"])
+def test_out_and_csv_naming_one_file_is_usage_error(command, csv_name, tmp_path, capsys,
+                                                     monkeypatch):
+    # the JSON would overwrite the CSV just written: the resolved paths are
+    # compared before any file is written or anything is printed
+    monkeypatch.chdir(tmp_path)
+    write_dataset("data.json", sample(20, RgdParams(hy.origin(2), 0.7), seed=3))
+    args = ["--dim", "2", "--n", "10"] if command == "pc" else ["--data", "data.json"]
+    assert run([command, *args, "--out", "o.json", "--csv", csv_name]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: --out o.json and --csv {csv_name} name the same file; "
+                            f"give each its own path\n")
+    assert sorted(os.listdir(tmp_path)) == ["data.json"]
+
+
 def test_sample_checks_its_output_before_drawing(tmp_path, capsys, monkeypatch):
     def no_draws(*args):
         raise AssertionError("sample ran before the output path was checked")

@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+from rmnml import gaussian, validation
 from rmnml import hyperbolic as hy
 from rmnml.complexity import ParamDomain, pc_hgd
 from rmnml.gaussian import RgdParams, log_fisher_factors
@@ -154,6 +155,27 @@ class TestNumericOracle:
         assert max(live_bytes) <= passes * 20_000 * 8
         for field in FisherBlock._fields:
             assert np.array_equal(getattr(block, field), getattr(reference, field))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_one_kernel_call_per_estimate(self, dim, monkeypatch):
+        # log xi at sigma - h, sigma and sigma + h comes from one moment-kernel
+        # call of three rows, where one call per offset made 9, 19 and 33;
+        # both names are spied on, the library's and the oracle module's
+        rows = []
+
+        def counted(d, sigma, kernel=gaussian.radial_moments):
+            rows.append(np.size(sigma))
+            return kernel(d, sigma)
+
+        monkeypatch.setattr(gaussian, "radial_moments", counted)
+        monkeypatch.setattr(validation, "radial_moments", counted)
+        fisher_numeric(RgdParams(hy.origin(dim), 0.9), 10_000, seed=5)
+        assert rows == [3]
+
+    @pytest.mark.parametrize("sigma", [1e-4, 5e-5])
+    def test_sigma_within_the_step_is_refused(self, sigma):
+        with pytest.raises(ValueError, match="finite-difference step"):
+            fisher_numeric(RgdParams(hy.origin(2), sigma), 10_000, seed=0)
 
     def test_sample_budget_guard(self):
         with pytest.raises(ValueError):

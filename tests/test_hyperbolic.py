@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -7,12 +8,12 @@ import pytest
 
 from rmnml import hyperbolic as hy
 from rmnml.complexity import RADIUS_MAX, ParamDomain, chart_gap
-from rmnml.gaussian import Dataset, RgdParams, log_lik
+from rmnml.gaussian import Dataset, RgdParams, log_lik, sample
 from rmnml.validation import adaptive_gauss_kronrod, xi
 
-from conftest import (dist, exp_map, isometry_matrix, log_ball_volume_oracle, log_map,
-                      lorentz_to_poincare, minkowski_inner, poincare_dist, polar_point,
-                      random_point, sphere_area, sqrt_det_metric)
+from conftest import (dist, exp_map, hyperboloid_violation_by_norms, isometry_matrix,
+                      log_ball_volume_oracle, log_map, lorentz_to_poincare, minkowski_inner,
+                      poincare_dist, polar_point, random_point, sphere_area, sqrt_det_metric)
 
 TIGHT = 1e-12
 
@@ -76,6 +77,96 @@ class TestPointInvariants:
         coords[..., 0] = 1.0
         with pytest.raises(hy.GeometryError, match="at least 2 Lorentz components"):
             RgdParams(coords, 1.0)
+
+
+def _scaled_residual(message: str, x0: float) -> float:
+    """(<x,x>_L + 1) / max(1, x0)^2 as an off-hyperboloid message prints it."""
+    value = float(message.rsplit(" = ", 1)[1])
+    if "<x,x>_L =" not in message:
+        return value
+    scale = max(1.0, x0)
+    return (value + 1.0) / scale / scale
+
+
+class TestRowCheck:
+    # hyperboloid_violation against conftest's per-row reference: the same
+    # row and message.  At D <= 2 the einsum's square norms are the
+    # reference's bit for bit.  At D >= 3 it sums the D squares in another
+    # order, which moves the scaled residual (<x,x>_L + 1) / max(1, x0)^2 by
+    # a few eps (2 eps at D = 3 and 50, 6 at D = 1,000, measured), within
+    # the band (D + 2) eps of a D-term sum's rounding: a row whose residual
+    # is within that band of ON_MANIFOLD_TOL may be judged either way, and a
+    # failing row's printed <x,x>_L moves by no more than the band.
+    @staticmethod
+    def agree(coords):
+        got, want = hy.hyperboloid_violation(coords), hyperboloid_violation_by_norms(coords)
+        dim = coords.shape[1] - 1
+        if dim <= 2 or got == want:
+            assert got == want
+            return
+        band = (dim + 2) * np.finfo(float).eps
+        if got is None or want is None:
+            i, message = got or want
+            residual = _scaled_residual(message, float(coords[i, 0]))
+            assert abs(abs(residual) - hy.ON_MANIFOLD_TOL) <= band
+            return
+        assert got[0] == want[0]
+        x0 = float(coords[got[0], 0])
+        assert got[1].rsplit(" = ", 1)[0] == want[1].rsplit(" = ", 1)[0]
+        assert abs(_scaled_residual(got[1], x0) - _scaled_residual(want[1], x0)) <= band
+
+    @pytest.mark.parametrize("dim, n, sigma", [(1, 2_000, 1.0), (2, 2_000, 1.0),
+                                               (3, 2_000, 0.8), (50, 500, 0.2),
+                                               (1000, 100, 0.05)])
+    def test_valid_draws(self, dim, n, sigma, rng):
+        for mu in (hy.origin(dim), random_point(rng, dim, 3.0)):
+            coords = sample(n, RgdParams(mu, sigma), seed=int(rng.integers(2**32))).coords
+            assert hyperboloid_violation_by_norms(coords) is None
+            self.agree(coords)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 50, 1000])
+    def test_rows_at_the_tolerance(self, dim, rng):
+        # x0 moved so that the residual is +-ON_MANIFOLD_TOL, then stepped 8
+        # ulps either way, near the origin and far from it
+        for r in (0.7, 4.0, 120.0):
+            u = rng.standard_normal(dim)
+            spatial = math.sinh(r) * u / np.linalg.norm(u)
+            for sign in (1.0, -1.0):
+                x0 = math.cosh(r) / math.sqrt(1.0 - sign * hy.ON_MANIFOLD_TOL)
+                for _ in range(8):
+                    x0 = math.nextafter(x0, 0.0)
+                for _ in range(17):
+                    row = np.concatenate([[x0], spatial])
+                    self.agree(row[None, :])
+                    # behind a valid row, so the index is the second
+                    self.agree(np.stack([polar_point(r, u / np.linalg.norm(u)), row]))
+                    x0 = math.nextafter(x0, math.inf)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_coordinate_in_each_column(self, dim, bad, rng):
+        coords = sample(5, RgdParams(hy.origin(dim), 1.0), seed=7).coords.copy()
+        for column in range(dim + 1):
+            moved = coords.copy()
+            moved[3, column] = bad
+            self.agree(moved)
+
+    @pytest.mark.parametrize("x0", [0.0, -0.0, -1.0, -math.cosh(2.0)])
+    def test_x0_not_positive(self, x0):
+        # -cosh 2 with sinh 2 u is a point of the lower sheet
+        for dim in (1, 2, 3):
+            coords = np.array([hy.origin(dim), polar_point(2.0, np.eye(dim)[0])])
+            coords[1, 0] = x0
+            self.agree(coords)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_rows_near_x0_1e300(self, dim):
+        u = np.ones(dim) / math.sqrt(dim)
+        for x0 in (1e300, 1.7e308, sys.float_info.max):
+            for stretch in (1.0, 1.0 - 1e-12, 0.5, 1.0 + 1e-9):
+                with np.errstate(over="ignore"):
+                    row = np.concatenate([[x0], x0 * stretch * u])
+                self.agree(row[None, :])
 
 
 class TestDistance:

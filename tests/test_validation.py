@@ -8,6 +8,8 @@ from rmnml import validation
 from rmnml.validation import (check_kraft, check_mc_pipeline,
                               check_reparameterization, check_xi)
 
+from conftest import erfc_block_by_masks
+
 
 def test_xi_suite_passes():
     assert check_xi().passed
@@ -118,3 +120,24 @@ def test_erfc_entry_does_not_depend_on_the_array_size():
     # the last entry alone, and in the first block of a shifted array
     assert validation._erfc(x[-1:])[0] == whole[-1]
     assert validation._erfc(x[::-1])[0] == whole[-1]
+
+
+def _edge_arguments() -> np.ndarray:
+    """+-0, +-inf and nan, and the branch and tail edges with their neighbouring floats."""
+    edges = np.array([0.46875, 4.0, 26.5, 27.3, 28.0])
+    edges = np.concatenate([np.nextafter(edges, -np.inf), edges, np.nextafter(edges, np.inf)])
+    return np.concatenate([[0.0, -0.0, math.inf, -math.inf, math.nan], edges, -edges])
+
+
+def test_erfc_is_the_boolean_mask_block_bit_for_bit():
+    # the branches picked by index arrays give the floats of conftest's
+    # boolean-mask block: three blocks and a remainder of random arguments,
+    # and the edges, compared as int64 bit patterns
+    block = validation._ERFC_BLOCK
+    x = np.random.default_rng(33).uniform(-30.0, 30.0, 3 * block + 1_234)
+    reference = np.concatenate([erfc_block_by_masks(x[start:start + block])
+                                for start in range(0, x.size, block)])
+    assert np.array_equal(validation._erfc(x).view(np.int64), reference.view(np.int64))
+    edges = _edge_arguments()
+    assert np.array_equal(validation._erfc(edges).view(np.int64),
+                          erfc_block_by_masks(edges).view(np.int64))
