@@ -17,11 +17,13 @@ oracles use :func:`adaptive_gauss_kronrod`, the oracle rule, defined here
 with its QK15 table so that the production kernels share nothing with it:
 9,720 integrand evaluations for the xi suite's 25 integrals and 2,580 for
 the reparameterization suite's 20.  :func:`fisher_numeric` reads normal
-coordinates about mu through :func:`rmnml.hyperbolic.exp_normal`.  The
-closed form and the Monte-Carlo oracle read erfc from :func:`_erfc`, a
-numpy kernel of Cody's rational Chebyshev approximations (W. J. Cody,
-"Rational Chebyshev approximations for the error function", Math. Comp.
-23, 1969), on blocks of 32,768 entries.
+coordinates about mu through :func:`rmnml.hyperbolic.exp_normal`, and log
+xi at its three sigmas from one :func:`rmnml.gaussian.radial_moments` call
+per estimate.  The closed form and the Monte-Carlo oracle read erfc from
+:func:`_erfc`, a numpy kernel of Cody's rational Chebyshev approximations
+(W. J. Cody, "Rational Chebyshev approximations for the error function",
+Math. Comp. 23, 1969), on blocks of 32,768 entries, each block's three
+branches gathered and scattered by index arrays.
 """
 
 from __future__ import annotations
