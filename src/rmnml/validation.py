@@ -477,15 +477,15 @@ def pc_mc_gauss1d(n: int, a: float, b: float, samples: int,
     rng = np.random.default_rng(seed)
     theta = rng.uniform(a, b, samples)
     ybar = theta + rng.standard_normal(samples) / math.sqrt(n)
-    inside = np.flatnonzero((ybar >= a) & (ybar <= b))
-    y = ybar.take(inside)
+    inside = (ybar >= a) & (ybar <= b)
+    y = ybar[inside]
     # Phi(sqrt n (b - ybar)) - Phi(sqrt n (a - ybar)) through the two tails,
     # each at a positive argument, in one kernel call
     tails = _erfc(math.sqrt(0.5 * n) * np.stack((b - y, y - a)))
     marginal = 1.0 - 0.5 * tails[0] - 0.5 * tails[1]
     log_w = np.full(samples, -np.inf)
-    log_w.put(inside, 0.5 * math.log(n / (2.0 * math.pi)) + math.log(b - a)
-              - np.log(np.maximum(marginal, 1e-300)))
+    log_w[inside] = (0.5 * math.log(n / (2.0 * math.pi)) + math.log(b - a)
+                     - np.log(np.maximum(marginal, 1e-300)))
     shift = float(np.max(log_w))
     w = np.exp(log_w - shift)
     mean_w = float(w.mean())
