@@ -14,22 +14,31 @@ of N(theta, 1), for the asymptotic formula.  The Kraft suite codes with
 Tests confirm that the suites detect errors by patching the names ``xi``,
 ``radial_moments`` and ``log_pdf_vol_many`` here.  The two quadrature
 oracles use :func:`adaptive_gauss_kronrod`, the oracle rule, defined here
-with its QK15 table so that the production kernels share nothing with it:
-9,720 integrand evaluations for the xi suite's 25 integrals and 2,580 for
-the reparameterization suite's 20.  :func:`fisher_numeric` reads normal
-coordinates about mu through :func:`rmnml.hyperbolic.exp_normal`, and log
-xi at its three sigmas from one :func:`rmnml.gaussian.radial_moments` call
-per estimate.  The closed form and the Monte-Carlo oracle read erfc from
-:func:`_erfc`, a numpy kernel of Cody's rational Chebyshev approximations
-(W. J. Cody, "Rational Chebyshev approximations for the error function",
-Math. Comp. 23, 1969), on blocks of 32,768 entries, each block's three
-branches gathered and scattered by index arrays.
+with its QK15 table so that the production kernels share nothing with it.
+The rule refines a stack of integrals together, one integrand call per
+level for the open panels of them all, while each integral keeps its own
+seed panels, budget, redo and sums, so that each result is the float of
+its one-integral call.  The xi suite's 25 integrals take one rule call
+and 9,720 integrand evaluations; the reparameterization suite's 20 take
+one call per dimension, 3 in all, and 2,580, which the moment kernel reads
+96 sigmas per call.  :func:`fisher_numeric` reads normal coordinates about
+mu through :func:`rmnml.hyperbolic.exp_normal`, and log xi at its three
+sigmas from one :func:`rmnml.gaussian.radial_moments` call per estimate.
+The closed form and the Monte-Carlo oracle read erfc from :func:`_erfc`, a
+numpy kernel of Cody's rational Chebyshev approximations (W. J. Cody,
+"Rational Chebyshev approximations for the error function", Math. Comp.
+23, 1969), on blocks of 32,768 entries, each block's three branches
+gathered and scattered by index arrays and evaluated in place.
+:func:`pc_mc_gauss1d` forms its log weights one such block at a time, in
+the array of its draws, so it holds neither both tails of every draw nor
+a second array of weights.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -42,7 +51,11 @@ from .quadrature import QuadratureError
 #: Step of the central differences in :func:`fisher_numeric`.
 _FD_STEP = 1e-4
 
-#: Panel splits :func:`adaptive_gauss_kronrod` may make before it gives up.
+#: sigma rows per moment-kernel call in :func:`fisher_integral`: a call of
+#: 96 rows took 14-22 ns per node, and one of 104 to 960 rows 24-33.
+_FISHER_ROWS = 96
+
+#: Panel splits :func:`adaptive_gauss_kronrod` may make on one integral before it gives up.
 _MAX_SUBDIVISIONS = 100_000
 #: Equal panels :func:`adaptive_gauss_kronrod` starts from.
 _SEED_PANELS = 8
@@ -74,23 +87,33 @@ for _table in (_NODES_15, _KRONROD_15, _GAUSS_15):
     _table.setflags(write=False)
 
 
-def adaptive_gauss_kronrod(f, a: float, b: float, rel_tol: float = 1e-10) -> float:
+def adaptive_gauss_kronrod(f, a, b, rel_tol: float = 1e-10):
     """Integrate ``f`` over ``[a, b]`` to the relative tolerance ``rel_tol``.
 
-    ``f`` is called on a 1-D float array of abscissae and returns an array
-    of the same shape.  Adaptive Gauss-Kronrod, refined level by level from
-    8 equal panels: each pass evaluates the 15 Kronrod nodes of every open
-    panel in one call of ``f``, and |K15 - G7| is a panel's error estimate.
-    A panel is accepted once that estimate is at most its width's share of
-    ``rel_tol`` times the running total (the accepted panels plus the open
-    panels' K15, recomputed at each level), or once it is at the rounding
-    floor, 50 eps times the panel's integral of |f|.  A panel too narrow to
-    split is accepted as it is.  If the total ends below the magnitude the
-    budget came from, the refinement is redone with the budget capped at
-    the final total (at most twice), so the summed estimates of the panels
-    accepted on their budget are at most ``rel_tol * |result|``.  Raises
-    :class:`rmnml.quadrature.QuadratureError` (carrying the best estimate)
-    if the budget of ``_MAX_SUBDIVISIONS`` panel splits is exhausted first.
+    ``a`` and ``b`` are floats, and ``f`` is called on a 1-D float array of
+    abscissae and returns an array of the same shape; or they are 1-D
+    arrays of one length, a stack of integrals refined together, and ``f``
+    is called as ``f(x, index)``, ``index`` giving each abscissa's integral.
+    Float ends give a float, and a stack an array of its length.
+
+    Adaptive Gauss-Kronrod, refined level by level from 8 equal panels per
+    integral: each pass evaluates the 15 Kronrod nodes of every open panel
+    of the stack in one call of ``f``, and |K15 - G7| is a panel's error
+    estimate.  A panel is accepted once that estimate is at most its
+    width's share of ``rel_tol`` times its integral's running total (the
+    accepted panels plus the open panels' K15, recomputed at each level),
+    or once it is at the rounding floor, 50 eps times the panel's integral
+    of |f|.  A panel too narrow to split is accepted as it is.  If an
+    integral's total ends below the magnitude its budget came from, its
+    refinement is redone with the budget capped at the final total (at most
+    twice), so the summed estimates of its panels accepted on their budget
+    are at most ``rel_tol`` times its |result|.  Each integral of a stack
+    keeps its own seed panels, total, budget, redo and split budget, and its
+    panels' sums are taken on its own (15, m) block of values, so each
+    result is the float of its one-integral call.  Raises
+    :class:`rmnml.quadrature.QuadratureError`, carrying that integral's
+    best estimate, once an integral has made more than
+    ``_MAX_SUBDIVISIONS`` panel splits.
 
     Blind spot: no node touches a panel's ends, and the outermost K15 node
     sits about 0.43% of a seed panel's width from each end, so narrower mass
@@ -100,62 +123,109 @@ def adaptive_gauss_kronrod(f, a: float, b: float, rel_tol: float = 1e-10) -> flo
     """
     if not rel_tol > 0:
         raise ValueError("rel_tol must be positive")
-    if not a < b:
-        raise ValueError(f"invalid interval: [{a}, {b}]")
-    edges = np.linspace(a, b, _SEED_PANELS + 1)
-    seeds = np.stack((edges[:-1], edges[1:]))
-    cap = math.inf
+    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
+    lo, hi = (np.atleast_1d(np.asarray(end, dtype=float)) for end in (a, b))
+    if lo.ndim != 1 or lo.shape != hi.shape:
+        raise ValueError("the ends must be floats or 1-D arrays of one length")
+    invalid = np.flatnonzero(~(lo < hi))
+    if invalid.size:
+        raise ValueError(f"invalid interval: [{lo[invalid[0]]}, {hi[invalid[0]]}]")
+    integrand = (lambda x, index: f(x)) if scalar else f
+    edges = np.linspace(lo, hi, _SEED_PANELS + 1, axis=-1)
+    length, total = hi - lo, np.empty(lo.size)
+    cap = np.full(lo.size, math.inf)
+    todo = np.arange(lo.size)
     for _ in range(3):
-        total, error = _refine(f, seeds, rel_tol, cap, b - a)
-        if error <= rel_tol * abs(total):
+        seeds = edges[todo]
+        panels = np.stack((seeds[:, :-1].ravel(), seeds[:, 1:].ravel()))
+        sums, errors = _refine(integrand, panels, np.repeat(todo, _SEED_PANELS), rel_tol,
+                               cap, length)
+        total[todo] = sums[todo]
+        # an integral whose total fell below the magnitude that set its
+        # budget is redone with the budget capped at the final total
+        # (deterministic, at most twice)
+        todo = todo[~(errors[todo] <= rel_tol * np.abs(total[todo]))]
+        if not todo.size:
             break
-        # the total fell below the magnitude that set the budget; redo with
-        # the budget capped at the final total (deterministic, at most twice)
-        cap = abs(total)
-    return total
+        cap[todo] = np.abs(total[todo])
+    return float(total[0]) if scalar else total
 
 
-def _kronrod_sums(f, lo: np.ndarray, hi: np.ndarray):
-    """K15, G7 and the K15 of |f| on each panel [lo, hi], from one call of ``f``."""
+def _kronrod_sums(f, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray, runs: list):
+    """K15, G7 and the K15 of |f| on each panel [lo, hi], from one call of ``f``.
+
+    ``owner`` is each panel's integral, and ``runs`` the (start, stop) of
+    each integral's run of panels.  An integral's nodes are laid out, and
+    its weighted sums taken, as one (15, m) block, as its one-integral call
+    takes them: the matrix product rounds a column by its place in the
+    block.
+    """
     half = 0.5 * (hi - lo)
     x = 0.5 * (lo + hi) + np.multiply.outer(_NODES_15, half)
-    values = f(x.ravel()).reshape(x.shape)
-    return (half * (_KRONROD_15 @ values), half * (_GAUSS_15 @ values[1::2]),
-            half * (_KRONROD_15 @ np.abs(values)))
+    nodes = _NODES_15.size
+    values = f(np.concatenate([x[:, start:stop] for start, stop in runs], axis=None),
+               np.repeat(owner, nodes))
+    magnitude = np.abs(values)
+    kron, gauss, mass = sums = np.empty((3, lo.size))
+    for start, stop in runs:
+        block, shape = slice(nodes * start, nodes * stop), (nodes, stop - start)
+        block_values = values[block].reshape(shape)
+        np.matmul(_KRONROD_15, block_values, out=kron[start:stop])
+        np.matmul(_GAUSS_15, block_values[1::2], out=gauss[start:stop])
+        np.matmul(_KRONROD_15, magnitude[block].reshape(shape), out=mass[start:stop])
+    sums *= half
+    return sums
 
 
-def _refine(f, panels: np.ndarray, rel_tol: float, cap: float, length: float):
+def _refine(f, panels: np.ndarray, owner: np.ndarray, rel_tol: float, cap: np.ndarray,
+            length: np.ndarray):
     # Level by level: one call of f evaluates the 15 nodes of every open
-    # panel, held as one (2, m) array of rows lo and hi.  The budget follows
-    # the level's running total, so the accepted set does not depend on the
-    # order within a level, and math.fsum rounds each sum once.  Returns the
-    # total and the summed estimates of the panels accepted on their budget.
-    accepted, errors = [], []
-    splits = 0
+    # panel, held as one (2, m) array of rows lo and hi, with each panel's
+    # integral in ``owner``, in runs that keep their order as panels split.
+    # An integral's budget follows its own running total, so its accepted
+    # set depends neither on the order within a level nor on the rest of
+    # the stack, and math.fsum rounds each sum once.  Returns each
+    # integral's total and the summed estimates of its panels accepted on
+    # their budget, nan for an integral that ``owner`` does not name.
+    totals, errors = np.full(cap.size, math.nan), np.full(cap.size, math.nan)
+    accepted = [[] for _ in range(cap.size)]
+    estimates = [[] for _ in range(cap.size)]
+    splits = np.zeros(cap.size, dtype=int)
     while True:
         lo, hi = panels
-        kron, gauss, mass = _kronrod_sums(f, lo, hi)
+        starts = np.flatnonzero(np.diff(owner, prepend=-1)).tolist()
+        runs = list(zip(starts, starts[1:] + [owner.size]))
+        ids = owner[starts].tolist()
+        kron, gauss, mass = _kronrod_sums(f, lo, hi, owner, runs)
         diff = np.abs(kron - gauss)
-        total = math.fsum(np.concatenate([*accepted, kron]).tolist())
-        budget = rel_tol * min(abs(total), cap) / length
-        within = diff <= budget * (hi - lo)
+        kron_list = kron.tolist()
+        for j, (start, stop) in zip(ids, runs):
+            totals[j] = math.fsum(accepted[j] + kron_list[start:stop])
+        budget = rel_tol * np.minimum(np.abs(totals), cap) / length
+        within = diff <= budget[owner] * (hi - lo)
         mid = 0.5 * (lo + hi)
         # at the rounding floor, or too narrow to split in floating point
         done = within | (diff <= _ROUNDING_FLOOR * mass) | ~((lo < mid) & (mid < hi))
-        accepted.append(kron[done])
-        errors.append(diff[within])
+        done_list, within_list, diff_list = done.tolist(), within.tolist(), diff.tolist()
+        for j, (start, stop) in zip(ids, runs):
+            accepted[j] += compress(kron_list[start:stop], done_list[start:stop])
+            estimates[j] += compress(diff_list[start:stop], within_list[start:stop])
         split = ~done
-        count = int(np.count_nonzero(split))
-        if not count:
-            return (math.fsum(np.concatenate(accepted).tolist()),
-                    math.fsum(np.concatenate(errors).tolist()))
+        count = np.bincount(owner[split], minlength=cap.size)
+        for j in ids:
+            if not count[j]:
+                errors[j] = math.fsum(estimates[j])
+        if not count.any():
+            return totals, errors
         splits += count
-        if splits > _MAX_SUBDIVISIONS:
+        spent = np.flatnonzero(splits > _MAX_SUBDIVISIONS)
+        if spent.size:
             raise QuadratureError(
                 f"tolerance not reached after {_MAX_SUBDIVISIONS} subdivisions",
-                best_estimate=total)
+                best_estimate=float(totals[spent[0]]))
         # one row per split panel: its left half's ends, then its right half's
         panels = np.stack((lo, mid, mid, hi)).T[split].reshape(-1, 2).T
+        owner = np.repeat(owner[split], 2)
 
 
 class SuiteResult(NamedTuple):
@@ -219,35 +289,58 @@ def _erfc(z) -> np.ndarray:
 def _erfc_block(x: np.ndarray) -> np.ndarray:
     # each branch's entries by an index array: on mixed arguments a boolean
     # gather or scatter costs several times a take or a put
-    y = np.minimum(np.abs(x), _ERFC_ZERO_FROM)  # nan stays nan, and takes the tail branch
+    y = np.abs(x)
+    np.minimum(y, _ERFC_ZERO_FROM, out=y)  # nan stays nan, and takes the tail branch
     out = np.empty_like(y)
     small, within = y <= 0.46875, y <= 4.0
     first, middle, tail = (np.flatnonzero(rows) for rows in (small, within & ~small, ~within))
     xs, ym, yt = x.take(first), y.take(middle), y.take(tail)
-    out.put(first, 1.0 - xs * _cody_ratio(xs * xs, _ERFC_A, _ERFC_B))
-    out.put(middle, _exp_minus_square(ym) * _cody_ratio(ym, _ERFC_C, _ERFC_D))
-    w = 1.0 / (yt * yt)
-    out.put(tail, _exp_minus_square(yt) * (
-        (_ONE_OVER_SQRT_PI - w * _cody_ratio(w, _ERFC_P, _ERFC_Q)) / yt))
+    ratio = np.multiply(xs, _cody_ratio(xs * xs, _ERFC_A, _ERFC_B), out=xs)
+    out.put(first, np.subtract(1.0, ratio, out=ratio))
+    value = _exp_minus_square(ym)
+    value *= _cody_ratio(ym, _ERFC_C, _ERFC_D)
+    out.put(middle, value)
+    w = yt * yt
+    np.divide(1.0, w, out=w)
+    ratio = np.multiply(w, _cody_ratio(w, _ERFC_P, _ERFC_Q), out=w)
+    np.subtract(_ONE_OVER_SQRT_PI, ratio, out=ratio)
+    ratio /= yt
+    value = _exp_minus_square(yt)
+    value *= ratio
+    out.put(tail, value)
     negative = np.flatnonzero(~small & (x < 0.0))
-    out.put(negative, 2.0 - out.take(negative))
+    value = out.take(negative)
+    out.put(negative, np.subtract(2.0, value, out=value))
     return out
 
 
 def _exp_minus_square(y: np.ndarray) -> np.ndarray:
     """exp(-y^2) as exp(-s^2) exp(-(y - s)(y + s)), s = y truncated to a
     multiple of 1/16, so that s^2 is exact."""
-    s = np.trunc(16.0 * y) / 16.0
-    return np.exp(-s * s) * np.exp(-(y - s) * (y + s))
+    s = 16.0 * y
+    np.trunc(s, out=s)
+    s /= 16.0
+    rest = y - s
+    np.negative(rest, out=rest)
+    rest *= y + s
+    np.multiply(-s, s, out=s)
+    np.exp(s, out=s)
+    s *= np.exp(rest, out=rest)
+    return s
 
 
 def _cody_ratio(t: np.ndarray, num: tuple, den: tuple) -> np.ndarray:
     """Cody's rational function of ``t``, in CALERF's order of evaluation."""
-    top, bottom = num[-1] * t, t
+    top, bottom = num[-1] * t, t.copy()
     for a, b in zip(num[:-2], den[:-1]):
-        top = (top + a) * t
-        bottom = (bottom + b) * t
-    return (top + num[-2]) / (bottom + den[-1])
+        top += a
+        top *= t
+        bottom += b
+        bottom *= t
+    top += num[-2]
+    bottom += den[-1]
+    top /= bottom
+    return top
 
 
 def _fsum_rows(a: np.ndarray) -> np.ndarray:
@@ -325,23 +418,43 @@ def xi_derivatives(dim: int, sigma):
     return d1[()], d2[()]
 
 
-def radial_cutoff(dim: int, sigma: float) -> float:
+def radial_cutoff(dim, sigma):
     """End of the radial integrals: 40 sigma past sigma^2 (D-1), near the peak of
-    exp(-r^2 / 2 sigma^2) sinh^(D-1) r, which leaves below 1e-300 of the mass."""
+    exp(-r^2 / 2 sigma^2) sinh^(D-1) r, which leaves below 1e-300 of the mass.
+    ``dim`` and ``sigma`` may be arrays, which give an array of ends."""
     return sigma * sigma * (dim - 1) + 40.0 * sigma
 
 
-def log_radial_weight(dim: int, r: np.ndarray, sigma: float) -> np.ndarray:
-    """log of exp(-r^2 / 2 sigma^2) sinh^(D-1)(r), stable for large r."""
+def log_radial_weight(dim, r: np.ndarray, sigma) -> np.ndarray:
+    """log of exp(-r^2 / 2 sigma^2) sinh^(D-1)(r), stable for large r.
+
+    ``dim`` and ``sigma`` may be arrays of ``r``'s shape, one pair per
+    abscissa, as a stack of :func:`xi_quadrature_oracle` integrals passes them.
+    """
     gauss = -r * r / (2.0 * sigma * sigma)
-    return gauss if dim == 1 else gauss + (dim - 1) * hy.log_sinh(r)
+    curved = np.asarray(dim) > 1
+    if not curved.any():
+        return gauss
+    return np.where(curved, gauss + (dim - 1) * hy.log_sinh(r), gauss)
 
 
-def xi_quadrature_oracle(dim: int, sigma: float) -> float:
-    """xi by direct quadrature of its defining radial integral, by adaptive Gauss-Kronrod."""
-    integral = adaptive_gauss_kronrod(lambda r: np.exp(log_radial_weight(dim, r, sigma)),
-                                      0.0, radial_cutoff(dim, sigma), 1e-12)
-    return math.exp(hy.log_sphere_area(dim)) * integral
+def xi_quadrature_oracle(dim, sigma):
+    """xi by direct quadrature of its defining radial integral, by adaptive Gauss-Kronrod.
+
+    ``dim`` and ``sigma`` may be scalars, which give a float, or broadcast
+    to a 1-D stack of (D, sigma) pairs, whose integrals take one
+    :func:`adaptive_gauss_kronrod` call and give an array of the scalar
+    calls' floats.
+    """
+    scalar = np.ndim(dim) == 0 and np.ndim(sigma) == 0
+    dims, sigmas = np.atleast_1d(*np.broadcast_arrays(np.asarray(dim),
+                                                      np.asarray(sigma, dtype=float)))
+    integrals = adaptive_gauss_kronrod(
+        lambda r, index: np.exp(log_radial_weight(dims[index], r, sigmas[index])),
+        np.zeros(sigmas.shape), radial_cutoff(dims, sigmas), 1e-12)
+    areas = np.array([math.exp(hy.log_sphere_area(d)) for d in dims.tolist()])
+    xi_values = areas * integrals
+    return float(xi_values[0]) if scalar else xi_values
 
 
 class FisherBlock(NamedTuple):
@@ -433,24 +546,39 @@ def fisher_numeric(params: RgdParams, n_samples: int, seed: int) -> FisherBlock:
     )
 
 
-def fisher_integral(dim: int, domain: ParamDomain, rel_tol: float = 1e-10) -> float:
+def fisher_integral(dim: int, domain, rel_tol: float = 1e-10):
     """Integral of sqrt(det I) over the compact domain Theta x Gamma.
 
     Factorizes as vol(Theta) * integral_{sigma_min}^{sigma_max}
     sqrt(c_mu^D I_sigma) d sigma, taken in sigma by adaptive Gauss-Kronrod
     (G7-K15, from 8 equal panels) on the exponential of the log formula
-    :func:`rmnml.gaussian.log_fisher_factors`.
+    :func:`rmnml.gaussian.log_fisher_factors`, which reads
+    ``_FISHER_ROWS`` sigmas per moment-kernel call.  ``domain`` is a
+    :class:`rmnml.complexity.ParamDomain`, which gives a float, or a
+    sequence of them, whose integrals take one rule call and give an array
+    of the one-domain calls' floats.
     The complexity takes the same integral in log sigma
     (:func:`rmnml.complexity.pc_hgd`); the two agree because the integral
     is invariant under reparameterization.
     """
-    def integrand(sigma):
-        log_c_mu, log_i_sigma = log_fisher_factors(dim, sigma)
-        return np.exp(0.5 * (dim * log_c_mu + log_i_sigma))
+    domains = [domain] if isinstance(domain, ParamDomain) else list(domain)
+    integrals = adaptive_gauss_kronrod(lambda sigma, index: _root_det_fisher(dim, sigma),
+                                       [d.sigma_min for d in domains],
+                                       [d.sigma_max for d in domains], rel_tol)
+    vol_theta = np.array([math.exp(hy.log_ball_volume(dim, d.radius_R)) for d in domains])
+    values = vol_theta * integrals
+    return float(values[0]) if isinstance(domain, ParamDomain) else values
 
-    vol_theta = math.exp(hy.log_ball_volume(dim, domain.radius_R))
-    return vol_theta * adaptive_gauss_kronrod(integrand, domain.sigma_min, domain.sigma_max,
-                                              rel_tol)
+
+def _root_det_fisher(dim: int, sigma: np.ndarray) -> np.ndarray:
+    """sqrt(c_mu^D I_sigma) at each entry of the 1-D ``sigma``, ``_FISHER_ROWS``
+    rows per :func:`rmnml.gaussian.log_fisher_factors` call."""
+    root = np.empty(sigma.shape)
+    for start in range(0, sigma.size, _FISHER_ROWS):
+        rows = slice(start, start + _FISHER_ROWS)
+        log_c_mu, log_i_sigma = log_fisher_factors(dim, sigma[rows])
+        root[rows] = np.exp(0.5 * (dim * log_c_mu + log_i_sigma))
+    return root
 
 
 def pc_mc_gauss1d(n: int, a: float, b: float, samples: int,
@@ -476,18 +604,32 @@ def pc_mc_gauss1d(n: int, a: float, b: float, samples: int,
         raise ValueError("samples must be >= 1e4")
     rng = np.random.default_rng(seed)
     theta = rng.uniform(a, b, samples)
-    ybar = theta + rng.standard_normal(samples) / math.sqrt(n)
+    ybar = rng.standard_normal(samples)
+    ybar /= math.sqrt(n)
+    ybar += theta
+    del theta
     inside = (ybar >= a) & (ybar <= b)
-    y = ybar[inside]
-    # Phi(sqrt n (b - ybar)) - Phi(sqrt n (a - ybar)) through the two tails,
-    # each at a positive argument, in one kernel call
-    tails = _erfc(math.sqrt(0.5 * n) * np.stack((b - y, y - a)))
-    marginal = 1.0 - 0.5 * tails[0] - 0.5 * tails[1]
-    log_w = np.full(samples, -np.inf)
-    log_w[inside] = (0.5 * math.log(n / (2.0 * math.pi)) + math.log(b - a)
-                     - np.log(np.maximum(marginal, 1e-300)))
-    shift = float(np.max(log_w))
-    w = np.exp(log_w - shift)
+    log_w = ybar[inside]
+    # log w = log(sqrt(n / 2 pi) (b - a)) - log of the marginal
+    # Phi(sqrt n (b - ybar)) - Phi(sqrt n (a - ybar)), through the two tails,
+    # each at a positive argument, one erfc block at a time in place
+    scale, log_top = math.sqrt(0.5 * n), 0.5 * math.log(n / (2.0 * math.pi)) + math.log(b - a)
+    for start in range(0, log_w.size, _ERFC_BLOCK):
+        y = log_w[start:start + _ERFC_BLOCK]
+        upper, lower = _erfc(scale * (b - y)), _erfc(scale * (y - a))
+        upper *= -0.5
+        upper += 1.0
+        lower *= 0.5
+        upper -= lower  # the marginal
+        np.maximum(upper, 1e-300, out=upper)
+        np.log(upper, out=upper)
+        np.subtract(log_top, upper, out=y)
+    w = ybar  # the draws' array now holds each weight, 0 outside [a, b]
+    w.fill(-np.inf)
+    w[inside] = log_w
+    shift = float(np.max(w))
+    w -= shift
+    np.exp(w, out=w)
     mean_w = float(w.mean())
     se_w = float(w.std(ddof=1) / math.sqrt(samples))
     return shift + math.log(mean_w), se_w / mean_w
@@ -496,11 +638,12 @@ def pc_mc_gauss1d(n: int, a: float, b: float, samples: int,
 def check_xi() -> SuiteResult:
     """Closed-form xi and the moment kernel's log xi against quadrature."""
     sigmas = np.array([0.1, 0.5, 1.0, 2.0, 3.0])
+    dims = range(1, 6)
+    # the 25 oracle integrals in one rule call; an array call of a kernel
+    # gives the floats of the scalar calls
+    oracles = xi_quadrature_oracle(np.repeat(dims, sigmas.size), np.tile(sigmas, len(dims)))
     worst = 0.0
-    for dim in range(1, 6):
-        # one call of each kernel on the five sigmas; an array call gives
-        # the floats of the scalar calls
-        oracle = np.array([xi_quadrature_oracle(dim, sigma) for sigma in sigmas.tolist()])
+    for dim, oracle in zip(dims, oracles.reshape(len(dims), sigmas.size)):
         kernel = np.exp(radial_moments(dim, sigmas)[0])
         for value in (xi(dim, sigmas), kernel):
             worst = max(worst, float(np.max(np.abs(value - oracle) / oracle)))
@@ -532,16 +675,20 @@ def check_fisher(quick: bool = False) -> SuiteResult:
 def check_reparameterization() -> SuiteResult:
     """The Fisher integral in sigma against the complexity's rule in log sigma."""
     rng = np.random.default_rng(7)
-    worst = 0.0
+    cases = []
     for _ in range(20):
         dim = int(rng.integers(1, 4))
         lo = float(rng.uniform(0.1, 1.0))
         hi = lo + float(rng.uniform(0.5, 2.0))
-        domain = ParamDomain(float(rng.uniform(0.5, 4.0)), lo, hi)
-        a = fisher_integral(dim, domain, 1e-11)
-        pc = pc_hgd(dim, 2, domain)
-        b = math.exp(pc.term_volume + pc.term_fisher)
-        worst = max(worst, abs(a - b) / a)
+        cases.append((dim, ParamDomain(float(rng.uniform(0.5, 4.0)), lo, hi)))
+    worst = 0.0
+    for dim in sorted({dim for dim, _ in cases}):
+        # one rule call for each dimension's domains
+        domains = [domain for d, domain in cases if d == dim]
+        for a, domain in zip(fisher_integral(dim, domains, 1e-11).tolist(), domains):
+            pc = pc_hgd(dim, 2, domain)
+            b = math.exp(pc.term_volume + pc.term_fisher)
+            worst = max(worst, abs(a - b) / a)
     return SuiteResult("reparameterization-invariance", worst <= 1e-8,
                        f"max rel gap {worst:.3e} (tol 1e-08)")
 

@@ -243,18 +243,75 @@ def fisher_numeric_per_offset(params: RgdParams, n_samples: int, seed: int) -> F
                        se[:dim, :dim], float(se[dim, dim]), se[:dim, dim].copy(), x.shape[0])
 
 
-def refine_by_columns(f, panels, rel_tol, cap, length):
-    """The adaptive Gauss-Kronrod level loop with the panel ends as two separate arrays.
+def gauss_kronrod_one_integral(f, a: float, b: float, rel_tol: float) -> float:
+    """The adaptive Gauss-Kronrod rule on one integral, refined on its own.
 
-    The reference for :func:`rmnml.validation._refine`, which holds them as
-    one (2, m) array: the same sums, budget and tests on each panel, and the
-    halves of the split ones joined column by column.
+    The reference for :func:`rmnml.validation.adaptive_gauss_kronrod`, which
+    refines a stack of integrals together: the rule as it was before it took
+    stacks, with ``np.linspace(a, b, 9)`` seed panels, a running total, budget,
+    capped redo and split budget of its own, and the sums of one (15, m)
+    block of values per level.  ``f`` takes the abscissae alone.
     """
+    edges = np.linspace(a, b, validation._SEED_PANELS + 1)
+    cap = math.inf
+    for _ in range(3):
+        total, error = _refine_one_integral(f, np.stack((edges[:-1], edges[1:])), rel_tol,
+                                            cap, b - a)
+        if error <= rel_tol * abs(total):
+            break
+        cap = abs(total)
+    return total
+
+
+def _refine_one_integral(f, panels, rel_tol, cap, length):
+    accepted, errors = [], []
+    splits = 0
+    while True:
+        lo, hi = panels
+        half = 0.5 * (hi - lo)
+        values = f((0.5 * (lo + hi) + np.multiply.outer(validation._NODES_15, half)).ravel())
+        values = values.reshape(validation._NODES_15.size, lo.size)
+        kron = half * (validation._KRONROD_15 @ values)
+        gauss = half * (validation._GAUSS_15 @ values[1::2])
+        mass = half * (validation._KRONROD_15 @ np.abs(values))
+        diff = np.abs(kron - gauss)
+        total = math.fsum(np.concatenate([*accepted, kron]).tolist())
+        budget = rel_tol * min(abs(total), cap) / length
+        within = diff <= budget * (hi - lo)
+        mid = 0.5 * (lo + hi)
+        done = within | (diff <= validation._ROUNDING_FLOOR * mass) | ~((lo < mid) & (mid < hi))
+        accepted.append(kron[done])
+        errors.append(diff[within])
+        split = ~done
+        count = int(np.count_nonzero(split))
+        if not count:
+            return (math.fsum(np.concatenate(accepted).tolist()),
+                    math.fsum(np.concatenate(errors).tolist()))
+        splits += count
+        if splits > validation._MAX_SUBDIVISIONS:
+            raise quadrature.QuadratureError("budget", best_estimate=total)
+        panels = np.stack((lo, mid, mid, hi)).T[split].reshape(-1, 2).T
+
+
+def refine_by_columns(f, panels, owner, rel_tol, cap, length):
+    """The adaptive Gauss-Kronrod level loop on one integral, with the panel
+    ends as two separate arrays.
+
+    The reference for :func:`rmnml.validation._refine` on a stack of one,
+    which holds the ends as one (2, m) array: the same sums, budget and
+    tests on each panel, and the halves of the split ones joined column by
+    column.  Returns the total and the summed estimates as the two rows of an
+    array as long as the stack, as the rule reads them.
+    """
+    (j,) = set(owner.tolist())
+    result = np.full((2, cap.size), math.nan)
+    cap, length = cap[j], length[j]
     lo, hi = panels
     accepted, errors = [], []
     splits = 0
     while lo.size:
-        kron, gauss, mass = validation._kronrod_sums(f, lo, hi)
+        kron, gauss, mass = validation._kronrod_sums(f, lo, hi, np.full(lo.size, j),
+                                                     [(0, lo.size)])
         diff = np.abs(kron - gauss)
         total = math.fsum(np.concatenate([*accepted, kron]))
         budget = rel_tol * min(abs(total), cap) / length
@@ -269,7 +326,8 @@ def refine_by_columns(f, panels, rel_tol, cap, length):
             raise quadrature.QuadratureError("budget", best_estimate=total)
         lo, hi = (np.column_stack([left[split], right[split]]).ravel()
                   for left, right in ((lo, mid), (mid, hi)))
-    return math.fsum(np.concatenate(accepted)), math.fsum(np.concatenate(errors))
+    result[:, j] = math.fsum(np.concatenate(accepted)), math.fsum(np.concatenate(errors))
+    return result
 
 
 def erfc_block_by_masks(x: np.ndarray) -> np.ndarray:

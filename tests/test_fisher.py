@@ -218,6 +218,26 @@ class TestFisherIntegral:
         assert b == pytest.approx(ratio * a, rel=1e-10)
 
 
+    @pytest.mark.parametrize("rows", [1, validation._FISHER_ROWS, validation._FISHER_ROWS + 1,
+                                      10 * validation._FISHER_ROWS])
+    def test_sigma_rows_in_blocks_are_the_row_by_row_floats(self, rows, monkeypatch):
+        # the integrand hands the moment kernel _FISHER_ROWS sigmas at a time;
+        # each row's value does not depend on the block it shares, so stacks
+        # of 1, a block, a block and one, and ten blocks of rows give the
+        # floats of one row at a time, and so does the whole integral
+        sigma = np.random.default_rng(34).uniform(0.05, 4.0, rows)
+        for dim in (1, 2, 3):
+            one_at_a_time = np.concatenate([validation._root_det_fisher(dim, sigma[i:i + 1])
+                                            for i in range(rows)])
+            np.testing.assert_array_equal(validation._root_det_fisher(dim, sigma).view(np.int64),
+                                          one_at_a_time.view(np.int64))
+        domains = [ParamDomain(1.0, 0.3, 2.0), ParamDomain(2.5, 0.2, 1.1)]
+        blocked = fisher_integral(2, domains, 1e-11)
+        monkeypatch.setattr(validation, "_FISHER_ROWS", rows)
+        np.testing.assert_array_equal(fisher_integral(2, domains, 1e-11).view(np.int64),
+                                      blocked.view(np.int64))
+
+
 def test_pointwise_reparameterization_identity():
     # Fisher determinant transformation under sigma <-> log sigma:
     # I_{log sigma}(sigma) = sigma^2 I_sigma(sigma).  The left side comes

@@ -8,7 +8,7 @@ from rmnml.complexity import _log_sigma_integrand
 from rmnml.quadrature import QuadratureError, integrate_1d
 from rmnml.validation import adaptive_gauss_kronrod
 
-from conftest import log_ball_volume_oracle, refine_by_columns
+from conftest import gauss_kronrod_one_integral, log_ball_volume_oracle, refine_by_columns
 
 TIGHT = 1e-12
 
@@ -192,6 +192,121 @@ def test_adaptive_rule_is_deterministic():
     first = adaptive_gauss_kronrod(f, 0.0, 2.0, TIGHT)
     second = adaptive_gauss_kronrod(f, 0.0, 2.0, TIGHT)
     assert first.hex() == second.hex()
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def _peak_integrand(x, p):
+    """A peak at 0.0625 on a cosine ripple: on [0, 1] at rel_tol 1e-8, K15
+    overestimates the peak on a seed panel's middle node 74-fold, so the
+    total shrinks and the capped redo runs."""
+    return np.exp(-((x - 0.0625) / 1e-4) ** 2) + 1e-3 * (1.0 + np.cos(60.0 * x))
+
+
+def _smooth_integrand(x, p):
+    """exp(-c (x - m)^2) (1.5 + sin(w x)) for the parameter row p = (c, m, w)."""
+    c, m, w = p
+    return np.exp(-c * (x - m) ** 2) * (1.5 + np.sin(w * x))
+
+
+def _seeded_stack(seed: int, size: int):
+    """Ends, parameter rows and per-integral integrands of a seeded stack of smooth
+    integrals, with the peak integral at a drawn place.  The ends are
+    decimals to two places, for which a + (b - a) is often not b, so seed
+    panels taken as a + (b - a) linspace(0, 1, 9) would move the results."""
+    rng = np.random.default_rng(seed)
+    a = np.round(rng.uniform(-2.0, 1.0, size), 2)
+    b = np.round(a + rng.uniform(0.05, 6.0, size), 2)
+    params = np.column_stack((rng.uniform(0.1, 30.0, size), rng.uniform(-2.0, 4.0, size),
+                              rng.uniform(0.0, 20.0, size)))
+    kinds = [_smooth_integrand] * size
+    peak = int(rng.integers(size))
+    a[peak], b[peak], kinds[peak] = 0.0, 1.0, _peak_integrand
+    return a, b, params, kinds, peak
+
+
+@pytest.mark.parametrize("seed, size", [(39, 2), (34, 7), (36, 16)])
+def test_stack_is_the_one_integral_rule_bit_for_bit(seed, size, monkeypatch):
+    # each integral of a stack keeps its seed panels, budget, redo and sums:
+    # its result is the float of the rule on that integral alone (the rule as
+    # it was before stacks), and of the float-ends call; only the peak
+    # integral is redone
+    a, b, params, kinds, peak = _seeded_stack(seed, size)
+    owners = []
+    refine = validation._refine
+
+    def recorded(f, panels, owner, *args):
+        owners.append(sorted(set(owner.tolist())))
+        return refine(f, panels, owner, *args)
+
+    monkeypatch.setattr(validation, "_refine", recorded)
+
+    def stacked(x, index):
+        rows = params[index].T
+        return np.where(index == peak, _peak_integrand(x, rows), _smooth_integrand(x, rows))
+
+    got = adaptive_gauss_kronrod(stacked, a, b, 1e-8)
+    assert owners == [list(range(size)), [peak]]
+    assert np.any(a + (b - a) != b)
+    alone = [gauss_kronrod_one_integral(lambda x, k=k: kinds[k](x, params[k]),
+                                        a[k], b[k], 1e-8) for k in range(size)]
+    scalar = [adaptive_gauss_kronrod(lambda x, k=k: kinds[k](x, params[k]),
+                                     float(a[k]), float(b[k]), 1e-8) for k in range(size)]
+    assert isinstance(got, np.ndarray) and got.shape == (size,)
+    assert all(type(value) is float for value in scalar)
+    np.testing.assert_array_equal(_bits(got), _bits(alone))
+    np.testing.assert_array_equal(_bits(scalar), _bits(alone))
+
+
+def test_float_ends_run_as_a_stack_of_one(monkeypatch):
+    # one rule: float ends take the stack's code with one integral, and a
+    # one-argument integrand
+    calls = []
+    refine = validation._refine
+
+    def recorded(f, panels, owner, *args):
+        calls.append(owner.tolist())
+        return refine(f, panels, owner, *args)
+
+    monkeypatch.setattr(validation, "_refine", recorded)
+    f = lambda x: np.sqrt(x) * np.cos(7 * x)
+    scalar = adaptive_gauss_kronrod(f, 0.0, 2.0, TIGHT)
+    stack = adaptive_gauss_kronrod(lambda x, index: f(x), [0.0], [2.0], TIGHT)
+    assert calls == [[0] * validation._SEED_PANELS] * 2
+    assert _bits(scalar) == _bits(stack[0])
+
+
+@pytest.mark.parametrize("place", [0, 1, 2])
+def test_budget_is_each_integral_s_own(place, monkeypatch):
+    # the kink exhausts its 40 splits; the error carries its own best
+    # estimate, the one its call alone raises, wherever it sits in the stack
+    # and however deep its neighbours go
+    monkeypatch.setattr(validation, "_MAX_SUBDIVISIONS", 40)
+    kink = lambda x: np.sqrt(np.abs(x - 1.0 / 3.0))
+    smooth = lambda x: np.exp(-x * x) * np.cos(3.0 * x)
+    with pytest.raises(QuadratureError) as alone:
+        adaptive_gauss_kronrod(kink, 0.0, 1.0, 1e-14)
+    ends = np.array([[0.0, 10.0], [0.0, 10.0], [-3.0, 3.0]])
+    ends[place] = 0.0, 1.0
+
+    def stacked(x, index):
+        return np.where(index == place, kink(x), smooth(x))
+
+    with pytest.raises(QuadratureError) as shared:
+        adaptive_gauss_kronrod(stacked, ends[:, 0], ends[:, 1], 1e-14)
+    assert _bits(shared.value.best_estimate) == _bits(alone.value.best_estimate)
+    assert str(shared.value) == str(alone.value)
+
+
+def test_stack_ends_are_checked():
+    with pytest.raises(ValueError, match="one length"):
+        adaptive_gauss_kronrod(lambda x, index: x, [0.0, 0.0], [1.0], TIGHT)
+    with pytest.raises(ValueError, match=r"invalid interval: \[2.0, 1.0\]"):
+        adaptive_gauss_kronrod(lambda x, index: x, [0.0, 2.0], [1.0, 1.0], TIGHT)
+    with pytest.raises(ValueError, match="invalid interval"):
+        adaptive_gauss_kronrod(lambda x, index: x, [0.0, math.nan], [1.0, 1.0], TIGHT)
 
 
 def test_kronrod_rule_is_exact_to_degree_22():
