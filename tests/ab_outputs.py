@@ -6,9 +6,11 @@ parent commit, say)::
 
     python3 tests/ab_outputs.py ../parent
 
-The runs are the explicit and drawn argv tables of ``tests/test_sweep.py``
-and the parser table ``PARSER_ARGVS`` of ``tests/test_cli.py``, all taken
-from this checkout.  Each tree runs the whole list in one subprocess, in
+The runs are the explicit and drawn argv tables of ``tests/test_sweep.py``,
+a seeded set of ``pc``, ``sample``, ``codelength`` and ``select-dim`` calls
+drawn over the accepted ranges (:func:`_seeded`, seed ``SEED``), with
+``--out`` and ``--csv`` files among them, and the parser table
+``PARSER_ARGVS`` of ``tests/test_cli.py``, all taken from this checkout.  Each tree runs the whole list in one subprocess, in
 process through its own ``rmnml.cli.main`` and the sweep's ``_run``
 (warnings as errors, argparse's exits caught), in the same working
 directory, which starts from the same files for both.  A run is
@@ -61,6 +63,8 @@ _WALL = re.compile(r"\[\d+\.\d+ s\]")
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
 #: namedtuple's own API, public though its names start with an underscore.
 _NAMEDTUPLE_API = {"_make", "_replace", "_asdict", "_fields", "_field_defaults"}
+#: Seed of the drawn calls of :func:`_seeded`.
+SEED = 17
 
 
 def _tables(work: Path) -> tuple[list[list[str]], tuple[str, ...]]:
@@ -73,7 +77,56 @@ def _tables(work: Path) -> tuple[list[list[str]], tuple[str, ...]]:
 
     runs = [argv for argv, _ in test_sweep._explicit(work)]
     runs += test_sweep._drawn(work, np.random.default_rng(test_sweep.SEED))
+    runs += _seeded(work, np.random.default_rng(SEED))
     return runs + test_cli.PARSER_ARGVS, test_cli.COMMANDS
+
+
+def _domain(rng) -> list[str]:
+    """``--radius`` and ``--sigma`` drawn over the accepted ranges."""
+    sigma_min = 10 ** rng.uniform(-3.0, 0.5)
+    return ["--radius", repr(10 ** rng.uniform(-2.0, 1.5)),
+            "--sigma", f"{sigma_min!r}:{sigma_min * 10 ** rng.uniform(0.05, 2.5)!r}"]
+
+
+def _outputs(work: Path, stem: str, rng, flags=("--out", "--csv")) -> list[str]:
+    """Each of ``flags`` with a file ``stem`` in ``work``, each drawn one time in three."""
+    suffixes = {"--out": ".json", "--csv": ".csv"}
+    return [part for flag in flags if rng.uniform() < 1 / 3
+            for part in (flag, str(work / f"{stem}{suffixes[flag]}"))]
+
+
+def _seeded(work: Path, rng) -> list[list[str]]:
+    """``pc`` calls, then groups of ``sample`` files of one n, each file's
+    ``codelength``, and each group's ``select-dim``, drawn from ``rng`` over
+    the accepted ranges; every file they name is in ``work``."""
+    import numpy as np
+
+    runs = [["pc", "--dim", str(int(10 ** rng.uniform(0.0, 3.5))),
+             "--n", str(int(10 ** rng.uniform(0.5, 6.0))), *_domain(rng),
+             *_outputs(work, f"seeded_pc{i}", rng)] for i in range(40)]
+    groups = []
+    for group in range(12):
+        n, sigma = int(rng.choice([20, 100, 500])), 10 ** rng.uniform(-1.5, 0.3)
+        dims = np.sort(rng.choice([1, 2, 3, 5, 8], size=int(rng.integers(2, 5)), replace=False))
+        files = []
+        for dim in dims.tolist():
+            path = str(work / f"seeded{group}_{dim}.json")
+            r, u = rng.uniform(0.0, 3.0), rng.standard_normal(dim)
+            mu = np.concatenate([[math.cosh(r)], math.sinh(r) * u / np.linalg.norm(u)])
+            runs.append(["sample", "--dim", str(dim), "--n", str(n), "--sigma", repr(sigma),
+                         "--seed", str(int(rng.integers(2**31))),
+                         *(["--mu", ",".join(map(repr, mu.tolist()))] if rng.uniform() < 0.5
+                           else []), "--out", path])
+            files.append((dim, path))
+        groups.append(files)
+    for group, files in enumerate(groups):
+        runs += [["codelength", "--data", path, *_domain(rng),
+                  *_outputs(work, f"seeded_codelength{group}_{dim}", rng)]
+                 for dim, path in files]
+        runs.append(["select-dim", *(part for dim, path in files
+                                     for part in ("--candidate", f"{dim}={path}")),
+                     *_domain(rng), *_outputs(work, f"seeded_select{group}", rng, ("--out",))])
+    return runs
 
 
 def _signature(value) -> str:

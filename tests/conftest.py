@@ -243,6 +243,11 @@ def fisher_numeric_per_offset(params: RgdParams, n_samples: int, seed: int) -> F
                        se[:dim, :dim], float(se[dim, dim]), se[:dim, dim].copy(), x.shape[0])
 
 
+def int64_bits(values) -> np.ndarray:
+    """The bit patterns of float ``values``, to compare them exactly, nan and -0.0 included."""
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
 def gauss_kronrod_one_integral(f, a: float, b: float, rel_tol: float) -> float:
     """The adaptive Gauss-Kronrod rule on one integral, refined on its own.
 

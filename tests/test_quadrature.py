@@ -8,7 +8,8 @@ from rmnml.complexity import _log_sigma_integrand
 from rmnml.quadrature import QuadratureError, integrate_1d
 from rmnml.validation import adaptive_gauss_kronrod
 
-from conftest import gauss_kronrod_one_integral, log_ball_volume_oracle, refine_by_columns
+from conftest import (gauss_kronrod_one_integral, int64_bits, log_ball_volume_oracle,
+                      refine_by_columns)
 
 TIGHT = 1e-12
 
@@ -194,10 +195,6 @@ def test_adaptive_rule_is_deterministic():
     assert first.hex() == second.hex()
 
 
-def _bits(values) -> np.ndarray:
-    return np.asarray(values, dtype=float).view(np.int64)
-
-
 def _peak_integrand(x, p):
     """A peak at 0.0625 on a cosine ripple: on [0, 1] at rel_tol 1e-8, K15
     overestimates the peak on a seed panel's middle node 74-fold, so the
@@ -256,8 +253,8 @@ def test_stack_is_the_one_integral_rule_bit_for_bit(seed, size, monkeypatch):
                                      float(a[k]), float(b[k]), 1e-8) for k in range(size)]
     assert isinstance(got, np.ndarray) and got.shape == (size,)
     assert all(type(value) is float for value in scalar)
-    np.testing.assert_array_equal(_bits(got), _bits(alone))
-    np.testing.assert_array_equal(_bits(scalar), _bits(alone))
+    np.testing.assert_array_equal(int64_bits(got), int64_bits(alone))
+    np.testing.assert_array_equal(int64_bits(scalar), int64_bits(alone))
 
 
 def test_float_ends_run_as_a_stack_of_one(monkeypatch):
@@ -275,7 +272,7 @@ def test_float_ends_run_as_a_stack_of_one(monkeypatch):
     scalar = adaptive_gauss_kronrod(f, 0.0, 2.0, TIGHT)
     stack = adaptive_gauss_kronrod(lambda x, index: f(x), [0.0], [2.0], TIGHT)
     assert calls == [[0] * validation._SEED_PANELS] * 2
-    assert _bits(scalar) == _bits(stack[0])
+    assert int64_bits(scalar) == int64_bits(stack[0])
 
 
 @pytest.mark.parametrize("place", [0, 1, 2])
@@ -296,7 +293,7 @@ def test_budget_is_each_integral_s_own(place, monkeypatch):
 
     with pytest.raises(QuadratureError) as shared:
         adaptive_gauss_kronrod(stacked, ends[:, 0], ends[:, 1], 1e-14)
-    assert _bits(shared.value.best_estimate) == _bits(alone.value.best_estimate)
+    assert int64_bits(shared.value.best_estimate) == int64_bits(alone.value.best_estimate)
     assert str(shared.value) == str(alone.value)
 
 

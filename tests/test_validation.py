@@ -10,7 +10,7 @@ from rmnml.complexity import ParamDomain
 from rmnml.validation import (check_kraft, check_mc_pipeline,
                               check_reparameterization, check_xi)
 
-from conftest import erfc_block_by_masks, gauss_kronrod_one_integral
+from conftest import erfc_block_by_masks, gauss_kronrod_one_integral, int64_bits
 
 
 def test_xi_suite_passes():
@@ -87,10 +87,6 @@ def test_xi_oracle_evaluation_count(monkeypatch):
     assert count[0] == 9_720
 
 
-def _bits(values) -> np.ndarray:
-    return np.asarray(values, dtype=float).view(np.int64)
-
-
 def test_xi_oracle_stack_is_each_integral_alone_bit_for_bit():
     # the xi suite's 25 (D, sigma) integrals in one rule call give the floats
     # of the rule on each integral alone, with its own np.linspace seed panels
@@ -105,8 +101,8 @@ def test_xi_oracle_stack_is_each_integral_alone_bit_for_bit():
         alone.append(math.exp(hy.log_sphere_area(dim)) * integral)
         scalar.append(validation.xi_quadrature_oracle(dim, sigma))
     assert all(type(value) is float for value in scalar)
-    np.testing.assert_array_equal(_bits(stacked), _bits(alone))
-    np.testing.assert_array_equal(_bits(scalar), _bits(alone))
+    np.testing.assert_array_equal(int64_bits(stacked), int64_bits(alone))
+    np.testing.assert_array_equal(int64_bits(scalar), int64_bits(alone))
 
 
 def _reparameterization_domains():
@@ -153,8 +149,8 @@ def test_fisher_integral_stack_is_each_integral_alone_bit_for_bit(monkeypatch):
                  for d in domains]
         scalar = [validation.fisher_integral(dim, d, 1e-11) for d in domains]
         assert all(type(value) is float for value in scalar)
-        np.testing.assert_array_equal(_bits(stacked), _bits(alone))
-        np.testing.assert_array_equal(_bits(scalar), _bits(alone))
+        np.testing.assert_array_equal(int64_bits(stacked), int64_bits(alone))
+        np.testing.assert_array_equal(int64_bits(scalar), int64_bits(alone))
 
 
 def test_xi_suite_takes_one_rule_call(monkeypatch):
