@@ -9,10 +9,11 @@ or an array does not fit in memory (``sample`` holds its n draws as
 SIGPIPE) when the reader of stdout has closed it, with no traceback.  An
 integer flag whose float64 array would pass numpy's largest, 2^63 - 1
 bytes, is a usage error that names the flag (or both, for ``sample``'s
-n (D+1) coordinates).  A named output file that cannot be written is an
-input error, found before anything reaches stdout, and before ``sample``
-draws; so are ``--out`` and ``--csv`` naming one file, and a domain whose
-log complexity is negative, found before any data is fitted.  Datasets are
+n (D+1) coordinates).  Every output file a command names is checked once,
+after its flags and before it reads or computes: one that cannot be
+written, or names the other output or a file the run reads, is an input
+error; so is a domain whose log complexity is negative, found before any
+data is fitted.  Datasets are
 JSON files ``{"chart": "lorentz", "dim": D, "points": [[x0, ..., xD], ...]}``;
 ``"chart": "poincare"`` with D-component points is accepted on input and
 converted.  :func:`main` builds each command's parser, with its subparser
@@ -152,15 +153,6 @@ def _write_file(path: str, text: str, newline: str | None = None, mode: str = "w
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
-def _check_writable(path: str):
-    """Raise :func:`_write_file`'s InputError now if ``path`` cannot be written;
-    appending nothing leaves an existing file as it was, and a new one is removed."""
-    existed = os.path.lexists(path)
-    _write_file(path, "", mode="a")
-    if not existed:
-        os.remove(path)
-
-
 def write_dataset(path: str, data: Dataset):
     """Write ``data`` as a Lorentz dataset file in one ``%`` formatting pass.
 
@@ -177,21 +169,34 @@ def write_dataset(path: str, data: Dataset):
     _write_file(path, f'{{"chart": "lorentz", "dim": {data.dim}, "points": [{points}]}}\n')
 
 
-def _check_outputs(args):
-    """Raise InputError if ``--out`` and ``--csv`` resolve to one file, which the
-    JSON would overwrite once the CSV was written."""
-    if args.out and args.csv and os.path.realpath(args.out) == os.path.realpath(args.csv):
-        raise InputError(f"--out {args.out} and --csv {args.csv} name the same file; "
-                         f"give each its own path")
+def _check_outputs(args, *inputs: tuple[str, str]):
+    """Raise InputError if an output the run names, ``--out`` then ``--csv``,
+    names a file before it (the ``(flag, path)`` ``inputs`` the run reads, then
+    the other output) or cannot be written.  Paths are compared after
+    ``os.path.realpath``, so a symlink is caught but a hard link is not; the
+    probe appends nothing, and removes a file it made.  With no output named,
+    no path is resolved."""
+    outputs = [(flag, path) for flag in ("--out", "--csv")
+               if (path := getattr(args, flag[2:], None)) is not None]
+    if not outputs:
+        return
+    seen = {}
+    for i, (flag, path) in enumerate([*inputs, *outputs]):
+        first = seen.setdefault(os.path.realpath(path), (flag, path))
+        if i >= len(inputs) and first != (flag, path):
+            raise InputError(f"{first[0]} {first[1]} and {flag} {path} name the same file; "
+                             f"give each its own path")
+    for _, path in outputs:
+        existed = os.path.lexists(path)
+        _write_file(path, "", mode="a")
+        if not existed:
+            os.remove(path)
 
 
 def _emit(payload: dict, out: str | None, csv_out: str | None = None):
-    # the files first, so that a run that cannot write one prints nothing,
-    # and --out checked before --csv is written, so that it leaves no file
+    # the output files were checked before the work: the CSV, then the JSON
     text = json.dumps(payload, indent=2)
     if csv_out:
-        if out:
-            _check_writable(out)
         import csv
         flat = {k: v for k, v in payload.items() if not isinstance(v, (dict, list))}
         table = io.StringIO(newline="")
@@ -239,10 +244,11 @@ def _domain_from(args) -> ParamDomain:
 
 
 def cmd_pc(args) -> int:
-    _check_outputs(args)
     _check_int("--dim", args.dim, 1)
     _check_int("--n", args.n, 2)
-    result = check_log_pc(pc_hgd(args.dim, args.n, _domain_from(args)))
+    domain = _domain_from(args)
+    _check_outputs(args)
+    result = check_log_pc(pc_hgd(args.dim, args.n, domain))
     _emit({
         "k": result.k,
         "n": result.n,
@@ -268,8 +274,8 @@ def _load_scored(path: str, dim: int | None = None) -> Dataset:
 
 
 def cmd_codelength(args) -> int:
-    _check_outputs(args)
     domain = _domain_from(args)
+    _check_outputs(args, ("--data", args.data))
     data = _load_scored(args.data)
     report = rm_nml_codelength(data, domain)
     _emit({
@@ -306,7 +312,7 @@ def cmd_sample(args) -> int:
         params = RgdParams(mu, args.sigma_value)
     except hy.GeometryError as exc:
         raise InputError(f"--mu is not on the manifold: {exc}") from exc
-    _check_writable(args.out)  # before the draws, which may take seconds
+    _check_outputs(args)  # before the draws, which may take seconds
     write_dataset(args.out, sample(args.n, params, args.seed))
     return 0
 
@@ -326,6 +332,7 @@ def cmd_select_dim(args) -> int:
     if len(candidates) < 2:
         raise InputError("select-dim needs at least 2 --candidate entries")
     domain = _domain_from(args)
+    _check_outputs(args, *(("--candidate", path) for _, path in candidates))
 
     scores, codes = [], []
 
@@ -391,6 +398,7 @@ def cmd_coding_demo(args) -> int:
     _check_int("--grid", args.grid, 1)
     _check_floats("--grid", args.grid + 1, "the grid + 1 edges")
     _check_floats("--grid", args.grid * args.grid, "the grid^2 cells")
+    _check_outputs(args)
     partition = coding.partition_ball(args.radius, args.grid, args.grid)
     params = RgdParams(hy.origin(2), args.sigma_value)
     code = coding.prefix_code(partition, lambda points: log_pdf_vol_many(points, params))

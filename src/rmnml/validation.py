@@ -27,11 +27,10 @@ sigmas from one :func:`rmnml.gaussian.radial_moments` call per estimate.
 The closed form and the Monte-Carlo oracle read erfc from :func:`_erfc`, a
 numpy kernel of Cody's rational Chebyshev approximations (W. J. Cody,
 "Rational Chebyshev approximations for the error function", Math. Comp.
-23, 1969), on blocks of 32,768 entries, each block's three branches
-gathered and scattered by index arrays and evaluated in place.
-:func:`pc_mc_gauss1d` forms its log weights one such block at a time, in
-the array of its draws, so it holds neither both tails of every draw nor
-a second array of weights.
+23, 1969), its three branches gathered and scattered by index arrays and
+evaluated in place.  :func:`pc_mc_gauss1d` forms its log weights one block
+of 32,768 draws at a time, in the array of its draws, so it holds neither
+both tails of every draw nor a second array of weights.
 """
 
 from __future__ import annotations
@@ -260,7 +259,7 @@ _ERFC_Q = (2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-
            6.05183413124413191e-2, 2.33520497626869185e-3)
 #: 1 / sqrt(pi), the leading term of y exp(y^2) erfc(y) as y grows.
 _ONE_OVER_SQRT_PI = 5.6418958354775628695e-1
-#: Entries :func:`_erfc` takes per pass, which bounds its temporaries.
+#: Draws :func:`pc_mc_gauss1d` hands :func:`_erfc` per call, which bounds its temporaries.
 _ERFC_BLOCK = 32_768
 #: erfc of every float past this is 0 (it falls below 5e-324 near 27.3).
 _ERFC_ZERO_FROM = 28.0
@@ -270,25 +269,16 @@ def _erfc(z) -> np.ndarray:
     """erfc of every entry of ``z``, as a float array of its shape.
 
     Cody's (1969) rational Chebyshev approximations, split at |x| = 0.46875
-    and 4, on blocks of ``_ERFC_BLOCK`` entries, with exp(-y^2) from
-    :func:`_exp_minus_square` and erfc(-y) = 2 - erfc(y).  Within 1.1e-15
-    relative of ``math.erfc`` wherever that is a normal float (x up to
-    about 26.5), and within 1e-323 absolute in the subnormal tail; equal to
-    it at +-0, +-inf and nan.  An entry's value does not depend on the
-    array's size.
+    and 4, with exp(-y^2) from :func:`_exp_minus_square` and erfc(-y) =
+    2 - erfc(y).  Within 1.1e-15 relative of ``math.erfc`` wherever that is a
+    normal float (x up to about 26.5), and within 1e-323 absolute in the
+    subnormal tail; equal to it at +-0, +-inf and nan.  An entry's value does
+    not depend on the array's size, so a caller bounds the temporaries by its
+    blocks, as :func:`pc_mc_gauss1d` does.
     """
-    z = np.asarray(z, dtype=float)
-    out = np.empty(z.shape)
-    flat, flat_out = z.reshape(-1), out.reshape(-1)
-    for start in range(0, z.size, _ERFC_BLOCK):
-        block = slice(start, start + _ERFC_BLOCK)
-        flat_out[block] = _erfc_block(flat[block])
-    return out
-
-
-def _erfc_block(x: np.ndarray) -> np.ndarray:
     # each branch's entries by an index array: on mixed arguments a boolean
     # gather or scatter costs several times a take or a put
+    x = np.asarray(z, dtype=float).reshape(-1)
     y = np.abs(x)
     np.minimum(y, _ERFC_ZERO_FROM, out=y)  # nan stays nan, and takes the tail branch
     out = np.empty_like(y)
@@ -311,7 +301,7 @@ def _erfc_block(x: np.ndarray) -> np.ndarray:
     negative = np.flatnonzero(~small & (x < 0.0))
     value = out.take(negative)
     out.put(negative, np.subtract(2.0, value, out=value))
-    return out
+    return out.reshape(np.shape(z))
 
 
 def _exp_minus_square(y: np.ndarray) -> np.ndarray:

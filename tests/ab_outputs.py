@@ -13,7 +13,11 @@ drawn over the accepted ranges (:func:`_seeded`, seed ``SEED``), with
 ``PARSER_ARGVS`` of ``tests/test_cli.py``, all taken from this checkout.  Each tree runs the whole list in one subprocess, in
 process through its own ``rmnml.cli.main`` and the sweep's ``_run``
 (warnings as errors, argparse's exits caught), in the same working
-directory, which starts from the same files for both.  A run is
+directory, which starts from the same files for both.  An exception that
+escapes an older tree's ``main`` is recorded as the run's stderr, with no
+exit code, and each worker's address space is capped at 2 GiB, so that an
+array an older tree fills past that, such as ``coding-demo --grid 2**30``'s
+8.6 GB of edges, fails at once.  A run is
 byte-identical when its exit code, stdout, stderr and the files it wrote
 or changed are; ``validate``'s wall times are masked first.  For every
 other run the report gives the largest relative change of each float
@@ -49,6 +53,7 @@ import math
 import os
 import pkgutil
 import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -65,6 +70,8 @@ _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
 _NAMEDTUPLE_API = {"_make", "_replace", "_asdict", "_fields", "_field_defaults"}
 #: Seed of the drawn calls of :func:`_seeded`.
 SEED = 17
+#: Address space of a tree's worker process, in bytes.
+_WORKER_BYTES = 2 << 30
 
 
 def _tables(work: Path) -> tuple[list[list[str]], tuple[str, ...]]:
@@ -233,7 +240,10 @@ def _worker():
     records = []
     for argv in json.load(sys.stdin):
         before = counts.copy()
-        code, out, err = test_sweep._run(argv)
+        try:
+            code, out, err = test_sweep._run(argv)
+        except Exception as exc:  # main let it through, as an older tree may
+            code, out, err = None, "", f"{type(exc).__name__}: {exc}\n"
         kernel = [now - then for now, then in zip(counts, before)]
         try:
             found = test_sweep._classify(argv, code, out, err)[0]
@@ -319,6 +329,8 @@ def _differences(argv, mine: dict, theirs: dict) -> tuple[dict[str, float], list
 
 def main(argv: list[str]) -> int:
     if argv == ["--worker"]:
+        # an older tree's array past the cap fails at once (module docstring)
+        resource.setrlimit(resource.RLIMIT_AS, (_WORKER_BYTES, resource.RLIM_INFINITY))
         _worker()
         return 0
     if len(argv) != 1 or argv[0].startswith("-"):

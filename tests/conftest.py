@@ -338,7 +338,7 @@ def refine_by_columns(f, panels, owner, rel_tol, cap, length):
 def erfc_block_by_masks(x: np.ndarray) -> np.ndarray:
     """One block of :func:`rmnml.validation._erfc` with boolean masks for the branches.
 
-    The reference for :func:`rmnml.validation._erfc_block`, which picks each
+    The reference for :func:`rmnml.validation._erfc`, which picks each
     branch's entries by an index array: the same arguments in the same
     branches, gathered and scattered by the masks.
     """

@@ -1436,6 +1436,94 @@ def test_sample_check_leaves_an_existing_file_as_it_was(tmp_path):
     assert out.read_text() == "old contents\n"
 
 
+#: The work each command that writes a file does first, spied on as (module, name).
+_FIRST_WORK = {"sample": (cli, "sample"), "pc": (cli, "pc_hgd"),
+               "codelength": (cli, "load_dataset"), "select-dim": (cli, "load_dataset"),
+               "coding-demo": (coding, "partition_ball")}
+
+
+def _forbid_work(monkeypatch, command: str):
+    """Fail the test if ``command``'s first work runs."""
+    def no_work(*args):
+        raise AssertionError(f"{command} worked before its output path was checked")
+
+    monkeypatch.setattr(*_FIRST_WORK[command], no_work)
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("sample", "--out"), ("pc", "--out"), ("pc", "--csv"), ("codelength", "--out"),
+    ("codelength", "--csv"), ("select-dim", "--out"), ("coding-demo", "--out")])
+def test_every_output_is_checked_before_the_work(command, flag, tmp_path, capsys,
+                                                  monkeypatch):
+    data = tmp_path / "data.json"
+    write_dataset(str(data), sample(20, RgdParams(hy.origin(2), 0.7), seed=3))
+    _forbid_work(monkeypatch, command)
+    args = {
+        "sample": ["--dim", "2", "--n", "10", "--sigma", "1"],
+        "pc": ["--dim", "2", "--n", "100"],
+        "codelength": ["--data", str(data)],
+        "select-dim": ["--candidate", f"2={data}", "--candidate", f"3={data}"],
+        "coding-demo": ["--grid", "4"],
+    }[command]
+    target = tmp_path / "missing" / "result"
+    assert run([command, *args, flag, str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"error: cannot write {target}: [Errno 2] No such file or directory")
+    assert sorted(os.listdir(tmp_path)) == ["data.json"]
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("codelength", "--out"), ("codelength", "--csv"), ("select-dim", "--out")])
+@pytest.mark.parametrize("spelling", ["as given", "dot", "symlink"])
+def test_an_output_may_not_name_the_input(command, flag, spelling, tmp_path, capsys,
+                                          monkeypatch):
+    # the check compares resolved paths before anything is read or written,
+    # so the run leaves its input's bytes as they were
+    monkeypatch.chdir(tmp_path)
+    write_dataset("d.json", sample(20, RgdParams(hy.origin(2), 0.7), seed=3))
+    write_dataset("e.json", sample(20, RgdParams(hy.origin(3), 0.7), seed=4))
+    if spelling == "symlink":
+        os.symlink("d.json", "link.json")
+    before = {name: Path(name).read_bytes() for name in ("d.json", "e.json")}
+    output = {"as given": "d.json", "dot": "./d.json", "symlink": "link.json"}[spelling]
+    if command == "codelength":
+        args, named = ["--data", "d.json"], "--data d.json"
+    else:
+        args, named = ["--candidate", "2=d.json", "--candidate", "3=e.json"], "--candidate d.json"
+    assert run([command, *args, flag, output]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {named} and {flag} {output} name the same file; "
+                            f"give each its own path\n")
+    assert {name: Path(name).read_bytes() for name in before} == before
+    assert set(os.listdir(tmp_path)) - {"link.json"} == set(before)
+
+
+@pytest.mark.parametrize("command", ["sample", "pc", "coding-demo"])
+def test_an_empty_output_name_is_refused_before_the_work(command, capsys, monkeypatch):
+    # an empty name is no file to write: every command refuses it, not only
+    # sample, and before the work
+    _forbid_work(monkeypatch, command)
+    args = {"sample": ["--dim", "2", "--n", "10", "--sigma", "1"],
+            "pc": ["--dim", "2", "--n", "100"], "coding-demo": ["--grid", "4"]}[command]
+    assert run([command, *args, "--out", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write : [Errno 2] No such file or directory")
+
+
+def test_a_run_naming_no_output_resolves_no_path(tmp_path, capsys, monkeypatch):
+    data = tmp_path / "data.json"
+    write_dataset(str(data), sample(20, RgdParams(hy.origin(2), 0.7), seed=3))
+    resolved, realpath = [], os.path.realpath
+    monkeypatch.setattr(os.path, "realpath",
+                        lambda path: resolved.append(path) or realpath(path))
+    assert run(["codelength", "--data", str(data)]) == 0
+    assert resolved == []
+
+
 def test_closed_stdout_exits_141_without_a_traceback():
     # the reader of stdout is gone before the first write
     read_end, write_end = os.pipe()

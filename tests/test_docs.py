@@ -167,3 +167,20 @@ def test_select_dim_verdict_is_returned():
     select_best = next(node for node in _nodes(SOURCES / "cli.py")
                        if isinstance(node, ast.FunctionDef) and node.name == "select_best")
     assert not any(isinstance(node, ast.Raise) for node in ast.walk(select_best))
+
+
+def test_one_output_check_per_writing_command():
+    # cli._check_outputs alone checks the files a run writes: each command
+    # that writes one calls it once, and _emit only writes
+    assert _bindings({"_check_writable"}) == []
+    writers = {"cmd_pc", "cmd_codelength", "cmd_sample", "cmd_select_dim", "cmd_coding_demo"}
+    assert _callers("_check_outputs") == {f"cli.{name}" for name in writers}
+    calls = {node.name: sum(isinstance(call, ast.Call) and _called_name(call) == "_check_outputs"
+                            for call in ast.walk(node))
+             for node in _nodes(SOURCES / "cli.py")
+             if isinstance(node, ast.FunctionDef) and node.name in writers}
+    assert calls == dict.fromkeys(writers, 1)
+    emit = next(node for node in _nodes(SOURCES / "cli.py")
+                if isinstance(node, ast.FunctionDef) and node.name == "_emit")
+    assert {_called_name(node) for node in ast.walk(emit) if isinstance(node, ast.Call)} & {
+        "_check_outputs", "lexists", "realpath", "remove"} == set()

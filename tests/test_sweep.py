@@ -20,6 +20,7 @@ import re
 import sys
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
@@ -51,6 +52,8 @@ CLASSES = {
                                r"dimension \d+"),
     "unequal n": (2, r"select-dim compares code-lengths of the same points, but dim \d+ "
                      r"holds n = \d+"),
+    "output names an input": (2, r"--(data|candidate) \S+ and --(out|csv) \S+ name the same "
+                                 r"file; give each its own path"),
     "every candidate failed": (2, r"every candidate failed: dim \d+: "),
     "every candidate failed, one numerically": (3, r"every candidate failed: dim \d+: "),
     "out of memory": (3, r"out of memory: Unable to allocate "),
@@ -128,7 +131,9 @@ def _classify(argv: list[str], code: int | None, out: str, err: str) -> tuple[st
             assert all("  PASS  " in line for line in out.splitlines()), out
             values = []
         else:
-            payload = json.loads(out)
+            # a report written to --out, as the A/B harness's seeded runs write it
+            payload = json.loads(out if "--out" not in argv else
+                                 Path(argv[argv.index("--out") + 1]).read_text())
             values = [v for v in payload.values() if type(v) in (int, float)]
             for entry in payload.get("scores", []):
                 if entry["error"] is None:
@@ -248,6 +253,18 @@ def _explicit(tmp) -> list[tuple[list[str], str]]:
     # n log xi at D = 2 and n = 50 overflows past about sqrt(float max) / 5
     cases += [(["codelength", "--data", near, "--sigma", f"{s!r}:1e300"], c)
               for s, c in zip(_ulps(SQUARE_MAX / 5.0), ("finite", "finite", "overflow"))]
+    # an output may not name a file the run reads: each case reads a dataset
+    # of its own, which a tree that lacks the check overwrites
+    own = [str(tmp / f"own{i}.json") for i in range(3)]
+    cases += [(["sample", "--dim", "2", "--n", "50", "--sigma", "0.5", "--seed", str(i),
+                "--out", path], "finite") for i, path in enumerate(own)]
+    cases += [
+        (["codelength", "--data", own[0], "--out", own[0]], "output names an input"),
+        (["codelength", "--data", own[1], "--csv", f"{tmp}/./own1.json"],
+         "output names an input"),
+        (["select-dim", "--candidate", f"2={own[2]}", "--candidate", f"3={near}",
+          "--out", own[2]], "output names an input"),
+    ]
     # the data bound: a point with x0 = cosh 350, and one ulp either side;
     # inside it, the frame of the Frechet mean loses its digits (item 1)
     edge = ("item 1: frame overflow", "item 1: frame overflow", "data bound")
