@@ -1,18 +1,21 @@
 """Oracles of the library's kernels, and the self-check suites of ``validate``.
 
 Each suite reruns one of the independent oracles (quadrature, Monte
-Carlo, reparameterization, Kraft) against the production kernels and
-reports a pass/fail line.  The oracles live here only: the paper's
-closed-form :func:`xi` and its derivatives and :func:`xi_quadrature_oracle`,
-with its :func:`log_radial_weight` and :func:`radial_cutoff`, for
-:func:`rmnml.gaussian.radial_moments`; the Monte-Carlo Fisher estimate
-:func:`fisher_numeric` for :func:`rmnml.gaussian.log_fisher_factors`; the
-integral in sigma :func:`fisher_integral` for the complexity's rule in
-log sigma; and :func:`pc_mc_gauss1d`, a Monte-Carlo parametric complexity
-of N(theta, 1), for the asymptotic formula.  The Kraft suite codes with
-:func:`rmnml.gaussian.log_pdf_vol_many`, the density of the code-length.
-Tests confirm that the suites detect errors by patching the names ``xi``,
-``radial_moments`` and ``log_pdf_vol_many`` here.  The two quadrature
+Carlo, reparameterization, Kraft, an exact normalizer) against the
+production kernels and reports a pass/fail line.  The oracles live here
+only: the paper's closed-form :func:`xi` and its derivatives and
+:func:`xi_quadrature_oracle`, with its :func:`log_radial_weight` and
+:func:`radial_cutoff`, for :func:`rmnml.gaussian.radial_moments`; the
+Monte-Carlo Fisher estimate :func:`fisher_numeric` for
+:func:`rmnml.gaussian.log_fisher_factors`; the integral in sigma
+:func:`fisher_integral` for the complexity's rule in log sigma; and
+:func:`log_exact_complexity_d1`, the exact finite-n normalizer of the
+D = 1 model N(mu, sigma^2), with its gap to the asymptotic formula
+:func:`exact_d1_gap`, for :func:`rmnml.complexity.pc_hgd`.  The Kraft suite
+codes with :func:`rmnml.gaussian.log_pdf_vol_many`, the density of the
+code-length.  Tests confirm that the suites detect errors by patching the
+names ``xi``, ``radial_moments``, ``log_pdf_vol_many``, ``pc_hgd`` and
+``exact_d1_gap`` here.  The two quadrature
 oracles use :func:`adaptive_gauss_kronrod`, the oracle rule, defined here
 with its QK15 table so that the production kernels share nothing with it.
 The rule refines a stack of integrals together, one integrand call per
@@ -24,13 +27,7 @@ one call per dimension, 3 in all, and 2,580, which the moment kernel reads
 96 sigmas per call.  :func:`fisher_numeric` reads normal coordinates about
 mu through :func:`rmnml.hyperbolic.exp_normal`, and log xi at its three
 sigmas from one :func:`rmnml.gaussian.radial_moments` call per estimate.
-The closed form and the Monte-Carlo oracle read erfc from :func:`_erfc`, a
-numpy kernel of Cody's rational Chebyshev approximations (W. J. Cody,
-"Rational Chebyshev approximations for the error function", Math. Comp.
-23, 1969), its three branches gathered and scattered by index arrays and
-evaluated in place.  :func:`pc_mc_gauss1d` forms its log weights one block
-of 32,768 draws at a time, in the array of its draws, so it holds neither
-both tails of every draw nor a second array of weights.
+The closed form reads erfc from ``math.erfc``, one term at a time.
 """
 
 from __future__ import annotations
@@ -43,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import hyperbolic as hy
-from .complexity import ParamDomain, pc_general, pc_hgd
+from .complexity import ParamDomain, pc_hgd
 from .gaussian import RgdParams, log_fisher_factors, log_pdf_vol_many, radial_moments, sample
 from .quadrature import QuadratureError
 
@@ -235,104 +232,6 @@ class SuiteResult(NamedTuple):
     seconds: float = 0.0
 
 
-# W. J. Cody, "Rational Chebyshev approximations for the error function",
-# Math. Comp. 23 (1969), with the coefficients and the order of evaluation of
-# his routine CALERF.  A numerator's table runs from the coefficient of the
-# second-highest power down to the constant term, then gives the leading
-# coefficient; a denominator is monic, and its table runs from the
-# second-highest power down.  erf(x) = x R_AB(x^2) for |x| <= 0.46875;
-# erfc(y) = exp(-y^2) R_CD(y) for 0.46875 < y <= 4, and
-# exp(-y^2) (1/sqrt(pi) - R_PQ(1/y^2) / y^2) / y past 4.
-_ERFC_A = (3.16112374387056560e00, 1.13864154151050156e02, 3.77485237685302021e02,
-           3.20937758913846947e03, 1.85777706184603153e-1)
-_ERFC_B = (2.36012909523441209e01, 2.44024637934444173e02, 1.28261652607737228e03,
-           2.84423683343917062e03)
-_ERFC_C = (5.64188496988670089e-1, 8.88314979438837594e00, 6.61191906371416295e01,
-           2.98635138197400131e02, 8.81952221241769090e02, 1.71204761263407058e03,
-           2.05107837782607147e03, 1.23033935479799725e03, 2.15311535474403846e-8)
-_ERFC_D = (1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02,
-           1.62138957456669019e03, 3.29079923573345963e03, 4.36261909014324716e03,
-           3.43936767414372164e03, 1.23033935480374942e03)
-_ERFC_P = (3.05326634961232344e-1, 3.60344899949804439e-1, 1.25781726111229246e-1,
-           1.60837851487422766e-2, 6.58749161529837803e-4, 1.63153871373020978e-2)
-_ERFC_Q = (2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-1,
-           6.05183413124413191e-2, 2.33520497626869185e-3)
-#: 1 / sqrt(pi), the leading term of y exp(y^2) erfc(y) as y grows.
-_ONE_OVER_SQRT_PI = 5.6418958354775628695e-1
-#: Draws :func:`pc_mc_gauss1d` hands :func:`_erfc` per call, which bounds its temporaries.
-_ERFC_BLOCK = 32_768
-#: erfc of every float past this is 0 (it falls below 5e-324 near 27.3).
-_ERFC_ZERO_FROM = 28.0
-
-
-def _erfc(z) -> np.ndarray:
-    """erfc of every entry of ``z``, as a float array of its shape.
-
-    Cody's (1969) rational Chebyshev approximations, split at |x| = 0.46875
-    and 4, with exp(-y^2) from :func:`_exp_minus_square` and erfc(-y) =
-    2 - erfc(y).  Within 1.1e-15 relative of ``math.erfc`` wherever that is a
-    normal float (x up to about 26.5), and within 1e-323 absolute in the
-    subnormal tail; equal to it at +-0, +-inf and nan.  An entry's value does
-    not depend on the array's size, so a caller bounds the temporaries by its
-    blocks, as :func:`pc_mc_gauss1d` does.
-    """
-    # each branch's entries by an index array: on mixed arguments a boolean
-    # gather or scatter costs several times a take or a put
-    x = np.asarray(z, dtype=float).reshape(-1)
-    y = np.abs(x)
-    np.minimum(y, _ERFC_ZERO_FROM, out=y)  # nan stays nan, and takes the tail branch
-    out = np.empty_like(y)
-    small, within = y <= 0.46875, y <= 4.0
-    first, middle, tail = (np.flatnonzero(rows) for rows in (small, within & ~small, ~within))
-    xs, ym, yt = x.take(first), y.take(middle), y.take(tail)
-    ratio = np.multiply(xs, _cody_ratio(xs * xs, _ERFC_A, _ERFC_B), out=xs)
-    out.put(first, np.subtract(1.0, ratio, out=ratio))
-    value = _exp_minus_square(ym)
-    value *= _cody_ratio(ym, _ERFC_C, _ERFC_D)
-    out.put(middle, value)
-    w = yt * yt
-    np.divide(1.0, w, out=w)
-    ratio = np.multiply(w, _cody_ratio(w, _ERFC_P, _ERFC_Q), out=w)
-    np.subtract(_ONE_OVER_SQRT_PI, ratio, out=ratio)
-    ratio /= yt
-    value = _exp_minus_square(yt)
-    value *= ratio
-    out.put(tail, value)
-    negative = np.flatnonzero(~small & (x < 0.0))
-    value = out.take(negative)
-    out.put(negative, np.subtract(2.0, value, out=value))
-    return out.reshape(np.shape(z))
-
-
-def _exp_minus_square(y: np.ndarray) -> np.ndarray:
-    """exp(-y^2) as exp(-s^2) exp(-(y - s)(y + s)), s = y truncated to a
-    multiple of 1/16, so that s^2 is exact."""
-    s = 16.0 * y
-    np.trunc(s, out=s)
-    s /= 16.0
-    rest = y - s
-    np.negative(rest, out=rest)
-    rest *= y + s
-    np.multiply(-s, s, out=s)
-    np.exp(s, out=s)
-    s *= np.exp(rest, out=rest)
-    return s
-
-
-def _cody_ratio(t: np.ndarray, num: tuple, den: tuple) -> np.ndarray:
-    """Cody's rational function of ``t``, in CALERF's order of evaluation."""
-    top, bottom = num[-1] * t, t.copy()
-    for a, b in zip(num[:-2], den[:-1]):
-        top += a
-        top *= t
-        bottom += b
-        bottom *= t
-    top += num[-2]
-    bottom += den[-1]
-    top /= bottom
-    return top
-
-
 def _fsum_rows(a: np.ndarray) -> np.ndarray:
     """math.fsum over the last axis: each sum is exactly rounded."""
     sums = map(math.fsum, a.reshape(-1, a.shape[-1]).tolist())
@@ -353,7 +252,8 @@ def _xi_terms(dim: int, sigma: np.ndarray):
     p = (dim - 1) - 2.0 * i
     b = (-1.0) ** i * np.array([math.comb(dim - 1, k) for k in range(dim)], dtype=float)
     s = sigma[..., None]
-    erfc = _erfc(-p * s / math.sqrt(2.0))
+    z = -p * s / math.sqrt(2.0)
+    erfc = np.fromiter(map(math.erfc, z.ravel().tolist()), float, z.size).reshape(z.shape)
     a = b * np.exp(0.5 * s * s * p * p) * erfc
     return K, a, b, p
 
@@ -371,13 +271,13 @@ def xi(dim: int, sigma):
     """Normalization constant of the hyperbolic Gaussian, in closed form.
 
     ``sigma`` may be a scalar or an array; the result has its shape.
-    Accurate to about 1e-12 relative for D <= 5 (3.6e-12 at D = 5,
-    sigma = 0.05; 1e-13 for sigma >= 0.1), against the closed form in
+    Accurate to about 4e-12 relative for D <= 5 (4.0e-12 at D = 5,
+    sigma = 0.05; 1.1e-13 for sigma >= 0.1), against the closed form in
     60-digit arithmetic.  Beyond that the alternating binomial sum
     amplifies the rounding of each term: on sigma in [0.05, 3] the error
-    reaches 7e-9 at D = 9 and 4e-6 at D = 12, and at D >= 16 the terms
-    overflow.  An oracle for
-    :func:`rmnml.gaussian.radial_moments`.
+    reaches 1.1e-8 at D = 9 and 4.4e-6 at D = 12, and the terms overflow
+    once sigma (D - 1) passes about 37.7 (at sigma = 3 from D = 14).  An
+    oracle for :func:`rmnml.gaussian.radial_moments`.
     """
     s = _checked_sigma(dim, sigma)
     K, a, _, _ = _xi_terms(dim, s)
@@ -571,58 +471,41 @@ def _root_det_fisher(dim: int, sigma: np.ndarray) -> np.ndarray:
     return root
 
 
-def pc_mc_gauss1d(n: int, a: float, b: float, samples: int,
-                  seed: int) -> tuple[float, float]:
-    """Monte-Carlo log parametric complexity of N(theta, 1), theta in [a, b].
+def log_exact_complexity_d1(n: int, domain) -> float:
+    """log of the exact finite-n NML complexity of N(mu, sigma^2), mu in
+    [-R, R] and sigma in [sigma_min, sigma_max], by Rissanen's identity.
 
-    Importance sampling with theta uniform on [a, b] and the data drawn
-    from N(theta, 1): the estimate targets
-    integral p(y^n | thetahat(y^n)) 1{thetahat in [a, b]} dy^n, which this
-    family admits exactly as (b - a) sqrt(n / 2 pi).  Weights use the
-    mixture (marginal) proposal density, which keeps them bounded; the
-    per-theta conditional weight exp(n (thetahat - theta)^2 / 2) has such a
-    heavy tail that feasible sample sizes systematically miss part of the
-    mass.  Everything depends on y^n only through its mean, so the mean is
-    drawn directly from its exact law N(theta, 1/n).  Returns the log
-    estimate (via log-sum-exp) and its delta-method standard error.
+    H^1 is the real line, so this is the model :func:`rmnml.complexity.pc_hgd`
+    computes at D = 1.  The MLE's density at its own parameter is
+    c_n / sigma^2 with c_n = sqrt(n / 2 pi) 2n f(n), f the chi^2_(n-1)
+    density, since the mean and n sigmahat^2 / sigma^2 ~ chi^2_(n-1) are
+    independent.  Like the asymptotic formula, it leaves out the mass of
+    MLEs clamped to the boundary.  Direct in floats: its terms are about
+    n log n in size.
     """
-    if not b > a:
-        raise ValueError(f"degenerate interval: [{a}, {b}]")
-    if n < 10:
-        raise ValueError("n must be >= 10")
-    if samples < 10_000:
-        raise ValueError("samples must be >= 1e4")
-    rng = np.random.default_rng(seed)
-    theta = rng.uniform(a, b, samples)
-    ybar = rng.standard_normal(samples)
-    ybar /= math.sqrt(n)
-    ybar += theta
-    del theta
-    inside = (ybar >= a) & (ybar <= b)
-    log_w = ybar[inside]
-    # log w = log(sqrt(n / 2 pi) (b - a)) - log of the marginal
-    # Phi(sqrt n (b - ybar)) - Phi(sqrt n (a - ybar)), through the two tails,
-    # each at a positive argument, one erfc block at a time in place
-    scale, log_top = math.sqrt(0.5 * n), 0.5 * math.log(n / (2.0 * math.pi)) + math.log(b - a)
-    for start in range(0, log_w.size, _ERFC_BLOCK):
-        y = log_w[start:start + _ERFC_BLOCK]
-        upper, lower = _erfc(scale * (b - y)), _erfc(scale * (y - a))
-        upper *= -0.5
-        upper += 1.0
-        lower *= 0.5
-        upper -= lower  # the marginal
-        np.maximum(upper, 1e-300, out=upper)
-        np.log(upper, out=upper)
-        np.subtract(log_top, upper, out=y)
-    w = ybar  # the draws' array now holds each weight, 0 outside [a, b]
-    w.fill(-np.inf)
-    w[inside] = log_w
-    shift = float(np.max(w))
-    w -= shift
-    np.exp(w, out=w)
-    mean_w = float(w.mean())
-    se_w = float(w.std(ddof=1) / math.sqrt(samples))
-    return shift + math.log(mean_w), se_w / mean_w
+    k = n - 1
+    log_chi2 = ((0.5 * k - 1.0) * math.log(n) - 0.5 * n - 0.5 * k * math.log(2.0)
+                - math.lgamma(0.5 * k))
+    log_c = 0.5 * math.log(n / (2.0 * math.pi)) + math.log(2.0 * n) + log_chi2
+    return (math.log(2.0 * domain.radius_R)
+            + math.log(1.0 / domain.sigma_min - 1.0 / domain.sigma_max) + log_c)
+
+
+#: B_2j / (2j (2j - 1)), j = 1..6: the coefficients of z^-(2j-1) in the
+#: Stirling series of log Gamma(z) - ((z - 1/2) log z - z + log(2 pi) / 2).
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
+
+
+def exact_d1_gap(n: int) -> float:
+    """:func:`log_exact_complexity_d1` minus ``pc_hgd(1, n)``, without cancellation.
+
+    With z = (n - 1) / 2 the terms of size n log n cancel in closed form,
+    leaving (z - 1/2) log1p(1 / 2z) - 1/2 - S(z), S the Stirling series'
+    remainder; within 2e-11 for n >= 10.
+    """
+    z = 0.5 * (n - 1)
+    rest = sum(c / z ** (2 * j + 1) for j, c in enumerate(_STIRLING))
+    return (z - 0.5) * math.log1p(0.5 / z) - 0.5 - rest
 
 
 def check_xi() -> SuiteResult:
@@ -698,15 +581,26 @@ def check_kraft() -> SuiteResult:
     return SuiteResult("kraft-and-expected-length", ok, "; ".join(details))
 
 
-def check_mc_pipeline(quick: bool = False) -> SuiteResult:
-    samples = 100_000 if quick else 1_000_000
-    estimate, stderr = pc_mc_gauss1d(100, 0.0, 1.0, samples, seed=11)
-    reference = pc_general(1, 100, 0.0).total_log_pc
-    gap = abs(estimate - reference)
-    allowed = max(3.0 * stderr, 0.05)
-    return SuiteResult("mc-parametric-complexity", gap <= allowed,
-                       f"|{estimate:.4f} - {reference:.4f}| = {gap:.4f} "
-                       f"(allowed {allowed:.4f})")
+def check_mc_pipeline() -> SuiteResult:
+    """The D = 1 pipeline, N(mu, sigma^2), against its exact finite-n normalizer.
+
+    At n = 10 to 1e5, :func:`log_exact_complexity_d1` minus the log
+    complexity of :func:`rmnml.complexity.pc_hgd` must be the dropped o(1)
+    term :func:`exact_d1_gap` within 1e-10, and n times that term must be
+    -11/12 within 0.6/n.  The function's name and the printed suite name
+    are older than this check; ``bench/`` reads both.
+    """
+    domain = ParamDomain()
+    worst, ok = 0.0, True
+    for n in (10, 100, 1_000, 10_000, 100_000):
+        gap = exact_d1_gap(n)
+        diff = abs(log_exact_complexity_d1(n, domain) - pc_hgd(1, n, domain).total_log_pc
+                   - gap)
+        worst = max(worst, diff)
+        ok = ok and diff <= 1e-10 and abs(n * gap + 11.0 / 12.0) <= 0.6 / n
+    return SuiteResult("mc-parametric-complexity", ok,
+                       f"exact D=1 gap: max error {worst:.3e} (tol 1e-10); "
+                       f"n*gap = {n * gap:.7f} at n = {n} (-11/12 = {-11.0 / 12.0:.7f})")
 
 
 def run_all(quick: bool = False) -> list[SuiteResult]:
@@ -716,7 +610,7 @@ def run_all(quick: bool = False) -> list[SuiteResult]:
         lambda: check_fisher(quick=quick),
         check_reparameterization,
         check_kraft,
-        lambda: check_mc_pipeline(quick=quick),
+        check_mc_pipeline,
     ]
     results = []
     for suite in suites:

@@ -135,41 +135,6 @@ def log_ball_volume_oracle(dim: int, radius: float) -> float:
             + math.log(adaptive_gauss_kronrod(scaled, 0.0, radius, 1e-11)))
 
 
-def log_exact_complexity_d1(n: int, domain) -> float:
-    """log of the exact finite-n NML complexity of N(mu, sigma^2), mu in
-    [-R, R] and sigma in [sigma_min, sigma_max], by Rissanen's identity.
-
-    The MLE's density at its own parameter is c_n / sigma^2 with
-    c_n = sqrt(n / 2 pi) 2n f(n), f the chi^2_(n-1) density, since the mean
-    and n sigmahat^2 / sigma^2 ~ chi^2_(n-1) are independent.  Leaves out the
-    mass of MLEs clamped to the boundary.  Direct in floats: its terms are
-    about n log n in size.
-    """
-    k = n - 1
-    log_chi2 = ((0.5 * k - 1.0) * math.log(n) - 0.5 * n - 0.5 * k * math.log(2.0)
-                - math.lgamma(0.5 * k))
-    log_c = 0.5 * math.log(n / (2.0 * math.pi)) + math.log(2.0 * n) + log_chi2
-    return (math.log(2.0 * domain.radius_R)
-            + math.log(1.0 / domain.sigma_min - 1.0 / domain.sigma_max) + log_c)
-
-
-#: B_2j / (2j (2j - 1)), j = 1..6: the coefficients of z^-(2j-1) in the
-#: Stirling series of log Gamma(z) - ((z - 1/2) log z - z + log(2 pi) / 2).
-_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
-
-
-def exact_d1_gap(n: int) -> float:
-    """:func:`log_exact_complexity_d1` minus ``pc_hgd(1, n)``, without cancellation.
-
-    With z = (n - 1) / 2 the terms of size n log n cancel in closed form,
-    leaving (z - 1/2) log1p(1 / 2z) - 1/2 - S(z), S the Stirling series'
-    remainder; within 2e-11 for n >= 10.
-    """
-    z = 0.5 * (n - 1)
-    rest = sum(c / z ** (2 * j + 1) for j, c in enumerate(_STIRLING))
-    return (z - 0.5) * math.log1p(0.5 / z) - 0.5 - rest
-
-
 def xi_fd_derivatives(dim: int, sigma):
     """Finite-difference oracle for the derivatives of the closed-form xi.
 
@@ -333,30 +298,6 @@ def refine_by_columns(f, panels, owner, rel_tol, cap, length):
                   for left, right in ((lo, mid), (mid, hi)))
     result[:, j] = math.fsum(np.concatenate(accepted)), math.fsum(np.concatenate(errors))
     return result
-
-
-def erfc_block_by_masks(x: np.ndarray) -> np.ndarray:
-    """One block of :func:`rmnml.validation._erfc` with boolean masks for the branches.
-
-    The reference for :func:`rmnml.validation._erfc`, which picks each
-    branch's entries by an index array: the same arguments in the same
-    branches, gathered and scattered by the masks.
-    """
-    y = np.minimum(np.abs(x), validation._ERFC_ZERO_FROM)
-    out = np.empty_like(y)
-    small = y <= 0.46875
-    middle = ~small & (y <= 4.0)
-    tail = ~(small | middle)
-    xs, ym, yt = x[small], y[middle], y[tail]
-    ratio, square = validation._cody_ratio, validation._exp_minus_square
-    out[small] = 1.0 - xs * ratio(xs * xs, validation._ERFC_A, validation._ERFC_B)
-    out[middle] = square(ym) * ratio(ym, validation._ERFC_C, validation._ERFC_D)
-    w = 1.0 / (yt * yt)
-    out[tail] = square(yt) * ((validation._ONE_OVER_SQRT_PI
-                               - w * ratio(w, validation._ERFC_P, validation._ERFC_Q)) / yt)
-    negative = ~small & (x < 0.0)
-    out[negative] = 2.0 - out[negative]
-    return out
 
 
 def hyperboloid_violation_by_norms(coords: np.ndarray):

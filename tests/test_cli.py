@@ -947,6 +947,17 @@ class TestValidateCommand:
             assert line.split()[1] == "PASS"
             assert re.search(r"  \[\d+\.\d\d s\]$", line), line
 
+    def test_suite_names_are_the_benchmarks(self, capsys):
+        # the benchmark's validate-quick check wants each suite name that
+        # bench/reference.json records to print PASS, so a renamed suite
+        # fails here first
+        reference = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+        ops = json.loads(reference.read_text())["validate-quick"]
+        assert run(["validate", "--quick"]) == 0
+        printed = dict(line.split()[:2] for line in capsys.readouterr().out.splitlines())
+        assert ops and all(printed == suites for suites in ops.values())
+        assert len(printed) == 5 and set(printed.values()) == {"PASS"}
+
 
 class TestCodingDemo:
     def test_reports_kraft_and_bounds(self, capsys):

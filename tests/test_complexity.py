@@ -8,11 +8,10 @@ from rmnml.complexity import (ParamDomain, chart_gap, hgd_sigma_integral,
                               pc_general, pc_hgd, regret, rm_nml_codelength)
 from rmnml.gaussian import Dataset, RgdParams, log_pdf_vol_many, mle, sample
 from rmnml.quadrature import QuadratureError
-from rmnml.validation import adaptive_gauss_kronrod, pc_mc_gauss1d
+from rmnml.validation import adaptive_gauss_kronrod, exact_d1_gap, log_exact_complexity_d1
 
-from conftest import (closed_sigma_integrand, exact_d1_gap, log_exact_complexity_d1,
-                      lorentz_to_poincare, polar_point, random_dataset, random_point,
-                      sqrt_det_metric, xi_fd_derivatives)
+from conftest import (closed_sigma_integrand, lorentz_to_poincare, polar_point, random_dataset,
+                      random_point, sqrt_det_metric, xi_fd_derivatives)
 
 DOMAIN = ParamDomain(radius_R=3.0, sigma_min=0.1, sigma_max=3.0)
 
@@ -248,30 +247,6 @@ class TestRegret:
         fit = mle(data, DOMAIN)
         assert regret(data, -log_lik(data, fit.params), DOMAIN) == pytest.approx(
             0.0, abs=1e-12)
-
-
-class TestMcParametricComplexity:
-    def test_deterministic(self):
-        assert pc_mc_gauss1d(50, 0.0, 1.0, 20_000, seed=4) == \
-            pc_mc_gauss1d(50, 0.0, 1.0, 20_000, seed=4)
-
-    def test_matches_asymptotic_formula(self):
-        estimate, stderr = pc_mc_gauss1d(100, 0.0, 1.0, 1_000_000, seed=3)
-        reference = pc_general(1, 100, 0.0).total_log_pc
-        assert abs(estimate - reference) <= max(3.0 * stderr, 0.05)
-
-    def test_interval_doubling_adds_log_two(self):
-        a, se_a = pc_mc_gauss1d(100, 0.0, 1.0, 200_000, seed=5)
-        b, se_b = pc_mc_gauss1d(100, 0.0, 2.0, 200_000, seed=6)
-        assert b - a == pytest.approx(math.log(2.0), abs=3 * (se_a + se_b) + 1e-3)
-
-    def test_input_guards(self):
-        with pytest.raises(ValueError):
-            pc_mc_gauss1d(100, 1.0, 1.0, 20_000, seed=0)
-        with pytest.raises(ValueError):
-            pc_mc_gauss1d(5, 0.0, 1.0, 20_000, seed=0)
-        with pytest.raises(ValueError):
-            pc_mc_gauss1d(100, 0.0, 1.0, 100, seed=0)
 
 
 def test_param_domain_validation():

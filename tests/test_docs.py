@@ -54,19 +54,26 @@ def _called_name(node: ast.Call) -> str | None:
 
 def test_oracles_stay_in_validation():
     # one kernel per quantity: the library reads xi, the moments and the
-    # Fisher information from the moment kernel, and the paper's closed form
-    # and the Monte-Carlo and quadrature oracles, with the adaptive
-    # Gauss-Kronrod rule and its QK15 table, the erfc kernel with its
-    # coefficient tables, and the radial weight and cutoff of the quadrature
-    # oracle, belong to the validation suites
+    # Fisher information from the moment kernel, and the paper's closed form,
+    # the Monte-Carlo and quadrature oracles, with the adaptive Gauss-Kronrod
+    # rule and its QK15 table, the radial weight and cutoff of the quadrature
+    # oracle, and the exact D = 1 normalizer with its gap, belong to the
+    # validation suites
     oracles = {"xi", "xi_derivatives", "xi_quadrature_oracle", "FisherBlock",
-               "fisher_numeric", "fisher_integral", "pc_mc_gauss1d",
-               "adaptive_gauss_kronrod", "_kronrod_sums", "_KRONROD_X",
-               "_KRONROD_W", "_GAUSS_W", "_NODES_15", "_KRONROD_15", "_GAUSS_15",
-               "_erfc", "_erfc_block", "_exp_minus_square", "_cody_ratio", "_ERFC_A",
-               "_ERFC_B", "_ERFC_C", "_ERFC_D", "_ERFC_P", "_ERFC_Q", "radial_cutoff",
-               "log_radial_weight"}
+               "fisher_numeric", "fisher_integral", "adaptive_gauss_kronrod",
+               "_kronrod_sums", "_KRONROD_X", "_KRONROD_W", "_GAUSS_W", "_NODES_15",
+               "_KRONROD_15", "_GAUSS_15", "radial_cutoff", "log_radial_weight",
+               "log_exact_complexity_d1", "exact_d1_gap", "_STIRLING"}
     assert _bindings(oracles, skip="validation") == []
+
+
+def test_no_monte_carlo_complexity_or_erfc_kernel():
+    # the exact D = 1 normalizer replaced the Monte-Carlo complexity of
+    # N(theta, 1), and the closed form reads math.erfc: the Monte-Carlo
+    # estimate and Cody's erfc with its tables are bound nowhere
+    assert _bindings({"pc_mc_gauss1d", "_erfc", "_erfc_block", "_exp_minus_square",
+                      "_cody_ratio", "_ERFC_A", "_ERFC_B", "_ERFC_C", "_ERFC_D", "_ERFC_P",
+                      "_ERFC_Q", "_ONE_OVER_SQRT_PI", "_ERFC_BLOCK", "_ERFC_ZERO_FROM"}) == []
 
 
 def test_one_boost_for_every_isometry():

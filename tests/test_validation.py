@@ -1,16 +1,14 @@
 import math
-import sys
 from collections import Counter
 
 import numpy as np
-import pytest
 
 from rmnml import hyperbolic as hy, validation
 from rmnml.complexity import ParamDomain
 from rmnml.validation import (check_kraft, check_mc_pipeline,
                               check_reparameterization, check_xi)
 
-from conftest import erfc_block_by_masks, gauss_kronrod_one_integral, int64_bits
+from conftest import gauss_kronrod_one_integral, int64_bits
 
 
 def test_xi_suite_passes():
@@ -51,7 +49,28 @@ def test_reparameterization_suite_passes():
 
 
 def test_mc_pipeline_quick_passes():
-    assert check_mc_pipeline(quick=True).passed
+    assert check_mc_pipeline().passed
+
+
+def test_mc_pipeline_detects_an_error_in_the_pipeline(monkeypatch):
+    # a log complexity off by 1e-9, in its Fisher term, is ten times the
+    # suite's tolerance
+    pc_hgd = validation.pc_hgd
+
+    def off(dim, n, domain):
+        result = pc_hgd(dim, n, domain)
+        return result._replace(term_fisher=result.term_fisher + 1e-9)
+
+    monkeypatch.setattr(validation, "pc_hgd", off)
+    assert not check_mc_pipeline().passed
+
+
+def test_mc_pipeline_sees_the_dropped_order_one_over_n_term(monkeypatch):
+    # with the gap taken as 0 the formula must equal the exact normalizer,
+    # which it misses by about 11/12n: 0.009 at n = 100, which a tolerance
+    # of 0.05 there would pass
+    monkeypatch.setattr(validation, "exact_d1_gap", lambda n: 0.0)
+    assert not check_mc_pipeline().passed
 
 
 def _abscissae_through_f(monkeypatch):
@@ -160,63 +179,3 @@ def test_xi_suite_takes_one_rule_call(monkeypatch):
                         lambda f, a, b, *args: calls.append(len(a)) or rule(f, a, b, *args))
     assert check_xi().passed
     assert calls == [25]
-
-
-def _math_erfc(x: np.ndarray) -> np.ndarray:
-    return np.array([math.erfc(v) for v in x.ravel().tolist()]).reshape(x.shape)
-
-
-def test_erfc_matches_math_erfc_on_a_dense_grid():
-    x = np.linspace(-7.0, 27.5, 345_001)  # step 1e-4
-    got, ref = validation._erfc(x), _math_erfc(x)
-    normal = ref >= sys.float_info.min
-    assert np.max(np.abs(got - ref)[normal] / ref[normal]) <= 1e-14
-    assert np.max(np.abs(got - ref)[~normal]) <= 1e-320  # the subnormal tail, x > 26.55
-
-
-@pytest.mark.parametrize("value", [0.0, -0.0, math.inf, -math.inf, math.nan, 26.6, 27.0,
-                                   27.2, 27.3, 28.0, 1e300, -1e300, 5e-324])
-def test_erfc_special_values_and_the_subnormal_tail(value):
-    got = float(validation._erfc(np.array([value]))[0])
-    ref = math.erfc(value)
-    if math.isnan(ref):
-        assert math.isnan(got)
-    elif ref < sys.float_info.min:
-        assert abs(got - ref) <= 1e-320
-    else:
-        assert got == ref
-
-
-def test_erfc_entry_does_not_depend_on_the_array_size():
-    block = validation._ERFC_BLOCK
-    x = np.random.default_rng(5).uniform(-8.0, 30.0, block + 1)
-    whole = validation._erfc(x)
-    for size in (0, 1, block - 1, block, block + 1):
-        assert np.array_equal(validation._erfc(x[:size]), whole[:size])
-    shaped = validation._erfc(x[:-1].reshape(128, -1))
-    assert shaped.shape == (128, block // 128)
-    assert np.array_equal(shaped.ravel(), whole[:-1])
-    # the last entry alone, and in the first block of a shifted array
-    assert validation._erfc(x[-1:])[0] == whole[-1]
-    assert validation._erfc(x[::-1])[0] == whole[-1]
-
-
-def _edge_arguments() -> np.ndarray:
-    """+-0, +-inf and nan, and the branch and tail edges with their neighbouring floats."""
-    edges = np.array([0.46875, 4.0, 26.5, 27.3, 28.0])
-    edges = np.concatenate([np.nextafter(edges, -np.inf), edges, np.nextafter(edges, np.inf)])
-    return np.concatenate([[0.0, -0.0, math.inf, -math.inf, math.nan], edges, -edges])
-
-
-def test_erfc_is_the_boolean_mask_block_bit_for_bit():
-    # the branches picked by index arrays give the floats of conftest's
-    # boolean-mask block: three blocks and a remainder of random arguments,
-    # and the edges, compared as int64 bit patterns
-    block = validation._ERFC_BLOCK
-    x = np.random.default_rng(33).uniform(-30.0, 30.0, 3 * block + 1_234)
-    reference = np.concatenate([erfc_block_by_masks(x[start:start + block])
-                                for start in range(0, x.size, block)])
-    assert np.array_equal(validation._erfc(x).view(np.int64), reference.view(np.int64))
-    edges = _edge_arguments()
-    assert np.array_equal(validation._erfc(edges).view(np.int64),
-                          erfc_block_by_masks(edges).view(np.int64))
